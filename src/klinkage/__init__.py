@@ -5,7 +5,6 @@ l-quasi-transitive), the dominator machinery they run on, exact vertex
 connectivity, seeded generators, and an exhaustive verification oracle.
 """
 
-from ._kernel import BACKEND_NAME as kernel_backend
 from .connectivity import (
     is_k_strong,
     kappa,
@@ -68,3 +67,6 @@ from .reports import SolveReport
 from .verify import brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
 
 __version__ = "0.1.0"
+
+# reported in benchmark metadata: the one flow kernel (``_kernel``) is plain Python
+kernel_backend = "python"

@@ -1,7 +1,7 @@
 """Exact vertex connectivity and Menger-style disjoint path systems.
 
 Local connectivity is unit-capacity max flow on the vertex-split network
-(the hot kernel, compiled when available).  The set-to-set routines run a
+(the bitset kernel in ``_kernel``).  The set-to-set routines run a
 successive-shortest-path min-cost flow with unit vertex costs, so the
 minimum-total-vertex variant needed by the linkage pipelines is exact, and
 the plain variant is deterministic.  Approximation is never used: callers
@@ -27,22 +27,7 @@ __all__ = [
 ]
 
 
-def _kernel_module(backend: str | None):
-    return _kernel if backend is None else _kernel.get_backend(backend)
-
-
-def _prep(d: Digraph, kern) -> object:
-    key = getattr(kern, "BACKEND_NAME", None) or kern.NAME
-    prep = d._prep.get(key)
-    if prep is None:
-        adjacency = [d.out_neighbors(v) if d.has_vertex(v) else [] for v in range(d.n)]
-        prep = kern.prepare(d.n, adjacency)
-        d._prep[key] = prep
-    return prep
-
-
-def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None,
-                       backend: str | None = None) -> int:
+def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None) -> int:
     """Maximum number of internally disjoint (x, y)-paths.
 
     A direct arc counts as one path.  ``limit`` stops the augmentation early
@@ -54,15 +39,28 @@ def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None,
     for v in (x, y):
         if not d.has_vertex(v):
             raise VertexOutOfRangeError(f"vertex {v} not in digraph")
-    kern = _kernel_module(backend)
-    return kern.local_connectivity(_prep(d, kern), x, y, limit or 0)
+    return _kernel.local_connectivity(d, x, y, limit or 0)
 
 
-def is_k_strong(d: Digraph, k: int, backend: str | None = None) -> bool:
+def _pivot_pairs(d: Digraph, v: int):
+    """Ordered non-adjacent pairs at pivot v: ascending u, (v, u) before (u, v).
+
+    Only vertices that miss one of the two arcs with v are visited; which
+    arc is missing is read off v's own masks.
+    """
+    out_v, in_v = d.out_mask(v), d.in_mask(v)
+    for u in iter_bits(d.alive_mask & ~(out_v & in_v) & ~(1 << v)):
+        if not out_v >> u & 1:
+            yield v, u
+        if not in_v >> u & 1:
+            yield u, v
+
+
+def is_k_strong(d: Digraph, k: int) -> bool:
     """True iff d has at least k+1 vertices and no vertex cut smaller than k.
 
-    Uses the standard pivot reduction: fix any k vertices; a cut of size
-    below k misses one of them, and that pivot then has a non-adjacent
+    Uses the pivot reduction of Even (1975): fix any k vertices; a cut of
+    size below k misses one of them, and that pivot then has a non-adjacent
     partner with small local connectivity.  Costs O(k * n) bounded flow
     runs instead of O(n^2).
     """
@@ -72,21 +70,14 @@ def is_k_strong(d: Digraph, k: int, backend: str | None = None) -> bool:
         return True
     if not d.is_strong():
         return False
-    kern = _kernel_module(backend)
-    prep = _prep(d, kern)
-    alive = list(d.vertices())
-    for v in alive[:k]:
-        for u in alive:
-            if u == v:
-                continue
-            if not d.has_arc(v, u) and kern.local_connectivity(prep, v, u, k) < k:
-                return False
-            if not d.has_arc(u, v) and kern.local_connectivity(prep, u, v, k) < k:
+    for v in list(d.vertices())[:k]:
+        for a, b in _pivot_pairs(d, v):
+            if _kernel.local_connectivity(d, a, b, k) < k:
                 return False
     return True
 
 
-def kappa(d: Digraph, backend: str | None = None) -> int:
+def kappa(d: Digraph) -> int:
     """Exact degree of strong connectivity; 0 iff not strong, n-1 at most.
 
     Scans pivot vertices v_0, v_1, ... accumulating the least local
@@ -98,20 +89,12 @@ def kappa(d: Digraph, backend: str | None = None) -> int:
         raise VertexOutOfRangeError("connectivity degree needs at least 2 vertices")
     if not d.is_strong():
         return 0
-    kern = _kernel_module(backend)
-    prep = _prep(d, kern)
-    alive = list(d.vertices())
-    best = len(alive) - 1
-    for i, v in enumerate(alive):
+    best = d.order - 1
+    for i, v in enumerate(d.vertices()):
         if i > best:
             break
-        for u in alive:
-            if u == v:
-                continue
-            if not d.has_arc(v, u):
-                best = min(best, kern.local_connectivity(prep, v, u, best))
-            if not d.has_arc(u, v):
-                best = min(best, kern.local_connectivity(prep, u, v, best))
+        for a, b in _pivot_pairs(d, v):
+            best = min(best, _kernel.local_connectivity(d, a, b, best))
     return best
 
 

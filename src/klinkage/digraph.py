@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     ArityMismatchError,
     DuplicateArcError,
+    InputError,
     NotACompositionError,
     NotAPartitionError,
     NotSemicompleteError,
@@ -65,14 +66,13 @@ class Digraph:
     alive mask selects which ids are present.
     """
 
-    __slots__ = ("n", "_alive", "_out", "_in", "_prep")
+    __slots__ = ("n", "_alive", "_out", "_in")
 
     def __init__(self, n: int, alive: int, out_masks: list[int], in_masks: list[int]):
         self.n = n
         self._alive = alive
         self._out = out_masks
         self._in = in_masks
-        self._prep: dict = {}  # per-backend flow caches; not part of the value
 
     # -- construction ----------------------------------------------------
 
@@ -156,7 +156,7 @@ class Digraph:
             and all(self._out[v] == other._out[v] for v in self.vertices())
         )
 
-    __hash__ = None  # mutable-cache slot; value identity is via __eq__ only
+    __hash__ = None  # unhashable: no caller keys on digraphs; __eq__ compares values
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, order={self.order}, arcs={self.num_arcs})"
@@ -316,7 +316,7 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     at length one).
     """
     if l < 1:
-        raise ValueError("path length must be at least 1")
+        raise InputError("path length must be at least 1")
     if l == 1:
         return is_semicomplete(d)
     for u in d.vertices():

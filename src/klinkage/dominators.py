@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .digraph import Digraph, is_semicomplete, is_tournament, iter_bits, mask_of, spanning_tournament
 from .errors import (
+    InputError,
     NotSemicompleteError,
     NotTournamentError,
     SameVertexError,
@@ -181,7 +182,7 @@ def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out
         return (d.out_mask(v) & u_mask).bit_count() >= gamma
     if direction == "in":
         return (d.in_mask(v) & u_mask).bit_count() >= gamma
-    raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+    raise InputError(f"direction must be 'out' or 'in', got {direction!r}")
 
 
 def is_in_king(t: Digraph, v: int) -> bool:

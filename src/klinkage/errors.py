@@ -5,6 +5,10 @@ class KLinkageError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(KLinkageError, ValueError):
+    """An argument fails validation; also a ValueError for callers that catch one."""
+
+
 class SelfLoopError(KLinkageError):
     pass
 

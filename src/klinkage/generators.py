@@ -14,6 +14,7 @@ from .errors import (
     CoreNotStrongError,
     EvenOrderError,
     ArityMismatchError,
+    InputError,
     KTooSmallError,
     VertexOutOfRangeError,
 )
@@ -54,7 +55,7 @@ class SplitMix64:
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection."""
         if n <= 0:
-            raise ValueError("randrange needs a positive bound")
+            raise InputError("randrange needs a positive bound")
         limit = _MASK64 + 1 - (_MASK64 + 1) % n
         while True:
             draw = self.next_u64()
@@ -65,7 +66,7 @@ class SplitMix64:
         """k distinct elements, partial Fisher-Yates order."""
         pool = list(population)
         if k > len(pool):
-            raise ValueError("sample larger than population")
+            raise InputError("sample larger than population")
         out = []
         for _ in range(k):
             idx = self.randrange(len(pool))
@@ -99,7 +100,7 @@ def circulant_tournament(n: int) -> Digraph:
 def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
     """Random tournament plus, per pair, the reverse arc with probability p_double."""
     if not 0.0 <= p_double <= 1.0:
-        raise ValueError("p_double must lie in [0, 1]")
+        raise InputError("p_double must lie in [0, 1]")
     rng = SplitMix64(seed)
     arcs = []
     for i in range(n):

@@ -20,6 +20,7 @@ from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits,
 from .dominators import is_c_good, nearly_in_dominating_set
 from .errors import (
     AvailablePathExhaustedError,
+    InputError,
     KLinkageError,
     NotLQuasiTransitiveError,
     NotStrongError,
@@ -46,7 +47,7 @@ __all__ = [
 def pool_threshold(k: int, l: int) -> int:
     """Pool size that makes the pigeonhole and budget arguments airtight."""
     if k < 1 or l < 2:
-        raise ValueError("need k >= 1 and l >= 2")
+        raise InputError("need k >= 1 and l >= 2")
     return comb(9 * k - 6, 2) * (l + 2) + (2 * l + 5) * k + 9 * k
 
 
@@ -125,7 +126,7 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     paths or no qualifying path remains.
     """
     if u == v:
-        raise ValueError("need two distinct vertices")
+        raise InputError("need two distinct vertices")
     forward: list[tuple[int, ...]] = []
     backward: list[tuple[int, ...]] = []
     removed = 0
@@ -194,7 +195,7 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
     ThresholdUnreachable.
     """
     if threshold < 1:
-        raise ValueError("threshold must be positive")
+        raise InputError("threshold must be positive")
     if not d.is_strong():
         raise NotStrongError("auxiliary construction needs a strong digraph")
     xs, ys = list(xs), list(ys)

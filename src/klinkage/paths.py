@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .digraph import Digraph
-from .errors import VertexOutOfRangeError
+from .errors import InputError, VertexOutOfRangeError
 
 __all__ = ["PathSystem", "LinkageInstance", "Infeasible", "BudgetExceeded"]
 
@@ -26,7 +26,7 @@ class PathSystem:
 
     def __post_init__(self):
         if len(self.paths) != len(self.pairing):
-            raise ValueError("one (source, target) role per path required")
+            raise InputError("one (source, target) role per path required")
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -47,14 +47,6 @@ class PathSystem:
         return sum(len(p) for p in self.paths)
 
 
-def path_system(paths, pairing=None, provenance: str = "") -> PathSystem:
-    """Build a PathSystem; pairing defaults to each path's own endpoints."""
-    tup = tuple(tuple(p) for p in paths)
-    if pairing is None:
-        pairing = tuple((p[0], p[-1]) for p in tup)
-    return PathSystem(tup, tuple(tuple(pr) for pr in pairing), provenance)
-
-
 @dataclass(frozen=True)
 class LinkageInstance:
     """A digraph with ordered terminal pairs; the 2k terminals are distinct."""
@@ -70,10 +62,10 @@ class LinkageInstance:
                 if not self.digraph.has_vertex(t):
                     raise VertexOutOfRangeError(f"terminal {t} not in digraph")
                 if t in seen:
-                    raise ValueError(f"terminal {t} used twice")
+                    raise InputError(f"terminal {t} used twice")
                 seen.add(t)
         if not self.pairs:
-            raise ValueError("at least one terminal pair required")
+            raise InputError("at least one terminal pair required")
 
     @property
     def k(self) -> int:

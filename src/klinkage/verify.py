@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Digraph, iter_bits
+from .errors import InputError
 from .paths import BudgetExceeded, Infeasible, PathSystem
 
 __all__ = [
@@ -144,10 +145,10 @@ def brute_force_disjoint_paths(
     pairs = [tuple(p) for p in pairs]
     terminals = [t for p in pairs for t in p]
     if len(set(terminals)) != len(terminals):
-        raise ValueError("terminal pairs share a vertex")
+        raise InputError("terminal pairs share a vertex")
     for t in terminals:
         if not d.has_vertex(t):
-            raise ValueError(f"terminal {t} not in digraph")
+            raise InputError(f"terminal {t} not in digraph")
     tracker = _Budget(budget)
     result = _solve_pairs(d, pairs, tracker)
     if result is None:
@@ -178,7 +179,7 @@ def brute_force_k_linked(d: Digraph, k: int, budget: int = 5_000_000):
     """
     alive = list(d.vertices())
     if len(alive) < 2 * k:
-        raise ValueError(f"need at least {2 * k} vertices, have {len(alive)}")
+        raise InputError(f"need at least {2 * k} vertices, have {len(alive)}")
     tracker = _Budget(budget)
     for chosen in combinations(alive, 2 * k):
         for assignment in _pair_assignments(chosen):

@@ -1,16 +1,14 @@
-"""Pure-Python flow kernel.
+"""Edge-list reference for local connectivity, used only as a test oracle.
 
 Counts internally disjoint paths between two vertices by unit-capacity
-augmentation on the vertex-split network.  Interface and results match the
-compiled kernel in ``_cflow``; this module is the fallback when the
-extension is unavailable (or when KLINKAGE_KERNEL=py forces it).
+augmentation on an explicit vertex-split network with paired residual
+edges.  It shares no code with the bitset kernel in ``klinkage._kernel``,
+which the tests check against it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-NAME = "python"
 
 
 class _Prep:
@@ -49,8 +47,9 @@ class _Prep:
         self._stamp = 0
 
 
-def prepare(n: int, adjacency: list[list[int]]) -> _Prep:
-    return _Prep(n, adjacency)
+def prepare(d) -> _Prep:
+    """Split network of a Digraph; deleted vertices get no arcs."""
+    return _Prep(d.n, [d.out_neighbors(v) if d.has_vertex(v) else [] for v in range(d.n)])
 
 
 def local_connectivity(prep: _Prep, s: int, t: int, limit: int) -> int:

@@ -11,11 +11,17 @@ from klinkage import (
     menger_set_paths,
     min_vertex_menger,
 )
-from klinkage._kernel import available_backends
 from klinkage.acceptance import brute_kappa, brute_local_connectivity, brute_min_total_vertices
+from klinkage.connectivity import _pivot_pairs
 from klinkage.errors import SameVertexError, SetOverlapError, SizeMismatchError
-from klinkage.generators import SplitMix64, circulant_tournament, random_tournament
+from klinkage.generators import (
+    SplitMix64,
+    circulant_tournament,
+    random_semicomplete,
+    random_tournament,
+)
 
+import ref_flow
 from conftest import digraphs, seeded_digraph
 
 
@@ -43,6 +49,13 @@ class TestLocalConnectivity:
     def test_same_vertex_rejected(self):
         with pytest.raises(SameVertexError):
             local_connectivity(complete(3), 1, 1)
+
+    def test_second_path_backs_through_a_used_vertex(self):
+        # the first augmenting path 2-11-1-6-0 blocks both disjoint paths;
+        # the second cancels 1->6 and 11->1, stepping back across vertex 1
+        d = build_digraph(12, [(1, 6), (2, 3), (2, 11), (3, 5), (4, 8), (5, 6), (6, 0),
+                               (8, 0), (11, 1), (11, 4)])
+        assert local_connectivity(d, 2, 0) == 2
 
     def test_limit_caps_early(self):
         d = complete(6)
@@ -87,6 +100,20 @@ class TestKappa:
             d = seeded_digraph(9, 14_000 + trial, (3, 5, 7, 9)[trial % 4])
             assert kappa(d) == brute_kappa(d)
 
+    def test_pivot_pairs_match_has_arc_scan(self):
+        # the mask-driven pair order is the order of the plain scan, so the
+        # audit makes the same kernel calls in the same order
+        for trial in range(20):
+            d = seeded_digraph(12, 30_000 + trial, 2 + trial % 8).delete([trial % 12])
+            for v in d.vertices():
+                want = []
+                for u in d.vertices():
+                    if u != v and not d.has_arc(v, u):
+                        want.append((v, u))
+                    if u != v and not d.has_arc(u, v):
+                        want.append((u, v))
+                assert list(_pivot_pairs(d, v)) == want
+
     def test_relabeling_invariance(self):
         rng = SplitMix64(77)
         for trial in range(25):
@@ -100,18 +127,100 @@ class TestKappa:
             )
 
 
-class TestBackends:
-    def test_backends_agree(self):
-        if "c" not in available_backends():
-            pytest.skip("compiled kernel not built")
-        for trial in range(20):
-            d = seeded_digraph(10, 3_000 + trial, 4)
-            for x, y in [(0, 9), (5, 2)]:
-                assert local_connectivity(d, x, y, backend="c") == local_connectivity(
-                    d, x, y, backend="python"
-                )
-        t = random_tournament(40, 5)
-        assert kappa(t, backend="c") == kappa(t, backend="python")
+def _dense(i: int):
+    """The i-th of 100 tournaments and semicomplete digraphs, n = 20..200, more small than large."""
+    n = 20 + 180 * i * i // (99 * 99)
+    if i % 2:
+        return random_tournament(n, 500 + i)
+    return random_semicomplete(n, (i % 10) / 10, 500 + i)
+
+
+def _pair(d, rng, adjacent: bool):
+    """A random ordered pair joined by an arc, or missing one (when d has such a pair)."""
+    vs = list(d.vertices())
+    for _ in range(50):
+        s, t = rng.sample(vs, 2)
+        if d.has_arc(s, t) == adjacent:
+            return s, t
+    return rng.sample(vs, 2)
+
+
+class TestKernelAgainstReference:
+    """The bitset kernel against the edge-list reference flow in ref_flow."""
+
+    def test_random_digraphs_with_deletions(self):
+        rng = SplitMix64(2_025)
+        checks = 0
+        for trial in range(3_000):
+            n = 2 + rng.randrange(13)
+            d = seeded_digraph(n, 20_000 + trial, 1 + rng.randrange(9))
+            drop = [v for v in range(n) if rng.randrange(4) == 0][: n - 2]
+            d = d.delete(drop)
+            s, t = rng.sample(list(d.vertices()), 2)
+            prep = ref_flow.prepare(d)
+            for limit in (0, 1, 2, 3):
+                want = ref_flow.local_connectivity(prep, s, t, limit)
+                assert local_connectivity(d, s, t, limit or None) == want, (trial, s, t, limit)
+                checks += 1
+        assert checks == 12_000
+
+    def test_tournaments_and_semicomplete_up_to_200(self):
+        rng = SplitMix64(2_026)
+        for i in range(100):
+            d = _dense(i)
+            s, t = _pair(d, rng, adjacent=i % 4 < 2)
+            want = ref_flow.local_connectivity(ref_flow.prepare(d), s, t, 0)
+            assert local_connectivity(d, s, t) == want, (i, s, t)
+            limit = 1 + rng.randrange(8)
+            assert local_connectivity(d, s, t, limit) == min(want, limit)
+
+
+@pytest.fixture()
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _nx_digraph(nx, d):
+    g = nx.DiGraph()
+    g.add_nodes_from(d.vertices())
+    g.add_edges_from(d.arcs())
+    return g
+
+
+class TestAgainstNetworkx:
+    """Differential checks against networkx, skipped when it is not installed."""
+
+    def test_local_connectivity_up_to_200(self, nx):
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        rng = SplitMix64(2_027)
+        for n in (30, 60, 90, 120, 160, 200):
+            for d in (random_tournament(n, n), random_semicomplete(n, 0.3, n)):
+                g = _nx_digraph(nx, d)
+                for adjacent in (True, False):
+                    s, t = _pair(d, rng, adjacent)
+                    assert local_connectivity(d, s, t) == local_node_connectivity(g, s, t), (n, s, t)
+
+    def test_kappa_up_to_30(self, nx):
+        # networkx's node_connectivity tests only the pairs around one pivot
+        # and can overestimate on digraphs: it gives 9 on the n=20
+        # semicomplete digraph below, whose pair (1, 4) networkx itself
+        # routes only 7 ways.  So digraphs up to n=20 are checked against
+        # the minimum of networkx's local connectivity over all non-adjacent
+        # ordered pairs, and node_connectivity is used on tournaments only.
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        for i in range(12):
+            n = 8 + 2 * i
+            tournament = i % 2 == 1
+            d = random_tournament(n, 900 + i) if tournament else random_semicomplete(n, 0.2, 900 + i)
+            g = _nx_digraph(nx, d)
+            if n <= 20:
+                exact = min((local_node_connectivity(g, a, b) for a in g for b in g
+                             if a != b and not g.has_edge(a, b)), default=n - 1)
+                assert kappa(d) == exact, (n, i)
+            if tournament:
+                assert kappa(d) == nx.node_connectivity(g), (n, i)
+        d = circulant_tournament(29)
+        assert kappa(d) == nx.node_connectivity(_nx_digraph(nx, d)) == 14
 
 
 class TestMengerSetPaths:
