@@ -2,9 +2,12 @@
 
 Local connectivity is unit-capacity max flow on the vertex-split network
 (the bitset kernel in ``_kernel``).  The set-to-set routines run a
-successive-shortest-path min-cost flow with unit vertex costs, so the
+successive-shortest-path min-cost flow with unit vertex costs and
+Dijkstra potentials (Suurballe & Tarjan, Networks 1984), so the
 minimum-total-vertex variant needed by the linkage pipelines is exact, and
-the plain variant is deterministic.  Approximation is never used: callers
+the plain variant is deterministic.  That network is not built either: its
+edges are generated from the Digraph's masks during each search, and the
+flow is kept as per-vertex state.  Approximation is never used: callers
 consume exact minimality.
 """
 
@@ -98,151 +101,6 @@ def kappa(d: Digraph) -> int:
     return best
 
 
-# -- min-cost flow on the split network ------------------------------------
-
-
-class _McmfNet:
-    """Successive-shortest-paths min-cost flow; unit bottlenecks throughout."""
-
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.eto: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        eid = len(self.eto)
-        self.eto.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(eid)
-        self.eto.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(eid + 1)
-        return eid
-
-    def run(self, src: int, snk: int, want: int) -> tuple[int, int]:
-        """Push up to ``want`` units; returns (flow, total cost)."""
-        pot = [0] * self.n
-        flow = cost_total = 0
-        inf = float("inf")
-        while flow < want:
-            dist = [inf] * self.n
-            pred = [-1] * self.n
-            dist[src] = 0
-            heap = [(0, src)]
-            while heap:
-                dvu, u = heapq.heappop(heap)
-                if dvu > dist[u]:
-                    continue
-                for eid in self.adj[u]:
-                    if self.cap[eid] <= 0:
-                        continue
-                    v = self.eto[eid]
-                    nd = dvu + self.cost[eid] + pot[u] - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        pred[v] = eid
-                        heapq.heappush(heap, (nd, v))
-            if dist[snk] == inf:
-                break
-            for v in range(self.n):
-                if dist[v] < inf:
-                    pot[v] += dist[v] - dist[snk]
-            v = snk
-            while v != src:
-                eid = pred[v]
-                self.cap[eid] -= 1
-                self.cap[eid ^ 1] += 1
-                cost_total += self.cost[eid]
-                v = self.eto[eid ^ 1]
-            flow += 1
-        return flow, cost_total
-
-    def residual_reachable(self, src: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[src] = True
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for eid in self.adj[u]:
-                v = self.eto[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
-
-
-def _build_split_net(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
-    """Split network with unit vertex capacities and unit vertex costs.
-
-    Node layout: entry(v)=v, exit(v)=v+n, then source and sink terminals.
-    Avoided vertices keep their edges but carry zero capacity, so they can
-    show up in an infeasibility witness.  Arc edges get capacity 2 so
-    minimum cuts consist of vertex edges only.
-    """
-    n = d.n
-    net = _McmfNet(2 * n + 2)
-    src, snk = 2 * n, 2 * n + 1
-    split_eid = {}
-    for v in d.vertices():
-        split_eid[v] = net.add_edge(v, v + n, 0 if avoid_mask >> v & 1 else 1, 1)
-    for u in d.vertices():
-        for v in iter_bits(d.out_mask(u)):
-            net.add_edge(u + n, v, 2, 0)
-    source_eid = {u: net.add_edge(src, u, 1, 0) for u in sources}
-    sink_eid = {y: net.add_edge(y + n, snk, 1, 0) for y in sinks}
-    return net, src, snk, split_eid, source_eid, sink_eid
-
-
-def _extract_paths(d: Digraph, net: _McmfNet, sources: list[int], source_eid, snk: int):
-    """Decompose the integral flow into vertex-disjoint paths, in source order."""
-    n = d.n
-    used = [net.cap[eid ^ 1] for eid in range(0, len(net.eto), 2)]  # flow per fwd edge
-    paths = []
-    for u in sources:
-        eid = source_eid[u]
-        if used[eid // 2] == 0:
-            continue
-        used[eid // 2] = 0
-        path = [u]
-        node = u
-        while True:
-            out_node = node + n
-            nxt = None
-            for e in net.adj[out_node]:
-                if e % 2 == 0 and used[e // 2] > 0:
-                    nxt = e
-                    break
-            if nxt is None:
-                raise AssertionError("flow decomposition lost a path")
-            used[nxt // 2] -= 1
-            target = net.eto[nxt]
-            if target == snk:
-                break
-            path.append(target)
-            node = target
-        paths.append(tuple(path))
-    return paths
-
-
-def _separator(net: _McmfNet, src: int, split_eid, source_eid, sink_eid) -> tuple[int, ...]:
-    seen = net.residual_reachable(src)
-    sep = set()
-    for v, eid in split_eid.items():
-        if seen[net.eto[eid ^ 1]] and not seen[net.eto[eid]]:
-            sep.add(v)
-    for u, eid in source_eid.items():
-        if not seen[net.eto[eid]] and net.cap[eid] == 0:
-            sep.add(u)
-    for y, eid in sink_eid.items():
-        if seen[net.eto[eid ^ 1]] and net.cap[eid] == 0:
-            sep.add(y)
-    return tuple(sorted(sep))
-
-
 def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):
     masks = []
     for name, vs in groups:
@@ -262,21 +120,188 @@ def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):
     return masks
 
 
+# -- min-cost flow on the split network, read off the masks ----------------
+
+
+_INF = float("inf")
+
+
+class _SplitFlow:
+    """Successive shortest paths on the split network of ``d``, never built.
+
+    Nodes: entry(v) = v, exit(v) = v + n, the source 2n and the sink 2n + 1.
+    Edges: the split edge entry(v) -> exit(v) (capacity 1, or 0 when v is
+    avoided, cost 1), exit(u) -> entry(v) for every arc (capacity 2, so it
+    never saturates, cost 0), source -> entry(x) for x in X and exit(y) ->
+    sink for y in Y (capacity 1, cost 0).  The flow is held per vertex:
+    ``used`` has the vertices whose split edge carries it, ``succ`` / ``pred``
+    the head / tail of the arc that carries it out of / into each vertex,
+    ``src_used`` / ``sink_used`` the X / Y vertices whose terminal edge does.
+    """
+
+    def __init__(self, d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
+        n = d.n
+        self.out = d._out
+        self.n = n
+        self.sources = sources
+        self.sinks = sinks
+        self.avoid = avoid_mask
+        self.pot = [0] * (2 * n + 2)
+        self.used = 0
+        self.succ = [-1] * n
+        self.pred = [-1] * n
+        self.src_used = 0
+        self.sink_used = 0
+        self.seen_in = self.seen_out = 0
+
+    def _shortest(self):
+        """Dijkstra from the source under reduced costs, run to exhaustion.
+
+        Heap entries are (distance, node) and relaxation is strict, as on an
+        explicit adjacency list.  Reduced costs are non-negative, so an edge
+        into a settled node never relaxes it: arcs into settled entries are
+        not generated, nor is any reverse source edge (the source is settled
+        first).  Returns dist, the predecessor node of each reached node and
+        the masks of the vertices whose entry / exit node was reached.
+        """
+        n, out, pot, pred = self.n, self.out, self.pot, self.pred
+        used, closed = self.used, self.avoid | self.used
+        src_used, sink_used = self.src_used, self.sink_used
+        sink_open = mask_of(self.sinks) & ~sink_used
+        src, snk = 2 * n, 2 * n + 1
+        dist = [_INF] * (2 * n + 2)
+        prev = [-1] * (2 * n + 2)
+        dist[src] = 0
+        heap = [(0, src)]
+        seen_in = seen_out = 0
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            base = du + pot[u]
+            # each edge of u has its own head, so the order of relaxation
+            # within u does not matter; arcs are relaxed inline
+            if u < n:  # entry(u): split edge, reverse flow arc
+                seen_in |= 1 << u
+                edges = [] if closed >> u & 1 else [(u + n, 1)]
+                if pred[u] >= 0:
+                    edges.append((pred[u] + n, 0))
+            elif u < src:  # exit(x): reverse split edge, arcs, sink edge
+                x = u - n
+                seen_out |= 1 << x
+                edges = [(x, -1)] if used >> x & 1 else []
+                if sink_open >> x & 1:
+                    edges.append((snk, 0))
+                rest = out[x] & ~seen_in
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    w = low.bit_length() - 1
+                    nd = base - pot[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        prev[w] = u
+                        heapq.heappush(heap, (nd, w))
+            elif u == src:
+                edges = [(x, 0) for x in self.sources if not src_used >> x & 1]
+            else:  # reverse sink edges
+                edges = [(y + n, 0) for y in self.sinks if sink_used >> y & 1]
+            for w, cost in edges:
+                nd = base + cost - pot[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    prev[w] = u
+                    heapq.heappush(heap, (nd, w))
+        return dist, prev, seen_in, seen_out
+
+    def _augment(self, prev) -> None:
+        """Push one unit back along the predecessor chain from the sink."""
+        n, succ, pred = self.n, self.succ, self.pred
+        src = 2 * n
+        w = 2 * n + 1
+        u = prev[w]
+        self.sink_used |= 1 << (u - n)
+        while u != src:
+            w, u = u, prev[u]
+            if u == src:
+                self.src_used |= 1 << w
+            elif u < n:  # entry(u) -> exit(x): split edge or reverse arc x -> u
+                x = w - n
+                if x == u:
+                    self.used |= 1 << u
+                else:
+                    # the walk meets this edge after the arc leaving exit(x)
+                    # on the path, which may already have replaced succ[x]
+                    if succ[x] == u:
+                        succ[x] = -1
+                    pred[u] = -1
+            else:  # exit(x) -> entry(w): reverse split edge or arc x -> w
+                x = u - n
+                if x == w:
+                    self.used &= ~(1 << w)
+                else:
+                    succ[x] = w
+                    pred[w] = x
+
+    def run(self, want: int) -> int:
+        """Push up to ``want`` units; returns the flow."""
+        snk = 2 * self.n + 1
+        pot = self.pot
+        flow = 0
+        while flow < want:
+            dist, prev, self.seen_in, self.seen_out = self._shortest()
+            if dist[snk] == _INF:
+                break
+            top = dist[snk]
+            for w, dw in enumerate(dist):
+                if dw < _INF:
+                    pot[w] += dw - top
+            self._augment(prev)
+            flow += 1
+        return flow
+
+    def separator(self) -> tuple[int, ...]:
+        """After a run that fell short: the vertices of the residual cut.
+
+        The last search reached exactly the residual reach of the source.
+        A vertex is in the cut when its split edge leaves that reach or its
+        used source edge enters it from outside.  A used sink edge never
+        leaves it: exit(y) is then entered only by its full split edge.
+        """
+        return tuple(iter_bits(
+            self.seen_in & ~self.seen_out | self.src_used & ~self.seen_in
+        ))
+
+    def paths(self) -> list[tuple[int, ...]]:
+        """Decompose the flow into vertex-disjoint paths, in source order."""
+        paths = []
+        for u in self.sources:
+            if not self.src_used >> u & 1:
+                continue
+            path = [u]
+            while not self.sink_used >> path[-1] & 1:
+                nxt = self.succ[path[-1]]
+                if nxt < 0:
+                    raise AssertionError("flow decomposition lost a path")
+                path.append(nxt)
+            paths.append(tuple(path))
+        return paths
+
+
 def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int,
                   provenance: str):
     want = len(sinks)
     if want == 0:
         return PathSystem((), (), provenance)
-    net, src, snk, split_eid, source_eid, sink_eid = _build_split_net(
-        d, sources, sinks, avoid_mask
-    )
-    flow, _cost = net.run(src, snk, want)
+    net = _SplitFlow(d, sources, sinks, avoid_mask)
+    flow = net.run(want)
     if flow < want:
-        sep = _separator(net, src, split_eid, source_eid, sink_eid)
+        sep = net.separator()
         free_part = [v for v in sep if not avoid_mask >> v & 1]
-        assert len(free_part) == flow, "non-avoided separator part must match max flow"
+        if len(free_part) != flow:
+            raise AssertionError("non-avoided separator part must match max flow")
         return Infeasible(separator=sep)
-    raw = _extract_paths(d, net, sources, source_eid, snk)
+    raw = net.paths()
     pairing = tuple((p[0], p[-1]) for p in raw)
     return PathSystem(tuple(raw), pairing, provenance)
 
@@ -302,7 +327,7 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
 
     Paths may start anywhere in U (one per sink).  Unit vertex costs in the
     flow network make the minimum exact; as a consequence no interior or
-    terminal vertex of the result lies in U, which is asserted.
+    terminal vertex of the result lies in U, which is checked.
     """
     us, ys, avoid = list(us), list(ys), list(avoid)
     if len(us) < len(ys):
@@ -313,5 +338,6 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
         uset = set(us)
         for p in result.paths:
             bad = uset.intersection(p[1:])
-            assert not bad, f"minimum system revisits start set at {sorted(bad)}"
+            if bad:
+                raise AssertionError(f"minimum system revisits start set at {sorted(bad)}")
     return result

@@ -330,20 +330,20 @@ def spanning_tournament(d: Digraph) -> Digraph:
     """Drop one arc from every 2-cycle: the arc from larger to smaller id goes.
 
     The tie-break makes the output deterministic; any spanning tournament
-    would do for the dominator constructions built on top of this.
+    would do for the dominator constructions built on top of this.  Each
+    vertex's masks are computed directly: v keeps its out-arcs except those
+    to smaller in-neighbours, and its in-arcs from smaller vertices or from
+    vertices it does not point to.
     """
     if not is_semicomplete(d):
         raise NotSemicompleteError("spanning tournament needs a semicomplete digraph")
-    arcs = []
-    for u in d.vertices():
-        for v in iter_bits(d.out_mask(u)):
-            if u < v or not d.has_arc(v, u):
-                arcs.append((u, v))
     out = [0] * d.n
     inc = [0] * d.n
-    for u, v in arcs:
-        out[u] |= 1 << v
-        inc[v] |= 1 << u
+    for v in d.vertices():
+        below = (1 << v) - 1
+        out_v, in_v = d.out_mask(v), d.in_mask(v)
+        out[v] = out_v & ~(in_v & below)
+        inc[v] = in_v & (below | ~out_v)
     return Digraph(d.n, d.alive_mask, out, inc)
 
 

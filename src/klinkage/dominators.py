@@ -112,7 +112,10 @@ def verify_nearly_in_dominating(d: Digraph, u: int, c_max: int) -> NidReport:
     The non-good count is monotone in c and stabilises once c exceeds the
     maximum width, so a finite sweep is exhaustive.  The report carries the
     worst c (largest excess) and the offending vertices when it fails.
+    An empty sweep (``c_max`` < 1) would pass vacuously, so it is rejected.
     """
+    if c_max < 1:
+        raise InputError(f"c_max must be at least 1, got {c_max}")
     profile = goodness_profile(d, u)
     worst_c, worst_excess = None, 0
     for c in range(1, c_max + 1):

@@ -159,7 +159,10 @@ class TestInvalidInputExitTwo:
         ["solve", "--class", "semicomplete", "--pairs", "0:1,1:2"],
         ["oracle", "--pairs", "0:1,1:2"],
         ["check", "--lqt", "0"],
-    ], ids=["solve-terminal-twice", "oracle-terminal-twice", "check-lqt-zero"])
+        ["check", "--nid", "--cmax", "0"],
+        ["check", "--nid", "--cmax", "-1"],
+    ], ids=["solve-terminal-twice", "oracle-terminal-twice", "check-lqt-zero",
+            "check-nid-cmax-zero", "check-nid-cmax-negative"])
     def test_exit_two_without_traceback(self, k6, argv):
         out = run_cli_process([argv[0], "--input", k6, *argv[1:]])
         assert out.returncode == 2, out.stderr

@@ -22,6 +22,7 @@ from klinkage.generators import (
 )
 
 import ref_flow
+import ref_menger
 from conftest import digraphs, seeded_digraph
 
 
@@ -175,6 +176,54 @@ class TestKernelAgainstReference:
             assert local_connectivity(d, s, t, limit) == min(want, limit)
 
 
+def _menger_sets(vs, rng):
+    """Disjoint X, Y and avoid sets over ``vs`` plus extra U vertices, |X| = |Y| >= 1."""
+    vs = rng.sample(vs, len(vs))
+    k = 1 + rng.randrange(len(vs) // 2)
+    xs, ys, rest = vs[:k], vs[k:2 * k], vs[2 * k:]
+    extra = rng.randrange(len(rest) + 1)
+    avoid = rest[extra:extra + 1 + rng.randrange(len(rest) + 1)]
+    return xs, ys, rest[:extra], avoid
+
+
+class TestMengerAgainstReference:
+    """The mask-driven Menger flow against the explicit network in ref_menger."""
+
+    @staticmethod
+    def _check(d, xs, ys, us, avoid):
+        got = menger_set_paths(d, xs, ys, avoid)
+        assert got == ref_menger.solve(d, xs, ys, avoid, "menger"), (xs, ys, avoid)
+        got_min = min_vertex_menger(d, xs + us, ys, avoid)
+        assert got_min == ref_menger.solve(d, xs + us, ys, avoid, "min-vertex-menger"), (
+            xs, ys, us, avoid)
+        return got, got_min
+
+    def test_random_digraphs_with_deletions(self):
+        rng = SplitMix64(2_028)
+        seen = {"avoid": 0, "infeasible": 0, "feasible": 0, "two-cycles": 0}
+        for trial in range(2_400):
+            n = 2 + rng.randrange(15)
+            d = seeded_digraph(n, 50_000 + trial, 1 + rng.randrange(9))
+            d = d.delete([v for v in range(n) if rng.randrange(5) == 0][: n - 2])
+            xs, ys, us, avoid = _menger_sets(list(d.vertices()), rng)
+            for got in self._check(d, xs, ys, us, avoid):
+                seen["infeasible" if isinstance(got, Infeasible) else "feasible"] += 1
+            seen["avoid"] += bool(avoid)
+            seen["two-cycles"] += any(d.has_arc(v, u) for u, v in d.arcs())
+        assert min(seen.values()) >= 500, seen
+
+    def test_semicomplete_100_to_500(self):
+        rng = SplitMix64(2_029)
+        for i, n in enumerate(range(100, 501, 40)):
+            d = random_tournament(n, 700 + i) if i % 2 else random_semicomplete(n, 0.3, 700 + i)
+            k = 1 + i % 3
+            vs = rng.sample(list(d.vertices()), 5 * k)
+            # the semicomplete pipeline's shape: 3k starts, k sinks, the k sources avoided
+            xs, us, ys, avoid = vs[:k], vs[k:3 * k], vs[3 * k:4 * k], vs[4 * k:]
+            got, got_min = self._check(d, xs, ys, us, avoid)
+            assert isinstance(got, PathSystem) and isinstance(got_min, PathSystem)
+
+
 @pytest.fixture()
 def nx():
     return pytest.importorskip("networkx")
@@ -221,6 +270,33 @@ class TestAgainstNetworkx:
                 assert kappa(d) == nx.node_connectivity(g), (n, i)
         d = circulant_tournament(29)
         assert kappa(d) == nx.node_connectivity(_nx_digraph(nx, d)) == 14
+
+    def test_set_to_set_counts_up_to_200(self, nx):
+        # X onto Y is routable iff a super-source into X and a super-sink out
+        # of Y are |X|-connected once ``avoid`` is deleted; otherwise the
+        # separator's part outside ``avoid`` is a minimum cut
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        rng = SplitMix64(2_030)
+        outcomes = {PathSystem: 0, Infeasible: 0}
+        for i, n in enumerate((30, 50, 75, 100, 140, 200)):
+            sparse = build_digraph(n, {(u, v) for u in range(n)
+                                       for v in rng.sample(list(range(n)), 3) if u != v})
+            # two queries on a sparse digraph, one on a semicomplete one
+            for d in (sparse, sparse, random_semicomplete(n, 0.2, 800 + i)):
+                vs = rng.sample(list(range(n)), n)
+                k = 2 + rng.randrange(7)
+                xs, ys = vs[:k], vs[k:2 * k]
+                avoid = vs[2 * k:2 * k + rng.randrange(n // 2)]
+                g = _nx_digraph(nx, d.delete(avoid))
+                g.add_edges_from((-1, x) for x in xs)
+                g.add_edges_from((y, -2) for y in ys)
+                flow = local_node_connectivity(g, -1, -2)
+                got = menger_set_paths(d, xs, ys, avoid)
+                assert isinstance(got, PathSystem) == (flow >= k), (n, k)
+                if isinstance(got, Infeasible):
+                    assert len(set(got.separator) - set(avoid)) == flow, (n, k)
+                outcomes[type(got)] += 1
+        assert outcomes[PathSystem] >= 4 and outcomes[Infeasible] >= 4, outcomes
 
 
 class TestMengerSetPaths:

@@ -3,12 +3,14 @@ from hypothesis import given, settings
 
 from klinkage import (
     CompositionSpec,
+    Digraph,
     build_digraph,
     compose,
     composition_from_digraph,
     is_l_quasi_transitive,
     is_semicomplete,
     is_tournament,
+    nearly_in_dominating_vertex,
     spanning_tournament,
 )
 from klinkage.digraph import iter_bits
@@ -21,7 +23,7 @@ from klinkage.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from klinkage.generators import random_semicomplete
+from klinkage.generators import SplitMix64, random_semicomplete
 
 from conftest import digraphs, semicomplete_digraphs
 
@@ -104,6 +106,18 @@ class TestPredicates:
             assert is_l_quasi_transitive(d, 1) == is_semicomplete(d)
 
 
+def _arc_list_spanning_tournament(d):
+    """Reference: keep arc (u, v) unless v -> u exists too and u > v."""
+    arcs = [(u, v) for u in d.vertices() for v in iter_bits(d.out_mask(u))
+            if u < v or not d.has_arc(v, u)]
+    out = [0] * d.n
+    inc = [0] * d.n
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inc[v] |= 1 << u
+    return Digraph(d.n, d.alive_mask, out, inc)
+
+
 class TestSpanningTournament:
     def test_tournament_unchanged(self):
         d = cycle3()
@@ -116,6 +130,21 @@ class TestSpanningTournament:
     def test_rejects_non_semicomplete(self):
         with pytest.raises(NotSemicompleteError):
             spanning_tournament(build_digraph(3, [(0, 1), (1, 2)]))
+
+    def test_matches_arc_list_reference(self):
+        # the per-vertex mask formulas against the arc-by-arc construction,
+        # on semicomplete digraphs with vertices deleted
+        rng = SplitMix64(3_031)
+        for trial in range(300):
+            n = 2 + trial % 40 if trial < 280 else 100 + 20 * (trial - 280)
+            d = random_semicomplete(n, (trial % 10) / 10, 31_000 + trial)
+            d = d.delete([v for v in range(n) if rng.randrange(4) == 0][: n - 1])
+            want = _arc_list_spanning_tournament(d)
+            got = spanning_tournament(d)
+            assert got._out == want._out and got._in == want._in, trial
+            assert got.alive_mask == want.alive_mask
+            assert nearly_in_dominating_vertex(d) == max(
+                want.vertices(), key=lambda v: (want.in_degree(v), -v))
 
     @given(semicomplete_digraphs())
     @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from klinkage import (
     verify_nearly_in_dominating_set,
 )
 from klinkage.errors import (
+    InputError,
     NotSemicompleteError,
     NotTournamentError,
     SameVertexError,
@@ -119,6 +120,12 @@ class TestNearlyInDominatingVertex:
     def test_rejects_non_semicomplete(self):
         with pytest.raises(NotSemicompleteError):
             nearly_in_dominating_vertex(build_digraph(3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("c_max", [0, -1])
+    def test_empty_sweep_rejected(self, c_max):
+        # range(1, c_max + 1) is empty, which would pass any vertex
+        with pytest.raises(InputError):
+            verify_nearly_in_dominating(transitive(6), 0, c_max)
 
     def test_random_tournaments_all_pass(self):
         for seed in range(40):
