@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     except KLinkageError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

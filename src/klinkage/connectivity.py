@@ -3,7 +3,8 @@
 Local connectivity is unit-capacity max flow on the vertex-split network
 (the bitset kernel in ``_kernel``).  The set-to-set routines run a
 successive-shortest-path min-cost flow with unit vertex costs and
-Dijkstra potentials (Suurballe & Tarjan, Networks 1984), so the
+Dijkstra potentials (Suurballe & Tarjan, Networks 1984), whose searches
+run on a bucket queue of node masks (Dial, CACM 1969), so the
 minimum-total-vertex variant needed by the linkage pipelines is exact, and
 the plain variant is deterministic.  That network is not built either: its
 edges are generated from the Digraph's masks during each search, and the
@@ -13,7 +14,6 @@ consume exact minimality.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 from . import _kernel
@@ -157,61 +157,96 @@ class _SplitFlow:
     def _shortest(self):
         """Dijkstra from the source under reduced costs, run to exhaustion.
 
-        Heap entries are (distance, node) and relaxation is strict, as on an
-        explicit adjacency list.  Reduced costs are non-negative, so an edge
-        into a settled node never relaxes it: arcs into settled entries are
-        not generated, nor is any reverse source edge (the source is settled
-        first).  Returns dist, the predecessor node of each reached node and
-        the masks of the vertices whose entry / exit node was reached.
+        Reduced costs are non-negative integers, so the queue is a list of
+        buckets indexed by distance (Dial 1969), each a mask of nodes.  The
+        next node is the lowest bit of the lowest non-empty bucket: the
+        (distance, node) order of a binary heap with strict relaxation.  As
+        in a heap, an improved node is queued again and its old entry is
+        skipped when popped.  An edge into a settled node never relaxes it,
+        so arcs into settled entries are not generated, nor is any reverse
+        source edge (the source is settled first).  Arcs out of exit(x) are
+        relaxed one potential class at a time: the entries of a class share
+        one tentative distance nd, and the improved ones are those not
+        queued in a bucket at or below nd.  Returns dist, the predecessor
+        node of each reached node and the masks of the vertices whose entry
+        / exit node was reached.
         """
         n, out, pot, pred = self.n, self.out, self.pot, self.pred
         used, closed = self.used, self.avoid | self.used
         src_used, sink_used = self.src_used, self.sink_used
         sink_open = mask_of(self.sinks) & ~sink_used
         src, snk = 2 * n, 2 * n + 1
+        classes: dict[int, int] = {}  # potential -> mask of entry nodes
+        for w in range(n):
+            classes[pot[w]] = classes.get(pot[w], 0) | 1 << w
         dist = [_INF] * (2 * n + 2)
         prev = [-1] * (2 * n + 2)
         dist[src] = 0
-        heap = [(0, src)]
+        buckets = [1 << src]
+        cur = 0
         seen_in = seen_out = 0
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
+
+        def relax(w, nd, u):
+            if nd < dist[w]:
+                if nd >= len(buckets):
+                    buckets.extend([0] * (nd + 1 - len(buckets)))
+                buckets[nd] |= 1 << w
+                dist[w] = nd
+                prev[w] = u
+
+        while True:
+            while cur < len(buckets) and not buckets[cur]:
+                cur += 1
+            if cur == len(buckets):
+                break
+            low = buckets[cur] & -buckets[cur]
+            buckets[cur] ^= low
+            u = low.bit_length() - 1
+            if dist[u] < cur:  # improved after it was queued here
                 continue
-            base = du + pot[u]
-            # each edge of u has its own head, so the order of relaxation
-            # within u does not matter; arcs are relaxed inline
+            base = cur + pot[u]
             if u < n:  # entry(u): split edge, reverse flow arc
-                seen_in |= 1 << u
-                edges = [] if closed >> u & 1 else [(u + n, 1)]
+                seen_in |= low
+                if not closed >> u & 1:
+                    relax(u + n, base + 1 - pot[u + n], u)
                 if pred[u] >= 0:
-                    edges.append((pred[u] + n, 0))
+                    relax(pred[u] + n, base - pot[pred[u] + n], u)
             elif u < src:  # exit(x): reverse split edge, arcs, sink edge
                 x = u - n
                 seen_out |= 1 << x
-                edges = [(x, -1)] if used >> x & 1 else []
+                if used >> x & 1:
+                    relax(x, base - 1 - pot[x], u)
                 if sink_open >> x & 1:
-                    edges.append((snk, 0))
+                    relax(snk, base - pot[snk], u)
                 rest = out[x] & ~seen_in
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    w = low.bit_length() - 1
-                    nd = base - pot[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        prev[w] = u
-                        heapq.heappush(heap, (nd, w))
+                for p, members in classes.items():
+                    hit = rest & members
+                    if not hit:
+                        continue
+                    rest ^= hit
+                    nd = base - p
+                    for queued in buckets[cur:nd + 1]:
+                        hit &= ~queued
+                    if hit:
+                        if nd >= len(buckets):
+                            buckets.extend([0] * (nd + 1 - len(buckets)))
+                        buckets[nd] |= hit
+                        while hit:
+                            bit = hit & -hit
+                            hit ^= bit
+                            w = bit.bit_length() - 1
+                            dist[w] = nd
+                            prev[w] = u
+                    if not rest:
+                        break
             elif u == src:
-                edges = [(x, 0) for x in self.sources if not src_used >> x & 1]
+                for x in self.sources:
+                    if not src_used >> x & 1:
+                        relax(x, base - pot[x], u)
             else:  # reverse sink edges
-                edges = [(y + n, 0) for y in self.sinks if sink_used >> y & 1]
-            for w, cost in edges:
-                nd = base + cost - pot[w]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    prev[w] = u
-                    heapq.heappush(heap, (nd, w))
+                for y in self.sinks:
+                    if sink_used >> y & 1:
+                        relax(y + n, base - pot[y + n], u)
         return dist, prev, seen_in, seen_out
 
     def _augment(self, prev) -> None:

@@ -7,13 +7,24 @@ c-good for u when it dominates u or has width at least c.  A vertex u is
 nearly in-dominating when for every c at most 2c vertices fail to be
 c-good for it; every semicomplete digraph has one, and a maximum-in-degree
 vertex of any spanning tournament always works.
+
+The selection and the set-level check work on the digraph's masks: the
+selection builds no tournament, and the set-level check builds no
+subdigraph.  The tournament is the deterministic one of
+``digraph.spanning_tournament`` (the arc from the larger to the smaller id
+of each 2-cycle goes), so v's in-degree in it, restricted to the vertex
+mask ``alive``, is ``popcount(in[v] & alive & (below(v) | ~out[v]))`` with
+``below(v) = (1 << v) - 1``.  Removing a vertex u lowers by one the
+in-degree of each vertex of its tournament out-mask
+``out[u] & ~(in[u] & below(u)) & alive`` and of no other, so a set of m
+vertices costs one degree count and m mask walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, is_semicomplete, is_tournament, iter_bits, mask_of, spanning_tournament
+from .digraph import Digraph, is_semicomplete, is_tournament, iter_bits, mask_of
 from .errors import (
     InputError,
     NotSemicompleteError,
@@ -81,6 +92,22 @@ def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
     return GoodnessProfile(u, widths, dominators)
 
 
+def _tournament_in_degrees(d: Digraph, alive: int) -> dict[int, int]:
+    """In-degree of each vertex of ``alive`` in the spanning tournament of
+    d restricted to ``alive``, keyed in ascending vertex order."""
+    out, inc = d._out, d._in
+    return {
+        v: (inc[v] & alive & (((1 << v) - 1) | ~out[v])).bit_count()
+        for v in iter_bits(alive)
+    }
+
+
+def _max_in_degree(degrees: dict[int, int]) -> int:
+    """The vertex of largest in-degree, ties to the smallest id (``max``
+    keeps the first of equal keys, and the keys ascend)."""
+    return max(degrees, key=degrees.__getitem__)
+
+
 def nearly_in_dominating_vertex(d: Digraph) -> int:
     """A vertex every other vertex is strongly biased towards.
 
@@ -92,8 +119,7 @@ def nearly_in_dominating_vertex(d: Digraph) -> int:
         raise TooFewVerticesError("empty digraph")
     if not is_semicomplete(d):
         raise NotSemicompleteError("nearly in-dominating selection needs a semicomplete digraph")
-    t = spanning_tournament(d)
-    return max(t.vertices(), key=lambda v: (t.in_degree(v), -v))
+    return _max_in_degree(_tournament_in_degrees(d, d.alive_mask))
 
 
 @dataclass(frozen=True)
@@ -136,14 +162,22 @@ def verify_nearly_in_dominating(d: Digraph, u: int, c_max: int) -> NidReport:
 
 def verify_nearly_in_dominating_set(d: Digraph, xs, ys, us, c_max: int) -> bool:
     """Set-level check: for u in U and c, at most 2c vertices outside
-    X, Y and U fail to be c-good for u in d minus X and Y."""
-    sub = d.delete(set(xs) | set(ys))
+    X, Y and U fail to be c-good for u in d minus X and Y.
+
+    Every u must be a vertex of d minus X and Y.  In that subdigraph the
+    width of (v, u) is ``(out[v] & in[u] & alive).bit_count()``, and the
+    vertices that can fail are those of ``alive`` outside U that do not
+    dominate u.
+    """
+    alive = d.alive_mask & ~d._check_vertices([*xs, *ys])
+    out, inc = d._out, d._in
     u_mask = mask_of(us)
     for u in us:
+        if not alive >> u & 1:
+            raise VertexOutOfRangeError(f"vertex {u} not in digraph minus X and Y")
+        in_u = inc[u] & alive
         widths = sorted(
-            two_path_width(sub, v, u)
-            for v in sub.vertices()
-            if v != u and not u_mask >> v & 1 and not sub.has_arc(v, u)
+            (out[v] & in_u).bit_count() for v in iter_bits(alive & ~u_mask & ~in_u)
         )
         below = 0
         for c in range(1, c_max + 1):
@@ -161,18 +195,26 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
 
     u_i is the selected vertex of the subdigraph with X, Y and the earlier
     u_j removed.  Since 2-paths survive in supergraphs, the result is a
-    nearly in-dominating set of d minus X and Y.
+    nearly in-dominating set of d minus X and Y.  Semicompleteness is
+    checked once (it survives deletion), and the tournament in-degrees are
+    counted once and then lowered as vertices leave.
     """
     sub = d.delete(set(xs) | set(ys))
     if sub.order < m:
         raise TooFewVerticesError(f"need {m} vertices outside the terminals, have {sub.order}")
     if not is_semicomplete(sub):
         raise NotSemicompleteError("terminal-free subdigraph is not semicomplete")
+    out, inc = sub._out, sub._in
+    alive = sub.alive_mask
+    degrees = _tournament_in_degrees(sub, alive)
     chosen: list[int] = []
     for _ in range(m):
-        u = nearly_in_dominating_vertex(sub)
+        u = _max_in_degree(degrees)
         chosen.append(u)
-        sub = sub.delete({u})
+        del degrees[u]
+        alive &= ~(1 << u)
+        for w in iter_bits(out[u] & ~(inc[u] & ((1 << u) - 1)) & alive):
+            degrees[w] -= 1
     return chosen
 
 

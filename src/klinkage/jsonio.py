@@ -75,6 +75,8 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
     if parts is not None:
         if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
             raise FormatError(f"{source}: field 'parts' must be a list of id lists")
+        if not all(isinstance(v, int) and 0 <= v < n for p in parts for v in p):
+            raise FormatError(f"{source}: field 'parts' must hold vertex ids 0..{n - 1}")
         parts = [list(p) for p in parts]
     return d, parts
 

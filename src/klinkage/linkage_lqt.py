@@ -177,10 +177,13 @@ def _check_pool(sub: Digraph, arc, pool, l: int) -> None:
     a, b = arc
     taken = 0
     for p in pool:
-        assert p[0] == a and p[-1] == b and len(p) <= l + 2
-        assert all(sub.has_arc(u, v) for u, v in zip(p, p[1:]))
+        if not (p[0] == a and p[-1] == b and len(p) <= l + 2):
+            raise AssertionError(f"pool path {p} does not run {a}->{b} within {l + 1} arcs")
+        if not all(sub.has_arc(u, v) for u, v in zip(p, p[1:])):
+            raise AssertionError(f"pool path {p} leaves the terminal-free subdigraph")
         inner = mask_of(p[1:-1])
-        assert not inner & taken, "pool paths must share only their endpoints"
+        if inner & taken:
+            raise AssertionError("pool paths must share only their endpoints")
         taken |= inner
 
 
@@ -232,7 +235,8 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
                 terminal_arcs.add((y, w))
 
     augmented = d.add_arcs(list(new_arcs) + sorted(terminal_arcs))
-    assert is_semicomplete(augmented), "auxiliary digraph must be semicomplete"
+    if not is_semicomplete(augmented):
+        raise AssertionError("auxiliary digraph must be semicomplete")
     return AuxiliaryDigraph(
         augmented, frozenset(new_arcs), dict(new_arcs), frozenset(terminal_arcs)
     )

@@ -206,6 +206,15 @@ def _audit(d: Digraph, k: int, skip: bool) -> tuple[dict, str | None]:
     return audit, None
 
 
+def _certified(d: Digraph, pairs, system: PathSystem, audit: dict) -> SolveReport:
+    """The linked report for ``system`` if ``verify_linkage`` accepts it,
+    else the failed ``verify`` stage naming the clause."""
+    report = verify_linkage(d, pairs, system)
+    if not report:
+        return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
+    return SolveReport.of_linkage(system, audit)
+
+
 def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> SolveReport:
     """Linkage pipeline for semicomplete digraphs.
 
@@ -226,8 +235,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
         system = PathSystem(tuple(instance.pairs), tuple(instance.pairs), "direct-arcs")
-        assert verify_linkage(d, instance.pairs, system)
-        return SolveReport.of_linkage(system, audit)
+        return _certified(d, instance.pairs, system, audit)
 
     try:
         us = nearly_in_dominating_set(d, xs, ys, 3 * k)
@@ -289,7 +297,4 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
             full = p2_path[x] + tail[1:]
         final.append(full)
     system = PathSystem(tuple(final), tuple(instance.pairs), "semicomplete-pipeline")
-    report = verify_linkage(d, instance.pairs, system)
-    if not report:
-        return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
-    return SolveReport.of_linkage(system, audit)
+    return _certified(d, instance.pairs, system, audit)

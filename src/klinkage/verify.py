@@ -177,6 +177,8 @@ def brute_force_k_linked(d: Digraph, k: int, budget: int = 5_000_000):
     order (pair-index permutations are collapsed since they do not affect
     linkability), or BudgetExceeded.  One budget covers the whole sweep.
     """
+    if k < 0:
+        raise InputError(f"k must be non-negative, got {k}")
     alive = list(d.vertices())
     if len(alive) < 2 * k:
         raise InputError(f"need at least {2 * k} vertices, have {len(alive)}")

@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import klinkage
 from klinkage.cli import main
@@ -143,6 +146,15 @@ class TestSolveExitCodes:
         code, _ = run_cli(["check", "--input", path, "--kappa"])
         assert code == 2
 
+    @pytest.mark.parametrize("parts", [[["a"], [1, 2]], [[-1], [0, 1, 2]], [[0], [1, 2, 3]]],
+                             ids=["non-integer", "negative", "out-of-range"])
+    def test_malformed_parts_is_exit_two(self, workdir, parts):
+        path = os.path.join(workdir, "parts.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]], "parts": parts}, fh)
+        code, _ = run_cli(["solve", "--input", path, "--class", "composition", "--pairs", "0:2"])
+        assert code == 2
+
 
 class TestInvalidInputExitTwo:
     """Arguments that fail validation exit 2 with a one-line error, no traceback."""
@@ -161,13 +173,19 @@ class TestInvalidInputExitTwo:
         ["check", "--lqt", "0"],
         ["check", "--nid", "--cmax", "0"],
         ["check", "--nid", "--cmax", "-1"],
+        ["oracle", "--k", "-1"],
     ], ids=["solve-terminal-twice", "oracle-terminal-twice", "check-lqt-zero",
-            "check-nid-cmax-zero", "check-nid-cmax-negative"])
+            "check-nid-cmax-zero", "check-nid-cmax-negative", "oracle-k-negative"])
     def test_exit_two_without_traceback(self, k6, argv):
         out = run_cli_process([argv[0], "--input", k6, *argv[1:]])
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error: InputError: ")
+
+    def test_missing_input_file(self, workdir):
+        out = run_cli_process(["check", "--input", os.path.join(workdir, "absent.json"), "--kappa"])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: [Errno 2]")
 
     @pytest.mark.parametrize("only", ["99", "x"])
     def test_bench_unknown_criterion(self, only):
@@ -269,3 +287,166 @@ class TestDeterminism:
         assert code == 0
         assert out.startswith("PASS  flow vs exhaustive search")
         assert out.splitlines()[-1].startswith("OK  1 criteria in")
+
+
+# -- fuzzing the CLI in-process ------------------------------------------------
+
+_small = st.integers(-1, 8)
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _digraph_objs(draw):
+    """A well-formed digraph document, semicomplete half of the time, with
+    parts (a partition that may or may not be a composition) sometimes."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        arcs = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                kind = draw(st.sampled_from(["fwd", "bwd", "both"]))
+                if kind != "bwd":
+                    arcs.append([u, v])
+                if kind != "fwd":
+                    arcs.append([v, u])
+    else:
+        ids = st.integers(0, n - 1)
+        arcs = sorted(list(a) for a in draw(st.sets(st.tuples(ids, ids).filter(
+            lambda a: a[0] != a[1]), max_size=n * (n - 1))))
+    obj = {"n": n, "arcs": arcs}
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        obj["parts"] = [[v for v in range(n) if labels[v] == i] for i in sorted(set(labels))]
+    return obj
+
+
+_malformed_digraph_docs = st.one_of(
+    _digraph_objs().flatmap(lambda obj: st.lists(
+        st.lists(st.one_of(_small, _json_scalars), max_size=4), max_size=4).map(
+        lambda parts: json.dumps({**obj, "parts": parts}))),
+    st.fixed_dictionaries(
+        {"n": st.integers(-1, 7), "arcs": st.lists(st.lists(_small, min_size=2, max_size=2),
+                                                   max_size=12)},
+        optional={"parts": st.lists(st.lists(st.one_of(_small, _json_scalars), max_size=4),
+                                    max_size=4)},
+    ).map(json.dumps),
+    st.fixed_dictionaries({"n": _json_values, "arcs": _json_values},
+                          optional={"parts": _json_values}).map(json.dumps),
+    _json_values.map(json.dumps),
+    st.text(max_size=10),
+)
+_path_docs = st.fixed_dictionaries({
+    "paths": st.lists(st.lists(_small, max_size=5), max_size=3),
+    "pairs": st.lists(st.lists(_small, min_size=2, max_size=2), max_size=3),
+}).map(json.dumps)
+_malformed_path_docs = st.one_of(_json_values.map(json.dumps), st.text(max_size=10))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv with {g}/{p}/{o}/{missing} file placeholders, digraph text, path system text).
+
+    Half of the runs are clean: every value parses and the documents are
+    well formed, so they reach the solvers and checks.  The other half may
+    also draw malformed values, documents and missing files.
+    """
+    clean = draw(st.booleans())
+
+    def either(valid, malformed):
+        return valid if clean else st.one_of(valid, malformed)
+
+    if clean:
+        doc = draw(_digraph_objs())
+        doc_text, n = json.dumps(doc), doc["n"]
+    else:
+        doc_text = draw(st.one_of(_digraph_objs().map(json.dumps), _malformed_digraph_docs))
+        n = 8
+    paths_text = draw(either(_path_docs, _malformed_path_docs))
+    ints = either(st.integers(-1, n).map(str), st.sampled_from(["", "x", "1.5"]))
+    terminals = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, 3))
+    pairs = ",".join(f"{a}:{b}" for a, b in zip(terminals[:k], terminals[k:2 * k]))
+    pairs = draw(either(st.just(pairs or "0:1"), st.text(alphabet="0123456789:,- x", max_size=8)))
+    input_file = draw(either(st.just("{g}"), st.just("{missing}")))
+    command = draw(st.sampled_from(["gen", "check", "solve", "verify", "oracle"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, draw(values)])
+
+    def switch(flag):
+        if draw(st.booleans()):
+            argv.append(flag)
+
+    if command == "gen":
+        argv += ["--family", draw(either(st.sampled_from(
+            ["tournament", "circulant", "semicomplete", "composition",
+             "extended-tournament", "non-linked"]), st.just("bogus")))]
+        maybe("--n", either(st.integers(1, 9).map(str), ints))
+        maybe("--k", st.integers(-1, 4).map(str))
+        maybe("--p-double", either(st.sampled_from(["0", "0.2", "1"]), st.sampled_from(["2", "x"])))
+        maybe("--part-sizes", either(
+            st.lists(st.integers(1, 3), min_size=2, max_size=4).map(lambda s: ",".join(map(str, s))),
+            st.text(alphabet="0123,x", max_size=5)))
+        switch("--part-arcs")
+        maybe("--core", st.just(input_file))
+    else:
+        argv += ["--input", input_file]
+    if command == "check":
+        switch("--kappa")
+        switch("--semicomplete")
+        maybe("--lqt", st.integers(-1, 3).map(str))
+        maybe("--king", ints)
+        switch("--nid")
+        maybe("--vertex", ints)
+        maybe("--cmax", ints)
+        switch("--profile")
+    elif command == "solve":
+        argv += ["--class", draw(either(st.sampled_from(["semicomplete", "composition", "lqt"]),
+                                        st.just("x")))]
+        argv += ["--pairs", pairs]
+        maybe("--l", st.integers(-1, 3).map(str))
+        maybe("--threshold", st.integers(-1, 5).map(str))
+        maybe("--anchor-budget", st.integers(-1, 50).map(str))
+        switch("--skip-audit")
+    elif command == "verify":
+        argv += ["--paths", draw(either(st.just("{p}"), st.just("{missing}")))]
+        maybe("--pairs", st.just(pairs))
+    elif command == "oracle":
+        maybe("--k", st.integers(-1, 3).map(str))
+        maybe("--pairs", st.just(pairs))
+        argv += ["--budget", draw(st.integers(-1, 3_000).map(str))]
+    maybe("--seed", ints)
+    if draw(st.booleans()):
+        argv += ["-o", "{o}"]
+    if command in ("gen", "solve"):
+        switch("--dot")
+    return argv, doc_text, paths_text
+
+
+class TestFuzz:
+    """Random argv and documents: every run exits 0-4 and raises nothing."""
+
+    @given(_cli_runs())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_in_range(self, run):
+        argv, doc, paths = run
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {name: os.path.join(tmp, name) for name in ("g", "p", "o", "missing")}
+            for name, text in (("g", doc), ("p", paths)):
+                with open(files[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [a.format(**files) for a in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, doc, paths)

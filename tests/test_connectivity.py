@@ -212,6 +212,29 @@ class TestMengerAgainstReference:
             seen["two-cycles"] += any(d.has_arc(v, u) for u, v in d.arcs())
         assert min(seen.values()) >= 500, seen
 
+    def test_sparse_30_to_60(self):
+        # sparse digraphs spread the potentials over many classes and the
+        # reduced distances over many buckets
+        rng = SplitMix64(2_030)
+        deep = 0
+        for trial in range(400):
+            n = 30 + rng.randrange(31)
+            d = seeded_digraph(n, 60_000 + trial, 1 + rng.randrange(3))
+            d = d.delete([v for v in range(n) if rng.randrange(8) == 0])
+            k = 1 + rng.randrange(6)
+            vs = rng.sample(list(d.vertices()), 2 * k + 10)
+            xs, ys = vs[:k], vs[k:2 * k]
+            extra = rng.randrange(8)
+            us, avoid = vs[2 * k:2 * k + extra], vs[2 * k + extra:2 * k + extra + rng.randrange(3)]
+            for got in self._check(d, xs, ys, us, avoid):
+                if isinstance(got, PathSystem):
+                    flow = len(got.paths)
+                else:
+                    flow = sum(1 for v in got.separator if v not in avoid)
+                deep += flow >= 3
+        # measured 529 of 800 runs with a flow of at least 3 augmentations
+        assert deep >= 400, deep
+
     def test_semicomplete_100_to_500(self):
         rng = SplitMix64(2_029)
         for i, n in enumerate(range(100, 501, 40)):

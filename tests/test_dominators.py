@@ -21,9 +21,11 @@ from klinkage.errors import (
     SameVertexError,
     TooFewVerticesError,
     VertexInSetError,
+    VertexOutOfRangeError,
 )
-from klinkage.generators import random_semicomplete, random_tournament
+from klinkage.generators import SplitMix64, random_semicomplete, random_tournament
 
+import ref_dominators
 from conftest import digraphs, semicomplete_digraphs
 
 
@@ -157,6 +159,60 @@ class TestNearlyInDominatingSet:
             xs, ys = [0, 1], [2, 3]
             us = nearly_in_dominating_set(t, xs, ys, 6)
             assert verify_nearly_in_dominating_set(t, xs, ys, us, 50)
+
+
+def _biased_semicomplete(n, seed, tenths, doubles):
+    """i -> j for i < j with probability tenths/10, the reverse arc added
+    with probability doubles/10: low ids have few in-arcs, so they make
+    dominating sets that fail the set check."""
+    rng = SplitMix64(seed)
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            fwd = rng.randrange(10) < tenths
+            arcs.append((i, j) if fwd else (j, i))
+            if rng.randrange(10) < doubles:
+                arcs.append((j, i) if fwd else (i, j))
+    return build_digraph(n, arcs)
+
+
+class TestAgainstReference:
+    """The mask-native selection and set check against ref_dominators."""
+
+    def test_random_semicomplete_20_to_300(self):
+        rng = SplitMix64(4_041)
+        outcomes = {True: 0, False: 0}
+        for trial in range(60):
+            n = 20 + rng.randrange(281)
+            seed = 9_000 + trial
+            if trial % 3 == 0:
+                d = random_tournament(n, seed)
+            elif trial % 3 == 1:
+                d = random_semicomplete(n, 0.3, seed)
+            else:
+                d = _biased_semicomplete(n, seed, 7 + rng.randrange(3), rng.randrange(4))
+            d = d.delete([v for v in range(n) if rng.randrange(6) == 0])
+            assert nearly_in_dominating_vertex(d) == ref_dominators.nearly_in_dominating_vertex(d)
+            vs = list(d.vertices())
+            k = 1 + rng.randrange(3)
+            terminals = rng.sample(vs, 2 * k)
+            xs, ys = terminals[:k], terminals[k:]
+            us = nearly_in_dominating_set(d, xs, ys, 3 * k)
+            assert us == ref_dominators.nearly_in_dominating_set(d, xs, ys, 3 * k), trial
+            rest = [v for v in vs if v not in terminals]
+            lowest = sorted(rest, key=d.in_degree)[:3 * k]
+            for cand in (us, rng.sample(rest, 3 * k), lowest):
+                for c_max in (d.order, 1 + rng.randrange(n // 4)):
+                    got = verify_nearly_in_dominating_set(d, xs, ys, cand, c_max)
+                    want = ref_dominators.verify_nearly_in_dominating_set(d, xs, ys, cand, c_max)
+                    assert got == want, (trial, cand, c_max)
+                    outcomes[got] += 1
+        # measured 286 True, 74 False
+        assert outcomes[True] >= 150 and outcomes[False] >= 40, outcomes
+
+    def test_set_check_rejects_u_among_terminals(self):
+        with pytest.raises(VertexOutOfRangeError):
+            verify_nearly_in_dominating_set(complete(6), [0], [1], [1, 2, 3], 6)
 
 
 class TestGammaDominator:

@@ -12,9 +12,11 @@ from klinkage import (
     solve_semicomplete,
     verify_linkage,
 )
+from klinkage import linkage_semicomplete
 from klinkage.errors import PreconditionViolatedError
 from klinkage.generators import random_semicomplete, random_tournament
 from klinkage.paths import Infeasible
+from klinkage.verify import LinkageReport
 
 
 def complete(n):
@@ -145,6 +147,18 @@ class TestSolveSemicomplete:
         rep = solve_semicomplete(LinkageInstance(d, ((0, 1), (2, 3))), skip_audit=True)
         assert rep.audit["kappa_at_least"] is None
         assert "kappa" in rep.audit["skipped"]
+
+    @pytest.mark.parametrize("d, pairs", [
+        (complete(10), ((0, 1), (2, 3))),
+        (random_tournament(200, 11), ((0, 100), (50, 150))),
+    ], ids=["direct-arcs", "pipeline"])
+    def test_rejected_system_is_not_linked(self, monkeypatch, d, pairs):
+        # both exits certify by calling verify_linkage, also under python -O
+        monkeypatch.setattr(linkage_semicomplete, "verify_linkage",
+                            lambda d, pairs, ps: LinkageReport(False, "Count", "rejected"))
+        rep = solve_semicomplete(LinkageInstance(d, pairs), skip_audit=True)
+        assert not rep.linked
+        assert rep.stage == "verify" and rep.witness == "Count: rejected"
 
     def test_random_tournament_end_to_end(self):
         d = random_tournament(200, 11)
