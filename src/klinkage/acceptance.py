@@ -26,6 +26,7 @@ from .generators import (
     SplitMix64,
     non_linked_family,
     random_composition,
+    random_digraph,
     random_extended_tournament,
     random_tournament,
 )
@@ -123,17 +124,6 @@ def brute_min_total_vertices(d: Digraph, us, ys, avoid=()) -> int | None:
     return best
 
 
-def _random_digraph(n: int, seed: int, tenths: int) -> Digraph:
-    rng = SplitMix64(seed)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.randrange(10) < tenths
-    ]
-    return Digraph.from_arcs(n, arcs)
-
-
 # -- criteria ----------------------------------------------------------------
 
 
@@ -163,7 +153,7 @@ def _c3_flow_vs_brute():
     for i in range(500):
         n = 2 + i % 7
         tenths = (2, 3, 5, 7, 9)[i % 5]
-        d = _random_digraph(n, 20_000 + i, tenths)
+        d = random_digraph(n, 20_000 + i, tenths)
         rng = SplitMix64(31_000 + i)
 
         if d.order >= 2 and kappa(d) != brute_kappa(d):

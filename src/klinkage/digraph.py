@@ -231,32 +231,47 @@ class Digraph:
             return False
         return self.reach_mask(v0, forward=False) == self._alive
 
-    def shortest_path(self, src: int, dst: int, forbidden: int = 0) -> list[int] | None:
-        """BFS path from src to dst avoiding ``forbidden`` interior vertices.
+    def shortest_path(self, src: int, dst: int, forbidden: int = 0, max_len: int | None = None,
+                      skip_direct: bool = False) -> list[int] | None:
+        """Lexicographically smallest shortest src->dst path, or None.
 
-        Deterministic: parents are assigned in ascending id order.
+        Interior vertices avoid ``forbidden``; the path has at most
+        ``max_len`` arcs when that is given, and ``skip_direct`` rules out
+        the arc src->dst itself.  The BFS levels are masks, each the OR of
+        the out-masks of the level before.  The vertices of each level that
+        lie on some shortest path are then found backwards from dst, and
+        the path is walked forwards taking the lowest of them at each step:
+        the path a BFS that scans out-neighbours in ascending order returns.
         """
         if src == dst:
             return [src]
-        allowed = self._alive & ~forbidden | (1 << src) | (1 << dst)
-        parent = {src: -1}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in iter_bits(self._out[u] & allowed):
-                    if v in parent:
-                        continue
-                    parent[v] = u
-                    if v == dst:
-                        path = [v]
-                        while parent[path[-1]] != -1:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(v)
-            frontier = nxt
-        return None
+        out, dst_bit = self._out, 1 << dst
+        allowed = self._alive & ~forbidden | dst_bit
+        seen = 1 << src
+        levels = [seen]
+        reach = out[src] & ~dst_bit if skip_direct else out[src]
+        while True:
+            frontier = reach & allowed & ~seen
+            if frontier & dst_bit:
+                break
+            if not frontier or len(levels) == max_len:
+                return None
+            levels.append(frontier)
+            seen |= frontier
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= out[u]
+        on_path = [dst_bit]  # per level, from the last: vertices on a shortest path
+        for level in reversed(levels[1:]):
+            into = 0
+            for w in iter_bits(on_path[-1]):
+                into |= self._in[w]
+            on_path.append(level & into)
+        path = [src]
+        for mask in reversed(on_path):
+            step = out[path[-1]] & mask
+            path.append((step & -step).bit_length() - 1)
+        return path
 
 
 def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
@@ -414,13 +429,9 @@ def compose(spec: CompositionSpec) -> Digraph:
     return Digraph(capacity, alive, out, inc)
 
 
-def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> CompositionSpec:
-    """Recover a CompositionSpec from a realized digraph and its part lists.
-
-    Validates the all-or-nothing bundle property between every ordered pair
-    of parts.
-    """
-    masks = [mask_of(p) for p in part_ids]
+def partition_masks(d: Digraph, parts: Iterable[Iterable[int]]) -> list[int]:
+    """Each part's vertex mask, once the parts are checked to partition d."""
+    masks = [mask_of(p) for p in parts]
     union = 0
     for m in masks:
         if m & union:
@@ -428,7 +439,16 @@ def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> C
         union |= m
     if union != d.alive_mask:
         raise NotAPartitionError("parts do not cover the digraph")
+    return masks
 
+
+def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> CompositionSpec:
+    """Recover a CompositionSpec from a realized digraph and its part lists.
+
+    Validates the all-or-nothing bundle property between every ordered pair
+    of parts.
+    """
+    masks = partition_masks(d, part_ids)
     h = len(masks)
     outer_arcs = []
     for i in range(h):

@@ -22,6 +22,7 @@ from .paths import BudgetExceeded
 
 __all__ = [
     "SplitMix64",
+    "random_digraph",
     "random_tournament",
     "circulant_tournament",
     "random_semicomplete",
@@ -72,6 +73,15 @@ class SplitMix64:
             idx = self.randrange(len(pool))
             out.append(pool.pop(idx))
         return out
+
+
+def random_digraph(n: int, seed: int, tenths: int) -> Digraph:
+    """Each ordered pair of distinct vertices gets an arc with probability
+    tenths/10, one draw per pair in row-major order."""
+    rng = SplitMix64(seed)
+    return build_digraph(
+        n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(10) < tenths]
+    )
 
 
 def random_tournament(n: int, seed: int) -> Digraph:

@@ -47,6 +47,19 @@ def digraph_to_obj(d: Digraph, parts=None, meta: dict | None = None) -> dict:
     return obj
 
 
+def _is_id(value) -> bool:
+    """A vertex id or count: a JSON integer (``true`` and ``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _id_lists(value, length: int | None = None) -> bool:
+    """A list of lists of ids, each of ``length`` ids when that is given."""
+    return isinstance(value, list) and all(
+        isinstance(ids, list) and (length is None or len(ids) == length) and all(map(_is_id, ids))
+        for ids in value
+    )
+
+
 def _field(obj: dict, name: str, source: str):
     if name not in obj:
         raise FormatError(f"{source}: missing field {name!r}")
@@ -58,24 +71,22 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
         raise FormatError(f"{source}: expected a JSON object")
     n = _field(obj, "n", source)
     arcs = _field(obj, "arcs", source)
-    if not isinstance(n, int) or n < 0:
+    if not _is_id(n) or n < 0:
         raise FormatError(f"{source}: field 'n' must be a non-negative integer")
     if not isinstance(arcs, list):
         raise FormatError(f"{source}: field 'arcs' must be a list")
-    pairs = []
     for i, arc in enumerate(arcs):
-        if not (isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, int) for x in arc)):
+        if not (isinstance(arc, list) and len(arc) == 2 and all(map(_is_id, arc))):
             raise FormatError(f"{source}: field 'arcs[{i}]' must be a pair of integers")
-        pairs.append((arc[0], arc[1]))
     try:
-        d = build_digraph(n, pairs)
+        d = build_digraph(n, arcs)
     except Exception as exc:
         raise FormatError(f"{source}: {exc}") from exc
     parts = obj.get("parts")
     if parts is not None:
-        if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
+        if not _id_lists(parts):
             raise FormatError(f"{source}: field 'parts' must be a list of id lists")
-        if not all(isinstance(v, int) and 0 <= v < n for p in parts for v in p):
+        if not all(0 <= v < n for p in parts for v in p):
             raise FormatError(f"{source}: field 'parts' must hold vertex ids 0..{n - 1}")
         parts = [list(p) for p in parts]
     return d, parts
@@ -98,12 +109,13 @@ def pathsystem_from_obj(obj: Any, source: str = "<input>") -> PathSystem:
         raise FormatError(f"{source}: expected a JSON object")
     paths = _field(obj, "paths", source)
     pairs = _field(obj, "pairs", source)
+    if not _id_lists(paths):
+        raise FormatError(f"{source}: field 'paths' must be a list of id lists")
+    if not _id_lists(pairs, 2):
+        raise FormatError(f"{source}: field 'pairs' must be a list of id pairs")
     try:
-        return PathSystem(
-            tuple(tuple(int(v) for v in p) for p in paths),
-            tuple((int(a), int(b)) for a, b in pairs),
-        )
-    except (TypeError, ValueError) as exc:
+        return PathSystem(tuple(map(tuple, paths)), tuple(map(tuple, pairs)))
+    except ValueError as exc:
         raise FormatError(f"{source}: malformed path system: {exc}") from exc
 
 

@@ -11,7 +11,6 @@ digraph.
 
 from __future__ import annotations
 
-from .connectivity import is_k_strong
 from .digraph import (
     CompositionSpec,
     Digraph,
@@ -19,12 +18,12 @@ from .digraph import (
     is_semicomplete,
     iter_bits,
     mask_of,
+    partition_masks,
 )
 from .errors import NewArcLeakError, NotAPartitionError
-from .linkage_semicomplete import solve_semicomplete
+from .linkage_semicomplete import audit_kappa, solve_semicomplete
 from .paths import LinkageInstance, PathSystem
 from .reports import SolveReport
-from .verify import verify_linkage
 
 __all__ = [
     "strip_intra_part_arcs",
@@ -34,31 +33,14 @@ __all__ = [
 ]
 
 
-def _partition_masks(d: Digraph, parts) -> list[int]:
-    masks = [mask_of(p) for p in parts]
-    union = 0
-    for m in masks:
-        if m & union:
-            raise NotAPartitionError("parts overlap")
-        union |= m
-    if union != d.alive_mask:
-        raise NotAPartitionError("parts do not cover the vertex set")
-    return masks
-
-
 def strip_intra_part_arcs(d: Digraph, parts) -> Digraph:
     """Keep exactly the arcs running between different parts."""
-    masks = _partition_masks(d, parts)
-    part_of = {}
-    for i, m in enumerate(masks):
-        for v in iter_bits(m):
-            part_of[v] = i
-    arcs = [(u, v) for u, v in d.arcs() if part_of[u] != part_of[v]]
     out = [0] * d.n
     inc = [0] * d.n
-    for u, v in arcs:
-        out[u] |= 1 << v
-        inc[v] |= 1 << u
+    for m in partition_masks(d, parts):
+        for v in iter_bits(m):
+            out[v] = d.out_mask(v) & ~m
+            inc[v] = d.in_mask(v) & ~m
     return Digraph(d.n, d.alive_mask, out, inc)
 
 
@@ -71,7 +53,7 @@ def fill_parts(d0: Digraph, parts, ys) -> Digraph:
     out-degree while non-targets lose at most |Y| out-arcs relative to the
     unstripped digraph.
     """
-    masks = _partition_masks(d0, parts)
+    masks = partition_masks(d0, parts)
     y_mask = mask_of(ys)
     new_arcs = []
     for m in masks:
@@ -227,19 +209,18 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     audit["kappa_threshold"] = 3 * k
     audit["out_degree_threshold"] = 23 * k
     audit["min_co_size"] = min((d.alive_mask & ~m).bit_count() for m in part_masks)
+    if not skip_audit and not audit["outer_semicomplete"]:
+        return SolveReport.of_hypothesis("outer digraph not semicomplete", audit)
+    violated = audit_kappa(
+        audit, d, 3 * k, ["kappa", "min_out_degree", "co_size"] if skip_audit else None
+    )
+    if violated:
+        return SolveReport.of_hypothesis(violated, audit)
     if not skip_audit:
-        if not audit["outer_semicomplete"]:
-            return SolveReport.of_hypothesis("outer digraph not semicomplete", audit)
-        audit["kappa_at_least"] = is_k_strong(d, 3 * k)
-        if not audit["kappa_at_least"]:
-            return SolveReport.of_hypothesis(f"kappa < {3 * k}", audit)
         if audit["min_out_degree"] < 23 * k:
             return SolveReport.of_hypothesis(f"min out-degree < {23 * k}", audit)
         if audit["min_co_size"] < 2 * k - 3:
             return SolveReport.of_hypothesis(f"a part leaves fewer than {2 * k - 3} vertices", audit)
-    else:
-        audit["kappa_at_least"] = None
-        audit["skipped"] = ["kappa", "min_out_degree", "co_size"]
 
     try:
         paths = _solve_reduced(d, part_masks, list(pairs), audit, skip_audit, 0)
@@ -251,7 +232,4 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
         return SolveReport.of_stage(exc.stage, exc.witness, audit)
 
     system = PathSystem(tuple(tuple(p) for p in paths), pairs, "composition-pipeline")
-    report = verify_linkage(d, pairs, system)
-    if not report:
-        return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
-    return SolveReport.of_linkage(system, audit)
+    return SolveReport.certified(d, pairs, system, audit)

@@ -11,11 +11,12 @@ reservation ledger keeping substitutions disjoint.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 
-from .connectivity import is_k_strong, menger_set_paths
+from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import is_c_good, nearly_in_dominating_set
 from .errors import (
@@ -28,9 +29,9 @@ from .errors import (
     SizeMismatchError,
     ThresholdUnreachableError,
 )
+from .linkage_semicomplete import audit_kappa
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
-from .verify import verify_linkage
 
 __all__ = [
     "pool_threshold",
@@ -71,52 +72,6 @@ class ShortPathPool:
         return len(self.forward), len(self.backward)
 
 
-def _bfs_short(d: Digraph, src: int, dst: int, removed: int, max_len: int,
-               skip_direct: bool) -> list[int] | None:
-    """Shortest src->dst path of length <= max_len avoiding removed interiors."""
-    if not skip_direct and d.has_arc(src, dst):
-        return [src, dst]
-    allowed = d.alive_mask & ~removed | (1 << src) | (1 << dst)
-    parent = {src: -1}
-    frontier = [src]
-    depth = 0
-    while frontier and depth < max_len:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in iter_bits(d.out_mask(u) & allowed):
-                if w in parent or (u == src and w == dst):
-                    continue
-                parent[w] = u
-                if w == dst:
-                    path = [w]
-                    while parent[path[-1]] != -1:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def _bfs_distance(d: Digraph, src: int, dst: int, removed: int):
-    allowed = d.alive_mask & ~removed | (1 << src) | (1 << dst)
-    seen = 1 << src
-    frontier = seen
-    dist = 0
-    while frontier:
-        if seen >> dst & 1:
-            return dist
-        dist += 1
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= d.out_mask(u)
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
-    return None
-
-
 def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> ShortPathPool:
     """Extract pairwise-independent paths of length <= l+1 between u and v.
 
@@ -132,8 +87,8 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     removed = 0
     max_len = l + 1
     while len(forward) < limit and len(backward) < limit:
-        pf = _bfs_short(d, u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
-        pb = _bfs_short(d, v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
+        pf = d.shortest_path(u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
+        pb = d.shortest_path(v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
         pick = None
         if pf is not None and (pb is None or len(pf) <= len(pb)):
             pick, bucket = pf, forward
@@ -142,10 +97,10 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
         if pick is None:
             residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
             stalled_strong = residual.is_strong() and residual.order >= 2
-            duv = _bfs_distance(d, u, v, removed)
-            dvu = _bfs_distance(d, v, u, removed)
+            paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
             return ShortPathPool(
-                u, v, tuple(forward), tuple(backward), stalled_strong, (duv, dvu)
+                u, v, tuple(forward), tuple(backward), stalled_strong,
+                tuple(None if p is None else len(p) - 1 for p in paths),
             )
         bucket.append(tuple(pick))
         removed |= mask_of(pick[1:-1])
@@ -404,13 +359,10 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         return SolveReport.of_hypothesis("not strong", audit)
     if not audit["l_quasi_transitive"]:
         return SolveReport.of_hypothesis(f"not {l}-quasi-transitive", audit)
-    if skip_audit:
-        audit["kappa_at_least"] = None
-        audit["skipped"] = ["kappa"]
-    else:
-        audit["kappa_at_least"] = is_k_strong(d, bound)
-        if not audit["kappa_at_least"]:
-            return SolveReport.of_hypothesis(f"kappa < {bound}", audit)
+    violated = audit_kappa(audit, d, bound, ["kappa"] if skip_audit else None)
+    if violated:
+        return SolveReport.of_hypothesis(violated, audit)
+    if not skip_audit:
         # connectivity slack that feeds the extraction argument
         assert bound - 2 * k - 2 * pool_threshold(k, l) * (l + 2) > 0
 
@@ -421,8 +373,10 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     except (ThresholdUnreachableError, NotStrongError) as exc:
         return SolveReport.of_stage("auxiliary", str(exc), audit)
     audit["new_arcs"] = len(aux.new_arcs)
+    # the same arc labels recur in every report on one digraph: interned,
+    # reports kept together hold one copy of each
     audit["auxiliary"] = {
-        f"{a}:{b}": len(pool) for (a, b), pool in sorted(aux.available.items())
+        sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(aux.available.items())
     }
 
     m = 9 * k - 6
@@ -525,7 +479,4 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         tail = tail_path[entry_for_target[ys[i]]]
         final.append(tuple(head + mid[1:] + list(tail[1:])))
     system = PathSystem(tuple(final), pairs, "lqt-pipeline")
-    report = verify_linkage(d, pairs, system)
-    if not report:
-        return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
-    return SolveReport.of_linkage(system, audit)
+    return SolveReport.certified(d, pairs, system, audit)

@@ -22,9 +22,8 @@ from .errors import (
 )
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
-from .verify import verify_linkage
 
-__all__ = ["anchor_connectors", "partition_terminals", "solve_semicomplete"]
+__all__ = ["anchor_connectors", "audit_kappa", "partition_terminals", "solve_semicomplete"]
 
 
 def _layer_masks(q: PathSystem) -> tuple[int, int]:
@@ -186,6 +185,21 @@ def partition_terminals(d: Digraph, xs, ys, us, k: int):
     return matched, matching, leftover
 
 
+def audit_kappa(audit: dict, d: Digraph, b: int, skipped: list[str] | None) -> str | None:
+    """The kappa part of the hypothesis audit, shared by all three solvers.
+
+    With ``skipped`` (the checks a skip-audit solve leaves out) the audit
+    records that kappa was not measured; otherwise it records whether d is
+    b-strong.  Returns the violated hypothesis, or None.
+    """
+    if skipped is not None:
+        audit["kappa_at_least"] = None
+        audit["skipped"] = skipped
+        return None
+    audit["kappa_at_least"] = is_k_strong(d, b)
+    return None if audit["kappa_at_least"] else f"kappa < {b}"
+
+
 def _audit(d: Digraph, k: int, skip: bool) -> tuple[dict, str | None]:
     audit: dict = {"class": "semicomplete", "k": k}
     audit["semicomplete"] = is_semicomplete(d)
@@ -194,25 +208,12 @@ def _audit(d: Digraph, k: int, skip: bool) -> tuple[dict, str | None]:
     audit["out_degree_threshold"] = 22 * k
     if not audit["semicomplete"]:
         return audit, "not semicomplete"
-    if skip:
-        audit["kappa_at_least"] = None
-        audit["skipped"] = ["kappa", "min_out_degree"]
-        return audit, None
-    audit["kappa_at_least"] = is_k_strong(d, 3 * k)
-    if not audit["kappa_at_least"]:
-        return audit, f"kappa < {3 * k}"
+    violated = audit_kappa(audit, d, 3 * k, ["kappa", "min_out_degree"] if skip else None)
+    if violated or skip:
+        return audit, violated
     if audit["min_out_degree"] < 22 * k:
         return audit, f"min out-degree < {22 * k}"
     return audit, None
-
-
-def _certified(d: Digraph, pairs, system: PathSystem, audit: dict) -> SolveReport:
-    """The linked report for ``system`` if ``verify_linkage`` accepts it,
-    else the failed ``verify`` stage naming the clause."""
-    report = verify_linkage(d, pairs, system)
-    if not report:
-        return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
-    return SolveReport.of_linkage(system, audit)
 
 
 def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> SolveReport:
@@ -235,7 +236,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
         system = PathSystem(tuple(instance.pairs), tuple(instance.pairs), "direct-arcs")
-        return _certified(d, instance.pairs, system, audit)
+        return SolveReport.certified(d, instance.pairs, system, audit)
 
     try:
         us = nearly_in_dominating_set(d, xs, ys, 3 * k)
@@ -297,4 +298,4 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
             full = p2_path[x] + tail[1:]
         final.append(full)
     system = PathSystem(tuple(final), tuple(instance.pairs), "semicomplete-pipeline")
-    return _certified(d, instance.pairs, system, audit)
+    return SolveReport.certified(d, instance.pairs, system, audit)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .digraph import Digraph
 from .paths import PathSystem
+from .verify import verify_linkage
 
 __all__ = ["SolveReport", "LINKED", "HYPOTHESIS_VIOLATED", "STAGE_FAILED"]
 
@@ -36,7 +38,12 @@ class SolveReport:
         return self.outcome == LINKED
 
     @staticmethod
-    def of_linkage(system: PathSystem, audit: dict) -> "SolveReport":
+    def certified(d: Digraph, pairs, system: PathSystem, audit: dict) -> "SolveReport":
+        """The linked report for ``system`` if ``verify_linkage`` accepts it
+        against ``d``, else the failed ``verify`` stage naming the clause."""
+        report = verify_linkage(d, pairs, system)
+        if not report:
+            return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
         return SolveReport(LINKED, system=system, audit=audit)
 
     @staticmethod
@@ -46,3 +53,4 @@ class SolveReport:
     @staticmethod
     def of_stage(stage: str, witness, audit: dict) -> "SolveReport":
         return SolveReport(STAGE_FAILED, audit=audit, stage=stage, witness=witness)
+

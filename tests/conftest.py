@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from klinkage import Digraph, build_digraph
-from klinkage.generators import SplitMix64
+from klinkage import build_digraph
 
 
 @st.composite
@@ -31,16 +30,4 @@ def semicomplete_digraphs(draw, min_n=2, max_n=8):
                 arcs.append((u, v))
             if kind in ("bwd", "both"):
                 arcs.append((v, u))
-    return build_digraph(n, arcs)
-
-
-def seeded_digraph(n: int, seed: int, tenths: int) -> Digraph:
-    """Deterministic random digraph; arc probability tenths/10."""
-    rng = SplitMix64(seed)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.randrange(10) < tenths
-    ]
     return build_digraph(n, arcs)

@@ -34,6 +34,9 @@ def run_cli_process(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+_K3 = {"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]]}
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     return str(tmp_path)
@@ -146,14 +149,39 @@ class TestSolveExitCodes:
         code, _ = run_cli(["check", "--input", path, "--kappa"])
         assert code == 2
 
-    @pytest.mark.parametrize("parts", [[["a"], [1, 2]], [[-1], [0, 1, 2]], [[0], [1, 2, 3]]],
-                             ids=["non-integer", "negative", "out-of-range"])
-    def test_malformed_parts_is_exit_two(self, workdir, parts):
-        path = os.path.join(workdir, "parts.json")
+    @pytest.mark.parametrize("doc, paths", [
+        ({**_K3, "parts": [["a"], [1, 2]]}, None),
+        ({**_K3, "parts": [[-1], [0, 1, 2]]}, None),
+        ({**_K3, "parts": [[0], [1, 2, 3]]}, None),
+        ({**_K3, "parts": [[True], [0, 2]]}, None),
+        ({"n": True, "arcs": []}, None),
+        ({"n": 2, "arcs": [[True, False]]}, None),
+        ({"n": 2, "arcs": [[0, 1.0]]}, None),
+        (_K3, {"paths": [["0", 2]], "pairs": [[0, 2]]}),
+        (_K3, {"paths": [[0, 1.9]], "pairs": [[0, 2]]}),
+        (_K3, {"paths": [[True, 2]], "pairs": [[1, 2]]}),
+        (_K3, {"paths": [[0, 2]], "pairs": [[False, 2]]}),
+        (_K3, {"paths": [[0, 2]], "pairs": [[0, "2"]]}),
+    ], ids=["non-integer", "negative", "out-of-range", "parts-bool", "n-bool", "arc-bool",
+            "arc-float", "path-string", "path-float", "path-bool", "pair-bool", "pair-string"])
+    def test_malformed_parts_is_exit_two(self, workdir, doc, paths):
+        """Ids that are not JSON integers, or are out of range, in the digraph
+        or in the path system are a FormatError: exit 2, "error: <file>: ..."."""
+        path = os.path.join(workdir, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]], "parts": parts}, fh)
-        code, _ = run_cli(["solve", "--input", path, "--class", "composition", "--pairs", "0:2"])
+            json.dump(doc, fh)
+        if paths is None:
+            bad, argv = path, ["solve", "--input", path, "--class", "composition", "--pairs", "0:2"]
+        else:
+            bad = os.path.join(workdir, "paths.json")
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump(paths, fh)
+            argv = ["verify", "--input", path, "--paths", bad]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(argv)
         assert code == 2
+        assert err.getvalue().startswith(f"error: {bad}: "), err.getvalue()
 
 
 class TestInvalidInputExitTwo:

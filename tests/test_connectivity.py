@@ -17,13 +17,14 @@ from klinkage.errors import SameVertexError, SetOverlapError, SizeMismatchError
 from klinkage.generators import (
     SplitMix64,
     circulant_tournament,
+    random_digraph,
     random_semicomplete,
     random_tournament,
 )
 
 import ref_flow
 import ref_menger
-from conftest import digraphs, seeded_digraph
+from conftest import digraphs
 
 
 def complete(n):
@@ -98,14 +99,14 @@ class TestKappa:
 
     def test_matches_cut_enumeration_n9(self):
         for trial in range(25):
-            d = seeded_digraph(9, 14_000 + trial, (3, 5, 7, 9)[trial % 4])
+            d = random_digraph(9, 14_000 + trial, (3, 5, 7, 9)[trial % 4])
             assert kappa(d) == brute_kappa(d)
 
     def test_pivot_pairs_match_has_arc_scan(self):
         # the mask-driven pair order is the order of the plain scan, so the
         # audit makes the same kernel calls in the same order
         for trial in range(20):
-            d = seeded_digraph(12, 30_000 + trial, 2 + trial % 8).delete([trial % 12])
+            d = random_digraph(12, 30_000 + trial, 2 + trial % 8).delete([trial % 12])
             for v in d.vertices():
                 want = []
                 for u in d.vertices():
@@ -118,7 +119,7 @@ class TestKappa:
     def test_relabeling_invariance(self):
         rng = SplitMix64(77)
         for trial in range(25):
-            d = seeded_digraph(7, 900 + trial, 5)
+            d = random_digraph(7, 900 + trial, 5)
             perm = rng.sample(list(range(7)), 7)
             relabeled = build_digraph(7, [(perm[u], perm[v]) for u, v in d.arcs()])
             assert kappa(d) == kappa(relabeled)
@@ -154,7 +155,7 @@ class TestKernelAgainstReference:
         checks = 0
         for trial in range(3_000):
             n = 2 + rng.randrange(13)
-            d = seeded_digraph(n, 20_000 + trial, 1 + rng.randrange(9))
+            d = random_digraph(n, 20_000 + trial, 1 + rng.randrange(9))
             drop = [v for v in range(n) if rng.randrange(4) == 0][: n - 2]
             d = d.delete(drop)
             s, t = rng.sample(list(d.vertices()), 2)
@@ -203,7 +204,7 @@ class TestMengerAgainstReference:
         seen = {"avoid": 0, "infeasible": 0, "feasible": 0, "two-cycles": 0}
         for trial in range(2_400):
             n = 2 + rng.randrange(15)
-            d = seeded_digraph(n, 50_000 + trial, 1 + rng.randrange(9))
+            d = random_digraph(n, 50_000 + trial, 1 + rng.randrange(9))
             d = d.delete([v for v in range(n) if rng.randrange(5) == 0][: n - 2])
             xs, ys, us, avoid = _menger_sets(list(d.vertices()), rng)
             for got in self._check(d, xs, ys, us, avoid):
@@ -219,7 +220,7 @@ class TestMengerAgainstReference:
         deep = 0
         for trial in range(400):
             n = 30 + rng.randrange(31)
-            d = seeded_digraph(n, 60_000 + trial, 1 + rng.randrange(3))
+            d = random_digraph(n, 60_000 + trial, 1 + rng.randrange(3))
             d = d.delete([v for v in range(n) if rng.randrange(8) == 0])
             k = 1 + rng.randrange(6)
             vs = rng.sample(list(d.vertices()), 2 * k + 10)
@@ -344,7 +345,7 @@ class TestMengerSetPaths:
 
     def test_system_size_matches_exhaustive_feasibility(self):
         for trial in range(30):
-            d = seeded_digraph(8, 5_000 + trial, 4)
+            d = random_digraph(8, 5_000 + trial, 4)
             rng = SplitMix64(6_000 + trial)
             picks = rng.sample(list(range(8)), 4)
             xs, ys = picks[:2], picks[2:]
@@ -366,7 +367,7 @@ class TestMengerSetPaths:
         # |X| = |Y| = m <= kappa always routes in a strong-enough digraph
         exercised = 0
         for trial in range(30):
-            d = seeded_digraph(9, 12_000 + trial, 6)
+            d = random_digraph(9, 12_000 + trial, 6)
             k = kappa(d)
             if k < 2:
                 continue
@@ -404,7 +405,7 @@ class TestMinVertexMenger:
     def test_start_set_only_at_initials(self):
         hits = 0
         for trial in range(50):
-            d = seeded_digraph(10, 7_000 + trial, 4)
+            d = random_digraph(10, 7_000 + trial, 4)
             rng = SplitMix64(8_000 + trial)
             picks = rng.sample(list(range(10)), 6)
             us, ys = picks[:4], picks[4:]
@@ -418,7 +419,7 @@ class TestMinVertexMenger:
 
     def test_total_matches_exhaustive_minimum(self):
         for trial in range(40):
-            d = seeded_digraph(8, 9_000 + trial, 5)
+            d = random_digraph(8, 9_000 + trial, 5)
             rng = SplitMix64(10_000 + trial)
             picks = rng.sample(list(range(8)), 5)
             us, ys = picks[:3], picks[3:]

@@ -1,0 +1,168 @@
+"""Pinned canonical reports: refactors must not change a single output byte.
+
+Each case is one solve on a seeded input; its digest is the sha256 of
+``dumps_canonical(report_to_obj(report))``.  The grid mixes semicomplete
+solves (n=60, k=1-2, audited and not), criterion-5 compositions,
+criterion-7 l-QT instances, a hypothesis violation and stage failures of
+all three solvers.  A digest changes only when a solver's output does: if
+that is intended, re-pin with ``python tests/test_golden_reports.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from klinkage import (
+    LinkageInstance,
+    build_digraph,
+    compose,
+    solve_composition,
+    solve_lqt,
+    solve_semicomplete,
+)
+from klinkage.acceptance import _composition_instances, _lqt_instances
+from klinkage.generators import (
+    SplitMix64,
+    random_composition,
+    random_extended_tournament,
+    random_semicomplete,
+    random_tournament,
+)
+from klinkage.jsonio import dumps_canonical, report_to_obj
+
+
+def _terminal_pairs(d, k, seed):
+    terms = SplitMix64(seed).sample(list(d.vertices()), 2 * k)
+    return tuple((terms[2 * i], terms[2 * i + 1]) for i in range(k))
+
+
+def _semicomplete(i):
+    d = random_tournament(60, 93_000 + i) if i % 2 else random_semicomplete(60, 0.3, 93_000 + i)
+    k = 1 + i % 2
+    return solve_semicomplete(LinkageInstance(d, _terminal_pairs(d, k, 94_000 + i)),
+                              skip_audit=i >= 2)
+
+
+def _direct_arcs():
+    d = build_digraph(10, [(i, j) for i in range(10) for j in range(10) if i != j])
+    return solve_semicomplete(LinkageInstance(d, ((0, 1), (2, 3))), skip_audit=True)
+
+
+def _dominating_set_fails():
+    d = build_digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    return solve_semicomplete(LinkageInstance(d, ((4, 0), (3, 1))), skip_audit=True)
+
+
+def _composition(i):
+    spec, _d, pairs = _composition_instances(4)[i]
+    return solve_composition(spec, pairs)
+
+
+def _composition_thin(i):
+    spec = random_composition(6, [2] * 6, 0.5, 95_000 + i, part_arcs=True)
+    d = compose(spec)
+    return solve_composition(spec, _terminal_pairs(d, 2, 96_000 + i), skip_audit=i > 0)
+
+
+def _lqt(i, skip_audit=True):
+    spec, d = _lqt_instances(5, 20, 61_000)[i]
+    parts = spec.part_vertex_ids()
+    pairs = ((parts[0][0], parts[10][0]),)
+    if i % 2:
+        pairs += ((parts[5][0], parts[15][0]),)
+    return solve_lqt(d, pairs, 2, threshold=5, skip_audit=skip_audit)
+
+
+def _lqt_thin(seed):
+    spec = random_extended_tournament(8, [2] * 8, 84_000 + seed)
+    d = compose(spec)
+    return solve_lqt(d, _terminal_pairs(d, 1, 85_000 + seed), 2, threshold=5, skip_audit=True)
+
+
+CASES = {
+    **{f"semicomplete-{i}": (lambda i=i: _semicomplete(i)) for i in range(6)},
+    "semicomplete-direct-arcs": _direct_arcs,
+    "semicomplete-dominating-set": _dominating_set_fails,
+    **{f"composition-{i}": (lambda i=i: _composition(i)) for i in range(4)},
+    **{f"composition-thin-{i}": (lambda i=i: _composition_thin(i)) for i in (0, 1, 5)},
+    **{f"lqt-{i}": (lambda i=i: _lqt(i)) for i in range(5)},
+    "lqt-audited": lambda: _lqt(0, skip_audit=False),
+    **{f"lqt-thin-{s}": (lambda s=s: _lqt_thin(s)) for s in range(2)},
+}
+
+# name -> (outcome, stage, sha256 of the canonical report)
+PINNED = {
+    'composition-0': ('linked', None,
+        '84e30cce0197a6c64e8b0e9db1459f165e43fdc0718655b675c834fdab6bf556'),
+    'composition-1': ('linked', None,
+        '9d736473c50d07f5e45cc63aef44eb923761b6b291eced3b75e204312424ce9f'),
+    'composition-2': ('linked', None,
+        '6dd4ef29faf6771a3a472b6f5b5b2dfdecf6a3c64078d5969a09c82bd36dfac1'),
+    'composition-3': ('linked', None,
+        'e56c251645876d1147d1791f434fb2513988a4660c1be094319b4a47fde9c391'),
+    'composition-thin-0': ('hypothesis_violated', None,
+        '9053f9e607cfaf35e0b8bb6c69a4977a257ca18a53403f796060366ead00a6cf'),
+    'composition-thin-1': ('linked', None,
+        '624743cf2fc5f613d445e883e8c061f8df1bcc51aea5d25efbfb3274d18f4bde'),
+    'composition-thin-5': ('stage_failed', 'filled-subsolve',
+        '9d06b6f83f7b314e99e8e22c44cd36f061d42044aea7e290fad97d273630e7d6'),
+    'lqt-0': ('linked', None,
+        'e00fd6150e51cded06d76d0f1de6630b34dde8c0d06ff6d4eb49ceee48f6f96c'),
+    'lqt-1': ('linked', None,
+        'b44e571453abc2a817757c15b59f603aca14278e01ea5d788e33c056ec0af372'),
+    'lqt-2': ('linked', None,
+        '9ffd396fefe25e76f5b3c1bcda34d243f4ec13ed15c84e5a15aec6daefe65532'),
+    'lqt-3': ('linked', None,
+        '3707b88a27029e95697f956290c7be1f008514901c02a08635e1f04ad072fb72'),
+    'lqt-4': ('linked', None,
+        'cfb629e2003cb76021d37ce590436da2819918b24172fa44fb9e886982dec7dc'),
+    'lqt-audited': ('hypothesis_violated', None,
+        'be39aa786174e56ab1b98d39c583fec477296348fa3d7e9e3e9c4f57d251251d'),
+    'lqt-thin-0': ('stage_failed', 'auxiliary',
+        '98273427ef6a82be90232b285f3f4882297139e1a35d570c50cb1d5be9810a22'),
+    'lqt-thin-1': ('stage_failed', 'auxiliary',
+        '85fdd53adb3cc97a22c5a80e13568af361c0366dd58798b79ddde0e42ea16a54'),
+    'semicomplete-0': ('linked', None,
+        'f35e8f40ad58a387dcb3bb6a6a41e56b1259c6a6908365ba26f0f81e802c1b16'),
+    'semicomplete-1': ('hypothesis_violated', None,
+        '4b33df2ccca519fe5f7c847a26227a844457a3c181c409f1638712cb1151015f'),
+    'semicomplete-2': ('linked', None,
+        '0384718f309e9728584eb52927e72aef2070022088f7d56d6b93639d9eb9a1f2'),
+    'semicomplete-3': ('stage_failed', 'anchor-landed',
+        '189a8afe677ab68edb9fad044ade8f86cd8c66db1dee959b998b16fc9a69c3cc'),
+    'semicomplete-4': ('linked', None,
+        '388010d33410c765816034925afdbfeda94cde81feb0966eee30b504e08b06ec'),
+    'semicomplete-5': ('linked', None,
+        '02b15548c420bdb26b9cc60040804102c64b8279609bde5444da08425614629a'),
+    'semicomplete-direct-arcs': ('linked', None,
+        'edb039050a34847a4f37c094f727d27998d6f538a9ce25dcd30b6dc618999bf6'),
+    'semicomplete-dominating-set': ('stage_failed', 'dominating-set',
+        '2c31ae2ef10c6569af410982651a45c49fe139ab53ef8308ff356a2207f54179'),
+}
+
+
+def digest(report) -> str:
+    return hashlib.sha256(dumps_canonical(report_to_obj(report)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_pinned(name):
+    report = CASES[name]()
+    assert (report.outcome, report.stage, digest(report)) == PINNED[name]
+
+
+def test_grid_covers_every_outcome_and_solver():
+    assert set(PINNED) == set(CASES)
+    assert {outcome for outcome, _, _ in PINNED.values()} == {
+        "linked", "hypothesis_violated", "stage_failed"}
+    assert {name.split("-")[0] for name, (outcome, _, _) in PINNED.items()
+            if outcome == "linked"} == {"semicomplete", "composition", "lqt"}
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        report = CASES[name]()
+        print(f"    {name!r}: ({report.outcome!r}, {report.stage!r},\n"
+              f"        {digest(report)!r}),")

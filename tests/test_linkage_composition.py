@@ -14,9 +14,7 @@ from klinkage import (
 )
 from klinkage.acceptance import brute_kappa
 from klinkage.errors import NotAPartitionError
-from klinkage.generators import SplitMix64, random_composition, random_semicomplete
-
-from conftest import seeded_digraph
+from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
 
 
 def complete(n):
@@ -113,7 +111,7 @@ class TestMinimalize:
 
     def test_never_longer_and_endpoints_kept(self):
         for seed in range(40):
-            d = seeded_digraph(10, 90_000 + seed, 4)
+            d = random_digraph(10, 90_000 + seed, 4)
             rng = SplitMix64(91_000 + seed)
             x, y = rng.sample(list(range(10)), 2)
             p = d.shortest_path(x, y)
@@ -127,7 +125,7 @@ class TestMinimalize:
     def test_fixed_point_is_minimal_by_enumeration(self):
         checked = 0
         for seed in range(60):
-            d = seeded_digraph(9, 92_000 + seed, 3)
+            d = random_digraph(9, 92_000 + seed, 3)
             rng = SplitMix64(93_000 + seed)
             x, y = rng.sample(list(range(9)), 2)
             p = _some_long_path(d, x, y)

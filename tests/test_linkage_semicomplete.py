@@ -12,7 +12,7 @@ from klinkage import (
     solve_semicomplete,
     verify_linkage,
 )
-from klinkage import linkage_semicomplete
+from klinkage import reports
 from klinkage.errors import PreconditionViolatedError
 from klinkage.generators import random_semicomplete, random_tournament
 from klinkage.paths import Infeasible
@@ -153,8 +153,8 @@ class TestSolveSemicomplete:
         (random_tournament(200, 11), ((0, 100), (50, 150))),
     ], ids=["direct-arcs", "pipeline"])
     def test_rejected_system_is_not_linked(self, monkeypatch, d, pairs):
-        # both exits certify by calling verify_linkage, also under python -O
-        monkeypatch.setattr(linkage_semicomplete, "verify_linkage",
+        # both exits certify through SolveReport.certified, also under python -O
+        monkeypatch.setattr(reports, "verify_linkage",
                             lambda d, pairs, ps: LinkageReport(False, "Count", "rejected"))
         rep = solve_semicomplete(LinkageInstance(d, pairs), skip_audit=True)
         assert not rep.linked

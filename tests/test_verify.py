@@ -10,8 +10,7 @@ from klinkage import (
     kappa,
     verify_linkage,
 )
-
-from conftest import seeded_digraph
+from klinkage.generators import random_digraph
 
 
 def complete(n):
@@ -128,7 +127,7 @@ class TestBruteForceKLinked:
         from klinkage.generators import SplitMix64
 
         for seed in range(120):
-            d = seeded_digraph(5 + seed % 4, 50_000 + seed, 5)
+            d = random_digraph(5 + seed % 4, 50_000 + seed, 5)
             rng = SplitMix64(seed)
             terms = rng.sample(list(d.vertices()), 4)
             pairs = [(terms[0], terms[1]), (terms[2], terms[3])]
@@ -140,7 +139,7 @@ class TestBruteForceKLinked:
         # spot check on a random corpus
         checked = 0
         for trial in range(120):
-            d = seeded_digraph(5 + trial % 4, 40_000 + trial, 7)
+            d = random_digraph(5 + trial % 4, 40_000 + trial, 7)
             res = brute_force_k_linked(d, 1, budget=400_000)
             if res is True:
                 checked += 1
@@ -150,7 +149,7 @@ class TestBruteForceKLinked:
     def test_two_linked_implies_two_strong(self):
         checked = 0
         for trial in range(60):
-            d = seeded_digraph(5, 41_000 + trial, 8)
+            d = random_digraph(5, 41_000 + trial, 8)
             res = brute_force_k_linked(d, 2, budget=400_000)
             if res is True:
                 checked += 1
