@@ -20,6 +20,17 @@ bottom-up BFS (Beamer, Asanovic & Patterson, SC'12):
 The level masks are kept, and the path is recovered by walking them back
 from I(t) on the flow as it was before the augmentation.  Only then is the
 whole path applied: the walk reads the pre-augmentation flow at every step.
+
+The flow does not start from zero.  The middles ``out[s] & in[t]`` give the
+two-paths s->w->t, which share no inner vertex, so they form a feasible flow
+(Menger's theorem in its simplest case).  When there are at least ``limit``
+of them the answer is ``limit`` and nothing is allocated; otherwise the
+augmentation starts from them.  Augmenting paths extend any feasible flow
+to a maximum one, so the capped value is exactly that of a flow built from
+zero.  The direct arc s->t is left free and found by the first BFS.  No
+augmenting path cancels a seeded arc (that would pass O(s) or I(t) midway),
+so the middles keep their two-paths.  In semicomplete-like digraphs most
+pairs have many two-paths, so most bounded queries end at this first step.
 """
 
 from __future__ import annotations
@@ -36,10 +47,21 @@ def local_connectivity(d, s: int, t: int, limit: int) -> int:
     if limit <= 0:
         limit = d.n
     sbit, tbit = 1 << s, 1 << t
+    # the two-paths s->w->t (no loops, so w is neither s nor t)
+    used = out[s] & inc[t] & alive
+    flow = used.bit_count()
+    if flow >= limit:
+        return limit
     flow_out = [0] * d.n
     flow_in = [0] * d.n
-    used = 0
-    flow = 0
+    flow_out[s] = flow_in[t] = used
+    rest = used
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        flow_in[w] = sbit
+        flow_out[w] = tbit
 
     while flow < limit:
         # BFS; levels[0] is O(s), odd levels hold in-nodes, even ones out-nodes

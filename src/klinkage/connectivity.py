@@ -18,7 +18,13 @@ from typing import Iterable
 
 from . import _kernel
 from .digraph import Digraph, iter_bits, mask_of
-from .errors import SameVertexError, SetOverlapError, SizeMismatchError, VertexOutOfRangeError
+from .errors import (
+    InputError,
+    SameVertexError,
+    SetOverlapError,
+    SizeMismatchError,
+    VertexOutOfRangeError,
+)
 from .paths import Infeasible, PathSystem
 
 __all__ = [
@@ -35,8 +41,11 @@ def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None) -> 
 
     A direct arc counts as one path.  ``limit`` stops the augmentation early
     once that many paths are found (the return value is then a lower bound
-    that equals ``limit``).
+    that equals ``limit``); ``None`` and ``0`` mean no cap, and a negative
+    ``limit`` is rejected.
     """
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be None or non-negative, got {limit}")
     if x == y:
         raise SameVertexError("local connectivity needs two distinct vertices")
     for v in (x, y):
@@ -65,7 +74,9 @@ def is_k_strong(d: Digraph, k: int) -> bool:
     Uses the pivot reduction of Even (1975): fix any k vertices; a cut of
     size below k misses one of them, and that pivot then has a non-adjacent
     partner with small local connectivity.  Costs O(k * n) bounded flow
-    runs instead of O(n^2).
+    runs instead of O(n^2).  The pivots are Even's, unchanged; in
+    semicomplete-like digraphs most pairs are certified by the kernel's
+    first step, which counts the two-paths a->w->b before any augmentation.
     """
     if d.order < k + 1:
         return False
@@ -86,7 +97,9 @@ def kappa(d: Digraph) -> int:
     Scans pivot vertices v_0, v_1, ... accumulating the least local
     connectivity over non-adjacent ordered pairs at each pivot; once the
     number of processed pivots exceeds the running minimum, some pivot
-    avoided every minimum cut and the minimum is exact.
+    avoided every minimum cut and the minimum is exact.  The pivot order is
+    Even's, unchanged; a pair with at least the running minimum of two-paths
+    a->w->b is settled by the kernel's first step, with no augmentation.
     """
     if d.order < 2:
         raise VertexOutOfRangeError("connectivity degree needs at least 2 vertices")

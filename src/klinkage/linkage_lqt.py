@@ -362,9 +362,9 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     violated = audit_kappa(audit, d, bound, ["kappa"] if skip_audit else None)
     if violated:
         return SolveReport.of_hypothesis(violated, audit)
-    if not skip_audit:
+    if not skip_audit and bound - 2 * k - 2 * pool_threshold(k, l) * (l + 2) <= 0:
         # connectivity slack that feeds the extraction argument
-        assert bound - 2 * k - 2 * pool_threshold(k, l) * (l + 2) > 0
+        raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
 
     try:
         aux = build_auxiliary(d, xs, ys, l, pool_goal)
@@ -429,7 +429,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         x_paths = [_splice(p, d, aux, ledger) for p in base_paths]
     except AvailablePathExhaustedError as exc:
         return SolveReport.of_stage("source-replacement", str(exc), audit)
-    assert all(len(p) <= 2 * l + 5 for p in x_paths)
+    if any(len(p) > 2 * l + 5 for p in x_paths):
+        raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
 
     # reserve replacements for every synthetic arc inside the dominator set,
     # so the target-side routing can avoid them before they are chosen
@@ -442,7 +443,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             except AvailablePathExhaustedError:
                 unusable.add(arc)
     reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
-    assert len(reserve_interiors) + len(us) <= comb(m, 2) * (l + 2)
+    if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
+        raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
 
     b_mask = mask_of(v for p in x_paths for v in p) | u_mask | mask_of(reserve_interiors)
     avoid = [v for v in iter_bits(b_mask) if v not in u2]

@@ -51,7 +51,14 @@ def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, target
     after a clean audit is a bug and raises ConstructionFailedError.
     """
     xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
-    anchors, targets = list(anchors), list(targets)
+    _check_sets(xs, ys, ws, us)
+    if not verify_nearly_in_dominating_set(d, xs, ys, us, d.order):
+        raise PreconditionViolatedError("U is not a nearly in-dominating set outside X, Y")
+    return _connect(d, xs, ys, ws, us, q, anchors, targets)
+
+
+def _check_sets(xs, ys, ws, us) -> tuple[int, int, int, int]:
+    """The size and disjointness clauses on X, Y, W and U; returns their masks."""
     k = len(xs)
     x_mask, y_mask, w_mask, u_mask = map(mask_of, (xs, ys, ws, us))
     if x_mask & y_mask or x_mask & w_mask or y_mask & w_mask:
@@ -60,8 +67,20 @@ def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, target
         raise PreconditionViolatedError("|X| and |Y| must agree")
     if len(us) != 3 * k:
         raise PreconditionViolatedError(f"U must have 3k={3 * k} vertices, has {len(us)}")
-    if not verify_nearly_in_dominating_set(d, xs, ys, us, d.order):
-        raise PreconditionViolatedError("U is not a nearly in-dominating set outside X, Y")
+    return x_mask, y_mask, w_mask, u_mask
+
+
+def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> PathSystem:
+    """``anchor_connectors`` without the check that U is nearly in-dominating.
+
+    The pipeline calls it for its second connector stage, whose d, X, Y and
+    U already passed that check in the first; every other clause is checked
+    here, in the same order.
+    """
+    xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
+    anchors, targets = list(anchors), list(targets)
+    k = len(xs)
+    x_mask, y_mask, w_mask, u_mask = _check_sets(xs, ys, ws, us)
 
     ini_q = q.initials()
     ini_mask = mask_of(ini_q)
@@ -230,9 +249,10 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     audit, violated = _audit(d, k, skip_audit)
     if violated:
         return SolveReport.of_hypothesis(violated, audit)
-    if audit["min_out_degree"] >= 22 * k:
+    slack = audit["min_out_degree"] - 5 * k - (k - 1)
+    if audit["min_out_degree"] >= 22 * k and slack < 16 * k:
         # degree slack consumed by the connector stages
-        assert audit["min_out_degree"] - 5 * k - (k - 1) >= 16 * k
+        raise AssertionError(f"min out-degree {audit['min_out_degree']} leaves {slack} < 16k")
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
         system = PathSystem(tuple(instance.pairs), tuple(instance.pairs), "direct-arcs")
@@ -278,7 +298,8 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     # landed sources walk from their landing vertex to their q-start
     w_r = sorted(set(helpers) | {v for p in p2.paths for v in p[1:-1]})
     try:
-        r = anchor_connectors(
+        # the first stage checked that U is nearly in-dominating in d - X - Y
+        r = _connect(
             d, xs, ys, w_r, us, q, [p1[x][2] for x in matched], [q_for[x] for x in matched]
         )
     except KLinkageError as exc:

@@ -13,7 +13,7 @@ from klinkage import (
 )
 from klinkage.acceptance import brute_kappa, brute_local_connectivity, brute_min_total_vertices
 from klinkage.connectivity import _pivot_pairs
-from klinkage.errors import SameVertexError, SetOverlapError, SizeMismatchError
+from klinkage.errors import InputError, SameVertexError, SetOverlapError, SizeMismatchError
 from klinkage.generators import (
     SplitMix64,
     circulant_tournament,
@@ -62,6 +62,16 @@ class TestLocalConnectivity:
     def test_limit_caps_early(self):
         d = complete(6)
         assert local_connectivity(d, 0, 1, limit=2) == 2
+
+    def test_none_and_zero_limit_mean_no_cap(self):
+        d = complete(6)
+        assert local_connectivity(d, 0, 1, limit=None) == 5
+        assert local_connectivity(d, 0, 1, limit=0) == 5
+
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_negative_limit_rejected(self, limit):
+        with pytest.raises(InputError):
+            local_connectivity(complete(6), 0, 1, limit=limit)
 
     @given(digraphs(min_n=2, max_n=7))
     @settings(max_examples=60, deadline=None)
@@ -175,6 +185,41 @@ class TestKernelAgainstReference:
             assert local_connectivity(d, s, t) == want, (i, s, t)
             limit = 1 + rng.randrange(8)
             assert local_connectivity(d, s, t, limit) == min(want, limit)
+
+    def test_two_path_seed_regimes(self):
+        # the kernel starts from the two-paths s->w->t; count the queries the
+        # seed alone caps, the ones whose answer is the seed plus a direct
+        # arc, and the ones augmenting paths must extend past the seed
+        rng = SplitMix64(2_027)
+        regimes = {"capped": 0, "seed": 0, "augmented": 0}
+        for trial in range(600):
+            n = 2 + rng.randrange(59)
+            seed = 30_000 + trial
+            if trial % 3 == 0:
+                d = random_digraph(n, seed, 1 + rng.randrange(3))
+            elif trial % 3 == 1:
+                d = random_digraph(n, seed, 1 + rng.randrange(9))
+            else:
+                d = random_semicomplete(n, rng.randrange(10) / 10, seed)
+            d = d.delete([v for v in range(n) if rng.randrange(6) == 0][: n - 2])
+            prep = ref_flow.prepare(d)
+            for adjacent in (True, False):
+                s, t = _pair(d, rng, adjacent)
+                want = ref_flow.local_connectivity(prep, s, t, 0)
+                mids = sum(d.has_arc(s, w) and d.has_arc(w, t) for w in d.vertices())
+                seeded = mids + d.has_arc(s, t)
+                assert want >= seeded
+                for limit in (None, 1, 2, 3, 5, n):
+                    cap = limit or n
+                    got = local_connectivity(d, s, t, limit)
+                    assert got == min(want, cap), (trial, s, t, limit)
+                    if mids >= cap:
+                        regimes["capped"] += 1
+                    elif got == seeded:
+                        regimes["seed"] += 1
+                    else:
+                        regimes["augmented"] += 1
+        assert min(regimes.values()) >= 300, regimes
 
 
 def _menger_sets(vs, rng):
