@@ -22,7 +22,7 @@ from .dominators import (
     nearly_in_dominating_vertex,
     verify_nearly_in_dominating,
 )
-from .errors import FormatError, KLinkageError
+from .errors import BudgetExceededError, FormatError, KLinkageError
 from .generators import (
     circulant_tournament,
     non_linked_family,
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except KLinkageError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
     except OSError as exc:  # an input file that cannot be read, an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -133,5 +133,14 @@ class AvailablePathExhaustedError(KLinkageError):
         super().__init__(f"no disjoint replacement path left for arc {arc}")
 
 
+class BudgetExceededError(KLinkageError):
+    """An exponential search passed its expansion budget."""
+
+    def __init__(self, expanded, budget):
+        self.expanded = expanded
+        self.budget = budget
+        super().__init__(f"search expanded {expanded} nodes, past its budget of {budget}")
+
+
 class FormatError(KLinkageError):
     """Malformed JSON artifact; carries a field/line diagnostic."""

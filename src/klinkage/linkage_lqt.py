@@ -337,7 +337,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     The guaranteed connectivity bound is astronomically conservative, so
     ``threshold`` may be overridden: the solver is opportunistic and every
     outcome is certified, so a small pool threshold is sound for producing
-    linkages, just not for guaranteeing success.
+    linkages, just not for guaranteeing success.  A ``BudgetExceededError``
+    from the l-quasi-transitivity check propagates; no report is made.
     """
     pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import klinkage
+import klinkage.digraph
 from klinkage.cli import main
 from klinkage.jsonio import (
     digraph_from_obj,
@@ -111,6 +112,23 @@ class TestCheckFlags:
         assert code == 1
         code, _ = run_cli(["check", "--input", path, "--lqt", "2"])
         assert code == 1
+
+    def test_lqt_budget_overrun_is_exit_four(self, workdir, monkeypatch):
+        path = os.path.join(workdir, "near.json")
+        arcs = [[i, j] for i in range(10) for j in range(10) if i != j and {i, j} != {0, 1}]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 10, "arcs": arcs}, fh)
+        code, out = run_cli(["check", "--input", path, "--lqt", "40"])
+        assert code == 0 and json.loads(out)["l_quasi_transitive"] is True
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 10)
+        for argv in (["check", "--input", path, "--lqt", "9"],
+                     ["solve", "--input", path, "--class", "lqt", "--l", "9",
+                      "--pairs", "2:3", "--skip-audit"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_cli(argv)
+            assert code == 4 and out == ""
+            assert err.getvalue().startswith("error: BudgetExceededError:")
 
 
 class TestSolveExitCodes:
@@ -430,7 +448,7 @@ def _cli_runs(draw):
     if command == "check":
         switch("--kappa")
         switch("--semicomplete")
-        maybe("--lqt", st.integers(-1, 3).map(str))
+        maybe("--lqt", st.integers(-1, 40).map(str))
         maybe("--king", ints)
         switch("--nid")
         maybe("--vertex", ints)
@@ -440,7 +458,7 @@ def _cli_runs(draw):
         argv += ["--class", draw(either(st.sampled_from(["semicomplete", "composition", "lqt"]),
                                         st.just("x")))]
         argv += ["--pairs", pairs]
-        maybe("--l", st.integers(-1, 3).map(str))
+        maybe("--l", st.integers(-1, 40).map(str))
         maybe("--threshold", st.integers(-1, 5).map(str))
         maybe("--anchor-budget", st.integers(-1, 50).map(str))
         switch("--skip-audit")

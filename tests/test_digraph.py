@@ -13,9 +13,11 @@ from klinkage import (
     nearly_in_dominating_vertex,
     spanning_tournament,
 )
+import klinkage.digraph
 from klinkage.digraph import iter_bits
 from klinkage.errors import (
     ArityMismatchError,
+    BudgetExceededError,
     DuplicateArcError,
     NotACompositionError,
     NotSemicompleteError,
@@ -23,10 +25,16 @@ from klinkage.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from klinkage.generators import SplitMix64, random_digraph, random_semicomplete
+from klinkage.generators import (
+    SplitMix64,
+    random_digraph,
+    random_extended_tournament,
+    random_semicomplete,
+)
 
 from conftest import digraphs, semicomplete_digraphs
 from ref_bfs import ref_shortest_path
+from ref_lqt import ref_is_l_quasi_transitive
 
 
 def cycle3():
@@ -103,6 +111,56 @@ class TestPredicates:
         for i in range(500):
             d = random_digraph(2 + i % 11, 123_000 + i, (3, 5, 8, 10)[i % 4])
             assert is_l_quasi_transitive(d, 1) == is_semicomplete(d)
+
+
+def near_complete(n):
+    """Every arc on n vertices except the two between 0 and 1."""
+    return build_digraph(n, [(i, j) for i in range(n) for j in range(n)
+                             if i != j and {i, j} != {0, 1}])
+
+
+class TestLQuasiTransitive:
+    def test_against_exhaustive_endpoints(self):
+        """Same answers as the enumerator of ref_lqt, vacuous lengths included."""
+        seen = {True: 0, False: 0}
+        for i in range(3_000):
+            n = 2 + i % 9
+            vacuous = i // 9 % 6 >= 4
+            # at l >= order the oracle enumerates every simple path: millions
+            # on dense digraphs of 9 or 10 vertices, so those stay sparser
+            tenths = (3, 5, 7, 9)[i // 54 % 4]
+            d = random_digraph(n, 70_000 + i, min(tenths, 5) if vacuous else tenths)
+            if i // 216 % 2:
+                d = d.delete([i % n])
+            l = (1, 2, 3, 4, d.order, d.order + 3)[i // 9 % 6]
+            got = is_l_quasi_transitive(d, l)
+            assert got == ref_is_l_quasi_transitive(d, l), (i, n, l)
+            seen[got] += 1
+        assert min(seen.values()) >= 1_000, seen
+
+    def test_extended_tournaments_at_length_two(self, monkeypatch):
+        # the benchmark's lqt shape: at l = 2 one push per arc, 1,710 of them
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 10_000)
+        for s in range(24):
+            d = compose(random_extended_tournament(20, [3] * 20, s))
+            assert is_l_quasi_transitive(d, 2) is ref_is_l_quasi_transitive(d, 2) is True
+
+    def test_vacuous_lengths_need_no_search(self, monkeypatch):
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 0)
+        d = near_complete(10)
+        for l in (10, 11, 40):
+            assert is_l_quasi_transitive(d, l)
+        assert is_l_quasi_transitive(d.delete([9]), 9)
+        with pytest.raises(BudgetExceededError):
+            is_l_quasi_transitive(d, 9)
+
+    def test_budget_overrun_raises(self, monkeypatch):
+        assert not is_l_quasi_transitive(near_complete(10), 9)
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 10)
+        with pytest.raises(BudgetExceededError) as info:
+            is_l_quasi_transitive(near_complete(10), 9)
+        assert info.value.budget == 10
+        assert info.value.expanded > 10
 
 
 def _arc_list_spanning_tournament(d):
