@@ -250,6 +250,8 @@ class Digraph:
         """
         if src == dst:
             return [src]
+        if max_len is not None and max_len < 1:
+            return None
         out, dst_bit = self._out, 1 << dst
         allowed = self._alive & ~forbidden | dst_bit
         seen = 1 << src
@@ -403,7 +405,12 @@ class CompositionSpec:
 
 
 def compose(spec: CompositionSpec) -> Digraph:
-    """Realize the composition: part arcs plus full bundles along outer arcs."""
+    """Realize the composition: part arcs plus full bundles along outer arcs.
+
+    The i-th alive outer vertex carries the i-th part.  Every vertex of a
+    part keeps its part masks, ORed with the part masks over the outer
+    out-neighbours (out-mask) and in-neighbours (in-mask) of its carrier.
+    """
     h = spec.outer.order
     if h < 2:
         raise ArityMismatchError("outer digraph needs at least 2 vertices")
@@ -420,22 +427,22 @@ def compose(spec: CompositionSpec) -> Digraph:
             raise PartOverlapError("part vertex sets overlap")
         alive |= p.alive_mask
 
-    outer_ids = list(spec.outer.vertices())
-    part_index = {hid: i for i, hid in enumerate(outer_ids)}
+    outer = spec.outer
+    carriers = list(zip(iter_bits(outer._alive), spec.parts))
+    part_mask = [0] * outer.n
+    for hid, p in carriers:
+        part_mask[hid] = p._alive
     out = [0] * capacity
     inc = [0] * capacity
-    for p in spec.parts:
-        for v in p.vertices():
-            out[v] |= p.out_mask(v)
-            inc[v] |= p.in_mask(v)
-    for hi in outer_ids:
-        for hj in iter_bits(spec.outer.out_mask(hi)):
-            src_mask = spec.parts[part_index[hi]].alive_mask
-            dst_mask = spec.parts[part_index[hj]].alive_mask
-            for v in iter_bits(src_mask):
-                out[v] |= dst_mask
-            for w in iter_bits(dst_mask):
-                inc[w] |= src_mask
+    for hid, p in carriers:
+        succ = pred = 0
+        for hj in iter_bits(outer._out[hid]):
+            succ |= part_mask[hj]
+        for hj in iter_bits(outer._in[hid]):
+            pred |= part_mask[hj]
+        for v in iter_bits(p._alive):
+            out[v] = p._out[v] | succ
+            inc[v] = p._in[v] | pred
     return Digraph(capacity, alive, out, inc)
 
 

@@ -51,23 +51,25 @@ def fill_parts(d0: Digraph, parts, ys) -> Digraph:
     each become complete digraphs, and every Y' vertex dominates every
     other part vertex (never the reverse).  A target therefore keeps full
     out-degree while non-targets lose at most |Y| out-arcs relative to the
-    unstripped digraph.
+    unstripped digraph.  On masks, with R = S minus Y', a vertex v of Y'
+    gains out-mask S - v and in-mask Y' - v, and a vertex v of R gains
+    out-mask R - v and in-mask S - v.
     """
     masks = partition_masks(d0, parts)
     y_mask = mask_of(ys)
-    new_arcs = []
+    out, inc = list(d0._out), list(d0._in)
     for m in masks:
         if any(d0.out_mask(u) & m for u in iter_bits(m)):
             raise NotAPartitionError("digraph still has intra-part arcs")
         inner_y = m & y_mask
         rest = m & ~y_mask
-        for u in iter_bits(inner_y):
-            for v in iter_bits(m & ~(1 << u)):
-                new_arcs.append((u, v))
-        for u in iter_bits(rest):
-            for v in iter_bits(rest & ~(1 << u)):
-                new_arcs.append((u, v))
-    return d0.add_arcs(new_arcs)
+        for v in iter_bits(inner_y):
+            out[v] |= m & ~(1 << v)
+            inc[v] |= inner_y & ~(1 << v)
+        for v in iter_bits(rest):
+            out[v] |= rest & ~(1 << v)
+            inc[v] |= m & ~(1 << v)
+    return Digraph(d0.n, d0.alive_mask, out, inc)
 
 
 def minimalize_path(d: Digraph, path) -> list[int]:

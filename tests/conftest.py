@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from klinkage import build_digraph
+from klinkage.digraph import iter_bits
 
 
 @st.composite
@@ -31,3 +32,17 @@ def semicomplete_digraphs(draw, min_n=2, max_n=8):
             if kind in ("bwd", "both"):
                 arcs.append((v, u))
     return build_digraph(n, arcs)
+
+
+def assert_in_masks_transpose(d):
+    """``d._in`` is the transpose of ``d._out`` on the alive vertices.
+
+    ``Digraph.__eq__`` compares only the alive mask and the out-masks, so a
+    wrong in-mask passes every ``==`` and ``arcs()`` assertion."""
+    want = [0] * d.n
+    for u in iter_bits(d._alive):
+        for v in iter_bits(d._out[u]):
+            want[v] |= 1 << u
+    assert all(want[v] == 0 for v in range(d.n) if not d._alive >> v & 1), "arc to a dead vertex"
+    bad = [v for v in iter_bits(d._alive) if d._in[v] != want[v]]
+    assert bad == [], f"in-masks differ from the transposed out-masks at {bad}"

@@ -299,19 +299,22 @@ class TestShortestPath:
         assert d.shortest_path(0, 4, max_len=2, skip_direct=True) is None
         assert d.shortest_path(4, 0) is None
         assert d.shortest_path(2, 2) == [2]
+        assert d.shortest_path(0, 4, max_len=0) is None
+        assert d.shortest_path(0, 1, max_len=-1) is None
+        assert d.shortest_path(2, 2, max_len=0) == [2]
 
     def test_against_list_bfs(self):
         """Identical paths, not just lengths, to the list BFS of ref_bfs."""
         rng = SplitMix64(2_031)
         seen = {"found": 0, "unreachable": 0, "cut-by-max-len": 0, "skip-direct": 0,
                 "forbidden": 0, "deleted": 0, "two-cycles": 0}
-        for trial in range(6_000):
+        for trial in range(8_400):
             n = 2 + rng.randrange(15)
             d = random_digraph(n, 70_000 + trial, 1 + rng.randrange(9))
             d = d.delete([v for v in range(n) if rng.randrange(6) == 0][: n - 2])
             src, dst = rng.sample(list(d.vertices()), 2)
             forbidden = sum(1 << v for v in range(n) if rng.randrange(4) == 0)
-            max_len = (None, 1, 2, 3, 4)[rng.randrange(5)]
+            max_len = (None, -1, 0, 1, 2, 3, 4)[rng.randrange(7)]
             skip_direct = rng.randrange(2) == 1
             got = d.shortest_path(src, dst, forbidden, max_len, skip_direct)
             assert got == ref_shortest_path(d, src, dst, forbidden, max_len, skip_direct), (

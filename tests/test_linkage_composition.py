@@ -12,6 +12,7 @@ from klinkage import (
     strip_intra_part_arcs,
     verify_linkage,
 )
+from conftest import assert_in_masks_transpose
 from klinkage.acceptance import brute_kappa
 from klinkage.errors import NotAPartitionError
 from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
@@ -24,13 +25,16 @@ def complete(n):
 class TestStrip:
     def test_single_vertex_parts_identity(self):
         d = complete(4)
-        assert strip_intra_part_arcs(d, [[0], [1], [2], [3]]) == d
+        d0 = strip_intra_part_arcs(d, [[0], [1], [2], [3]])
+        assert d0 == d
+        assert_in_masks_transpose(d0)
 
     def test_two_cycle_of_two_cycles(self):
         two = build_digraph(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [two, two])
         d = compose(spec)
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
+        assert_in_masks_transpose(d0)
         # bidirected complete bipartite digraph between {0,1} and {2,3}
         want = {(u, v) for u in (0, 1) for v in (2, 3)}
         want |= {(v, u) for u, v in want}
@@ -54,6 +58,7 @@ class TestStrip:
             done += 1
             d = compose(spec)
             d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
+            assert_in_masks_transpose(d0)
             assert kappa(d) == kappa(d0)
 
     def test_strong_part_breaks_equality(self):
@@ -65,6 +70,7 @@ class TestStrip:
         )
         d = compose(spec)
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
+        assert_in_masks_transpose(d0)
         assert kappa(d) == brute_kappa(d) == 3
         assert kappa(d0) == brute_kappa(d0) == 2
 
@@ -75,6 +81,7 @@ class TestFillParts:
         spec = CompositionSpec.from_local_parts(two, [build_digraph(3, []), build_digraph(1, [])])
         d0 = compose(spec)
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[])
+        assert_in_masks_transpose(dp)
         assert all(dp.has_arc(u, v) for u in (0, 1, 2) for v in (0, 1, 2) if u != v)
 
     def test_target_dominates_part(self):
@@ -82,6 +89,7 @@ class TestFillParts:
         spec = CompositionSpec.from_local_parts(two, [build_digraph(2, []), build_digraph(1, [])])
         d0 = compose(spec)
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[0])
+        assert_in_masks_transpose(dp)
         assert dp.has_arc(0, 1) and not dp.has_arc(1, 0)
 
     def test_result_semicomplete_when_outer_is(self):
@@ -91,6 +99,8 @@ class TestFillParts:
             parts = spec.part_vertex_ids()
             d0 = strip_intra_part_arcs(d, parts)
             dp = fill_parts(d0, parts, ys=[0, 3])
+            assert_in_masks_transpose(d0)
+            assert_in_masks_transpose(dp)
             assert is_semicomplete(dp)
 
     def test_rejects_unstripped_input(self):

@@ -65,6 +65,18 @@ class TestIndependentShortPaths:
             assert not inner & seen
             seen |= inner
 
+    def test_no_path_longer_than_l_plus_one(self):
+        # l = 0 admits only the direct arcs, l = -1 no path at all
+        paths = {}
+        for l in (-1, 0):
+            for d in [build_digraph(4, [(0, 1), (1, 2), (2, 3)])] + [
+                random_semicomplete(8, 0.5, seed) for seed in range(20)
+            ]:
+                pool = independent_short_paths(d, 0, 3, l, 3)
+                paths[l] = paths.get(l, 0) + len(pool.forward + pool.backward)
+                assert all(len(p) - 1 <= max(l + 1, 0) for p in pool.forward + pool.backward)
+        assert paths[-1] == 0 and paths[0] >= 20
+
 
 def _triangle_gadget():
     """One non-adjacent pair backed by exactly three independent 3-paths."""
