@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
+from typing import Iterator
 
 from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
@@ -72,39 +73,99 @@ class ShortPathPool:
         return len(self.forward), len(self.backward)
 
 
+def _paths_of_length(out: list[int], inc: list[int], a: int, b: int, length: int, free: int,
+                     room: int) -> tuple[list[tuple[int, ...]], bool]:
+    """Up to ``room`` a->b paths of exactly ``length`` arcs, interiors in ``free``.
+
+    Each path is the lexicographically smallest one left once the interiors
+    of the paths before it are removed.  The caller guarantees that no
+    shorter a->b path runs through ``free``; then every walk of ``length``
+    arcs through it is a simple path, so the search runs on walk levels:
+    ``levels[j - 1]`` holds the free vertices with a walk of j arcs to b.
+    The flag is False once no a->b path of ``length`` arcs or more can run
+    through what is left of ``free``.  ``room`` is at least 1.
+    """
+    if length == 1:
+        return ([(a, b)] if out[a] >> b & 1 else []), True
+    if length == 2:
+        middles = list(islice(iter_bits(out[a] & inc[b] & free), room))
+        return [(a, w, b) for w in middles], bool(inc[b] & free & ~mask_of(middles))
+    paths: list[tuple[int, ...]] = []
+    first = out[a]  # first hops not yet tried; one that fails once fails for good
+    while True:
+        levels = [inc[b] & free]
+        while len(levels) < length - 2 and levels[-1]:
+            into = 0
+            for w in iter_bits(levels[-1]):
+                into |= inc[w]
+            levels.append(into & free)
+        if not levels[-1]:
+            return paths, False
+        top = levels[-1]
+        first &= free
+        while first:
+            c = (first & -first).bit_length() - 1
+            first ^= 1 << c
+            if out[c] & top:
+                break
+        else:
+            return paths, True
+        path = [a, c]
+        for level in reversed(levels):
+            step = out[path[-1]] & level
+            path.append((step & -step).bit_length() - 1)
+        path.append(b)
+        paths.append(tuple(path))
+        if len(paths) == room:
+            return paths, True
+        free &= ~mask_of(path[1:-1])
+
+
 def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> ShortPathPool:
     """Extract pairwise-independent paths of length <= l+1 between u and v.
 
-    Each round removes the interior of the shortest qualifying path (either
-    direction, ties to u->v) from the residual digraph; a direct arc can be
-    taken once per direction.  Stops once one direction holds ``limit``
-    paths or no qualifying path remains.
+    The picks come length by length: for L = 1, 2, ..., first every u->v
+    path of exactly L arcs, then every v->u one, each the lexicographically
+    smallest path left once the interiors already picked are removed.  The
+    extraction stops once one direction holds ``limit`` paths or no path of
+    at most l+1 arcs is left.  This is the order of a loop that repeatedly
+    takes the shorter of the two shortest paths (u->v on ties), a direct
+    arc at most once per direction: removing interiors never shortens a
+    path, so the shortest length only grows.  Lengths stop at l+1 and at
+    the order minus one, and a direction stops at the first length that no
+    walk through the free vertices reaches.
     """
     if u == v:
         raise InputError("need two distinct vertices")
-    forward: list[tuple[int, ...]] = []
-    backward: list[tuple[int, ...]] = []
+    if limit < 1:
+        return ShortPathPool(u, v, (), ())
+    pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
+    out, inc = d._out, d._in
+    base = d._alive & ~(1 << u) & ~(1 << v)
+    ends = ((u, v), (v, u))
+    open_sides = [0, 1]
     removed = 0
-    max_len = l + 1
-    while len(forward) < limit and len(backward) < limit:
-        pf = d.shortest_path(u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
-        pb = d.shortest_path(v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
-        pick = None
-        if pf is not None and (pb is None or len(pf) <= len(pb)):
-            pick, bucket = pf, forward
-        elif pb is not None:
-            pick, bucket = pb, backward
-        if pick is None:
-            residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
-            stalled_strong = residual.is_strong() and residual.order >= 2
-            paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
-            return ShortPathPool(
-                u, v, tuple(forward), tuple(backward), stalled_strong,
-                tuple(None if p is None else len(p) - 1 for p in paths),
-            )
-        bucket.append(tuple(pick))
-        removed |= mask_of(pick[1:-1])
-    return ShortPathPool(u, v, tuple(forward), tuple(backward))
+    for length in range(1, min(l + 1, d.order - 1) + 1):
+        for side in list(open_sides):
+            bucket = pools[side]
+            picked, more = _paths_of_length(out, inc, *ends[side], length, base & ~removed,
+                                            limit - len(bucket))
+            for path in picked:
+                bucket.append(path)
+                removed |= mask_of(path[1:-1])
+            if len(bucket) >= limit:
+                return ShortPathPool(u, v, tuple(pools[0]), tuple(pools[1]))
+            if not more:
+                open_sides.remove(side)
+        if not open_sides:
+            break
+    residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
+    stalled_strong = residual.is_strong() and residual.order >= 2
+    paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
+    return ShortPathPool(
+        u, v, tuple(pools[0]), tuple(pools[1]), stalled_strong,
+        tuple(None if p is None else len(p) - 1 for p in paths),
+    )
 
 
 @dataclass(frozen=True)
@@ -130,11 +191,12 @@ class AuxiliaryDigraph:
 def _check_pool(sub: Digraph, arc, pool, l: int) -> None:
     """Record-time validation: real paths, short, sharing only endpoints."""
     a, b = arc
+    out = sub._out  # restricted to the alive vertices, so a set bit is an arc of sub
     taken = 0
     for p in pool:
         if not (p[0] == a and p[-1] == b and len(p) <= l + 2):
             raise AssertionError(f"pool path {p} does not run {a}->{b} within {l + 1} arcs")
-        if not all(sub.has_arc(u, v) for u, v in zip(p, p[1:])):
+        if not all(out[u] >> v & 1 for u, v in zip(p, p[1:])):
             raise AssertionError(f"pool path {p} leaves the terminal-free subdigraph")
         inner = mask_of(p[1:-1])
         if inner & taken:
@@ -161,11 +223,10 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
     sub = d.delete(iter_bits(terminal_mask))
 
     new_arcs = {}
-    inner = list(sub.vertices())
-    for i, u in enumerate(inner):
-        for v in inner[i + 1:]:
-            if sub.is_adjacent(u, v):
-                continue
+    alive, out, inc = sub._alive, sub._out, sub._in
+    for u in iter_bits(alive):
+        # the non-neighbours of u above it, ascending
+        for v in iter_bits(alive & ~(out[u] | inc[u]) & ~((2 << u) - 1)):
             pool = independent_short_paths(sub, u, v, l, threshold)
             nf, nb = pool.counts()
             if max(nf, nb) < threshold:
@@ -181,13 +242,9 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
 
     terminal_arcs = set()
     for x in xs:
-        for w in d.vertices():
-            if w != x and not d.has_arc(w, x):
-                terminal_arcs.add((w, x))
+        terminal_arcs.update((w, x) for w in iter_bits(d._alive & ~d._in[x] & ~(1 << x)))
     for y in ys:
-        for w in d.vertices():
-            if w != y and not d.has_arc(y, w):
-                terminal_arcs.add((y, w))
+        terminal_arcs.update((y, w) for w in iter_bits(d._alive & ~d._out[y] & ~(1 << y)))
 
     augmented = d.add_arcs(list(new_arcs) + sorted(terminal_arcs))
     if not is_semicomplete(augmented):
@@ -221,25 +278,35 @@ def _short_paths_between(d: Digraph, a: int, b: int, blocked: int, arc_ok=None):
 
 def _disjoint_short_linkage(d: Digraph, pairs, blocked: int = 0, arc_ok=None,
                             prefer=None) -> list[tuple[int, ...]] | None:
-    """Backtracking for disjoint length-<=3 paths, one per pair."""
-    endpoint_mask = mask_of(t for p in pairs for t in p)
+    """Backtracking for disjoint length-<=3 paths, one per pair.
 
-    def rec(idx: int, used: int, acc: list):
-        if idx == len(pairs):
-            return True
-        a, b = pairs[idx]
-        cands = _short_paths_between(d, a, b, blocked | endpoint_mask | used, arc_ok)
+    Depth-first over the pairs in order, trying each pair's candidates in
+    order; ``frames[i]`` holds pair i's untried candidates and the interiors
+    used before it.  An explicit stack, so no frame or closure refers to
+    itself and nothing outlives the call.
+    """
+    blocked |= mask_of(t for p in pairs for t in p)
+    acc: list[tuple[int, ...]] = []
+    frames: list[tuple[Iterator[tuple[int, ...]], int]] = []
+    used = 0
+    while len(acc) < len(pairs):
+        a, b = pairs[len(acc)]
+        cands = _short_paths_between(d, a, b, blocked | used, arc_ok)
         if prefer is not None:
             cands.sort(key=prefer)
-        for path in cands:
-            acc.append(path)
-            if rec(idx + 1, used | mask_of(path[1:-1]), acc):
-                return True
+        frames.append((iter(cands), used))
+        while True:
+            untried, before = frames[-1]
+            path = next(untried, None)
+            if path is not None:
+                acc.append(path)
+                used = before | mask_of(path[1:-1])
+                break
+            frames.pop()
+            if not frames:
+                return None
             acc.pop()
-        return False
-
-    acc: list[tuple[int, ...]] = []
-    return acc if rec(0, 0, acc) else None
+    return acc
 
 
 def verify_short_anchor(t: Digraph, u1, u2) -> bool:

@@ -1,16 +1,23 @@
-"""Exhaustive l-quasi-transitivity check, used only as a test oracle.
+"""The l-QT layer's replaced implementations, used only as test oracles.
 
-For every vertex it collects all endpoints of simple paths of exactly l
-arcs and then checks adjacency to each.  ``klinkage.digraph`` searches
-only from vertices with a non-neighbour, finishes each path of l - 1 arcs
-with one mask test, stops at the first witness and answers vacuous
-lengths at once; the tests require both to give the same answers.
+``ref_is_l_quasi_transitive`` collects, for every vertex, all endpoints of
+simple paths of exactly l arcs and then checks adjacency to each.
+``klinkage.digraph`` searches only from vertices with a non-neighbour,
+finishes each path of l - 1 arcs with one mask test, stops at the first
+witness and answers vacuous lengths at once; the tests require both to
+give the same answers.
+
+``ref_independent_short_paths`` harvests a pool by running two
+shortest-path searches per pick and taking the shorter path.
+``klinkage.linkage_lqt`` picks the same paths length by length on the
+masks; the tests require both to return equal pools.
 """
 
 from __future__ import annotations
 
-from klinkage.digraph import Digraph, is_semicomplete, iter_bits
+from klinkage.digraph import Digraph, is_semicomplete, iter_bits, mask_of
 from klinkage.errors import InputError
+from klinkage.linkage_lqt import ShortPathPool
 
 
 def _exact_length_endpoints(d: Digraph, src: int, length: int) -> set[int]:
@@ -39,3 +46,38 @@ def ref_is_l_quasi_transitive(d: Digraph, l: int) -> bool:
             if not d.is_adjacent(u, v):
                 return False
     return True
+
+
+def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> ShortPathPool:
+    """Extract pairwise-independent paths of length <= l+1 between u and v.
+
+    Each round removes the interior of the shortest qualifying path (either
+    direction, ties to u->v) from the residual digraph; a direct arc can be
+    taken once per direction.  Stops once one direction holds ``limit``
+    paths or no qualifying path remains.
+    """
+    if u == v:
+        raise InputError("need two distinct vertices")
+    forward: list[tuple[int, ...]] = []
+    backward: list[tuple[int, ...]] = []
+    removed = 0
+    max_len = l + 1
+    while len(forward) < limit and len(backward) < limit:
+        pf = d.shortest_path(u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
+        pb = d.shortest_path(v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
+        pick = None
+        if pf is not None and (pb is None or len(pf) <= len(pb)):
+            pick, bucket = pf, forward
+        elif pb is not None:
+            pick, bucket = pb, backward
+        if pick is None:
+            residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
+            stalled_strong = residual.is_strong() and residual.order >= 2
+            paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
+            return ShortPathPool(
+                u, v, tuple(forward), tuple(backward), stalled_strong,
+                tuple(None if p is None else len(p) - 1 for p in paths),
+            )
+        bucket.append(tuple(pick))
+        removed |= mask_of(pick[1:-1])
+    return ShortPathPool(u, v, tuple(forward), tuple(backward))

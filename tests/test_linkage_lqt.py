@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from klinkage import (
+    SplitMix64,
     CompositionSpec,
     build_auxiliary,
     build_digraph,
@@ -19,7 +22,14 @@ from klinkage.errors import (
     PreconditionViolatedError,
     ThresholdUnreachableError,
 )
-from klinkage.generators import random_extended_tournament, random_semicomplete, random_tournament
+from klinkage.generators import (
+    random_digraph,
+    random_extended_tournament,
+    random_semicomplete,
+    random_tournament,
+)
+
+from ref_lqt import ref_independent_short_paths
 
 
 def complete(n):
@@ -76,6 +86,57 @@ class TestIndependentShortPaths:
                 paths[l] = paths.get(l, 0) + len(pool.forward + pool.backward)
                 assert all(len(p) - 1 <= max(l + 1, 0) for p in pool.forward + pool.backward)
         assert paths[-1] == 0 and paths[0] >= 20
+
+    def test_against_two_search_extraction(self):
+        """The very pools of ref_lqt's two-searches-per-pick loop: both
+        directions, in order, and the stall flag and distances."""
+        rng = SplitMix64(9_001)
+        seen = {"strong stalls": 0, "backward picks": 0, "paths of 4+ arcs": 0,
+                "deleted": 0, "two-cycles": 0}
+        for case in range(9_000):
+            l = (-1, 0, 1, 2, 3, 4, 6)[case % 7]
+            limit = (0, 1, 2, 3, 5, 8)[case // 7 % 6]
+            kind = (0, 0, 1, 2)[case // 42 % 4]
+            if kind == 0:
+                if case % 2:  # sparse, where shortest paths run long
+                    n, tenths = 11 + rng.randrange(4), 2
+                else:
+                    n, tenths = 2 + rng.randrange(13), 1 + rng.randrange(9)
+                d = random_digraph(n, 90_000 + case, tenths)
+                d = d.delete([v for v in range(n) if rng.randrange(5) == 0][: n - 2])
+                seen["deleted"] += d.order < n
+            elif kind == 1:
+                d = random_semicomplete(2 + rng.randrange(13), rng.randrange(10) / 10, 91_000 + case)
+            else:
+                h = 2 + rng.randrange(6)
+                spec = random_extended_tournament(h, [1 + rng.randrange(3) for _ in range(h)],
+                                                  92_000 + case)
+                d = compose(spec)
+            u, v = rng.sample(list(d.vertices()), 2)
+            got = independent_short_paths(d, u, v, l, limit)
+            assert got == ref_independent_short_paths(d, u, v, l, limit), (case, u, v, l, limit)
+            seen["strong stalls"] += got.stalled_strong
+            seen["backward picks"] += len(got.backward)
+            seen["paths of 4+ arcs"] += sum(len(p) >= 5 for p in got.forward + got.backward)
+            seen["two-cycles"] += any(d.has_arc(y, x) for x, y in d.arcs())
+        assert seen["strong stalls"] >= 300, seen
+        assert seen["backward picks"] >= 300, seen
+        assert seen["paths of 4+ arcs"] >= 100, seen
+        assert min(seen["deleted"], seen["two-cycles"]) >= 1_000, seen
+
+    def test_huge_l_stops_at_the_order(self):
+        # lengths stop at order - 1, and a direction at its first unreachable
+        # length, so l = 10**6 costs what l = 9 does
+        cycle = build_digraph(10, [(0, 2)] + [(i, i + 1) for i in range(2, 9)] + [(9, 1), (1, 0)])
+        for d in [cycle] + [random_digraph(10, 93_000 + s, 2 + s % 5) for s in range(10)]:
+            start = time.perf_counter()
+            got = independent_short_paths(d, 0, 1, 10**6, 5)
+            assert time.perf_counter() - start < 1.0
+            assert got == ref_independent_short_paths(d, 0, 1, 10**6, 5)
+        pool = independent_short_paths(cycle, 0, 1, 10**6, 5)
+        assert pool.forward == ((0, 2, 3, 4, 5, 6, 7, 8, 9, 1),)
+        assert pool.backward == ((1, 0),)
+        assert pool.stall_distances == (None, 1) and not pool.stalled_strong
 
 
 def _triangle_gadget():
