@@ -15,6 +15,7 @@ threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -83,8 +84,37 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        """The digraph on ids 0..n-1 with exactly ``arcs``.
+
+        The masks are ORed in one loop with no per-arc test.  Before it, the
+        min and max of the distinct ids are range-checked (a negative id
+        would index a mask from the end); after it, a popcount total below
+        ``len(arcs)`` shows a duplicate and bit u of ``out[u]`` a self-loop.
+        When a check fails, or the loop meets a value that is not an id
+        pair, the per-arc loop runs instead: it exists to raise the first
+        offending arc's error.
+        """
         if n < 0:
             raise VertexOutOfRangeError(f"negative vertex count {n}")
+        arcs = arcs if isinstance(arcs, list) else list(arcs)
+        try:
+            ids = set(chain.from_iterable(arcs))
+            if not ids or (min(ids) >= 0 and max(ids) < n):
+                out = [0] * n
+                inc = [0] * n
+                for u, v in arcs:
+                    out[u] |= 1 << v
+                    inc[v] |= 1 << u
+                if (sum(map(int.bit_count, map(out.__getitem__, ids))) == len(arcs)
+                        and not any(out[u] >> u & 1 for u in ids)):
+                    return cls(n, (1 << n) - 1, out, inc)
+        except (TypeError, ValueError):
+            pass
+        return cls._from_arcs_checked(n, arcs)
+
+    @classmethod
+    def _from_arcs_checked(cls, n: int, arcs: list) -> "Digraph":
+        """``from_arcs`` one arc at a time, raising at the first bad arc."""
         out = [0] * n
         inc = [0] * n
         for u, v in arcs:

@@ -137,6 +137,9 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     """
     if u == v:
         raise InputError("need two distinct vertices")
+    for w in (u, v):
+        if not d.has_vertex(w):
+            raise InputError(f"vertex {w} not in digraph")
     if limit < 1:
         return ShortPathPool(u, v, (), ())
     pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])

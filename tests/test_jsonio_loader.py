@@ -1,0 +1,210 @@
+"""The bulk digraph loader against the per-arc one it replaced
+(``tests/ref_jsonio.py``): on every document, the identical digraph, in-masks
+included, or the identical exception class and message."""
+
+from __future__ import annotations
+
+import gc
+import json
+import random
+from collections import Counter
+
+import pytest
+from conftest import assert_in_masks_transpose
+from ref_jsonio import ref_digraph_from_obj, ref_from_arcs
+
+from klinkage.digraph import Digraph
+from klinkage.errors import FormatError
+from klinkage.generators import random_digraph, random_semicomplete
+from klinkage.jsonio import digraph_from_obj, digraph_to_obj, parse_json
+
+
+class Id(int):
+    """An int subclass: an id to the per-arc check, not to the bulk one."""
+
+
+def _outcome(load, *args):
+    """The loaded digraph's masks and parts, or the exception's class and message."""
+    try:
+        d, parts = load(*args)
+    except Exception as exc:  # the two loaders must fail alike
+        return ("error", type(exc), str(exc)), None
+    return ("built", d.n, d._alive, list(d._out), list(d._in), parts), d
+
+
+def _check(obj):
+    got, d = _outcome(digraph_from_obj, obj, "doc.json")
+    want, _ = _outcome(ref_digraph_from_obj, obj, "doc.json")
+    assert got == want, obj
+    if d is not None:
+        assert_in_masks_transpose(d)
+    return got
+
+
+def _doc(rng: random.Random, case: int) -> dict:
+    """A valid document from a random digraph, its arcs shuffled."""
+    n = rng.randrange(16)
+    obj = digraph_to_obj(random_digraph(n, 410_000 + case, rng.randrange(11)))
+    rng.shuffle(obj["arcs"])
+    return obj
+
+
+# Each fault rewrites the arc at index i of a document with n ids, in place
+# or by inserting one arc.  TYPE_FAULTS fail the pair-of-integers check, the
+# others fail the range, self-loop or duplicate check.
+def _set_id(value):
+    def fault(arcs, i, n, rng):
+        arcs[i] = list(arcs[i])
+        arcs[i][rng.randrange(2)] = value(arcs[i], n, rng)
+    return fault
+
+
+def _set_arc(value):
+    def fault(arcs, i, n, rng):
+        arcs[i] = value(arcs[i], n, rng)
+    return fault
+
+
+def _duplicate(far):
+    def fault(arcs, i, n, rng):
+        arcs.insert(len(arcs) if far else i + 1, list(arcs[i]))
+    return fault
+
+
+TYPE_FAULTS = {
+    "bool": _set_id(lambda arc, n, rng: rng.random() < 0.5),
+    "float": _set_id(lambda arc, n, rng: rng.choice([float(arc[0]), 0.5])),
+    "string": _set_id(lambda arc, n, rng: str(arc[0])),
+    "null": _set_id(lambda arc, n, rng: None),
+    "nested list": _set_id(lambda arc, n, rng: [arc[0]]),
+    "length 1": _set_arc(lambda arc, n, rng: arc[:1]),
+    "length 3": _set_arc(lambda arc, n, rng: [*arc, arc[0]]),
+    "not a list": _set_arc(lambda arc, n, rng: rng.choice([tuple(arc), arc[0], "0,1", {"u": 0}])),
+}
+ARC_FAULTS = {
+    "negative id": _set_id(lambda arc, n, rng: -1 - rng.randrange(3)),
+    "id == n": _set_id(lambda arc, n, rng: n),
+    "self-loop": _set_arc(lambda arc, n, rng: [arc[0], arc[0]]),
+    "adjacent duplicate": _duplicate(far=False),
+    "far duplicate": _duplicate(far=True),
+}
+FAULTS = {**TYPE_FAULTS, **ARC_FAULTS}
+
+
+def _faulty_doc(rng: random.Random, case: int, kinds: list[str]) -> tuple[dict, list[int]]:
+    """A document with one fault of each kind in ``kinds``, at increasing
+    arc indices (faults that insert an arc shift the later ones right)."""
+    while True:
+        obj = _doc(rng, case)
+        if len(obj["arcs"]) >= len(kinds) + 1:
+            break
+        case += 1_000_000
+    arcs, n = obj["arcs"], obj["n"]
+    at = sorted(rng.sample(range(len(arcs)), len(kinds)))
+    for kind, i in reversed(list(zip(kinds, at))):  # the last first keeps the indices
+        FAULTS[kind](arcs, i, n, rng)
+    return obj, at
+
+
+class TestAgainstPerArcLoader:
+    def test_valid_documents(self):
+        rng = random.Random(4_101)
+        seen = Counter()
+        for case in range(400):
+            obj = _doc(rng, case)
+            assert _check(obj)[0] == "built"
+            seen["2-cycles"] += any([v, u] in obj["arcs"] for u, v in obj["arcs"])
+        for n in (0, 1, 3):
+            assert _check({"n": n, "arcs": []})[0] == "built"
+        assert _check({"n": 2, "arcs": [[0, 1], [1, 0]], "parts": [[0], [1]]})[0] == "built"
+        assert _check({"n": 3, "arcs": [[Id(0), Id(2)], [2, 1]]})[0] == "built"
+        assert seen["2-cycles"] >= 150, seen
+
+    def test_large_semicomplete_document(self):
+        obj = digraph_to_obj(random_semicomplete(500, 0.2, 4_102))
+        random.Random(4_103).shuffle(obj["arcs"])
+        assert len(obj["arcs"]) > 130_000
+        assert _check(obj)[0] == "built"
+        rng = random.Random(4_104)
+        for kind in ("bool", "self-loop", "far duplicate"):
+            faulty = {"n": obj["n"], "arcs": [list(a) for a in obj["arcs"]]}
+            FAULTS[kind](faulty["arcs"], 100_000 + rng.randrange(20_000), faulty["n"], rng)
+            assert _check(faulty)[0] == "error"
+
+    def test_one_fault(self):
+        rng = random.Random(4_105)
+        seen = Counter()
+        for case in range(1_300):
+            kind = rng.choice(sorted(FAULTS))
+            obj, (i,) = _faulty_doc(rng, 420_000 + case, [kind])
+            got = _check(obj)
+            assert got[:2] == ("error", FormatError), (kind, obj)
+            if kind in TYPE_FAULTS:
+                assert f"'arcs[{i}]'" in got[2], (kind, got)
+            seen[kind] += 1
+        assert min(seen[kind] for kind in FAULTS) >= 70, seen
+
+    def test_two_faults_report_the_first(self):
+        rng = random.Random(4_106)
+        seen = Counter()
+        for case in range(700):
+            kinds = [rng.choice(sorted(FAULTS)) for _ in range(2)]
+            obj, (i, j) = _faulty_doc(rng, 430_000 + case, kinds)
+            got = _check(obj)
+            assert got[:2] == ("error", FormatError), (kinds, obj)
+            if kinds[0] in TYPE_FAULTS:
+                assert f"'arcs[{i}]'" in got[2], (kinds, got)
+            seen[kinds[0]] += 1
+        assert min(seen[kind] for kind in FAULTS) >= 30, seen
+
+
+class TestFromArcs:
+    """``Digraph.from_arcs`` on inputs no JSON document holds: tuples, sets,
+    iterators, bools and junk values, with the identical outcome."""
+
+    CASES = [
+        (3, [(0, 1), (1, 2), (2, 0)]),
+        (3, {(0, 1), (1, 0)}),
+        (4, [(u, u + 1) for u in range(3)]),
+        (3, [(True, 2), (0, 1)]),
+        (3, [(True, 1)]),
+        (3, [(0, 1), (False, 1)]),
+        (3, [(0, 1.5)]),
+        (3, [(0, 0), (0, 1.5)]),
+        (3, [(0, 1), (1, 2, 0)]),
+        (3, [(1, 2), ("a", "b")]),
+        (3, [(1, 2), (0,)]),
+        (3, [(0, 3), (1, 1)]),
+        (3, [(1, 1), (0, 3)]),
+        (3, [(2, 0), (2, 0), (1, 1)]),
+        (0, []),
+        (-1, []),
+    ]
+
+    @pytest.mark.parametrize("n, arcs", CASES)
+    def test_same_outcome(self, n, arcs):
+        arcs = list(arcs)
+        got, d = _outcome(lambda: (Digraph.from_arcs(n, iter(arcs)), None))
+        want, _ = _outcome(lambda: (ref_from_arcs(n, arcs), None))
+        assert got == want
+        if d is not None:
+            assert_in_masks_transpose(d)
+
+
+class TestParseJson:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_collector_state_is_restored(self, enabled, valid):
+        text = '{"n": 2, "arcs": [[0, 1]]}' if valid else '{"n": 2, "arcs": [[0, 1]'
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if valid:
+                assert parse_json(text, "doc.json") == json.loads(text)
+            else:
+                with pytest.raises(FormatError, match="^doc.json: line 1 column ") as info:
+                    parse_json(text, "doc.json")
+                assert isinstance(info.value.__cause__, json.JSONDecodeError)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()

@@ -18,6 +18,7 @@ from klinkage import (
     verify_short_anchor,
 )
 from klinkage.errors import (
+    InputError,
     NotStrongError,
     PreconditionViolatedError,
     ThresholdUnreachableError,
@@ -74,6 +75,15 @@ class TestIndependentShortPaths:
             inner = set(p[1:-1])
             assert not inner & seen
             seen |= inner
+
+    @pytest.mark.parametrize("u, v", [(0, 9), (0, -1), (9, 0), (-1, 0), (0, 2), (2, 1)])
+    def test_ids_not_in_the_digraph(self, u, v):
+        # 9 and -1 are out of range, 2 is deleted
+        d = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).delete([2])
+        with pytest.raises(InputError, match="not in digraph"):
+            independent_short_paths(d, u, v, 2, 3)
+        with pytest.raises(InputError, match="not in digraph"):
+            independent_short_paths(d, u, v, 2, 0)
 
     def test_no_path_longer_than_l_plus_one(self):
         # l = 0 admits only the direct arcs, l = -1 no path at all
