@@ -2,18 +2,17 @@
 
 Local connectivity is unit-capacity max flow on the vertex-split network
 (the bitset kernel in ``_kernel``).  The set-to-set routines run a
-successive-shortest-path min-cost flow with unit vertex costs and
-Dijkstra potentials (Suurballe & Tarjan, Networks 1984), whose searches
-run on a bucket queue of node masks (Dial, CACM 1969), so the
-minimum-total-vertex variant needed by the linkage pipelines is exact, and
-the plain variant is deterministic.  That network is not built either: its
-edges are generated from the Digraph's masks during each search, and the
-flow is kept as per-vertex state.  Approximation is never used: callers
-consume exact minimality.
+successive-shortest-path min-cost flow with unit vertex costs and Dijkstra
+potentials (Suurballe & Tarjan, Networks 1984) on that network, which is
+never built: each search reads its edges off the Digraph's masks and
+settles node masks, bucket by bucket (Dial, CACM 1969), in the order of a
+per-node heap (see ``_SplitFlow``).  So the minimum-total-vertex variant
+the linkage pipelines need is exact and the plain variant deterministic.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from . import _kernel
@@ -115,28 +114,40 @@ def kappa(d: Digraph) -> int:
 
 
 def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):
+    """The groups' masks; no group repeats a vertex (``avoid`` may) or shares one."""
     masks = []
     for name, vs in groups:
         m = 0
         for v in vs:
             if not d.has_vertex(v):
                 raise VertexOutOfRangeError(f"{name} vertex {v} not in digraph")
+            if m >> v & 1 and name != "avoid":
+                raise InputError(f"{name} repeats vertex {v}")
             m |= 1 << v
         masks.append(m)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                shared = next(iter_bits(masks[i] & masks[j]))
-                raise SetOverlapError(
-                    f"{groups[i][0]} and {groups[j][0]} share vertex {shared}"
-                )
+    for i, j in combinations(range(len(masks)), 2):
+        if masks[i] & masks[j]:
+            shared = next(iter_bits(masks[i] & masks[j]))
+            raise SetOverlapError(f"{groups[i][0]} and {groups[j][0]} share vertex {shared}")
     return masks
 
 
 # -- min-cost flow on the split network, read off the masks ----------------
 
 
-_INF = float("inf")
+def _relax(buckets: list[int], log: list, cur: int, nd: int, mask: int, improver: int) -> None:
+    """Strict relaxation to ``nd`` of the unsettled nodes in ``mask``: those
+    that no bucket in [cur, nd] holds are queued at nd and logged."""
+    for queued in buckets[cur:nd + 1]:
+        mask &= ~queued
+    if mask:
+        buckets.extend([0] * (nd + 1 - len(buckets)))
+        buckets[nd] |= mask
+        log.append((improver, mask))
+
+
+def _pot_of(pot: list[tuple[int, int]], node: int) -> int:
+    return next(p for p, m in pot if m >> node & 1)
 
 
 class _SplitFlow:
@@ -150,127 +161,122 @@ class _SplitFlow:
     ``used`` has the vertices whose split edge carries it, ``succ`` / ``pred``
     the head / tail of the arc that carries it out of / into each vertex,
     ``src_used`` / ``sink_used`` the X / Y vertices whose terminal edge does.
+    ``pot`` maps each potential to the mask of the nodes that have it.
+
+    A search settles masks but matches a heap on (distance, node id) with
+    strict relaxation, which pops a bucket's entries, then its exits, then
+    the source and the sink:
+    - Entries lead only to exits, and an exit has one in-neighbour: the
+      entry of its vertex if that is open, else the entry of its flow
+      successor, or the sink for a used sink.  So a bucket's entries settle
+      together in any order, relaxing split edges per pair of classes.
+    - An exit of class p at distance cur improves no entry once every
+      unsettled entry, of class q say, is queued at or below cur + p - q,
+      and that stays so in the bucket.  Such idle exits settle together in
+      any order, unless they carry flow or end at an open sink.  The other
+      exits pop one at a time, lowest id first (``_relax_exit``).
+    - A node's predecessor is its last improver, which improved it after
+      its own last improvement: the search logs (improver, improved mask),
+      and one backward scan of the log reads the sink's path.
     """
 
     def __init__(self, d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
-        n = d.n
-        self.out = d._out
-        self.n = n
-        self.sources = sources
-        self.sinks = sinks
-        self.avoid = avoid_mask
-        self.pot = [0] * (2 * n + 2)
-        self.used = 0
-        self.succ = [-1] * n
-        self.pred = [-1] * n
-        self.src_used = 0
-        self.sink_used = 0
-        self.seen_in = self.seen_out = 0
+        n = self.n = d.n
+        self.out, self.alive, self.avoid = d._out, d._alive, avoid_mask
+        self.source_mask, self.sink_mask = mask_of(sources), mask_of(sinks)
+        self.pot = {0: (1 << (2 * n + 2)) - 1}
+        self.succ, self.pred = [-1] * n, [-1] * n
+        self.used = self.src_used = self.sink_used = self.seen_in = self.seen_out = 0
 
     def _shortest(self):
         """Dijkstra from the source under reduced costs, run to exhaustion.
 
-        Reduced costs are non-negative integers, so the queue is a list of
-        buckets indexed by distance (Dial 1969), each a mask of nodes.  The
-        next node is the lowest bit of the lowest non-empty bucket: the
-        (distance, node) order of a binary heap with strict relaxation.  As
-        in a heap, an improved node is queued again and its old entry is
-        skipped when popped.  An edge into a settled node never relaxes it,
-        so arcs into settled entries are not generated, nor is any reverse
-        source edge (the source is settled first).  Arcs out of exit(x) are
-        relaxed one potential class at a time: the entries of a class share
-        one tentative distance nd, and the improved ones are those not
-        queued in a bucket at or below nd.  Returns dist, the predecessor
-        node of each reached node and the masks of the vertices whose entry
-        / exit node was reached.
+        Returns the sink's distance (None if unreached), the (distance, nodes
+        settled there) levels, the log and the mask of settled nodes.
         """
-        n, out, pot, pred = self.n, self.out, self.pot, self.pred
-        used, closed = self.used, self.avoid | self.used
-        src_used, sink_used = self.src_used, self.sink_used
-        sink_open = mask_of(self.sinks) & ~sink_used
+        n, pred, used = self.n, self.pred, self.used
+        full = (1 << n) - 1
         src, snk = 2 * n, 2 * n + 1
-        classes: dict[int, int] = {}  # potential -> mask of entry nodes
-        for w in range(n):
-            classes[pot[w]] = classes.get(pot[w], 0) | 1 << w
-        dist = [_INF] * (2 * n + 2)
-        prev = [-1] * (2 * n + 2)
-        dist[src] = 0
-        buckets = [1 << src]
-        cur = 0
-        seen_in = seen_out = 0
+        pot = list(self.pot.items())
+        open_ = full & ~(self.avoid | used)
+        single = used | self.sink_mask & ~self.sink_used
+        buckets: list[int] = []
+        log = []  # (improver, improved mask); improver -1: entry(v) for exit(v)
+        for q, m in pot:
+            _relax(buckets, log, 0, _pot_of(pot, src) - q,
+                   self.source_mask & ~self.src_used & m, src)
+        settled, levels, top, cur = 1 << src, [(0, 1 << src)], None, -1
+        while cur + 1 < len(buckets):
+            cur += 1
+            before = settled
+            while live := buckets[cur] & ~settled:
+                if ent := live & full:
+                    settled |= ent
+                    for p, m in pot:
+                        split = ent & open_ & m
+                        for q, mq in pot:
+                            if hit := split & mq >> n:
+                                _relax(buckets, log, cur, cur + p + 1 - q, hit << n, -1)
+                    for u in iter_bits(ent & used):
+                        if pred[u] >= 0:  # reverse flow arc entry(u) -> exit(pred[u])
+                            x = pred[u] + n
+                            nd = cur + _pot_of(pot, u) - _pot_of(pot, x)
+                            _relax(buckets, log, cur, nd, 1 << x, u)
+                elif exits := live >> n & full:
+                    # exits of a class p >= bar are idle: each waiting entry
+                    # of class q is queued at or below cur + bar - q
+                    waiting, bar = self.alive & ~settled, -1 << n
+                    for q, mq in pot:
+                        rest, k = waiting & mq, cur
+                        while rest and k < len(buckets):
+                            rest &= ~buckets[k]
+                            k += 1
+                        if rest:
+                            break
+                        if k > cur:
+                            bar = max(bar, q + k - 1 - cur)
+                    else:
+                        idle = exits & ~single & sum(m for p, m in pot if p >= bar) >> n
+                        exits ^= idle
+                        settled |= idle << n
+                    if exits:
+                        x = (exits & -exits).bit_length() - 1
+                        settled |= 1 << (x + n)
+                        self._relax_exit(x, cur, settled, buckets, pot, log)
+                else:  # the sink (the source was settled first)
+                    settled |= 1 << snk
+                    top = cur
+                    for q, m in pot:  # reverse sink edges
+                        nd = cur + _pot_of(pot, snk) - q
+                        _relax(buckets, log, cur, nd, self.sink_used << n & m, snk)
+            if settled != before:
+                levels.append((cur, settled & ~before))
+        return top, levels, log, settled
 
-        def relax(w, nd, u):
-            if nd < dist[w]:
-                if nd >= len(buckets):
-                    buckets.extend([0] * (nd + 1 - len(buckets)))
-                buckets[nd] |= 1 << w
-                dist[w] = nd
-                prev[w] = u
+    def _relax_exit(self, x: int, cur: int, settled: int, buckets: list[int], pot, log) -> None:
+        """Relax the edges out of exit(x), popped alone at distance ``cur``."""
+        u, snk = x + self.n, 2 * self.n + 1
+        base = cur + _pot_of(pot, u)
+        if self.used >> x & 1:  # reverse split edge
+            _relax(buckets, log, cur, base - 1 - _pot_of(pot, x), 1 << x & ~settled, u)
+        if (self.sink_mask & ~self.sink_used) >> x & 1:
+            _relax(buckets, log, cur, base - _pot_of(pot, snk), 1 << snk & ~settled, u)
+        rest = self.out[x] & ~settled
+        for q, m in pot:
+            if rest & m:
+                _relax(buckets, log, cur, base - q, rest & m, u)
 
-        while True:
-            while cur < len(buckets) and not buckets[cur]:
-                cur += 1
-            if cur == len(buckets):
-                break
-            low = buckets[cur] & -buckets[cur]
-            buckets[cur] ^= low
-            u = low.bit_length() - 1
-            if dist[u] < cur:  # improved after it was queued here
-                continue
-            base = cur + pot[u]
-            if u < n:  # entry(u): split edge, reverse flow arc
-                seen_in |= low
-                if not closed >> u & 1:
-                    relax(u + n, base + 1 - pot[u + n], u)
-                if pred[u] >= 0:
-                    relax(pred[u] + n, base - pot[pred[u] + n], u)
-            elif u < src:  # exit(x): reverse split edge, arcs, sink edge
-                x = u - n
-                seen_out |= 1 << x
-                if used >> x & 1:
-                    relax(x, base - 1 - pot[x], u)
-                if sink_open >> x & 1:
-                    relax(snk, base - pot[snk], u)
-                rest = out[x] & ~seen_in
-                for p, members in classes.items():
-                    hit = rest & members
-                    if not hit:
-                        continue
-                    rest ^= hit
-                    nd = base - p
-                    for queued in buckets[cur:nd + 1]:
-                        hit &= ~queued
-                    if hit:
-                        if nd >= len(buckets):
-                            buckets.extend([0] * (nd + 1 - len(buckets)))
-                        buckets[nd] |= hit
-                        while hit:
-                            bit = hit & -hit
-                            hit ^= bit
-                            w = bit.bit_length() - 1
-                            dist[w] = nd
-                            prev[w] = u
-                    if not rest:
-                        break
-            elif u == src:
-                for x in self.sources:
-                    if not src_used >> x & 1:
-                        relax(x, base - pot[x], u)
-            else:  # reverse sink edges
-                for y in self.sinks:
-                    if sink_used >> y & 1:
-                        relax(y + n, base - pot[y + n], u)
-        return dist, prev, seen_in, seen_out
-
-    def _augment(self, prev) -> None:
-        """Push one unit back along the predecessor chain from the sink."""
+    def _augment(self, log) -> None:
+        """Push one unit along the sink's path, scanning the log backwards."""
         n, succ, pred = self.n, self.succ, self.pred
-        src = 2 * n
-        w = 2 * n + 1
-        u = prev[w]
-        self.sink_used |= 1 << (u - n)
-        while u != src:
-            w, u = u, prev[u]
+        src, path = 2 * n, [2 * n + 1]
+        for u, hit in reversed(log):
+            if hit >> path[-1] & 1:
+                path.append(path[-1] - n if u < 0 else u)
+                if u == src:
+                    break
+        self.sink_used |= 1 << (path[1] - n)
+        for w, u in zip(path[1:], path[2:]):
             if u == src:
                 self.src_used |= 1 << w
             elif u < n:  # entry(u) -> exit(x): split edge or reverse arc x -> u
@@ -293,20 +299,20 @@ class _SplitFlow:
 
     def run(self, want: int) -> int:
         """Push up to ``want`` units; returns the flow."""
-        snk = 2 * self.n + 1
-        pot = self.pot
-        flow = 0
-        while flow < want:
-            dist, prev, self.seen_in, self.seen_out = self._shortest()
-            if dist[snk] == _INF:
-                break
-            top = dist[snk]
-            for w, dw in enumerate(dist):
-                if dw < _INF:
-                    pot[w] += dw - top
-            self._augment(prev)
-            flow += 1
-        return flow
+        full = (1 << self.n) - 1
+        for flow in range(want):
+            top, levels, log, settled = self._shortest()
+            self.seen_in, self.seen_out = settled & full, settled >> self.n & full
+            if top is None:
+                return flow
+            pot: dict[int, int] = {}
+            for p, m in self.pot.items():  # a reached node moves by dist - top
+                for dist, level in levels + [(top, ~settled)]:
+                    if m & level:
+                        pot[p + dist - top] = pot.get(p + dist - top, 0) | m & level
+            self.pot = pot
+            self._augment(log)
+        return want
 
     def separator(self) -> tuple[int, ...]:
         """After a run that fell short: the vertices of the residual cut.
@@ -316,16 +322,12 @@ class _SplitFlow:
         used source edge enters it from outside.  A used sink edge never
         leaves it: exit(y) is then entered only by its full split edge.
         """
-        return tuple(iter_bits(
-            self.seen_in & ~self.seen_out | self.src_used & ~self.seen_in
-        ))
+        return tuple(iter_bits(self.seen_in & ~self.seen_out | self.src_used & ~self.seen_in))
 
     def paths(self) -> list[tuple[int, ...]]:
-        """Decompose the flow into vertex-disjoint paths, in source order."""
+        """Decompose the flow into vertex-disjoint paths, by ascending source."""
         paths = []
-        for u in self.sources:
-            if not self.src_used >> u & 1:
-                continue
+        for u in iter_bits(self.src_used):
             path = [u]
             while not self.sink_used >> path[-1] & 1:
                 nxt = self.succ[path[-1]]
@@ -350,8 +352,7 @@ def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: 
             raise AssertionError("non-avoided separator part must match max flow")
         return Infeasible(separator=sep)
     raw = net.paths()
-    pairing = tuple((p[0], p[-1]) for p in raw)
-    return PathSystem(tuple(raw), pairing, provenance)
+    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw), provenance)
 
 
 def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],
@@ -383,9 +384,7 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
     _validate_sets(d, [("U", us), ("Y", ys), ("avoid", avoid)])
     result = _solve_menger(d, sorted(us), sorted(ys), mask_of(avoid), "min-vertex-menger")
     if isinstance(result, PathSystem):
-        uset = set(us)
-        for p in result.paths:
-            bad = uset.intersection(p[1:])
-            if bad:
-                raise AssertionError(f"minimum system revisits start set at {sorted(bad)}")
+        bad = sorted(set(us).intersection(v for p in result.paths for v in p[1:]))
+        if bad:
+            raise AssertionError(f"minimum system revisits start set at {bad}")
     return result

@@ -12,7 +12,9 @@ from klinkage import (
     min_vertex_menger,
 )
 from klinkage.acceptance import brute_kappa, brute_local_connectivity, brute_min_total_vertices
+from klinkage import connectivity
 from klinkage.connectivity import _pivot_pairs
+from klinkage.digraph import iter_bits, mask_of
 from klinkage.errors import InputError, SameVertexError, SetOverlapError, SizeMismatchError
 from klinkage.generators import (
     SplitMix64,
@@ -24,6 +26,7 @@ from klinkage.generators import (
 
 import ref_flow
 import ref_menger
+import ref_split_flow
 from conftest import digraphs
 
 
@@ -293,6 +296,145 @@ class TestMengerAgainstReference:
             assert isinstance(got, PathSystem) and isinstance(got_min, PathSystem)
 
 
+def _expand_pot(pot, size):
+    """The potentials as one list: the oracle's list, or the class masks spread out."""
+    if isinstance(pot, list):
+        return pot
+    out = [None] * size
+    for p, m in pot.items():
+        for v in iter_bits(m):
+            assert out[v] is None, f"node {v} in two potential classes"
+            out[v] = p
+    assert None not in out, "the classes do not cover the nodes"
+    return out
+
+
+def _run_by_search(cls, d, sources, sinks, avoid_mask):
+    """Run one split-flow network of ``cls``; return its result and, search by
+    search, the reached masks and the potentials left after each augmentation."""
+    net = cls(d, sources, sinks, avoid_mask)
+    steps = []
+    augment = net._augment
+
+    def record(log):
+        augment(log)
+        steps.append((net.seen_in, net.seen_out, list(_expand_pot(net.pot, 2 * d.n + 2))))
+
+    net._augment = record
+    flow = net.run(len(sinks))
+    steps.append((net.seen_in, net.seen_out))
+    return flow, steps, (net.separator() if flow < len(sinks) else net.paths()), net
+
+
+class _SearchProbe:
+    """Watches ``_SplitFlow`` searches through ``_shortest`` and ``_relax_exit``.
+
+    ``singles`` holds the number of exits each search handled one at a time.
+    ``mixed`` counts the searches in which an idle batch settled while an exit
+    that carries flow or ends at an open sink was still queued in the bucket.
+    An exit is queued exactly once, so a batch shows at the next single pop
+    as exits of the bucket that were settled but not popped; only batches
+    between two pops of one bucket are counted, with an exit queued at the
+    first pop and not settled before the second.
+    """
+
+    def __init__(self, monkeypatch):
+        self.singles, self.mixed = [], 0
+        flow_cls = connectivity._SplitFlow
+        shortest, relax_exit = flow_cls._shortest, flow_cls._relax_exit
+        probe = self
+
+        def traced_shortest(net):
+            probe.singles.append(0)
+            probe.popped = probe.batched = probe.before = 0
+            probe.cur, probe.mixed_here = None, False
+            result = shortest(net)
+            probe.mixed += probe.mixed_here
+            return result
+
+        def traced_relax_exit(net, x, cur, settled, buckets, pot, log):
+            n = net.n
+            probe.singles[-1] += 1
+            probe.popped |= 1 << x
+            queued = buckets[cur] >> n & (1 << n) - 1
+            batch = queued & settled >> n & ~probe.popped & ~probe.batched
+            probe.batched |= batch
+            still = (queued & ~(settled >> n) | 1 << x) & probe.before if probe.cur == cur else 0
+            special = net.used | net.sink_mask & ~net.sink_used
+            probe.mixed_here |= bool(batch and still & special)
+            probe.cur, probe.before = cur, queued & ~(settled >> n)
+            return relax_exit(net, x, cur, settled, buckets, pot, log)
+
+        monkeypatch.setattr(flow_cls, "_shortest", traced_shortest)
+        monkeypatch.setattr(flow_cls, "_relax_exit", traced_relax_exit)
+
+
+def _sc_large_shape(seed):
+    """random_semicomplete(500, 0.2) with the sc-large pipeline's Menger call:
+    |U| = 9, |Y| = 3 and the 6 terminals of the other pairs avoided."""
+    d = random_semicomplete(500, 0.2, seed)
+    vs = SplitMix64(seed).sample(list(d.vertices()), 18)
+    return d, sorted(vs[:9]), sorted(vs[9:12]), mask_of(vs[12:])
+
+
+class TestSplitFlowAgainstPerNodeSearch:
+    """The mask-settling search against the per-node Dial search in
+    ref_split_flow, search by search: reached masks, potentials, result."""
+
+    @staticmethod
+    def _check(d, sources, sinks, avoid_mask):
+        got = _run_by_search(connectivity._SplitFlow, d, sources, sinks, avoid_mask)
+        want = _run_by_search(ref_split_flow._SplitFlow, d, sources, sinks, avoid_mask)
+        assert got[:3] == want[:3], (sources, sinks, avoid_mask)
+        return got
+
+    def test_random_digraphs_with_deletions(self, monkeypatch):
+        probe = _SearchProbe(monkeypatch)
+        rng = SplitMix64(2_031)
+        infeasible = 0
+        for trial in range(1_200):
+            n = 2 + rng.randrange(15)
+            d = random_digraph(n, 80_000 + trial, 1 + rng.randrange(9))
+            d = d.delete([v for v in range(n) if rng.randrange(5) == 0][: n - 2])
+            xs, ys, us, avoid = _menger_sets(list(d.vertices()), rng)
+            for sources in (sorted(xs), sorted(xs + us)):
+                flow, *_ = self._check(d, sources, sorted(ys), mask_of(avoid))
+                infeasible += flow < len(ys)
+        # measured 893 infeasible runs and 824 mixed searches of 4,967
+        assert infeasible >= 700 and probe.mixed >= 600, (infeasible, probe.mixed)
+
+    def test_sparse_with_many_potential_classes(self):
+        rng = SplitMix64(2_032)
+        many = 0
+        for trial in range(300):
+            n = 30 + rng.randrange(31)
+            d = random_digraph(n, 90_000 + trial, 1 + rng.randrange(3))
+            d = d.delete([v for v in range(n) if rng.randrange(8) == 0])
+            k = 1 + rng.randrange(6)
+            vs = rng.sample(list(d.vertices()), 2 * k + 10)
+            sources = sorted(vs[:k] + vs[2 * k:2 * k + rng.randrange(8)])
+            avoid = vs[2 * k + 8:2 * k + 8 + rng.randrange(3)]
+            net = self._check(d, sources, sorted(vs[k:2 * k]), mask_of(avoid))[3]
+            many += len(net.pot) >= 3
+        # measured: all 300 runs end with 3 to 8 potential classes
+        assert many >= 250, many
+
+    def test_sc_large_shape(self, monkeypatch):
+        probe = _SearchProbe(monkeypatch)
+        for seed in range(31, 35):
+            self._check(*_sc_large_shape(seed))
+        # measured 8 mixed searches of 12
+        assert probe.mixed >= 6, probe.mixed
+
+
+def test_sc_large_search_settles_most_exits_in_batches(monkeypatch):
+    # measured 13, 19 and 16; the per-node search pops all 494 reached exits
+    probe = _SearchProbe(monkeypatch)
+    d, us, ys, avoid_mask = _sc_large_shape(29)
+    assert isinstance(min_vertex_menger(d, us, ys, iter_bits(avoid_mask)), PathSystem)
+    assert len(probe.singles) == 3 and max(probe.singles) < 60, probe.singles
+
+
 @pytest.fixture()
 def nx():
     return pytest.importorskip("networkx")
@@ -388,6 +530,18 @@ class TestMengerSetPaths:
         with pytest.raises(SetOverlapError):
             menger_set_paths(complete(4), [0, 1], [1, 2])
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([1, 1], [2, 3], "X repeats vertex 1"),  # was Infeasible(separator=(1,))
+        ([1, 2], [3, 3], "Y repeats vertex 3"),  # was Infeasible(separator=(3,))
+    ])
+    def test_repeated_vertex_rejected(self, xs, ys, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            menger_set_paths(random_tournament(8, 1), xs, ys)
+
+    def test_repeated_avoid_vertex_allowed(self):
+        d = build_digraph(3, [(0, 1), (1, 2)])
+        assert menger_set_paths(d, [0], [2], avoid=[1, 1]) == Infeasible(separator=(1,))
+
     def test_system_size_matches_exhaustive_feasibility(self):
         for trial in range(30):
             d = random_digraph(8, 5_000 + trial, 4)
@@ -441,6 +595,18 @@ class TestMinVertexMenger:
     def test_direct_arcs_total(self):
         got = min_vertex_menger(complete(6), [0, 1, 2], [3, 4])
         assert got.total_vertices() == 4
+
+    @pytest.mark.parametrize("us, ys, message", [
+        ([0, 1, 0], [3, 4], "U repeats vertex 0"),  # was three paths for two sinks
+        ([0, 1, 2], [4, 4], "Y repeats vertex 4"),  # was Infeasible(separator=(4,))
+    ])
+    def test_repeated_vertex_rejected(self, us, ys, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            min_vertex_menger(random_tournament(8, 1), us, ys)
+
+    def test_repeated_avoid_vertex_allowed(self):
+        got = min_vertex_menger(complete(6), [0, 1], [2], avoid=[3, 3])
+        assert got == min_vertex_menger(complete(6), [0, 1], [2], avoid=[3])
 
     def test_forced_intermediate_total(self):
         d = build_digraph(5, [(0, 2), (1, 4), (4, 3)])
