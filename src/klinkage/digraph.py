@@ -15,7 +15,7 @@ threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -56,6 +56,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is 1 when bit i of ``mask`` is set, else 0: the selectors
+    that make ``compress(masks, _flags(alive))`` the rows of ``alive``."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -173,7 +182,7 @@ class Digraph:
         return self._in[v].bit_count()
 
     def min_out_degree(self) -> int:
-        return min(self._out[v].bit_count() for v in self.vertices())
+        return min(map(int.bit_count, compress(self._out, _flags(self._alive))))
 
     @property
     def num_arcs(self) -> int:
@@ -329,12 +338,19 @@ def delete(d: Digraph, drop: Iterable[int]) -> Digraph:
 
 def is_semicomplete(d: Digraph) -> bool:
     """True iff every pair of distinct alive vertices is joined by an arc."""
-    alive = d.alive_mask
-    for v in d.vertices():
-        others = alive & ~(1 << v)
-        if (d.out_mask(v) | d.in_mask(v)) & others != others:
-            return False
-    return True
+    return _is_semicomplete_on(d, d._alive)
+
+
+def _is_semicomplete_on(d: Digraph, alive: int) -> bool:
+    """Semicompleteness of d restricted to the vertex mask ``alive``.
+
+    No row holds its own vertex, so each of the |alive| rows of
+    ``(out | in) & alive`` has at most |alive| - 1 bits, and their total
+    reaches |alive| * (|alive| - 1) exactly when every row is full.
+    """
+    flags, count = _flags(alive), alive.bit_count()
+    rows = map(int.__or__, compress(d._out, flags), compress(d._in, flags))
+    return sum(map(int.bit_count, map(alive.__and__, rows))) == count * (count - 1)
 
 
 def is_tournament(d: Digraph) -> bool:

@@ -8,23 +8,29 @@ nearly in-dominating when for every c at most 2c vertices fail to be
 c-good for it; every semicomplete digraph has one, and a maximum-in-degree
 vertex of any spanning tournament always works.
 
-The selection and the set-level check work on the digraph's masks: the
-selection builds no tournament, and the set-level check builds no
-subdigraph.  The tournament is the deterministic one of
+The selection and the set-level check work on the digraph's masks and
+build no subdigraph.  The tournament is the deterministic one of
 ``digraph.spanning_tournament`` (the arc from the larger to the smaller id
-of each 2-cycle goes), so v's in-degree in it, restricted to the vertex
-mask ``alive``, is ``popcount(in[v] & alive & (below(v) | ~out[v]))`` with
-``below(v) = (1 << v) - 1``.  Removing a vertex u lowers by one the
-in-degree of each vertex of its tournament out-mask
-``out[u] & ~(in[u] & below(u)) & alive`` and of no other, so a set of m
-vertices costs one degree count and m mask walks.
+of each 2-cycle goes), so v's in-mask in it, restricted to the vertex mask
+``alive``, is ``tin(v) = in[v] & alive & ~(out[v] >> v << v)``: v loses
+the in-arcs from the larger ids it also points to.  Removing a set T
+lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the in-degrees
+are counted once, and each pick scans the vertices ranked by that first
+count and stops at the first one whose first count is below the best
+degree found: a set of m vertices costs one degree count, one sort and m
+short scans.  The set check reads each width as one popcount and sorts
+them; more than 2c widths lie below c exactly when the sorted width at
+index 2c does, so the sweep over c is one comparison per even index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
-from .digraph import Digraph, is_semicomplete, is_tournament, iter_bits, mask_of
+from .digraph import (Digraph, _flags, _is_semicomplete_on, is_semicomplete, is_tournament,
+                      iter_bits, mask_of)
 from .errors import (
     InputError,
     NotSemicompleteError,
@@ -92,20 +98,32 @@ def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
     return GoodnessProfile(u, widths, dominators)
 
 
-def _tournament_in_degrees(d: Digraph, alive: int) -> dict[int, int]:
-    """In-degree of each vertex of ``alive`` in the spanning tournament of
-    d restricted to ``alive``, keyed in ascending vertex order."""
-    out, inc = d._out, d._in
-    return {
-        v: (inc[v] & alive & (((1 << v) - 1) | ~out[v])).bit_count()
-        for v in iter_bits(alive)
-    }
-
-
-def _max_in_degree(degrees: dict[int, int]) -> int:
-    """The vertex of largest in-degree, ties to the smallest id (``max``
-    keeps the first of equal keys, and the keys ascend)."""
-    return max(degrees, key=degrees.__getitem__)
+def _ranked_picks(d: Digraph, alive: int, m: int) -> list[int]:
+    """m maximum-in-degree picks, ties to the smallest id, from the spanning
+    tournament of d on ``alive`` minus the earlier picks.  Each scan of the
+    ranking stops below the best degree: no later degree can reach it."""
+    flags = _flags(alive)
+    ids = list(compress(range(d.n), flags))
+    tins = [
+        i & alive & ~(o >> v << v)
+        for v, o, i in zip(ids, compress(d._out, flags), compress(d._in, flags))
+    ]
+    ranked = sorted(zip(map(int.bit_count, tins), ids, tins), key=itemgetter(0), reverse=True)
+    taken = 0
+    chosen: list[int] = []
+    for _ in range(m):
+        best, pick = -1, -1
+        for first, v, tin in ranked:
+            if first < best:
+                break
+            if taken >> v & 1:
+                continue
+            degree = first - (tin & taken).bit_count()
+            if degree > best or (degree == best and v < pick):
+                best, pick = degree, v
+        chosen.append(pick)
+        taken |= 1 << pick
+    return chosen
 
 
 def nearly_in_dominating_vertex(d: Digraph) -> int:
@@ -119,7 +137,7 @@ def nearly_in_dominating_vertex(d: Digraph) -> int:
         raise TooFewVerticesError("empty digraph")
     if not is_semicomplete(d):
         raise NotSemicompleteError("nearly in-dominating selection needs a semicomplete digraph")
-    return _max_in_degree(_tournament_in_degrees(d, d.alive_mask))
+    return _ranked_picks(d, d.alive_mask, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -167,8 +185,12 @@ def verify_nearly_in_dominating_set(d: Digraph, xs, ys, us, c_max: int) -> bool:
     Every u must be a vertex of d minus X and Y.  In that subdigraph the
     width of (v, u) is ``(out[v] & in[u] & alive).bit_count()``, and the
     vertices that can fail are those of ``alive`` outside U that do not
-    dominate u.
+    dominate u.  With the widths sorted, more than 2c of them lie below c
+    exactly when the one at index 2c does.  An empty sweep (``c_max`` < 1)
+    would pass vacuously, so it is rejected.
     """
+    if c_max < 1:
+        raise InputError(f"c_max must be at least 1, got {c_max}")
     alive = d.alive_mask & ~d._check_vertices([*xs, *ys])
     out, inc = d._out, d._in
     u_mask = mask_of(us)
@@ -176,17 +198,10 @@ def verify_nearly_in_dominating_set(d: Digraph, xs, ys, us, c_max: int) -> bool:
         if not alive >> u & 1:
             raise VertexOutOfRangeError(f"vertex {u} not in digraph minus X and Y")
         in_u = inc[u] & alive
-        widths = sorted(
-            (out[v] & in_u).bit_count() for v in iter_bits(alive & ~u_mask & ~in_u)
-        )
-        below = 0
-        for c in range(1, c_max + 1):
-            while below < len(widths) and widths[below] < c:
-                below += 1
-            if below > 2 * c:
-                return False
-            if below == len(widths):
-                break
+        widths = sorted(map(int.bit_count, map(in_u.__and__,
+                                               compress(out, _flags(alive & ~u_mask & ~in_u)))))
+        if any(map(int.__lt__, widths[2::2], range(1, c_max + 1))):
+            return False
     return True
 
 
@@ -196,26 +211,16 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
     u_i is the selected vertex of the subdigraph with X, Y and the earlier
     u_j removed.  Since 2-paths survive in supergraphs, the result is a
     nearly in-dominating set of d minus X and Y.  Semicompleteness is
-    checked once (it survives deletion), and the tournament in-degrees are
-    counted once and then lowered as vertices leave.
+    checked once, on the mask of d minus X and Y (it survives deletion).
     """
-    sub = d.delete(set(xs) | set(ys))
-    if sub.order < m:
-        raise TooFewVerticesError(f"need {m} vertices outside the terminals, have {sub.order}")
-    if not is_semicomplete(sub):
+    if m < 0:
+        raise InputError(f"set size must be non-negative, got {m}")
+    alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
+    if alive.bit_count() < m:
+        raise TooFewVerticesError(f"need {m} vertices outside the terminals, have {alive.bit_count()}")
+    if not _is_semicomplete_on(d, alive):
         raise NotSemicompleteError("terminal-free subdigraph is not semicomplete")
-    out, inc = sub._out, sub._in
-    alive = sub.alive_mask
-    degrees = _tournament_in_degrees(sub, alive)
-    chosen: list[int] = []
-    for _ in range(m):
-        u = _max_in_degree(degrees)
-        chosen.append(u)
-        del degrees[u]
-        alive &= ~(1 << u)
-        for w in iter_bits(out[u] & ~(inc[u] & ((1 << u) - 1)) & alive):
-            degrees[w] -= 1
-    return chosen
+    return _ranked_picks(d, alive, m)
 
 
 def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out") -> bool:

@@ -23,7 +23,12 @@ from klinkage.errors import (
     VertexInSetError,
     VertexOutOfRangeError,
 )
-from klinkage.generators import SplitMix64, random_semicomplete, random_tournament
+from klinkage.generators import (
+    SplitMix64,
+    circulant_tournament,
+    random_semicomplete,
+    random_tournament,
+)
 
 import ref_dominators
 from conftest import digraphs, semicomplete_digraphs
@@ -149,6 +154,16 @@ class TestNearlyInDominatingSet:
         got = nearly_in_dominating_set(transitive(8), [], [], 3)
         assert got == [7, 6, 5]  # decreasing in-degree
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(InputError):
+            nearly_in_dominating_set(complete(5), [0], [1], -1)
+
+    @pytest.mark.parametrize("c_max", [0, -1])
+    def test_set_check_empty_sweep_rejected(self, c_max):
+        # range(1, c_max + 1) is empty, which would pass any set
+        with pytest.raises(InputError):
+            verify_nearly_in_dominating_set(random_tournament(10, 1), [0], [1], [2, 3, 4], c_max)
+
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVerticesError):
             nearly_in_dominating_set(complete(5), [0, 1], [2, 3], 2)
@@ -209,6 +224,45 @@ class TestAgainstReference:
                     outcomes[got] += 1
         # measured 286 True, 74 False
         assert outcomes[True] >= 150 and outcomes[False] >= 40, outcomes
+
+    @staticmethod
+    def _check_case(d, rng, k):
+        """Selection and set check against the reference with k random
+        terminal pairs removed."""
+        terminals = rng.sample(list(d.vertices()), 2 * k)
+        xs, ys = terminals[:k], terminals[k:]
+        us = nearly_in_dominating_set(d, xs, ys, 3 * k)
+        assert us == ref_dominators.nearly_in_dominating_set(d, xs, ys, 3 * k)
+        for c_max in (1, 2, d.order):
+            got = verify_nearly_in_dominating_set(d, xs, ys, us, c_max)
+            assert got == ref_dominators.verify_nearly_in_dominating_set(d, xs, ys, us, c_max)
+
+    def test_circulant_all_ties(self):
+        # every in-degree is (n - 1) / 2, so the first pick is the smallest id,
+        # and each later one breaks a tie among many vertices by id
+        rng = SplitMix64(4_042)
+        for n in (3, 5, 7, 9, 31, 101, 255, 501):
+            d = circulant_tournament(n)
+            assert nearly_in_dominating_set(d, [], [], 1) == [0]
+            m = min(n, 9)
+            assert nearly_in_dominating_set(d, [], [], m) == ref_dominators.nearly_in_dominating_set(
+                d, [], [], m)
+            for k in (1, 2, 3):
+                if 5 * k <= n:
+                    self._check_case(d, rng, k)
+
+    def test_transitive(self):
+        rng = SplitMix64(4_043)
+        for n in (5, 12, 60, 200, 500):
+            for k in (1, 3):
+                if 5 * k <= n:
+                    self._check_case(transitive(n), rng, k)
+
+    def test_sc_large_shape(self):
+        # the sc-large workload's digraphs: n = 500, 2-cycles at rate 0.2, k = 3
+        rng = SplitMix64(4_044)
+        for seed in range(4):
+            self._check_case(random_semicomplete(500, 0.2, 9_500 + seed), rng, 3)
 
     def test_set_check_rejects_u_among_terminals(self):
         with pytest.raises(VertexOutOfRangeError):
