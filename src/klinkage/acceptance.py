@@ -21,7 +21,7 @@ from math import factorial
 from .connectivity import is_k_strong, kappa, local_connectivity, min_vertex_menger
 from .digraph import Digraph, compose, iter_bits, mask_of
 from .dominators import is_in_king, nearly_in_dominating_vertex, verify_nearly_in_dominating
-from .errors import NewArcLeakError, NotLQuasiTransitiveError
+from .errors import ConstructionFailedError, PreconditionViolatedError
 from .generators import (
     SplitMix64,
     non_linked_family,
@@ -236,7 +236,7 @@ def _c5_composition_checks():
     for spec, d, pairs in instances:
         try:
             rep = solve_composition(spec, pairs)
-        except NewArcLeakError:
+        except ConstructionFailedError:
             leaks += 1
             continue
         if rep.linked and verify_linkage(d, pairs, rep.system):
@@ -330,10 +330,10 @@ def _c7_lqt_substitutes():
         x, y = parts[0][0], parts[1][0]
         try:
             aux = build_auxiliary(d, [x], [y], 2, 3)
-        except NotLQuasiTransitiveError:
+        except PreconditionViolatedError:  # no short return path: d is strong
             key_violations += 1
             continue
-        except Exception:
+        except ConstructionFailedError:
             continue  # pool too thin on this seed; take the next instance
         built.append((d, x, y, aux))
     for idx, (d, x, y, aux) in enumerate(built):

@@ -17,13 +17,7 @@ from typing import Iterable
 
 from . import _kernel
 from .digraph import Digraph, iter_bits, mask_of
-from .errors import (
-    InputError,
-    SameVertexError,
-    SetOverlapError,
-    SizeMismatchError,
-    VertexOutOfRangeError,
-)
+from .errors import InputError
 from .paths import Infeasible, PathSystem
 
 __all__ = [
@@ -46,10 +40,10 @@ def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None) -> 
     if limit is not None and limit < 0:
         raise InputError(f"limit must be None or non-negative, got {limit}")
     if x == y:
-        raise SameVertexError("local connectivity needs two distinct vertices")
+        raise InputError("local connectivity needs two distinct vertices")
     for v in (x, y):
         if not d.has_vertex(v):
-            raise VertexOutOfRangeError(f"vertex {v} not in digraph")
+            raise InputError(f"vertex {v} not in digraph", vertices=(v,))
     return _kernel.local_connectivity(d, x, y, limit or 0)
 
 
@@ -101,7 +95,7 @@ def kappa(d: Digraph) -> int:
     a->w->b is settled by the kernel's first step, with no augmentation.
     """
     if d.order < 2:
-        raise VertexOutOfRangeError("connectivity degree needs at least 2 vertices")
+        raise InputError("connectivity degree needs at least 2 vertices")
     if not d.is_strong():
         return 0
     best = d.order - 1
@@ -120,15 +114,16 @@ def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):
         m = 0
         for v in vs:
             if not d.has_vertex(v):
-                raise VertexOutOfRangeError(f"{name} vertex {v} not in digraph")
+                raise InputError(f"{name} vertex {v} not in digraph", vertices=(v,))
             if m >> v & 1 and name != "avoid":
-                raise InputError(f"{name} repeats vertex {v}")
+                raise InputError(f"{name} repeats vertex {v}", vertices=(v,))
             m |= 1 << v
         masks.append(m)
     for i, j in combinations(range(len(masks)), 2):
         if masks[i] & masks[j]:
             shared = next(iter_bits(masks[i] & masks[j]))
-            raise SetOverlapError(f"{groups[i][0]} and {groups[j][0]} share vertex {shared}")
+            raise InputError(f"{groups[i][0]} and {groups[j][0]} share vertex {shared}",
+                             vertices=(shared,))
     return masks
 
 
@@ -365,7 +360,7 @@ def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],
     """
     xs, ys, avoid = list(xs), list(ys), list(avoid)
     if len(xs) != len(ys):
-        raise SizeMismatchError(f"|X|={len(xs)} but |Y|={len(ys)}")
+        raise InputError(f"|X|={len(xs)} but |Y|={len(ys)}")
     _validate_sets(d, [("X", xs), ("Y", ys), ("avoid", avoid)])
     return _solve_menger(d, sorted(xs), sorted(ys), mask_of(avoid), "menger")
 
@@ -380,7 +375,7 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
     """
     us, ys, avoid = list(us), list(ys), list(avoid)
     if len(us) < len(ys):
-        raise SizeMismatchError(f"need |U| >= |Y|, got {len(us)} < {len(ys)}")
+        raise InputError(f"need |U| >= |Y|, got {len(us)} < {len(ys)}")
     _validate_sets(d, [("U", us), ("Y", ys), ("avoid", avoid)])
     result = _solve_menger(d, sorted(us), sorted(ys), mask_of(avoid), "min-vertex-menger")
     if isinstance(result, PathSystem):

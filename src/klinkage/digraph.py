@@ -18,18 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    ArityMismatchError,
-    BudgetExceededError,
-    DuplicateArcError,
-    InputError,
-    NotACompositionError,
-    NotAPartitionError,
-    NotSemicompleteError,
-    PartOverlapError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
+from .errors import BudgetExceededError, InputError, PreconditionViolatedError
 
 __all__ = [
     "Digraph",
@@ -104,7 +93,7 @@ class Digraph:
         offending arc's error.
         """
         if n < 0:
-            raise VertexOutOfRangeError(f"negative vertex count {n}")
+            raise InputError(f"negative vertex count {n}")
         arcs = arcs if isinstance(arcs, list) else list(arcs)
         try:
             ids = set(chain.from_iterable(arcs))
@@ -128,12 +117,12 @@ class Digraph:
         inc = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"arc ({u},{v}) outside 0..{n - 1}")
+                raise InputError(f"arc ({u},{v}) outside 0..{n - 1}", vertices=(u, v))
             if u == v:
-                raise SelfLoopError(f"self-loop at {u}")
+                raise InputError(f"self-loop at {u}", vertices=(u,))
             bit = 1 << v
             if out[u] & bit:
-                raise DuplicateArcError(f"arc ({u},{v}) listed twice")
+                raise InputError(f"arc ({u},{v}) listed twice", vertices=(u, v))
             out[u] |= bit
             inc[v] |= 1 << u
         return cls(n, (1 << n) - 1, out, inc)
@@ -160,20 +149,11 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return self.has_vertex(u) and bool(self._out[u] >> v & 1)
 
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return self.has_arc(u, v) or self.has_arc(v, u)
-
     def out_mask(self, v: int) -> int:
         return self._out[v]
 
     def in_mask(self, v: int) -> int:
         return self._in[v]
-
-    def out_neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._out[v]))
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._in[v]))
 
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()
@@ -211,7 +191,7 @@ class Digraph:
         m = 0
         for v in vs:
             if not self.has_vertex(v):
-                raise VertexOutOfRangeError(f"vertex {v} not in digraph")
+                raise InputError(f"vertex {v} not in digraph", vertices=(v,))
             m |= 1 << v
         return m
 
@@ -233,9 +213,9 @@ class Digraph:
         inc = list(self._in)
         for u, v in arcs:
             if not (self.has_vertex(u) and self.has_vertex(v)):
-                raise VertexOutOfRangeError(f"arc ({u},{v}) touches a missing vertex")
+                raise InputError(f"arc ({u},{v}) touches a missing vertex", vertices=(u, v))
             if u == v:
-                raise SelfLoopError(f"self-loop at {u}")
+                raise InputError(f"self-loop at {u}", vertices=(u,))
             out[u] |= 1 << v
             inc[v] |= 1 << u
         return self._replace(self._alive, out, inc)
@@ -243,7 +223,7 @@ class Digraph:
     def shifted(self, offset: int, capacity: int) -> "Digraph":
         """Re-embed this digraph with all ids moved up by ``offset``."""
         if offset < 0 or self.n + offset > capacity:
-            raise VertexOutOfRangeError("shift does not fit in capacity")
+            raise InputError("shift does not fit in capacity")
         out = [0] * capacity
         inc = [0] * capacity
         for v in self.vertices():
@@ -409,7 +389,7 @@ def spanning_tournament(d: Digraph) -> Digraph:
     vertices it does not point to.
     """
     if not is_semicomplete(d):
-        raise NotSemicompleteError("spanning tournament needs a semicomplete digraph")
+        raise PreconditionViolatedError("spanning tournament needs a semicomplete digraph")
     out = [0] * d.n
     inc = [0] * d.n
     for v in d.vertices():
@@ -459,18 +439,18 @@ def compose(spec: CompositionSpec) -> Digraph:
     """
     h = spec.outer.order
     if h < 2:
-        raise ArityMismatchError("outer digraph needs at least 2 vertices")
+        raise InputError("outer digraph needs at least 2 vertices")
     if h != len(spec.parts):
-        raise ArityMismatchError(f"outer has {h} vertices but {len(spec.parts)} parts given")
+        raise InputError(f"outer has {h} vertices but {len(spec.parts)} parts given")
     capacities = {p.n for p in spec.parts}
     if len(capacities) != 1:
-        raise PartOverlapError("parts must share one id space")
+        raise InputError("parts must share one id space")
     capacity = capacities.pop()
 
     alive = 0
     for p in spec.parts:
         if alive & p.alive_mask:
-            raise PartOverlapError("part vertex sets overlap")
+            raise InputError("part vertex sets overlap")
         alive |= p.alive_mask
 
     outer = spec.outer
@@ -498,10 +478,10 @@ def partition_masks(d: Digraph, parts: Iterable[Iterable[int]]) -> list[int]:
     union = 0
     for m in masks:
         if m & union:
-            raise NotAPartitionError("part vertex sets overlap")
+            raise InputError("part vertex sets overlap")
         union |= m
     if union != d.alive_mask:
-        raise NotAPartitionError("parts do not cover the digraph")
+        raise InputError("parts do not cover the digraph")
     return masks
 
 
@@ -523,7 +503,7 @@ def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> C
             if cross == full:
                 outer_arcs.append((i, j))
             elif cross != 0:
-                raise NotACompositionError(
+                raise InputError(
                     f"parts {i}->{j}: {cross} of {full} cross arcs present"
                 )
     outer = Digraph.from_arcs(h, outer_arcs)

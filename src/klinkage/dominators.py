@@ -31,15 +31,7 @@ from operator import itemgetter
 
 from .digraph import (Digraph, _flags, _is_semicomplete_on, is_semicomplete, is_tournament,
                       iter_bits, mask_of)
-from .errors import (
-    InputError,
-    NotSemicompleteError,
-    NotTournamentError,
-    SameVertexError,
-    TooFewVerticesError,
-    VertexInSetError,
-    VertexOutOfRangeError,
-)
+from .errors import InputError, PreconditionViolatedError
 
 __all__ = [
     "two_path_width",
@@ -58,10 +50,10 @@ __all__ = [
 def two_path_width(d: Digraph, v: int, u: int) -> int:
     """Number of independent (v, u)-paths of length 2 (= common middles)."""
     if u == v:
-        raise SameVertexError("width is defined for distinct vertices")
+        raise InputError("width is defined for distinct vertices")
     for w in (u, v):
         if not d.has_vertex(w):
-            raise VertexOutOfRangeError(f"vertex {w} not in digraph")
+            raise InputError(f"vertex {w} not in digraph", vertices=(w,))
     middles = d.out_mask(v) & d.in_mask(u) & ~(1 << u) & ~(1 << v)
     return middles.bit_count()
 
@@ -69,7 +61,7 @@ def two_path_width(d: Digraph, v: int, u: int) -> int:
 def is_c_good(d: Digraph, v: int, u: int, c: int) -> bool:
     """v dominates u, or at least c independent length-2 (v, u)-paths exist."""
     if u == v:
-        raise SameVertexError("goodness is defined for distinct vertices")
+        raise InputError("goodness is defined for distinct vertices")
     if d.has_arc(v, u):
         return True
     return two_path_width(d, v, u) >= c
@@ -92,7 +84,7 @@ class GoodnessProfile:
 
 def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
     if not d.has_vertex(u):
-        raise VertexOutOfRangeError(f"vertex {u} not in digraph")
+        raise InputError(f"vertex {u} not in digraph", vertices=(u,))
     widths = {v: two_path_width(d, v, u) for v in d.vertices() if v != u}
     dominators = frozenset(iter_bits(d.in_mask(u)))
     return GoodnessProfile(u, widths, dominators)
@@ -134,9 +126,9 @@ def nearly_in_dominating_vertex(d: Digraph) -> int:
     fail to be c-good for it.
     """
     if d.order < 1:
-        raise TooFewVerticesError("empty digraph")
+        raise PreconditionViolatedError("empty digraph")
     if not is_semicomplete(d):
-        raise NotSemicompleteError("nearly in-dominating selection needs a semicomplete digraph")
+        raise PreconditionViolatedError("nearly in-dominating selection needs a semicomplete digraph")
     return _ranked_picks(d, d.alive_mask, 1)[0]
 
 
@@ -196,7 +188,7 @@ def verify_nearly_in_dominating_set(d: Digraph, xs, ys, us, c_max: int) -> bool:
     u_mask = mask_of(us)
     for u in us:
         if not alive >> u & 1:
-            raise VertexOutOfRangeError(f"vertex {u} not in digraph minus X and Y")
+            raise InputError(f"vertex {u} not in digraph minus X and Y", vertices=(u,))
         in_u = inc[u] & alive
         widths = sorted(map(int.bit_count, map(in_u.__and__,
                                                compress(out, _flags(alive & ~u_mask & ~in_u)))))
@@ -216,10 +208,13 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
     if m < 0:
         raise InputError(f"set size must be non-negative, got {m}")
     alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
-    if alive.bit_count() < m:
-        raise TooFewVerticesError(f"need {m} vertices outside the terminals, have {alive.bit_count()}")
+    have = alive.bit_count()
+    if have < m:
+        raise PreconditionViolatedError(f"need {m} vertices outside the terminals, have {have}",
+                                        clause="too few vertices outside the terminals",
+                                        counts={"need": m, "have": have})
     if not _is_semicomplete_on(d, alive):
-        raise NotSemicompleteError("terminal-free subdigraph is not semicomplete")
+        raise PreconditionViolatedError("terminal-free subdigraph is not semicomplete")
     return _ranked_picks(d, alive, m)
 
 
@@ -227,7 +222,7 @@ def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out
     """Does v have at least gamma out- (or in-) neighbours inside U?"""
     u_mask = mask_of(us)
     if u_mask >> v & 1:
-        raise VertexInSetError(f"vertex {v} lies in the reference set")
+        raise InputError(f"vertex {v} lies in the reference set", vertices=(v,))
     if direction == "out":
         return (d.out_mask(v) & u_mask).bit_count() >= gamma
     if direction == "in":
@@ -238,9 +233,9 @@ def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out
 def is_in_king(t: Digraph, v: int) -> bool:
     """Every other vertex reaches v by a path of length at most 2."""
     if not is_tournament(t):
-        raise NotTournamentError("in-kings are defined on tournaments")
+        raise PreconditionViolatedError("in-kings are defined on tournaments")
     if not t.has_vertex(v):
-        raise VertexOutOfRangeError(f"vertex {v} not in digraph")
+        raise InputError(f"vertex {v} not in digraph", vertices=(v,))
     reach = t.in_mask(v)
     for w in iter_bits(t.in_mask(v)):
         reach |= t.in_mask(w)

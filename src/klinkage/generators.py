@@ -9,15 +9,7 @@ written from generated digraphs so runs can be replayed.
 from __future__ import annotations
 
 from .digraph import CompositionSpec, Digraph, build_digraph, compose
-from .errors import (
-    CoreLinkedError,
-    CoreNotStrongError,
-    EvenOrderError,
-    ArityMismatchError,
-    InputError,
-    KTooSmallError,
-    VertexOutOfRangeError,
-)
+from .errors import ConstructionFailedError, InputError, PreconditionViolatedError
 from .paths import BudgetExceeded
 
 __all__ = [
@@ -87,7 +79,7 @@ def random_digraph(n: int, seed: int, tenths: int) -> Digraph:
 def random_tournament(n: int, seed: int) -> Digraph:
     """Orient each unordered pair by one RNG bit."""
     if n < 1:
-        raise VertexOutOfRangeError("tournament needs at least one vertex")
+        raise InputError("tournament needs at least one vertex")
     rng = SplitMix64(seed)
     arcs = []
     for i in range(n):
@@ -99,9 +91,9 @@ def random_tournament(n: int, seed: int) -> Digraph:
 def circulant_tournament(n: int) -> Digraph:
     """Rotational tournament: i dominates the next (n-1)/2 ids cyclically."""
     if n % 2 == 0:
-        raise EvenOrderError(f"circulant tournament needs odd order, got {n}")
+        raise InputError(f"circulant tournament needs odd order, got {n}")
     if n < 3:
-        raise VertexOutOfRangeError("circulant tournament needs at least 3 vertices")
+        raise InputError("circulant tournament needs at least 3 vertices")
     half = (n - 1) // 2
     arcs = [(i, (i + d) % n) for i in range(n) for d in range(1, half + 1)]
     return build_digraph(n, arcs)
@@ -135,9 +127,9 @@ def random_composition(
     probability 1/2, drawn from the same stream after the outer digraph.
     """
     if h != len(part_sizes):
-        raise ArityMismatchError(f"h={h} but {len(part_sizes)} part sizes given")
+        raise InputError(f"h={h} but {len(part_sizes)} part sizes given")
     if h < 2:
-        raise ArityMismatchError("a composition needs at least 2 parts")
+        raise InputError("a composition needs at least 2 parts")
     rng = SplitMix64(seed)
     outer_arcs = []
     for i in range(h):
@@ -151,7 +143,7 @@ def random_composition(
     local_parts = []
     for size in part_sizes:
         if size < 1:
-            raise VertexOutOfRangeError("part sizes must be positive")
+            raise InputError("part sizes must be positive")
         arcs = []
         if part_arcs:
             for a in range(size):
@@ -195,22 +187,22 @@ def non_linked_family(
     (u, v)- and (x, y)-paths; when omitted the exhaustive oracle finds one.
     """
     if k < 3:
-        raise KTooSmallError(f"k={k}: the outer digraph would have fewer than 3 vertices")
+        raise InputError(f"k={k}: the outer digraph would have fewer than 3 vertices")
     if core is None:
         core = _default_core()
     if core.alive_mask != (1 << core.n) - 1:
-        raise VertexOutOfRangeError("core must use all ids 0..n-1")
+        raise InputError("core must use all ids 0..n-1")
     if not core.is_strong():
-        raise CoreNotStrongError("core digraph is not strong")
+        raise PreconditionViolatedError("core digraph is not strong")
 
     if witness is None:
         from .verify import brute_force_k_linked
 
         res = brute_force_k_linked(core, 2, budget=2_000_000)
         if res is True:
-            raise CoreLinkedError("core digraph is 2-linked")
+            raise ConstructionFailedError("core digraph is 2-linked")
         if isinstance(res, BudgetExceeded):
-            raise CoreLinkedError("could not certify the core as non-2-linked in budget")
+            raise ConstructionFailedError("could not certify the core as non-2-linked in budget")
         witness = (res[0], res[1])
     (u, v), (x, y) = witness
 

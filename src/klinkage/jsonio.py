@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Any
 
 from .digraph import Digraph, build_digraph
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .paths import PathSystem
 
 __all__ = [
@@ -114,7 +114,7 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
                 raise FormatError(f"{source}: field 'arcs[{i}]' must be a pair of integers")
     try:
         d = build_digraph(n, arcs)
-    except Exception as exc:
+    except InputError as exc:
         raise FormatError(f"{source}: {exc}") from exc
     parts = obj.get("parts")
     if parts is not None:
@@ -149,7 +149,7 @@ def pathsystem_from_obj(obj: Any, source: str = "<input>") -> PathSystem:
         raise FormatError(f"{source}: field 'pairs' must be a list of id pairs")
     try:
         return PathSystem(tuple(map(tuple, paths)), tuple(map(tuple, pairs)))
-    except ValueError as exc:
+    except InputError as exc:
         raise FormatError(f"{source}: malformed path system: {exc}") from exc
 
 
@@ -167,13 +167,14 @@ def report_to_obj(report) -> dict:
 
 
 def _jsonable(value):
+    """``value`` with tuples as lists; any type JSON has no form for raises."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+    raise TypeError(f"report witness holds a {type(value).__name__}, which has no JSON form")
 
 
 def digraph_to_dot(d: Digraph, name: str = "G", highlight: PathSystem | None = None) -> str:

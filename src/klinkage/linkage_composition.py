@@ -20,7 +20,8 @@ from .digraph import (
     mask_of,
     partition_masks,
 )
-from .errors import NewArcLeakError, NotAPartitionError
+from .errors import ConstructionFailedError, InputError
+from .jsonio import report_to_obj
 from .linkage_semicomplete import audit_kappa, solve_semicomplete
 from .paths import LinkageInstance, PathSystem
 from .reports import SolveReport
@@ -60,7 +61,7 @@ def fill_parts(d0: Digraph, parts, ys) -> Digraph:
     out, inc = list(d0._out), list(d0._in)
     for m in masks:
         if any(d0.out_mask(u) & m for u in iter_bits(m)):
-            raise NotAPartitionError("digraph still has intra-part arcs")
+            raise InputError("digraph still has intra-part arcs")
         inner_y = m & y_mask
         rest = m & ~y_mask
         for v in iter_bits(inner_y):
@@ -162,7 +163,7 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, audit, skip_audit, 
     # slack, so the inner audit would only repeat the outer one
     inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs)), skip_audit=True)
     if not inner.linked:
-        raise _StageStuck("filled-subsolve", inner)
+        raise _StageStuck("filled-subsolve", report_to_obj(inner))
 
     part_of = {}
     for j, m in enumerate(live_masks):
@@ -173,8 +174,9 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, audit, skip_audit, 
         minimal = minimalize_path(filled, path)
         for u, v in zip(minimal, minimal[1:]):
             if part_of[u] == part_of[v]:
-                raise NewArcLeakError(
-                    f"minimal path kept intra-part step ({u},{v}) at depth {depth}"
+                raise ConstructionFailedError(
+                    f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
+                    vertices=(u, v), counts={"depth": depth},
                 )
         out_paths.append(minimal)
     return out_paths

@@ -20,19 +20,10 @@ from typing import Iterator
 from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import is_c_good, nearly_in_dominating_set
-from .errors import (
-    AvailablePathExhaustedError,
-    InputError,
-    KLinkageError,
-    NotLQuasiTransitiveError,
-    NotStrongError,
-    PreconditionViolatedError,
-    SizeMismatchError,
-    ThresholdUnreachableError,
-)
+from .errors import ConstructionFailedError, InputError, PreconditionViolatedError
 from .linkage_semicomplete import audit_kappa
 from .paths import Infeasible, LinkageInstance, PathSystem
-from .reports import SolveReport
+from .reports import HYPOTHESIS_VIOLATED, SolveReport
 
 __all__ = [
     "pool_threshold",
@@ -139,7 +130,7 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
         raise InputError("need two distinct vertices")
     for w in (u, v):
         if not d.has_vertex(w):
-            raise InputError(f"vertex {w} not in digraph")
+            raise InputError(f"vertex {w} not in digraph", vertices=(w,))
     if limit < 1:
         return ShortPathPool(u, v, (), ())
     pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
@@ -187,9 +178,6 @@ class AuxiliaryDigraph:
     available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
     terminal_arcs: frozenset[tuple[int, int]]
 
-    def pool_sizes(self) -> dict[tuple[int, int], int]:
-        return {arc: len(pool) for arc, pool in self.available.items()}
-
 
 def _check_pool(sub: Digraph, arc, pool, l: int) -> None:
     """Record-time validation: real paths, short, sharing only endpoints."""
@@ -213,14 +201,14 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
     For each such pair the extraction runs in the terminal-free subdigraph;
     the direction first reaching ``threshold`` independent short paths gets
     the arc with the pool recorded.  A stall with a strong residual violates
-    the short-return-distance law of l-quasi-transitive digraphs and is
-    reported with the witness pair; a stall below threshold otherwise is
-    ThresholdUnreachable.
+    the short-return-distance law of l-quasi-transitive digraphs and raises
+    PreconditionViolatedError with the witness pair; a stall below threshold
+    otherwise raises ConstructionFailedError.
     """
     if threshold < 1:
         raise InputError("threshold must be positive")
     if not d.is_strong():
-        raise NotStrongError("auxiliary construction needs a strong digraph")
+        raise PreconditionViolatedError("auxiliary construction needs a strong digraph")
     xs, ys = list(xs), list(ys)
     terminal_mask = mask_of(xs) | mask_of(ys)
     sub = d.delete(iter_bits(terminal_mask))
@@ -234,8 +222,18 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
             nf, nb = pool.counts()
             if max(nf, nb) < threshold:
                 if pool.stalled_strong:
-                    raise NotLQuasiTransitiveError((u, v), *pool.stall_distances)
-                raise ThresholdUnreachableError((u, v), (nf, nb))
+                    df, db = pool.stall_distances
+                    raise PreconditionViolatedError(
+                        f"pair {(u, v)} has no short return path (d{(u, v)}={df}, reverse={db})",
+                        clause="no short return path", vertices=(u, v),
+                        counts={name: dist for name, dist in (("forward", df), ("backward", db))
+                                if dist is not None},
+                    )
+                raise ConstructionFailedError(
+                    f"pair {(u, v)}: best per-direction counts {(nf, nb)}",
+                    clause="pool extraction stalled below threshold", vertices=(u, v),
+                    counts={"forward": nf, "backward": nb, "threshold": threshold},
+                )
             if nf >= threshold:
                 arc, chosen = (u, v), pool.forward
             else:
@@ -316,9 +314,9 @@ def verify_short_anchor(t: Digraph, u1, u2) -> bool:
     """Can u1 reach u2 by disjoint length-<=3 paths under every pairing?"""
     u1, u2 = list(u1), list(u2)
     if len(u1) != len(u2):
-        raise SizeMismatchError("anchor sets must have equal size")
+        raise InputError("anchor sets must have equal size")
     if mask_of(u1) & mask_of(u2):
-        raise SizeMismatchError("anchor sets must be disjoint")
+        raise InputError("anchor sets must be disjoint")
     for perm in permutations(u2):
         if _disjoint_short_linkage(t, list(zip(u1, perm))) is None:
             return False
@@ -337,7 +335,8 @@ def find_short_anchor_pair(t: Digraph, k: int, budget: int = 20000,
     n = t.order
     if n < 9 * k - 6 and not allow_undersized:
         raise PreconditionViolatedError(
-            f"anchor pair existence is guaranteed from {9 * k - 6} vertices, digraph has {n}"
+            f"anchor pair existence is guaranteed from {9 * k - 6} vertices, digraph has {n}",
+            counts={"need": 9 * k - 6, "have": n},
         )
     alive = list(t.vertices())
     if n < 2 * k:
@@ -379,7 +378,10 @@ class _Ledger:
             if not mask_of(path[1:-1]) & self.claimed:
                 self.claim(path[1:-1])
                 return path
-        raise AvailablePathExhaustedError(arc)
+        raise ConstructionFailedError(
+            f"no disjoint replacement path left for arc {arc}",
+            clause="no disjoint replacement path left", vertices=arc, counts={"pool": len(pool)},
+        )
 
 
 def _splice(augmented_path, d: Digraph, aux: AuxiliaryDigraph, ledger: _Ledger,
@@ -439,10 +441,11 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
 
     try:
         aux = build_auxiliary(d, xs, ys, l, pool_goal)
-    except NotLQuasiTransitiveError as exc:
-        return SolveReport.of_hypothesis(str(exc), audit)
-    except (ThresholdUnreachableError, NotStrongError) as exc:
-        return SolveReport.of_stage("auxiliary", str(exc), audit)
+    except PreconditionViolatedError as exc:  # no short return path: d is strong here
+        return SolveReport(HYPOTHESIS_VIOLATED, audit=audit, failure=exc.clause,
+                           witness=exc.witness())
+    except ConstructionFailedError as exc:
+        return SolveReport.of_stage("auxiliary", exc.witness(), audit)
     audit["new_arcs"] = len(aux.new_arcs)
     # the same arc labels recur in every report on one digraph: interned,
     # reports kept together hold one copy of each
@@ -453,8 +456,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     m = 9 * k - 6
     try:
         us = nearly_in_dominating_set(aux.augmented, xs, ys, m)
-    except KLinkageError as exc:
-        return SolveReport.of_stage("dominating-set", str(exc), audit)
+    except PreconditionViolatedError as exc:
+        return SolveReport.of_stage("dominating-set", exc.witness(), audit)
     u_mask = mask_of(us)
     t_u = spanning_tournament(aux.augmented.induced(us))
     anchor = find_short_anchor_pair(t_u, k, anchor_budget, allow_undersized=True)
@@ -498,8 +501,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
 
     try:
         x_paths = [_splice(p, d, aux, ledger) for p in base_paths]
-    except AvailablePathExhaustedError as exc:
-        return SolveReport.of_stage("source-replacement", str(exc), audit)
+    except ConstructionFailedError as exc:
+        return SolveReport.of_stage("source-replacement", exc.witness(), audit)
     if any(len(p) > 2 * l + 5 for p in x_paths):
         raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
 
@@ -511,7 +514,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
             try:
                 reserved[arc] = ledger.pick(aux.available[arc], arc)
-            except AvailablePathExhaustedError:
+            except ConstructionFailedError:
                 unusable.add(arc)
     reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
     if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
@@ -542,8 +545,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
 
     try:
         link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
-    except AvailablePathExhaustedError as exc:
-        return SolveReport.of_stage("anchor-replacement", str(exc), audit)
+    except ConstructionFailedError as exc:
+        return SolveReport.of_stage("anchor-replacement", exc.witness(), audit)
 
     final = []
     for i in range(k):

@@ -15,11 +15,7 @@ from __future__ import annotations
 from .connectivity import is_k_strong, min_vertex_menger
 from .digraph import Digraph, is_semicomplete, iter_bits, mask_of
 from .dominators import verify_nearly_in_dominating_set, nearly_in_dominating_set
-from .errors import (
-    ConstructionFailedError,
-    KLinkageError,
-    PreconditionViolatedError,
-)
+from .errors import ConstructionFailedError, PreconditionViolatedError
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
 
@@ -105,9 +101,11 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         raise PreconditionViolatedError("anchors must avoid W and Ini(q)")
     t_mask = mask_of(targets)
     if len(targets) != t_mask.bit_count():
-        raise PreconditionViolatedError("targets must be distinct", targets)
+        raise PreconditionViolatedError(f"targets must be distinct (witness: {targets})",
+                                        clause="targets must be distinct", vertices=targets)
     if t_mask & ~ini_mask or t_mask & w_mask:
-        raise PreconditionViolatedError("targets must lie in Ini(q) minus W", targets)
+        raise PreconditionViolatedError(f"targets must lie in Ini(q) minus W (witness: {targets})",
+                                        clause="targets must lie in Ini(q) minus W", vertices=targets)
 
     y2_mask, y3_mask = _layer_masks(q)
     outside = d.alive_mask & ~(x_mask | y_mask | u_mask)
@@ -117,7 +115,9 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         have = (d.out_mask(a) & outside & helper_pool).bit_count()
         if have < need:
             raise PreconditionViolatedError(
-                f"anchor needs {need} dominator-backed out-neighbours, has {have}", a
+                f"anchor needs {need} dominator-backed out-neighbours, has {have} (witness: {a})",
+                clause="anchor needs dominator-backed out-neighbours", vertices=(a,),
+                counts={"need": need, "have": have},
             )
 
     if not anchors:
@@ -138,7 +138,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
                 pick = w
                 break
         if pick is None:
-            raise ConstructionFailedError(f"no first hop for anchor {a}")
+            raise ConstructionFailedError(f"no first hop for anchor {a}", vertices=(a,))
         hops.append(pick)
         taken |= 1 << pick
     hop_mask = taken
@@ -164,7 +164,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
             & ~(1 << s)
         )
         if not middles:
-            raise ConstructionFailedError(f"no second hop between {hop} and {s}")
+            raise ConstructionFailedError(f"no second hop between {hop} and {s}", vertices=(hop, s))
         mid = next(iter_bits(middles))
         mid_taken |= 1 << mid
         paths.append((a, hop, mid, s))
@@ -174,7 +174,8 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         overlap = mask_of(p) & forbidden
         if overlap:
             raise ConstructionFailedError(
-                f"connector touched the protected region at {list(iter_bits(overlap))}"
+                f"connector touched the protected region at {list(iter_bits(overlap))}",
+                vertices=iter_bits(overlap),
             )
     return PathSystem(tuple(paths), tuple(zip(anchors, targets)), "anchor")
 
@@ -277,8 +278,8 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     try:
         us = nearly_in_dominating_set(d, xs, ys, 3 * k)
-    except KLinkageError as exc:
-        return SolveReport.of_stage("dominating-set", str(exc), audit)
+    except PreconditionViolatedError as exc:
+        return SolveReport.of_stage("dominating-set", exc.witness(), audit)
 
     matched, matching, leftover = partition_terminals(d, xs, ys, us, k)
     helpers = [matching[x] for x in matched]
@@ -309,8 +310,8 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     w_p2 = sorted(set(helpers) | {p1[x][2] for x in matched})
     try:
         p2 = anchor_connectors(d, xs, ys, w_p2, us, q, leftover, [q_for[x] for x in leftover])
-    except KLinkageError as exc:
-        return SolveReport.of_stage("anchor-direct", str(exc), audit)
+    except (PreconditionViolatedError, ConstructionFailedError) as exc:
+        return SolveReport.of_stage("anchor-direct", exc.witness(), audit)
 
     # landed sources walk from their landing vertex to their q-start
     w_r = sorted(set(helpers) | {v for p in p2.paths for v in p[1:-1]})
@@ -319,8 +320,8 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         r = _connect(
             d, xs, ys, w_r, us, q, [p1[x][2] for x in matched], [q_for[x] for x in matched]
         )
-    except KLinkageError as exc:
-        return SolveReport.of_stage("anchor-landed", str(exc), audit)
+    except (PreconditionViolatedError, ConstructionFailedError) as exc:
+        return SolveReport.of_stage("anchor-landed", exc.witness(), audit)
 
     q_path = {p[0]: p for p in q.paths}
     p2_path = {p[0]: p for p in p2.paths}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .errors import InputError, VertexOutOfRangeError
+from .errors import InputError
 
 __all__ = ["PathSystem", "LinkageInstance", "Infeasible", "BudgetExceeded"]
 
@@ -60,9 +60,9 @@ class LinkageInstance:
         for x, y in self.pairs:
             for t in (x, y):
                 if not self.digraph.has_vertex(t):
-                    raise VertexOutOfRangeError(f"terminal {t} not in digraph")
+                    raise InputError(f"terminal {t} not in digraph", vertices=(t,))
                 if t in seen:
-                    raise InputError(f"terminal {t} used twice")
+                    raise InputError(f"terminal {t} used twice", vertices=(t,))
                 seen.add(t)
         if not self.pairs:
             raise InputError("at least one terminal pair required")

@@ -22,8 +22,10 @@ class SolveReport:
     A ``linked`` report always carries a path system that passed
     ``verify_linkage`` against the input digraph.  ``hypothesis_violated``
     names the failed hypothesis; ``stage_failed`` names the pipeline stage
-    and carries a witness.  The audit dict records every hypothesis that
-    was measured (or explicitly skipped), so artifacts are self-describing.
+    and carries a witness.  A failure raised as an error has the error's
+    ``witness()`` (clause, vertices, counts) as its witness.  The audit dict
+    records every hypothesis that was measured (or explicitly skipped), so
+    artifacts are self-describing.
     """
 
     outcome: str

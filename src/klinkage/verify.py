@@ -148,7 +148,7 @@ def brute_force_disjoint_paths(
         raise InputError("terminal pairs share a vertex")
     for t in terminals:
         if not d.has_vertex(t):
-            raise InputError(f"terminal {t} not in digraph")
+            raise InputError(f"terminal {t} not in digraph", vertices=(t,))
     tracker = _Budget(budget)
     result = _solve_pairs(d, pairs, tracker)
     if result is None:

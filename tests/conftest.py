@@ -46,3 +46,13 @@ def assert_in_masks_transpose(d):
     assert all(want[v] == 0 for v in range(d.n) if not d._alive >> v & 1), "arc to a dead vertex"
     bad = [v for v in iter_bits(d._alive) if d._in[v] != want[v]]
     assert bad == [], f"in-masks differ from the transposed out-masks at {bad}"
+
+
+def out_neighbors(d, v):
+    """v's out-neighbours in ascending order."""
+    return list(iter_bits(d.out_mask(v)))
+
+
+def is_adjacent(d, u, v):
+    """An arc joins u and v in one direction or the other."""
+    return d.has_arc(u, v) or d.has_arc(v, u)

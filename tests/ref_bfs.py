@@ -9,6 +9,8 @@ the tests require the two to return identical paths.
 
 from __future__ import annotations
 
+from conftest import out_neighbors
+
 
 def ref_shortest_path(d, src: int, dst: int, forbidden: int = 0, max_len: int | None = None,
                       skip_direct: bool = False) -> list[int] | None:
@@ -27,7 +29,7 @@ def ref_shortest_path(d, src: int, dst: int, forbidden: int = 0, max_len: int | 
         depth += 1
         nxt = []
         for u in frontier:
-            for w in d.out_neighbors(u):
+            for w in out_neighbors(d, u):
                 if w in parent or not allowed(w) or (skip_direct and u == src and w == dst):
                     continue
                 parent[w] = u

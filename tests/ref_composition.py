@@ -11,25 +11,25 @@ masks, or the identical exception, from both.
 from __future__ import annotations
 
 from klinkage.digraph import Digraph, iter_bits, mask_of, partition_masks
-from klinkage.errors import ArityMismatchError, NotAPartitionError, PartOverlapError
+from klinkage.errors import InputError
 
 
 def ref_compose(spec) -> Digraph:
     """Realize the composition: part arcs plus full bundles along outer arcs."""
     h = spec.outer.order
     if h < 2:
-        raise ArityMismatchError("outer digraph needs at least 2 vertices")
+        raise InputError("outer digraph needs at least 2 vertices")
     if h != len(spec.parts):
-        raise ArityMismatchError(f"outer has {h} vertices but {len(spec.parts)} parts given")
+        raise InputError(f"outer has {h} vertices but {len(spec.parts)} parts given")
     capacities = {p.n for p in spec.parts}
     if len(capacities) != 1:
-        raise PartOverlapError("parts must share one id space")
+        raise InputError("parts must share one id space")
     capacity = capacities.pop()
 
     alive = 0
     for p in spec.parts:
         if alive & p.alive_mask:
-            raise PartOverlapError("part vertex sets overlap")
+            raise InputError("part vertex sets overlap")
         alive |= p.alive_mask
 
     outer_ids = list(spec.outer.vertices())
@@ -58,7 +58,7 @@ def ref_fill_parts(d0: Digraph, parts, ys) -> Digraph:
     new_arcs = []
     for m in masks:
         if any(d0.out_mask(u) & m for u in iter_bits(m)):
-            raise NotAPartitionError("digraph still has intra-part arcs")
+            raise InputError("digraph still has intra-part arcs")
         inner_y = m & y_mask
         rest = m & ~y_mask
         for u in iter_bits(inner_y):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from conftest import out_neighbors
+
 
 class _Prep:
     """Static split-network for one digraph, reusable for every (s, t) query.
@@ -49,7 +51,7 @@ class _Prep:
 
 def prepare(d) -> _Prep:
     """Split network of a Digraph; deleted vertices get no arcs."""
-    return _Prep(d.n, [d.out_neighbors(v) if d.has_vertex(v) else [] for v in range(d.n)])
+    return _Prep(d.n, [out_neighbors(d, v) if d.has_vertex(v) else [] for v in range(d.n)])
 
 
 def local_connectivity(prep: _Prep, s: int, t: int, limit: int) -> int:

@@ -13,23 +13,23 @@ from __future__ import annotations
 from typing import Any
 
 from klinkage.digraph import Digraph
-from klinkage.errors import DuplicateArcError, FormatError, SelfLoopError, VertexOutOfRangeError
+from klinkage.errors import FormatError, InputError
 from klinkage.jsonio import _field, _id_lists, _is_id
 
 
 def ref_from_arcs(n: int, arcs) -> Digraph:
     if n < 0:
-        raise VertexOutOfRangeError(f"negative vertex count {n}")
+        raise InputError(f"negative vertex count {n}")
     out = [0] * n
     inc = [0] * n
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRangeError(f"arc ({u},{v}) outside 0..{n - 1}")
+            raise InputError(f"arc ({u},{v}) outside 0..{n - 1}")
         if u == v:
-            raise SelfLoopError(f"self-loop at {u}")
+            raise InputError(f"self-loop at {u}")
         bit = 1 << v
         if out[u] & bit:
-            raise DuplicateArcError(f"arc ({u},{v}) listed twice")
+            raise InputError(f"arc ({u},{v}) listed twice")
         out[u] |= bit
         inc[v] |= 1 << u
     return Digraph(n, (1 << n) - 1, out, inc)

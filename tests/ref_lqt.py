@@ -15,6 +15,7 @@ masks; the tests require both to return equal pools.
 
 from __future__ import annotations
 
+from conftest import is_adjacent
 from klinkage.digraph import Digraph, is_semicomplete, iter_bits, mask_of
 from klinkage.errors import InputError
 from klinkage.linkage_lqt import ShortPathPool
@@ -43,7 +44,7 @@ def ref_is_l_quasi_transitive(d: Digraph, l: int) -> bool:
         return is_semicomplete(d)
     for u in d.vertices():
         for v in _exact_length_endpoints(d, u, l):
-            if not d.is_adjacent(u, v):
+            if not is_adjacent(d, u, v):
                 return False
     return True
 

@@ -228,6 +228,18 @@ class TestInvalidInputExitTwo:
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error: InputError: ")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["solve", "--class", "semicomplete", "--pairs", "0:9"],
+         "error: InputError: terminal 9 not in digraph\n"),
+        (["check", "--king", "0"],
+         "error: PreconditionViolatedError: in-kings are defined on tournaments\n"),
+    ], ids=["id-out-of-range", "king-not-tournament"])
+    def test_error_line_names_the_kind(self, k6, argv, line):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli([argv[0], "--input", k6, *argv[1:]])
+        assert (code, out, err.getvalue()) == (2, "", line)
+
     def test_missing_input_file(self, workdir):
         out = run_cli_process(["check", "--input", os.path.join(workdir, "absent.json"), "--kappa"])
         assert out.returncode == 2, out.stderr

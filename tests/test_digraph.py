@@ -15,16 +15,7 @@ from klinkage import (
 )
 import klinkage.digraph
 from klinkage.digraph import iter_bits
-from klinkage.errors import (
-    ArityMismatchError,
-    BudgetExceededError,
-    DuplicateArcError,
-    NotACompositionError,
-    NotSemicompleteError,
-    PartOverlapError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
+from klinkage.errors import BudgetExceededError, InputError, PreconditionViolatedError
 from klinkage.generators import (
     SplitMix64,
     random_digraph,
@@ -56,15 +47,15 @@ class TestBuild:
         assert is_semicomplete(d)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(InputError, match="^self-loop at 0$"):
             build_digraph(2, [(0, 0)])
 
     def test_duplicate_arc_rejected(self):
-        with pytest.raises(DuplicateArcError):
+        with pytest.raises(InputError, match="listed twice"):
             build_digraph(2, [(0, 1), (0, 1)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(InputError, match=r"outside 0\.\.1"):
             build_digraph(2, [(0, 2)])
 
     def test_degree_sum_is_arc_count(self):
@@ -185,7 +176,7 @@ class TestSpanningTournament:
         assert sorted(t.arcs()) == [(0, 1), (0, 2), (1, 2)]
 
     def test_rejects_non_semicomplete(self):
-        with pytest.raises(NotSemicompleteError):
+        with pytest.raises(PreconditionViolatedError, match="spanning tournament needs"):
             spanning_tournament(build_digraph(3, [(0, 1), (1, 2)]))
 
     def test_matches_arc_list_reference(self):
@@ -228,7 +219,7 @@ class TestSubdigraphs:
         assert got.has_vertex(0) and got.has_vertex(1) and not got.has_vertex(2)
 
     def test_delete_out_of_range(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(InputError, match="vertex 5 not in digraph"):
             cycle3().delete({5})
 
 
@@ -252,12 +243,12 @@ class TestComposition:
     def test_part_overlap_rejected(self):
         two = build_digraph(2, [(0, 1), (1, 0)])
         part = build_digraph(2, [])
-        with pytest.raises(PartOverlapError):
+        with pytest.raises(InputError, match="part vertex sets overlap"):
             compose(CompositionSpec(two, (part, part)))
 
     def test_arity_mismatch(self):
         two = build_digraph(2, [(0, 1), (1, 0)])
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(InputError, match="parts given"):
             compose(CompositionSpec.from_local_parts(two, [build_digraph(1, [])]))
 
     def test_strip_and_readd_reproduces_arcs(self):
@@ -284,7 +275,7 @@ class TestComposition:
 
     def test_recover_rejects_partial_bundle(self):
         d = build_digraph(3, [(0, 2), (1, 2), (2, 0)])  # {0,1} -> {2} full, {2} -> {0,1} partial
-        with pytest.raises(NotACompositionError):
+        with pytest.raises(InputError, match="cross arcs present"):
             composition_from_digraph(d, [[0, 1], [2]])
 
 

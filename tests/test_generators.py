@@ -9,7 +9,7 @@ from klinkage import (
     kappa,
 )
 from klinkage.digraph import build_digraph
-from klinkage.errors import EvenOrderError, KTooSmallError, CoreNotStrongError
+from klinkage.errors import InputError, PreconditionViolatedError
 from klinkage.generators import (
     SplitMix64,
     circulant_tournament,
@@ -63,7 +63,7 @@ class TestCirculant:
         assert kappa(circulant_tournament(5)) == 2
 
     def test_even_order_rejected(self):
-        with pytest.raises(EvenOrderError):
+        with pytest.raises(InputError, match="needs odd order"):
             circulant_tournament(4)
 
     def test_degrees_balanced(self):
@@ -139,11 +139,11 @@ class TestRandomComposition:
 
 class TestProp2Family:
     def test_k_too_small(self):
-        with pytest.raises(KTooSmallError):
+        with pytest.raises(InputError, match="fewer than 3 vertices"):
             non_linked_family(2)
 
     def test_core_must_be_strong(self):
-        with pytest.raises(CoreNotStrongError):
+        with pytest.raises(PreconditionViolatedError, match="not strong"):
             non_linked_family(3, core=build_digraph(3, [(0, 1), (1, 2)]))
 
     def test_default_family_k3(self):

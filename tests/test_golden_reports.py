@@ -107,7 +107,7 @@ PINNED = {
     'composition-thin-1': ('linked', None,
         '624743cf2fc5f613d445e883e8c061f8df1bcc51aea5d25efbfb3274d18f4bde'),
     'composition-thin-5': ('stage_failed', 'filled-subsolve',
-        '9d06b6f83f7b314e99e8e22c44cd36f061d42044aea7e290fad97d273630e7d6'),
+        '61059c9f8087e6d1d72a787f5c44657e6d1659d41218980442843928e616c2a9'),
     'lqt-0': ('linked', None,
         'e00fd6150e51cded06d76d0f1de6630b34dde8c0d06ff6d4eb49ceee48f6f96c'),
     'lqt-1': ('linked', None,
@@ -121,9 +121,9 @@ PINNED = {
     'lqt-audited': ('hypothesis_violated', None,
         'be39aa786174e56ab1b98d39c583fec477296348fa3d7e9e3e9c4f57d251251d'),
     'lqt-thin-0': ('stage_failed', 'auxiliary',
-        '98273427ef6a82be90232b285f3f4882297139e1a35d570c50cb1d5be9810a22'),
+        '92126cdada8d3d9e14a0528268604de3c1d2868cff7b3db288af57edfb7b96e6'),
     'lqt-thin-1': ('stage_failed', 'auxiliary',
-        '85fdd53adb3cc97a22c5a80e13568af361c0366dd58798b79ddde0e42ea16a54'),
+        '2df83a2c811f4cb8d7ff5dcc054e5a1503e24c848c7cc4b093c948a81f10805a'),
     'semicomplete-0': ('linked', None,
         'f35e8f40ad58a387dcb3bb6a6a41e56b1259c6a6908365ba26f0f81e802c1b16'),
     'semicomplete-1': ('hypothesis_violated', None,
@@ -131,7 +131,7 @@ PINNED = {
     'semicomplete-2': ('linked', None,
         '0384718f309e9728584eb52927e72aef2070022088f7d56d6b93639d9eb9a1f2'),
     'semicomplete-3': ('stage_failed', 'anchor-landed',
-        '189a8afe677ab68edb9fad044ade8f86cd8c66db1dee959b998b16fc9a69c3cc'),
+        '63ad7c06b6633494c52089c6cbc4ddbefa815b08c63acaebd665aff433499bc2'),
     'semicomplete-4': ('linked', None,
         '388010d33410c765816034925afdbfeda94cde81feb0966eee30b504e08b06ec'),
     'semicomplete-5': ('linked', None,
@@ -139,7 +139,7 @@ PINNED = {
     'semicomplete-direct-arcs': ('linked', None,
         'edb039050a34847a4f37c094f727d27998d6f538a9ce25dcd30b6dc618999bf6'),
     'semicomplete-dominating-set': ('stage_failed', 'dominating-set',
-        '2c31ae2ef10c6569af410982651a45c49fe139ab53ef8308ff356a2207f54179'),
+        '05263eebd0ee02f428ac16513180c06abb763029f9184ea26f17f4f7cc0bae85'),
 }
 
 

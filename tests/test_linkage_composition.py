@@ -12,9 +12,9 @@ from klinkage import (
     strip_intra_part_arcs,
     verify_linkage,
 )
-from conftest import assert_in_masks_transpose
+from conftest import assert_in_masks_transpose, out_neighbors
 from klinkage.acceptance import brute_kappa
-from klinkage.errors import NotAPartitionError
+from klinkage.errors import InputError
 from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
 
 
@@ -41,7 +41,7 @@ class TestStrip:
         assert set(d0.arcs()) == want
 
     def test_rejects_non_partition(self):
-        with pytest.raises(NotAPartitionError):
+        with pytest.raises(InputError, match="overlap"):
             strip_intra_part_arcs(complete(4), [[0, 1], [1, 2, 3]])
 
     def test_keeps_connectivity_with_non_strong_parts(self):
@@ -106,7 +106,7 @@ class TestFillParts:
     def test_rejects_unstripped_input(self):
         two = build_digraph(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [build_digraph(2, [(0, 1)]), build_digraph(1, [])])
-        with pytest.raises(NotAPartitionError):
+        with pytest.raises(InputError, match="intra-part arcs"):
             fill_parts(compose(spec), spec.part_vertex_ids(), ys=[])
 
 
@@ -160,7 +160,7 @@ def _some_long_path(d, x, y):
             if best is None or len(path) > len(best):
                 best = path
             continue
-        for w in d.out_neighbors(v):
+        for w in out_neighbors(d, v):
             if w not in path:
                 stack.append((w, path + (w,)))
     return list(best) if best else None

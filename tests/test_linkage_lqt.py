@@ -17,12 +17,7 @@ from klinkage import (
     verify_linkage,
     verify_short_anchor,
 )
-from klinkage.errors import (
-    InputError,
-    NotStrongError,
-    PreconditionViolatedError,
-    ThresholdUnreachableError,
-)
+from klinkage.errors import ConstructionFailedError, InputError, PreconditionViolatedError
 from klinkage.generators import (
     random_digraph,
     random_extended_tournament,
@@ -178,15 +173,19 @@ class TestBuildAuxiliary:
         assert not any(a & b for i, a in enumerate(interiors) for b in interiors[i + 1:])
 
     def test_not_strong_rejected(self):
-        with pytest.raises(NotStrongError):
+        with pytest.raises(PreconditionViolatedError, match="needs a strong digraph"):
             build_auxiliary(build_digraph(3, [(0, 1), (1, 2)]), [], [], 2, 3)
 
     def test_threshold_unreachable_on_small_digraph(self):
         spec = random_extended_tournament(10, [3] * 10, 4)
         d = compose(spec)
         assert d.is_strong()
-        with pytest.raises(ThresholdUnreachableError):
+        with pytest.raises(ConstructionFailedError) as err:
             build_auxiliary(d, [], [], 2, pool_threshold(2, 2))
+        exc = err.value
+        forward, backward = exc.counts["forward"], exc.counts["backward"]
+        assert max(forward, backward) < exc.counts["threshold"] == pool_threshold(2, 2)
+        assert str(exc) == f"pair {exc.vertices}: best per-direction counts {(forward, backward)}"
 
     def test_terminal_arcs_complete_the_terminals(self):
         spec = random_extended_tournament(12, [3] * 12, 6)
@@ -224,7 +223,7 @@ class TestShortAnchors:
 
     def test_undersized_needs_override(self):
         t = random_tournament(11, 9)
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(PreconditionViolatedError, match="guaranteed from 12 vertices"):
             find_short_anchor_pair(t, 2)
         assert find_short_anchor_pair(t, 2, allow_undersized=True) is not None
 

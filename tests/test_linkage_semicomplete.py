@@ -74,7 +74,11 @@ class TestAnchor:
         big_w = free[10:90]
         with pytest.raises(PreconditionViolatedError) as err:
             anchor_connectors(d, xs, ys, big_w, us, q, [free[0]], [starts[0]])
-        assert "out-neighbours" in str(err.value)
+        exc = err.value
+        need, have = exc.counts["need"], exc.counts["have"]
+        assert have < need and exc.vertices == (free[0],)
+        assert str(exc) == (f"anchor needs {need} dominator-backed out-neighbours, has {have} "
+                            f"(witness: {free[0]})")
 
     def test_target_outside_routed_starts_rejected(self):
         d, xs, ys, us, q = _pipeline_context()

@@ -12,6 +12,8 @@ from klinkage import (
 )
 from klinkage.generators import random_digraph
 
+from conftest import out_neighbors
+
 
 def complete(n):
     return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
@@ -117,7 +119,7 @@ class TestBruteForceKLinked:
                     if v == y:
                         paths.append(vis)
                         continue
-                    for w in d.out_neighbors(v):
+                    for w in out_neighbors(d, v):
                         if w not in vis and w not in used:
                             stack.append((w, vis | {w}))
                 return any(rec(idx + 1, used | vis) for vis in paths)
