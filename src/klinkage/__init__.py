@@ -62,7 +62,7 @@ from .linkage_lqt import (
     verify_short_anchor,
 )
 from .linkage_semicomplete import anchor_connectors, partition_terminals, solve_semicomplete
-from .paths import BudgetExceeded, Infeasible, LinkageInstance, PathSystem
+from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
 from .verify import brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
 

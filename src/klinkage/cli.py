@@ -45,7 +45,7 @@ from .jsonio import (
 from .linkage_composition import solve_composition
 from .linkage_lqt import solve_lqt
 from .linkage_semicomplete import solve_semicomplete
-from .paths import BudgetExceeded, Infeasible, LinkageInstance
+from .paths import Infeasible, LinkageInstance
 from .reports import HYPOTHESIS_VIOLATED, LINKED
 from .verify import brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
 
@@ -235,33 +235,31 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     d, _parts = _read_digraph(args.input)
     obj: dict = {"budget": args.budget}
-    if args.pairs:
-        pairs = _parse_pairs(args.pairs)
-        res = brute_force_disjoint_paths(d, pairs, args.budget)
-        if isinstance(res, BudgetExceeded):
-            obj["outcome"] = "budget_exceeded"
-            code = EXIT_BUDGET
-        elif isinstance(res, Infeasible):
-            obj["outcome"] = "infeasible"
-            code = EXIT_NEGATIVE
+    try:
+        if args.pairs:
+            pairs = _parse_pairs(args.pairs)
+            res = brute_force_disjoint_paths(d, pairs, args.budget)
+            if isinstance(res, Infeasible):
+                obj["outcome"] = "infeasible"
+                code = EXIT_NEGATIVE
+            else:
+                obj["outcome"] = "found"
+                obj["pathsystem"] = pathsystem_to_obj(res)
+                code = EXIT_OK
+        elif args.k is not None:
+            res = brute_force_k_linked(d, args.k, args.budget)
+            if res is True:
+                obj["outcome"] = "k_linked"
+                code = EXIT_OK
+            else:
+                obj["outcome"] = "not_k_linked"
+                obj["witness_pairs"] = [list(p) for p in res]
+                code = EXIT_NEGATIVE
         else:
-            obj["outcome"] = "found"
-            obj["pathsystem"] = pathsystem_to_obj(res)
-            code = EXIT_OK
-    elif args.k is not None:
-        res = brute_force_k_linked(d, args.k, args.budget)
-        if isinstance(res, BudgetExceeded):
-            obj["outcome"] = "budget_exceeded"
-            code = EXIT_BUDGET
-        elif res is True:
-            obj["outcome"] = "k_linked"
-            code = EXIT_OK
-        else:
-            obj["outcome"] = "not_k_linked"
-            obj["witness_pairs"] = [list(p) for p in res]
-            code = EXIT_NEGATIVE
-    else:
-        raise FormatError("oracle needs --k or --pairs")
+            raise FormatError("oracle needs --k or --pairs")
+    except BudgetExceededError:
+        obj["outcome"] = "budget_exceeded"
+        code = EXIT_BUDGET
     if args.seed is not None:
         obj["seed"] = args.seed
     _emit(dumps_canonical(obj), args.output)

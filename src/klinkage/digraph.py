@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InputError, PreconditionViolatedError
+from .errors import Budget, InputError, PreconditionViolatedError
 
 __all__ = [
     "Digraph",
@@ -255,32 +255,28 @@ class Digraph:
             return False
         return self.reach_mask(v0, forward=False) == self._alive
 
-    def shortest_path(self, src: int, dst: int, forbidden: int = 0, max_len: int | None = None,
-                      skip_direct: bool = False) -> list[int] | None:
+    def shortest_path(self, src: int, dst: int, forbidden: int = 0) -> list[int] | None:
         """Lexicographically smallest shortest src->dst path, or None.
 
-        Interior vertices avoid ``forbidden``; the path has at most
-        ``max_len`` arcs when that is given, and ``skip_direct`` rules out
-        the arc src->dst itself.  The BFS levels are masks, each the OR of
-        the out-masks of the level before.  The vertices of each level that
-        lie on some shortest path are then found backwards from dst, and
-        the path is walked forwards taking the lowest of them at each step:
-        the path a BFS that scans out-neighbours in ascending order returns.
+        Interior vertices avoid ``forbidden``.  The BFS levels are masks,
+        each the OR of the out-masks of the level before.  The vertices of
+        each level that lie on some shortest path are then found backwards
+        from dst, and the path is walked forwards taking the lowest of them
+        at each step: the path a BFS that scans out-neighbours in ascending
+        order returns.
         """
         if src == dst:
             return [src]
-        if max_len is not None and max_len < 1:
-            return None
         out, dst_bit = self._out, 1 << dst
         allowed = self._alive & ~forbidden | dst_bit
         seen = 1 << src
         levels = [seen]
-        reach = out[src] & ~dst_bit if skip_direct else out[src]
+        reach = out[src]
         while True:
             frontier = reach & allowed & ~seen
             if frontier & dst_bit:
                 break
-            if not frontier or len(levels) == max_len:
+            if not frontier:
                 return None
             levels.append(frontier)
             seen |= frontier
@@ -358,7 +354,7 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     if l >= d.order:  # a path of l arcs needs l + 1 vertices
         return True
     alive, out, inc = d._alive, d._out, d._in
-    budget, pushed = LQT_EXPANSION_BUDGET, 0
+    spend = Budget(LQT_EXPANSION_BUDGET).spend
     for u in iter_bits(alive):
         bad = alive & ~(out[u] | inc[u] | 1 << u)
         if not bad:
@@ -371,9 +367,7 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
                     return False
                 continue
             step = out[v] & ~used
-            pushed += step.bit_count()
-            if pushed > budget:
-                raise BudgetExceededError(pushed, budget)
+            spend(step.bit_count())
             for w in iter_bits(step):
                 stack.append((w, used | 1 << w, depth + 1))
     return True

@@ -13,6 +13,9 @@ Each error carries ``clause`` (the failed condition in words), ``vertices``
 (the vertices it is about) and ``counts`` (the numbers it compared, by
 name); ``witness()`` is the three as report data.  ``str(exc)`` is the
 message, which is the clause unless the raise site words it otherwise.
+
+Every exponential search (the l-QT predicate, the anchor search, the
+brute-force oracle) charges a ``Budget``, which raises the budget error.
 """
 
 from __future__ import annotations
@@ -60,3 +63,19 @@ class BudgetExceededError(KLinkageError):
         )
         self.expanded = expanded
         self.budget = budget
+
+
+class Budget:
+    """Work units of one search: ``spend`` raises
+    ``BudgetExceededError(spent, limit)`` once ``spent`` passes ``limit``."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: float):
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.limit:
+            raise BudgetExceededError(self.spent, self.limit)

@@ -9,8 +9,7 @@ written from generated digraphs so runs can be replayed.
 from __future__ import annotations
 
 from .digraph import CompositionSpec, Digraph, build_digraph, compose
-from .errors import ConstructionFailedError, InputError, PreconditionViolatedError
-from .paths import BudgetExceeded
+from .errors import BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
 
 __all__ = [
     "SplitMix64",
@@ -198,11 +197,12 @@ def non_linked_family(
     if witness is None:
         from .verify import brute_force_k_linked
 
-        res = brute_force_k_linked(core, 2, budget=2_000_000)
+        try:
+            res = brute_force_k_linked(core, 2, budget=2_000_000)
+        except BudgetExceededError as exc:
+            raise ConstructionFailedError("could not certify the core as non-2-linked in budget") from exc
         if res is True:
             raise ConstructionFailedError("core digraph is 2-linked")
-        if isinstance(res, BudgetExceeded):
-            raise ConstructionFailedError("could not certify the core as non-2-linked in budget")
         witness = (res[0], res[1])
     (u, v), (x, y) = witness
 

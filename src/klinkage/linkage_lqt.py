@@ -14,13 +14,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from math import comb
+from math import comb, inf
 from typing import Iterator
 
 from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import is_c_good, nearly_in_dominating_set
-from .errors import ConstructionFailedError, InputError, PreconditionViolatedError
+from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
 from .linkage_semicomplete import audit_kappa
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import HYPOTHESIS_VIOLATED, SolveReport
@@ -277,21 +277,23 @@ def _short_paths_between(d: Digraph, a: int, b: int, blocked: int, arc_ok=None):
     return out
 
 
-def _disjoint_short_linkage(d: Digraph, pairs, blocked: int = 0, arc_ok=None,
+def _disjoint_short_linkage(d: Digraph, pairs, budget: Budget, arc_ok=None,
                             prefer=None) -> list[tuple[int, ...]] | None:
     """Backtracking for disjoint length-<=3 paths, one per pair.
 
     Depth-first over the pairs in order, trying each pair's candidates in
     order; ``frames[i]`` holds pair i's untried candidates and the interiors
-    used before it.  An explicit stack, so no frame or closure refers to
-    itself and nothing outlives the call.
+    used before it.  Each candidate list spends one unit of ``budget``.  An
+    explicit stack, so no frame or closure refers to itself and nothing
+    outlives the call.
     """
-    blocked |= mask_of(t for p in pairs for t in p)
+    blocked = mask_of(t for p in pairs for t in p)
     acc: list[tuple[int, ...]] = []
     frames: list[tuple[Iterator[tuple[int, ...]], int]] = []
     used = 0
     while len(acc) < len(pairs):
         a, b = pairs[len(acc)]
+        budget.spend()
         cands = _short_paths_between(d, a, b, blocked | used, arc_ok)
         if prefer is not None:
             cands.sort(key=prefer)
@@ -310,15 +312,22 @@ def _disjoint_short_linkage(d: Digraph, pairs, blocked: int = 0, arc_ok=None,
     return acc
 
 
-def verify_short_anchor(t: Digraph, u1, u2) -> bool:
-    """Can u1 reach u2 by disjoint length-<=3 paths under every pairing?"""
+def verify_short_anchor(t: Digraph, u1, u2, budget: Budget | None = None) -> bool:
+    """Can u1 reach u2 by disjoint length-<=3 paths under every pairing?
+
+    Each candidate list spends one unit of ``budget``, if one is given.
+    """
     u1, u2 = list(u1), list(u2)
+    for v in u1 + u2:
+        if not t.has_vertex(v):
+            raise InputError(f"anchor vertex {v} not in digraph", vertices=(v,))
     if len(u1) != len(u2):
         raise InputError("anchor sets must have equal size")
-    if mask_of(u1) & mask_of(u2):
-        raise InputError("anchor sets must be disjoint")
+    if len(set(u1 + u2)) < len(u1) + len(u2):
+        raise InputError("anchor sets must be disjoint, without repeats")
+    budget = budget or Budget(inf)
     for perm in permutations(u2):
-        if _disjoint_short_linkage(t, list(zip(u1, perm))) is None:
+        if _disjoint_short_linkage(t, list(zip(u1, perm)), budget) is None:
             return False
     return True
 
@@ -328,10 +337,12 @@ def find_short_anchor_pair(t: Digraph, k: int, budget: int = 20000,
     """Search two disjoint k-sets where the first short anchors the second.
 
     Heuristic first (high out-degree sources vs high in-degree sinks), then
-    exhaustive enumeration; ``budget`` caps the number of verified
-    candidate pairs.  Returns (U1, U2) or None when the budget is spent;
-    None never contradicts existence, only the search budget.
+    exhaustive enumeration.  ``budget`` caps the candidate lists of the
+    whole search (every pairing of every candidate pair); past it the search
+    raises ``BudgetExceededError``.  None means every candidate pair failed.
     """
+    if k < 1:
+        raise InputError(f"k must be positive, got {k}", counts={"k": k})
     n = t.order
     if n < 9 * k - 6 and not allow_undersized:
         raise PreconditionViolatedError(
@@ -345,18 +356,13 @@ def find_short_anchor_pair(t: Digraph, k: int, budget: int = 20000,
     by_in = sorted(alive, key=lambda v: (-t.in_degree(v), v))
     heur_u1 = by_out[:k]
     heur_u2 = [v for v in by_in if v not in heur_u1][:k]
-    tried = 0
-    if len(heur_u2) == k:
-        tried += 1
-        if verify_short_anchor(t, heur_u1, heur_u2):
-            return heur_u1, heur_u2
+    work = Budget(budget)
+    if len(heur_u2) == k and verify_short_anchor(t, heur_u1, heur_u2, work):
+        return heur_u1, heur_u2
     for u1 in combinations(alive, k):
         rest = [v for v in alive if v not in u1]
         for u2 in combinations(rest, k):
-            if tried >= budget:
-                return None
-            tried += 1
-            if verify_short_anchor(t, list(u1), list(u2)):
+            if verify_short_anchor(t, list(u1), list(u2), work):
                 return list(u1), list(u2)
     return None
 
@@ -410,7 +416,9 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     ``threshold`` may be overridden: the solver is opportunistic and every
     outcome is certified, so a small pool threshold is sound for producing
     linkages, just not for guaranteeing success.  A ``BudgetExceededError``
-    from the l-quasi-transitivity check propagates; no report is made.
+    from the l-quasi-transitivity check propagates; no report is made.  The
+    anchor-pair and anchor-link searches may each expand ``anchor_budget``
+    candidate lists; past that the step fails with the budget witness.
     """
     pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)
@@ -460,9 +468,12 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         return SolveReport.of_stage("dominating-set", exc.witness(), audit)
     u_mask = mask_of(us)
     t_u = spanning_tournament(aux.augmented.induced(us))
-    anchor = find_short_anchor_pair(t_u, k, anchor_budget, allow_undersized=True)
+    try:
+        anchor = find_short_anchor_pair(t_u, k, anchor_budget, allow_undersized=True)
+    except BudgetExceededError as exc:
+        return SolveReport.of_stage("anchor-pair", exc.witness(), audit)
     if anchor is None:
-        return SolveReport.of_stage("anchor-pair", "search budget exhausted", audit)
+        return SolveReport.of_stage("anchor-pair", "no short anchor pair in the dominator set", audit)
     u1, u2 = anchor
 
     augmented_free = aux.augmented.delete(set(xs) | set(ys))
@@ -539,7 +550,10 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
 
     link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
     d_u = aux.augmented.induced(us)
-    links = _disjoint_short_linkage(d_u, link_pairs, arc_ok=arc_ok, prefer=prefer)
+    try:
+        links = _disjoint_short_linkage(d_u, link_pairs, Budget(anchor_budget), arc_ok, prefer)
+    except BudgetExceededError as exc:
+        return SolveReport.of_stage("anchor-link", exc.witness(), audit)
     if links is None:
         return SolveReport.of_stage("anchor-link", "no disjoint short links inside the dominator set", audit)
 

@@ -7,22 +7,20 @@ from dataclasses import dataclass
 from .digraph import Digraph
 from .errors import InputError
 
-__all__ = ["PathSystem", "LinkageInstance", "Infeasible", "BudgetExceeded"]
+__all__ = ["PathSystem", "LinkageInstance", "Infeasible"]
 
 
 @dataclass(frozen=True)
 class PathSystem:
     """An ordered collection of vertex sequences with their (source, target) roles.
 
-    Unless ``shared_endpoints`` is set, the paths claim full pairwise
-    vertex-disjointness.  Claims are certified by ``verify.verify_linkage``,
-    never assumed.
+    The paths claim full pairwise vertex-disjointness.  Claims are
+    certified by ``verify.verify_linkage``, never assumed.
     """
 
     paths: tuple[tuple[int, ...], ...]
     pairing: tuple[tuple[int, int], ...]
     provenance: str = ""
-    shared_endpoints: bool = False
 
     def __post_init__(self):
         if len(self.paths) != len(self.pairing):
@@ -87,10 +85,3 @@ class Infeasible:
     """
 
     separator: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class BudgetExceeded:
-    """Search aborted after the node-expansion budget ran out."""
-
-    expanded: int = 0

@@ -1,9 +1,10 @@
 """Ground truth: linkage certification and exhaustive disjoint-path search.
 
 ``verify_linkage`` certifies a path system against a digraph clause by
-clause.  The brute-force searchers are exact backtracking with an explicit
-node-expansion budget, meant for small instances (the solvers' outputs are
-cross-checked against them in tests, never the other way around).
+clause.  The brute-force searchers are exact backtracking that charges each
+node expansion to an ``errors.Budget``, meant for small instances (the
+solvers' outputs are cross-checked against them in tests, never the other
+way around).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Digraph, iter_bits
-from .errors import InputError
-from .paths import BudgetExceeded, Infeasible, PathSystem
+from .errors import Budget, InputError
+from .paths import Infeasible, PathSystem
 
 __all__ = [
     "LinkageReport",
@@ -58,27 +59,14 @@ def verify_linkage(d: Digraph, pairs, ps: PathSystem) -> LinkageReport:
     return LinkageReport(True)
 
 
-class _Budget:
-    __slots__ = ("left", "spent")
-
-    def __init__(self, limit: int):
-        self.left = limit
-        self.spent = 0
-
-    def step(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        self.spent += 1
-        return True
-
-
 def _search(d: Digraph, ordered_pairs, later_mask, idx: int, used: int, acc: list,
-            budget: _Budget, failed: set):
-    """Backtracking over pair index.  True / False / None (None = budget).
+            budget: Budget, failed: set) -> bool:
+    """Backtracking over pair index; each node pop spends one unit.
 
     ``failed`` memoizes (pair index, used-vertex mask) states already proven
-    dead, so unions reached along different path orders are pruned.
+    dead, so unions reached along different path orders are pruned.  A
+    ``BudgetExceededError`` unwinds before the state it interrupts is
+    memoized.
     """
     if idx == len(ordered_pairs):
         return True
@@ -89,16 +77,11 @@ def _search(d: Digraph, ordered_pairs, later_mask, idx: int, used: int, acc: lis
     stack = [(x, 1 << x, (x,))]
     while stack:
         v, visited, path = stack.pop()
-        if not budget.step():
-            return None
+        budget.spend()
         if v == y:
             acc.append(path)
-            sub = _search(d, ordered_pairs, later_mask, idx + 1, used | visited, acc,
-                          budget, failed)
-            if sub:
+            if _search(d, ordered_pairs, later_mask, idx + 1, used | visited, acc, budget, failed):
                 return True
-            if sub is None:
-                return None
             acc.pop()
             continue
         for w in iter_bits(d.out_mask(v) & ~visited & ~used & ~blocked):
@@ -113,8 +96,8 @@ def _short_path_count(d: Digraph, x: int, y: int) -> int:
     return direct + middles
 
 
-def _solve_pairs(d: Digraph, pairs, budget: _Budget):
-    """Hardest-first exhaustive search; PathSystem / Infeasible / None."""
+def _solve_pairs(d: Digraph, pairs, budget: Budget) -> PathSystem | Infeasible:
+    """Hardest-first exhaustive search."""
     order = sorted(range(len(pairs)), key=lambda i: (_short_path_count(d, *pairs[i]), i))
     ordered = [pairs[i] for i in order]
     later_mask = []
@@ -124,10 +107,7 @@ def _solve_pairs(d: Digraph, pairs, budget: _Budget):
             m |= (1 << x) | (1 << y)
         later_mask.append(m)
     acc: list[tuple[int, ...]] = []
-    outcome = _search(d, ordered, later_mask, 0, 0, acc, budget, set())
-    if outcome is None:
-        return None
-    if not outcome:
+    if not _search(d, ordered, later_mask, 0, 0, acc, budget, set()):
         return Infeasible()
     by_pair = dict(zip(ordered, acc))
     return PathSystem(tuple(by_pair[p] for p in pairs), tuple(pairs), "brute-force")
@@ -135,12 +115,13 @@ def _solve_pairs(d: Digraph, pairs, budget: _Budget):
 
 def brute_force_disjoint_paths(
     d: Digraph, pairs, budget: int = 2_000_000
-) -> PathSystem | Infeasible | BudgetExceeded:
+) -> PathSystem | Infeasible:
     """Exhaustive backtracking for vertex-disjoint linking paths.
 
-    Pairs with the fewest short connections are tried first to fail fast;
-    the answer is exact whenever the budget is not exhausted.  The budget
-    counts node expansions, not wall clock, so runs are reproducible.
+    Pairs with the fewest short connections are tried first to fail fast.
+    The search may expand ``budget`` nodes; past that it raises
+    ``BudgetExceededError``, so every answer it returns is exact.  The
+    budget counts node expansions, not wall clock, so runs are reproducible.
     """
     pairs = [tuple(p) for p in pairs]
     terminals = [t for p in pairs for t in p]
@@ -149,11 +130,7 @@ def brute_force_disjoint_paths(
     for t in terminals:
         if not d.has_vertex(t):
             raise InputError(f"terminal {t} not in digraph", vertices=(t,))
-    tracker = _Budget(budget)
-    result = _solve_pairs(d, pairs, tracker)
-    if result is None:
-        return BudgetExceeded(tracker.spent)
-    return result
+    return _solve_pairs(d, pairs, Budget(budget))
 
 
 def _pair_assignments(vertices: tuple[int, ...]):
@@ -173,21 +150,19 @@ def _pair_assignments(vertices: tuple[int, ...]):
 def brute_force_k_linked(d: Digraph, k: int, budget: int = 5_000_000):
     """Is every choice of 2k distinct terminals linkable?
 
-    Returns True, the first failing assignment in a fixed enumeration
+    Returns True, or the first failing assignment in a fixed enumeration
     order (pair-index permutations are collapsed since they do not affect
-    linkability), or BudgetExceeded.  One budget covers the whole sweep.
+    linkability).  One budget covers the whole sweep; past it the sweep
+    raises ``BudgetExceededError``.
     """
     if k < 0:
         raise InputError(f"k must be non-negative, got {k}")
     alive = list(d.vertices())
     if len(alive) < 2 * k:
         raise InputError(f"need at least {2 * k} vertices, have {len(alive)}")
-    tracker = _Budget(budget)
+    tracker = Budget(budget)
     for chosen in combinations(alive, 2 * k):
         for assignment in _pair_assignments(chosen):
-            result = _solve_pairs(d, list(assignment), tracker)
-            if result is None:
-                return BudgetExceeded(tracker.spent)
-            if isinstance(result, Infeasible):
+            if isinstance(_solve_pairs(d, list(assignment), tracker), Infeasible):
                 return assignment
     return True

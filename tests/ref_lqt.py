@@ -8,7 +8,8 @@ witness and answers vacuous lengths at once; the tests require both to
 give the same answers.
 
 ``ref_independent_short_paths`` harvests a pool by running two
-shortest-path searches per pick and taking the shorter path.
+shortest-path searches (the list BFS of ``ref_bfs``) per pick and taking
+the shorter path.
 ``klinkage.linkage_lqt`` picks the same paths length by length on the
 masks; the tests require both to return equal pools.
 """
@@ -16,6 +17,7 @@ masks; the tests require both to return equal pools.
 from __future__ import annotations
 
 from conftest import is_adjacent
+from ref_bfs import ref_shortest_path
 from klinkage.digraph import Digraph, is_semicomplete, iter_bits, mask_of
 from klinkage.errors import InputError
 from klinkage.linkage_lqt import ShortPathPool
@@ -64,8 +66,8 @@ def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) 
     removed = 0
     max_len = l + 1
     while len(forward) < limit and len(backward) < limit:
-        pf = d.shortest_path(u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
-        pb = d.shortest_path(v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
+        pf = ref_shortest_path(d, u, v, removed, max_len, skip_direct=any(len(p) == 2 for p in forward))
+        pb = ref_shortest_path(d, v, u, removed, max_len, skip_direct=any(len(p) == 2 for p in backward))
         pick = None
         if pf is not None and (pb is None or len(pf) <= len(pb)):
             pick, bucket = pf, forward
@@ -74,7 +76,7 @@ def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) 
         if pick is None:
             residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
             stalled_strong = residual.is_strong() and residual.order >= 2
-            paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
+            paths = (ref_shortest_path(d, u, v, removed), ref_shortest_path(d, v, u, removed))
             return ShortPathPool(
                 u, v, tuple(forward), tuple(backward), stalled_strong,
                 tuple(None if p is None else len(p) - 1 for p in paths),

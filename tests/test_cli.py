@@ -283,8 +283,10 @@ class TestOracleCommand:
         arcs = [[i, j] for i in range(8) for j in range(8) if i != j]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"n": 8, "arcs": arcs}, fh)
-        code, out = run_cli(["oracle", "--input", path, "--k", "2", "--budget", "3"])
-        assert code == 4
+        for mode, budget in ((["--k", "2"], 3), (["--pairs", "0:1,2:3,4:5"], 2)):
+            code, out = run_cli(["oracle", "--input", path, *mode, "--budget", str(budget)])
+            assert code == 4
+            assert out == f'{{\n  "budget": {budget},\n  "outcome": "budget_exceeded"\n}}\n'
 
     def test_composition_solve_uses_parts(self, workdir):
         path = os.path.join(workdir, "comp.json")

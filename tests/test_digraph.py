@@ -284,38 +284,25 @@ class TestShortestPath:
         # 0->1->3 and 0->2->3 tie; the lower second vertex wins
         d = build_digraph(5, [(0, 2), (0, 1), (2, 3), (1, 3), (3, 4), (0, 4)])
         assert d.shortest_path(0, 3) == [0, 1, 3]
+        assert d.shortest_path(0, 3, forbidden=0b10) == [0, 2, 3]
         assert d.shortest_path(0, 4) == [0, 4]
-        assert d.shortest_path(0, 4, skip_direct=True) == [0, 1, 3, 4]
-        assert d.shortest_path(0, 4, forbidden=0b10, skip_direct=True) == [0, 2, 3, 4]
-        assert d.shortest_path(0, 4, max_len=2, skip_direct=True) is None
         assert d.shortest_path(4, 0) is None
         assert d.shortest_path(2, 2) == [2]
-        assert d.shortest_path(0, 4, max_len=0) is None
-        assert d.shortest_path(0, 1, max_len=-1) is None
-        assert d.shortest_path(2, 2, max_len=0) == [2]
 
     def test_against_list_bfs(self):
         """Identical paths, not just lengths, to the list BFS of ref_bfs."""
         rng = SplitMix64(2_031)
-        seen = {"found": 0, "unreachable": 0, "cut-by-max-len": 0, "skip-direct": 0,
-                "forbidden": 0, "deleted": 0, "two-cycles": 0}
+        seen = {"found": 0, "unreachable": 0, "forbidden": 0, "deleted": 0, "two-cycles": 0}
         for trial in range(8_400):
             n = 2 + rng.randrange(15)
             d = random_digraph(n, 70_000 + trial, 1 + rng.randrange(9))
             d = d.delete([v for v in range(n) if rng.randrange(6) == 0][: n - 2])
             src, dst = rng.sample(list(d.vertices()), 2)
             forbidden = sum(1 << v for v in range(n) if rng.randrange(4) == 0)
-            max_len = (None, -1, 0, 1, 2, 3, 4)[rng.randrange(7)]
-            skip_direct = rng.randrange(2) == 1
-            got = d.shortest_path(src, dst, forbidden, max_len, skip_direct)
-            assert got == ref_shortest_path(d, src, dst, forbidden, max_len, skip_direct), (
-                trial, src, dst, forbidden, max_len, skip_direct)
+            got = d.shortest_path(src, dst, forbidden)
+            assert got == ref_shortest_path(d, src, dst, forbidden), (trial, src, dst, forbidden)
             seen["found" if got else "unreachable"] += 1
-            if got is None and max_len is not None:
-                seen["cut-by-max-len"] += ref_shortest_path(d, src, dst, forbidden, None,
-                                                            skip_direct) is not None
-            seen["skip-direct"] += skip_direct and d.has_arc(src, dst) and got is not None
-            seen["forbidden"] += got != ref_shortest_path(d, src, dst, 0, max_len, skip_direct)
+            seen["forbidden"] += got != ref_shortest_path(d, src, dst, 0)
             seen["deleted"] += d.order < n
             seen["two-cycles"] += any(d.has_arc(v, u) for u, v in d.arcs())
         assert min(seen.values()) >= 400, seen

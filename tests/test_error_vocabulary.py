@@ -64,6 +64,20 @@ def test_budget_error_keeps_its_message_and_fields():
     assert exc.counts == {"expanded": 12, "budget": 10}
 
 
+def test_budget_lets_its_limit_through_and_raises_past_it():
+    budget = errors.Budget(2)
+    budget.spend()
+    budget.spend()
+    with pytest.raises(errors.BudgetExceededError) as info:
+        budget.spend()
+    assert (info.value.expanded, info.value.budget) == (3, 2)
+    bulk = errors.Budget(4)
+    bulk.spend(4)
+    with pytest.raises(errors.BudgetExceededError) as info:
+        bulk.spend(5)
+    assert (info.value.expanded, info.value.budget) == (9, 4)
+
+
 def _check_witness(witness, where):
     """A stage witness is an error's fields or a nested report, all the way down."""
     assert isinstance(witness, dict), where

@@ -17,7 +17,13 @@ from klinkage import (
     verify_linkage,
     verify_short_anchor,
 )
-from klinkage.errors import ConstructionFailedError, InputError, PreconditionViolatedError
+from klinkage.acceptance import _lqt_instances
+from klinkage.errors import (
+    BudgetExceededError,
+    ConstructionFailedError,
+    InputError,
+    PreconditionViolatedError,
+)
 from klinkage.generators import (
     random_digraph,
     random_extended_tournament,
@@ -234,6 +240,60 @@ class TestShortAnchors:
         got = find_short_anchor_pair(t, 2, allow_undersized=True)
         assert got is not None
         assert verify_short_anchor(t, *got)
+
+    def test_anchor_id_past_the_digraph(self):
+        with pytest.raises(InputError, match="anchor vertex 9 not in digraph") as info:
+            verify_short_anchor(random_tournament(6, 0), [9], [0])
+        assert info.value.vertices == (9,)
+
+    def test_negative_anchor_id(self):
+        with pytest.raises(InputError, match="anchor vertex -1 not in digraph"):
+            verify_short_anchor(random_tournament(6, 0), [0], [-1])
+
+    def test_deleted_anchor_id(self):
+        t = random_tournament(6, 0).delete([3])
+        with pytest.raises(InputError, match="anchor vertex 3 not in digraph"):
+            verify_short_anchor(t, [3], [0])
+
+    def test_repeated_anchor_id(self):
+        t = random_tournament(6, 0)
+        for u1, u2 in (([0, 0], [1, 2]), ([0, 1], [1, 2])):
+            with pytest.raises(InputError, match="anchor sets must be disjoint, without repeats"):
+                verify_short_anchor(t, u1, u2)
+
+    def test_zero_k(self):
+        with pytest.raises(InputError, match="k must be positive, got 0") as info:
+            find_short_anchor_pair(random_tournament(6, 0), 0)
+        assert info.value.counts == {"k": 0}
+
+    def test_negative_k(self):
+        with pytest.raises(InputError, match="k must be positive, got -1"):
+            find_short_anchor_pair(random_tournament(6, 0), -1, allow_undersized=True)
+
+
+class TestAnchorBudget:
+    """The anchor search spends one unit per candidate-path list."""
+
+    @pytest.mark.parametrize("n, k", [(16, 6), (18, 7)])
+    def test_undersized_search_stops_at_the_default_budget(self, n, k):
+        with pytest.raises(BudgetExceededError) as info:
+            find_short_anchor_pair(random_tournament(n, 1), k, allow_undersized=True)
+        assert (info.value.budget, info.value.expanded) == (20_000, 20_001)
+
+    @pytest.mark.parametrize("n, k", [(16, 6), (18, 7)])
+    def test_lowered_budget(self, n, k):
+        with pytest.raises(BudgetExceededError) as info:
+            find_short_anchor_pair(random_tournament(n, 1), k, budget=50, allow_undersized=True)
+        assert (info.value.budget, info.value.expanded) == (50, 51)
+
+    def test_solve_reports_the_spent_budget(self):
+        spec, d = _lqt_instances(5, 20, 61_000)[0]
+        parts = spec.part_vertex_ids()
+        rep = solve_lqt(d, ((parts[0][0], parts[10][0]),), 2, threshold=5, anchor_budget=0,
+                        skip_audit=True)
+        assert (rep.outcome, rep.stage) == ("stage_failed", "anchor-pair")
+        assert rep.witness == {"clause": "search passed its expansion budget", "vertices": [],
+                               "counts": {"expanded": 1, "budget": 0}}
 
 
 class TestSolveLqt:

@@ -1,7 +1,6 @@
 import pytest
 
 from klinkage import (
-    BudgetExceeded,
     Infeasible,
     PathSystem,
     brute_force_disjoint_paths,
@@ -10,6 +9,7 @@ from klinkage import (
     kappa,
     verify_linkage,
 )
+from klinkage.errors import BudgetExceededError
 from klinkage.generators import random_digraph
 
 from conftest import out_neighbors
@@ -78,8 +78,9 @@ class TestBruteForceDisjointPaths:
 
     def test_budget_exhaustion(self):
         d = complete(8)
-        res = brute_force_disjoint_paths(d, [(0, 1), (2, 3), (4, 5)], budget=2)
-        assert isinstance(res, BudgetExceeded)
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_disjoint_paths(d, [(0, 1), (2, 3), (4, 5)], budget=2)
+        assert (info.value.expanded, info.value.budget) == (3, 2)
 
     def test_result_order_matches_input(self):
         d = complete(6)
@@ -157,3 +158,16 @@ class TestBruteForceKLinked:
                 checked += 1
                 assert kappa(d) >= 2
         assert checked > 3
+
+
+# Smallest budgets that succeed, measured when the oracle reported a spent
+# budget as a value; one node pop per unit keeps them.
+@pytest.mark.parametrize("search, smallest", [
+    (lambda budget: brute_force_k_linked(random_digraph(6, 41_001, 8), 2, budget), 999),
+    (lambda budget: brute_force_disjoint_paths(complete(8), [(0, 1), (2, 3), (4, 5)], budget), 8),
+], ids=["k-linked-sweep", "pairs"])
+def test_smallest_sufficient_budget_is_pinned(search, smallest):
+    assert search(smallest) == search(10 ** 6)
+    with pytest.raises(BudgetExceededError) as info:
+        search(smallest - 1)
+    assert (info.value.expanded, info.value.budget) == (smallest, smallest - 1)
