@@ -373,24 +373,28 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     return True
 
 
+def _tournament_in(v: int, out_v: int, in_v: int) -> int:
+    """v's in-mask in the spanning tournament: v loses the in-arcs from
+    the larger ids it also points to."""
+    return in_v & ~(out_v >> v << v)
+
+
 def spanning_tournament(d: Digraph) -> Digraph:
     """Drop one arc from every 2-cycle: the arc from larger to smaller id goes.
 
     The tie-break makes the output deterministic; any spanning tournament
-    would do for the dominator constructions built on top of this.  Each
-    vertex's masks are computed directly: v keeps its out-arcs except those
-    to smaller in-neighbours, and its in-arcs from smaller vertices or from
-    vertices it does not point to.
+    would do for the dominator constructions built on top of this.  v keeps
+    its out-arcs except those to smaller in-neighbours; ``_tournament_in``
+    gives its in-arcs.
     """
     if not is_semicomplete(d):
         raise PreconditionViolatedError("spanning tournament needs a semicomplete digraph")
     out = [0] * d.n
     inc = [0] * d.n
     for v in d.vertices():
-        below = (1 << v) - 1
         out_v, in_v = d.out_mask(v), d.in_mask(v)
-        out[v] = out_v & ~(in_v & below)
-        inc[v] = in_v & (below | ~out_v)
+        out[v] = out_v & ~(in_v & ((1 << v) - 1))
+        inc[v] = _tournament_in(v, out_v, in_v)
     return Digraph(d.n, d.alive_mask, out, inc)
 
 

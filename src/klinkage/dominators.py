@@ -8,19 +8,21 @@ nearly in-dominating when for every c at most 2c vertices fail to be
 c-good for it; every semicomplete digraph has one, and a maximum-in-degree
 vertex of any spanning tournament always works.
 
-The selection and the set-level check work on the digraph's masks and
-build no subdigraph.  The tournament is the deterministic one of
-``digraph.spanning_tournament`` (the arc from the larger to the smaller id
-of each 2-cycle goes), so v's in-mask in it, restricted to the vertex mask
-``alive``, is ``tin(v) = in[v] & alive & ~(out[v] >> v << v)``: v loses
-the in-arcs from the larger ids it also points to.  Removing a set T
-lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the in-degrees
-are counted once, and each pick scans the vertices ranked by that first
-count and stops at the first one whose first count is below the best
-degree found: a set of m vertices costs one degree count, one sort and m
-short scans.  The set check reads each width as one popcount and sorts
-them; more than 2c widths lie below c exactly when the sorted width at
-index 2c does, so the sweep over c is one comparison per even index.
+Everything works on the digraph's masks; a subdigraph is a vertex mask
+``alive``.  One width pass, ``_widths``, reads the width of (v, u) inside
+``alive`` as ``popcount(out[v] & in[u] & alive)``; the vertex check, the
+set check and the goodness profile take their widths from it.  Sorted, the
+widths of the vertices that do not dominate u decide both checks: more
+than 2c of them lie below c exactly when the one at index 2c does.  On
+failure the excess "widths below c, minus 2c" peaks at c = 1 or at
+c = w + 1 for a width w, so the worst c is one scan of the same list.
+``_first_c_good`` is the one scan for a c-good vertex.
+
+The selection ranks the vertices by their in-mask ``tin(v)`` in the
+spanning tournament on ``alive`` (``digraph._tournament_in``).  Removing a
+set T lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the
+degrees are counted once, and each pick scans the ranking until a first
+count falls below the best degree found.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .digraph import (Digraph, _flags, _is_semicomplete_on, is_semicomplete, is_tournament,
-                      iter_bits, mask_of)
+from .digraph import (Digraph, _flags, _is_semicomplete_on, _tournament_in, is_semicomplete,
+                      is_tournament, iter_bits)
 from .errors import InputError, PreconditionViolatedError
 
 __all__ = [
@@ -51,20 +53,38 @@ def two_path_width(d: Digraph, v: int, u: int) -> int:
     """Number of independent (v, u)-paths of length 2 (= common middles)."""
     if u == v:
         raise InputError("width is defined for distinct vertices")
-    for w in (u, v):
-        if not d.has_vertex(w):
-            raise InputError(f"vertex {w} not in digraph", vertices=(w,))
+    d._check_vertices((u, v))
     middles = d.out_mask(v) & d.in_mask(u) & ~(1 << u) & ~(1 << v)
     return middles.bit_count()
+
+
+def _widths(d: Digraph, u: int, alive: int, among: int) -> list[int]:
+    """The widths of (v, u) inside ``alive`` for the vertices v of ``among``, in id order."""
+    in_u = d._in[u] & alive
+    return list(map(int.bit_count, map(in_u.__and__, compress(d._out, _flags(among)))))
+
+
+def _too_many_bad(widths: list[int], c_max: int) -> bool:
+    """Some c in [1, c_max] has more than 2c of the sorted ``widths`` below c."""
+    return any(map(int.__lt__, widths[2::2], range(1, c_max + 1)))
+
+
+def _first_c_good(d: Digraph, cands: int, s: int, alive: int, c: int) -> int | None:
+    """The smallest vertex of the mask ``cands`` that is c-good for s inside
+    ``alive``: it lies in ``in[s]``, or ``out[w] & in[s] & alive`` has c bits."""
+    in_s, out = d._in[s] & alive, d._out
+    for w in iter_bits(cands):
+        if in_s >> w & 1 or (out[w] & in_s).bit_count() >= c:
+            return w
+    return None
 
 
 def is_c_good(d: Digraph, v: int, u: int, c: int) -> bool:
     """v dominates u, or at least c independent length-2 (v, u)-paths exist."""
     if u == v:
         raise InputError("goodness is defined for distinct vertices")
-    if d.has_arc(v, u):
-        return True
-    return two_path_width(d, v, u) >= c
+    d._check_vertices((u, v))
+    return _first_c_good(d, 1 << v, u, d.alive_mask, c) is not None
 
 
 @dataclass(frozen=True)
@@ -75,19 +95,12 @@ class GoodnessProfile:
     widths: dict[int, int]
     dominators: frozenset[int]
 
-    def bad_count(self, c: int) -> int:
-        """Vertices that are not c-good for the target."""
-        return sum(
-            1 for v, w in self.widths.items() if v not in self.dominators and w < c
-        )
-
 
 def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
-    if not d.has_vertex(u):
-        raise InputError(f"vertex {u} not in digraph", vertices=(u,))
-    widths = {v: two_path_width(d, v, u) for v in d.vertices() if v != u}
-    dominators = frozenset(iter_bits(d.in_mask(u)))
-    return GoodnessProfile(u, widths, dominators)
+    d._check_vertices((u,))
+    others = d.alive_mask & ~(1 << u)
+    widths = dict(zip(iter_bits(others), _widths(d, u, d.alive_mask, others)))
+    return GoodnessProfile(u, widths, frozenset(iter_bits(d.in_mask(u))))
 
 
 def _ranked_picks(d: Digraph, alive: int, m: int) -> list[int]:
@@ -96,10 +109,8 @@ def _ranked_picks(d: Digraph, alive: int, m: int) -> list[int]:
     ranking stops below the best degree: no later degree can reach it."""
     flags = _flags(alive)
     ids = list(compress(range(d.n), flags))
-    tins = [
-        i & alive & ~(o >> v << v)
-        for v, o, i in zip(ids, compress(d._out, flags), compress(d._in, flags))
-    ]
+    tins = [tin & alive
+            for tin in map(_tournament_in, ids, compress(d._out, flags), compress(d._in, flags))]
     ranked = sorted(zip(map(int.bit_count, tins), ids, tins), key=itemgetter(0), reverse=True)
     taken = 0
     chosen: list[int] = []
@@ -145,28 +156,27 @@ class NidReport:
 def verify_nearly_in_dominating(d: Digraph, u: int, c_max: int) -> NidReport:
     """Check |{v != u : not c-good for u}| <= 2c for every c in [1, c_max].
 
-    The non-good count is monotone in c and stabilises once c exceeds the
-    maximum width, so a finite sweep is exhaustive.  The report carries the
-    worst c (largest excess) and the offending vertices when it fails.
-    An empty sweep (``c_max`` < 1) would pass vacuously, so it is rejected.
+    The test is the set check's, for U = {u} in d itself.  On failure the
+    report carries the worst c (the first of largest excess) and the
+    vertices not c-good for it.  An empty sweep (``c_max`` < 1) would pass
+    vacuously, so it is rejected.
     """
     if c_max < 1:
         raise InputError(f"c_max must be at least 1, got {c_max}")
-    profile = goodness_profile(d, u)
-    worst_c, worst_excess = None, 0
-    for c in range(1, c_max + 1):
-        excess = profile.bad_count(c) - 2 * c
-        if excess > worst_excess:
-            worst_c, worst_excess = c, excess
-    if worst_c is None:
+    d._check_vertices((u,))
+    among = d.alive_mask & ~d._in[u] & ~(1 << u)
+    widths = _widths(d, u, d.alive_mask, among)
+    ranked = sorted(widths)
+    if not _too_many_bad(ranked, c_max):
         return NidReport(True)
-    bad = tuple(
-        sorted(
-            v
-            for v, w in profile.widths.items()
-            if v not in profile.dominators and w < worst_c
-        )
-    )
+    worst_c, worst_excess = None, 0
+    for below, w in enumerate(ranked, 1):  # below: the widths under c = w + 1
+        if w >= c_max:
+            break
+        excess = below - 2 * (w + 1)
+        if excess > worst_excess:
+            worst_c, worst_excess = w + 1, excess
+    bad = tuple(compress(iter_bits(among), map(worst_c.__gt__, widths)))
     return NidReport(False, worst_c, bad)
 
 
@@ -174,25 +184,19 @@ def verify_nearly_in_dominating_set(d: Digraph, xs, ys, us, c_max: int) -> bool:
     """Set-level check: for u in U and c, at most 2c vertices outside
     X, Y and U fail to be c-good for u in d minus X and Y.
 
-    Every u must be a vertex of d minus X and Y.  In that subdigraph the
-    width of (v, u) is ``(out[v] & in[u] & alive).bit_count()``, and the
-    vertices that can fail are those of ``alive`` outside U that do not
-    dominate u.  With the widths sorted, more than 2c of them lie below c
-    exactly when the one at index 2c does.  An empty sweep (``c_max`` < 1)
-    would pass vacuously, so it is rejected.
+    Every u must be a vertex of d minus X and Y.  The vertices that can
+    fail for u are those of that subdigraph outside U that do not dominate
+    u, and their widths come from the one width pass.  An empty sweep
+    (``c_max`` < 1) would pass vacuously, so it is rejected.
     """
     if c_max < 1:
         raise InputError(f"c_max must be at least 1, got {c_max}")
     alive = d.alive_mask & ~d._check_vertices([*xs, *ys])
-    out, inc = d._out, d._in
-    u_mask = mask_of(us)
+    u_mask = d._check_vertices(us)
     for u in us:
         if not alive >> u & 1:
             raise InputError(f"vertex {u} not in digraph minus X and Y", vertices=(u,))
-        in_u = inc[u] & alive
-        widths = sorted(map(int.bit_count, map(in_u.__and__,
-                                               compress(out, _flags(alive & ~u_mask & ~in_u)))))
-        if any(map(int.__lt__, widths[2::2], range(1, c_max + 1))):
+        if _too_many_bad(sorted(_widths(d, u, alive, alive & ~u_mask & ~d._in[u])), c_max):
             return False
     return True
 
@@ -220,7 +224,8 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
 
 def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out") -> bool:
     """Does v have at least gamma out- (or in-) neighbours inside U?"""
-    u_mask = mask_of(us)
+    d._check_vertices((v,))
+    u_mask = d._check_vertices(us)
     if u_mask >> v & 1:
         raise InputError(f"vertex {v} lies in the reference set", vertices=(v,))
     if direction == "out":
@@ -234,8 +239,7 @@ def is_in_king(t: Digraph, v: int) -> bool:
     """Every other vertex reaches v by a path of length at most 2."""
     if not is_tournament(t):
         raise PreconditionViolatedError("in-kings are defined on tournaments")
-    if not t.has_vertex(v):
-        raise InputError(f"vertex {v} not in digraph", vertices=(v,))
+    t._check_vertices((v,))
     reach = t.in_mask(v)
     for w in iter_bits(t.in_mask(v)):
         reach |= t.in_mask(w)

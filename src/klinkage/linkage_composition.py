@@ -113,7 +113,7 @@ def _two_part_route(d: Digraph, masks, pairs):
     return None
 
 
-def _solve_reduced(d: Digraph, part_masks: list[int], pairs, audit, skip_audit, depth):
+def _solve_reduced(d: Digraph, part_masks: list[int], pairs, skip_audit, depth):
     k = len(pairs)
     if k == 0:
         return []
@@ -128,7 +128,7 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, audit, skip_audit, 
         x, y = pairs[direct]
         rest = _solve_reduced(
             d.delete({x, y}), part_masks, pairs[:direct] + pairs[direct + 1:],
-            audit, skip_audit, depth + 1,
+            skip_audit, depth + 1,
         )
         rest.insert(direct, [x, y])
         return rest
@@ -150,7 +150,7 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, audit, skip_audit, 
         i, path = routed
         rest = _solve_reduced(
             d.delete(set(path)), part_masks, pairs[:i] + pairs[i + 1:],
-            audit, skip_audit, depth + 1,
+            skip_audit, depth + 1,
         )
         rest.insert(i, path)
         return rest
@@ -227,7 +227,7 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
             return SolveReport.of_hypothesis(f"a part leaves fewer than {2 * k - 3} vertices", audit)
 
     try:
-        paths = _solve_reduced(d, part_masks, list(pairs), audit, skip_audit, 0)
+        paths = _solve_reduced(d, part_masks, list(pairs), skip_audit, 0)
     except _CoSizeViolation as exc:
         return SolveReport.of_hypothesis(
             f"part co-size fell below threshold at depth {exc.depth}", audit

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
-from .dominators import is_c_good, nearly_in_dominating_set
+from .dominators import _first_c_good, nearly_in_dominating_set
 from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
 from .linkage_semicomplete import audit_kappa
 from .paths import Infeasible, LinkageInstance, PathSystem
@@ -476,7 +476,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         return SolveReport.of_stage("anchor-pair", "no short anchor pair in the dominator set", audit)
     u1, u2 = anchor
 
-    augmented_free = aux.augmented.delete(set(xs) | set(ys))
+    free = aux.augmented.alive_mask & ~(mask_of(xs) | mask_of(ys))
     ledger = _Ledger(mask_of(xs) | mask_of(ys) | u_mask)
 
     # sources ride a real arc to a helper that is strongly good for its anchor
@@ -485,11 +485,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     for i, x in enumerate(xs):
         target = u1[i]
         cands = d.out_mask(x) & d.alive_mask & ~ledger.claimed & ~helper_mask
-        helper = None
-        for w in iter_bits(cands):
-            if is_c_good(augmented_free, w, target, 11 * k):
-                helper = w
-                break
+        helper = _first_c_good(aux.augmented, cands, target, free, 11 * k)
         if helper is None:
             return SolveReport.of_stage("source-helper", f"no good helper for source {x}", audit)
         helper_mask |= 1 << helper
@@ -497,8 +493,9 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             base_paths.append([x, helper, target])
         else:
             mids = (
-                augmented_free.out_mask(helper)
-                & augmented_free.in_mask(target)
+                aux.augmented.out_mask(helper)
+                & aux.augmented.in_mask(target)
+                & free
                 & ~u_mask
                 & ~helper_mask
                 & ~ledger.claimed

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .connectivity import is_k_strong, min_vertex_menger
 from .digraph import Digraph, is_semicomplete, iter_bits, mask_of
-from .dominators import verify_nearly_in_dominating_set, nearly_in_dominating_set
+from .dominators import _first_c_good, nearly_in_dominating_set, verify_nearly_in_dominating_set
 from .errors import ConstructionFailedError, PreconditionViolatedError
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
@@ -69,12 +69,12 @@ def _check_sets(xs, ys, ws, us) -> tuple[int, int, int, int]:
 def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> PathSystem:
     """``anchor_connectors`` without the check that U is nearly in-dominating.
 
-    The pipeline calls it for its second connector stage, whose d, X, Y and
-    U already passed that check in the first; every other clause is checked
-    here, in the same order.  c-goodness and the middles live in d minus
-    the terminals, and both are read from d's masks ANDed with that
-    subdigraph's alive mask: w is c-good for s when it lies in ``in[s]``
-    or ``out[w] & in[s] & alive`` has c bits.
+    The pipeline calls it for both connector stages: its U is the output of
+    ``nearly_in_dominating_set`` for the same d, X and Y, which is nearly
+    in-dominating by construction.  Every other clause is checked here, in
+    the same order.  c-goodness and the middles live in d minus the
+    terminals, and both are read from d's masks ANDed with that
+    subdigraph's alive mask; the first hop is ``_first_c_good``'s pick.
     """
     xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
     anchors, targets = list(anchors), list(targets)
@@ -131,12 +131,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
     taken = 0
     for a, s in zip(anchors, targets):
         cand = out[a] & outside & helper_pool & ~y2_mask & ~w_mask & ~taken
-        in_s = inc[s] & alive
-        pick = None
-        for w in iter_bits(cand):
-            if in_s >> w & 1 or (out[w] & in_s).bit_count() >= c:
-                pick = w
-                break
+        pick = _first_c_good(d, cand, s, alive, c)
         if pick is None:
             raise ConstructionFailedError(f"no first hop for anchor {a}", vertices=(a,))
         hops.append(pick)
@@ -309,14 +304,13 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     # (interiors plus landing vertices) is the protected region
     w_p2 = sorted(set(helpers) | {p1[x][2] for x in matched})
     try:
-        p2 = anchor_connectors(d, xs, ys, w_p2, us, q, leftover, [q_for[x] for x in leftover])
+        p2 = _connect(d, xs, ys, w_p2, us, q, leftover, [q_for[x] for x in leftover])
     except (PreconditionViolatedError, ConstructionFailedError) as exc:
         return SolveReport.of_stage("anchor-direct", exc.witness(), audit)
 
     # landed sources walk from their landing vertex to their q-start
     w_r = sorted(set(helpers) | {v for p in p2.paths for v in p[1:-1]})
     try:
-        # the first stage checked that U is nearly in-dominating in d - X - Y
         r = _connect(
             d, xs, ys, w_r, us, q, [p1[x][2] for x in matched], [q_for[x] for x in matched]
         )

@@ -1,17 +1,18 @@
-"""Dominating-set selection and set check as first written, used only as a test oracle.
+"""Dominating-set selection and both checks as first written, used only as a test oracle.
 
 The selection rebuilds the deterministic spanning tournament of the
 shrinking subdigraph on every step and takes its maximum-in-degree vertex
 (ties to the smallest id); the set check builds the terminal-free
-subdigraph and measures every width with ``two_path_width``.
-``klinkage.dominators`` computes both from the masks without either
-construction; the tests check that they agree.
+subdigraph and measures every width with ``two_path_width``; the vertex
+check sweeps c from 1 to ``c_max`` and counts the vertices that are not
+c-good at each c.  ``klinkage.dominators`` computes all three from the
+masks with one width pass; the tests check that they agree.
 """
 
 from __future__ import annotations
 
 from klinkage.digraph import mask_of, spanning_tournament
-from klinkage.dominators import two_path_width
+from klinkage.dominators import NidReport, two_path_width
 
 
 def nearly_in_dominating_vertex(d):
@@ -47,3 +48,17 @@ def verify_nearly_in_dominating_set(d, xs, ys, us, c_max: int) -> bool:
             if below == len(widths):
                 break
     return True
+
+
+def verify_nearly_in_dominating(d, u, c_max: int) -> NidReport:
+    widths = {
+        v: two_path_width(d, v, u) for v in d.vertices() if v != u and not d.has_arc(v, u)
+    }
+    worst_c, worst_excess = None, 0
+    for c in range(1, c_max + 1):
+        excess = sum(1 for w in widths.values() if w < c) - 2 * c
+        if excess > worst_excess:
+            worst_c, worst_excess = c, excess
+    if worst_c is None:
+        return NidReport(True)
+    return NidReport(False, worst_c, tuple(sorted(v for v, w in widths.items() if w < worst_c)))

@@ -18,6 +18,7 @@ from klinkage.errors import InputError, PreconditionViolatedError
 from klinkage.generators import (
     SplitMix64,
     circulant_tournament,
+    random_digraph,
     random_semicomplete,
     random_tournament,
 )
@@ -86,6 +87,11 @@ class TestCGood:
         for c in range(1, 6):
             if is_c_good(d, v, u, c + 1):
                 assert is_c_good(d, v, u, c)
+
+    @pytest.mark.parametrize("v, u, unknown", [(2, -1, -1), (-1, 2, -1), (2, 99, 99), (99, 2, 99)])
+    def test_unknown_vertex_rejected_before_the_arc_test(self, v, u, unknown):
+        with pytest.raises(InputError, match=f"^vertex {unknown} not in digraph$"):
+            is_c_good(random_tournament(10, 1), v, u, 1)
 
     def test_survives_in_supergraph(self):
         # widths only grow when vertices come back
@@ -260,6 +266,51 @@ class TestAgainstReference:
         with pytest.raises(InputError, match="not in digraph minus X and Y"):
             verify_nearly_in_dominating_set(complete(6), [0], [1], [1, 2, 3], 6)
 
+    @pytest.mark.parametrize("us, unknown", [([-1, 2, 3], -1), ([2, 3, 10], 10), ([2, 99], 99)])
+    def test_set_check_rejects_ids_outside_the_digraph(self, us, unknown):
+        with pytest.raises(InputError, match=f"^vertex {unknown} not in digraph$"):
+            verify_nearly_in_dominating_set(random_tournament(10, 1), [0], [1], us, 5)
+        with pytest.raises(InputError, match="^c_max must be at least 1, got 0$"):
+            verify_nearly_in_dominating_set(random_tournament(10, 1), [0], [1], us, 0)
+
+    @pytest.mark.parametrize("u", [-1, 6, 99])
+    def test_vertex_check_errors_in_order(self, u):
+        d = transitive(8).delete([6])
+        with pytest.raises(InputError, match="^c_max must be at least 1, got 0$"):
+            verify_nearly_in_dominating(d, u, 0)
+        with pytest.raises(InputError, match=f"^vertex {u} not in digraph$"):
+            verify_nearly_in_dominating(d, u, 3)
+
+
+class TestVertexCheckAgainstSweep:
+    """The vertex check's whole report against the c-sweep in ref_dominators."""
+
+    def test_reports_match_the_sweep(self):
+        rng = SplitMix64(4_045)
+        failing = 0
+        for trial in range(420):
+            n = 3 + rng.randrange(58)
+            seed = 4_500 + trial
+            if trial % 3 == 0:
+                d = random_tournament(n, seed)
+            elif trial % 3 == 1:
+                d = random_semicomplete(n, 0.3, seed)
+            else:
+                d = random_digraph(n, seed, 3 + rng.randrange(6))
+            d = d.delete([v for v in range(n) if rng.randrange(6) == 0][:n - 1])
+            vs = list(d.vertices())
+            # the two lowest in-degrees mostly fail, the selected vertex passes
+            us = rng.sample(vs, min(2, len(vs))) + sorted(vs, key=d.in_degree)[:2]
+            if trial % 3 != 2:
+                us.append(nearly_in_dominating_vertex(d))
+            for u in us:
+                for c_max in (1, 2, n // 2 + 1, n, n + 3):
+                    got = verify_nearly_in_dominating(d, u, c_max)
+                    assert got == ref_dominators.verify_nearly_in_dominating(d, u, c_max), (trial, u, c_max)
+                    failing += not got.ok
+        # measured 1,482 failing reports
+        assert failing >= 1_000, failing
+
 
 class TestGammaDominator:
     def test_full_out_neighborhood(self):
@@ -270,6 +321,12 @@ class TestGammaDominator:
         d = build_digraph(3, [(0, 1)])
         assert is_gamma_dominator(d, 2, [0, 1], 0, "out")
         assert is_gamma_dominator(d, 2, [0, 1], 0, "in")
+
+    @pytest.mark.parametrize("v, us, unknown", [(99, [1, 2], 99), (-1, [1, 2], -1), (0, [99], 99),
+                                                 (0, [1, -1], -1)])
+    def test_ids_outside_the_digraph_rejected(self, v, us, unknown):
+        with pytest.raises(InputError, match=f"^vertex {unknown} not in digraph$"):
+            is_gamma_dominator(random_tournament(10, 1), v, us, 0)
 
     def test_vertex_in_set_rejected(self):
         with pytest.raises(InputError, match="lies in the reference set"):
@@ -310,6 +367,17 @@ def test_goodness_profile_fields():
     prof = goodness_profile(d, 2)
     assert prof.target == 2
     assert prof.dominators == {1}
-    assert prof.widths == {0: 1, 1: 0}
-    assert prof.bad_count(1) == 0  # vertex 1 dominates, vertex 0 has width 1
-    assert prof.bad_count(2) == 1  # vertex 0 falls short at width 2
+    assert prof.widths == {0: 1, 1: 0}  # dominators keep their widths too
+
+
+def test_goodness_profile_matches_two_path_width():
+    rng = SplitMix64(4_046)
+    for trial in range(120):
+        n = 2 + rng.randrange(20)
+        d = random_digraph(n, 4_600 + trial, 2 + rng.randrange(8))
+        d = d.delete([v for v in range(n) if rng.randrange(5) == 0][:n - 1])
+        for u in d.vertices():
+            prof = goodness_profile(d, u)
+            assert prof.target == u
+            assert prof.widths == {v: two_path_width(d, v, u) for v in d.vertices() if v != u}
+            assert prof.dominators == {v for v in d.vertices() if d.has_arc(v, u)}
