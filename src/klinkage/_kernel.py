@@ -22,15 +22,15 @@ from I(t) on the flow as it was before the augmentation.  Only then is the
 whole path applied: the walk reads the pre-augmentation flow at every step.
 
 The flow does not start from zero.  The middles ``out[s] & in[t]`` give the
-two-paths s->w->t, which share no inner vertex, so they form a feasible flow
+2-paths s->w->t, which share no inner vertex, so they form a feasible flow
 (Menger's theorem in its simplest case).  When there are at least ``limit``
 of them the answer is ``limit`` and nothing is allocated; otherwise the
 augmentation starts from them.  Augmenting paths extend any feasible flow
 to a maximum one, so the capped value is exactly that of a flow built from
 zero.  The direct arc s->t is left free and found by the first BFS.  No
 augmenting path cancels a seeded arc (that would pass O(s) or I(t) midway),
-so the middles keep their two-paths.  In semicomplete-like digraphs most
-pairs have many two-paths, so most bounded queries end at this first step.
+so the middles keep their 2-paths.  In semicomplete-like digraphs most
+pairs have many 2-paths, so most bounded queries end at this first step.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def local_connectivity(d, s: int, t: int, limit: int) -> int:
     if limit <= 0:
         limit = d.n
     sbit, tbit = 1 << s, 1 << t
-    # the two-paths s->w->t (no loops, so w is neither s nor t)
+    # the 2-paths s->w->t (no loops, so w is neither s nor t)
     used = out[s] & inc[t] & alive
     flow = used.bit_count()
     if flow >= limit:

@@ -69,7 +69,7 @@ def is_k_strong(d: Digraph, k: int) -> bool:
     partner with small local connectivity.  Costs O(k * n) bounded flow
     runs instead of O(n^2).  The pivots are Even's, unchanged; in
     semicomplete-like digraphs most pairs are certified by the kernel's
-    first step, which counts the two-paths a->w->b before any augmentation.
+    first step, which counts the 2-paths a->w->b before any augmentation.
     """
     if d.order < k + 1:
         return False
@@ -91,7 +91,7 @@ def kappa(d: Digraph) -> int:
     connectivity over non-adjacent ordered pairs at each pivot; once the
     number of processed pivots exceeds the running minimum, some pivot
     avoided every minimum cut and the minimum is exact.  The pivot order is
-    Even's, unchanged; a pair with at least the running minimum of two-paths
+    Even's, unchanged; a pair with at least the running minimum of 2-paths
     a->w->b is settled by the kernel's first step, with no augmentation.
     """
     if d.order < 2:

@@ -11,14 +11,20 @@ Five kinds, one per way a caller reacts:
 
 Each error carries ``clause`` (the failed condition in words), ``vertices``
 (the vertices it is about) and ``counts`` (the numbers it compared, by
-name); ``witness()`` is the three as report data.  ``str(exc)`` is the
-message, which is the clause unless the raise site words it otherwise.
+name); ``witness()`` is the three as report data, built by ``witness_of``
+as every stage failure's witness is.  ``str(exc)`` is the message, which
+is the clause unless the raise site words it otherwise.
 
 Every exponential search (the l-QT predicate, the anchor search, the
 brute-force oracle) charges a ``Budget``, which raises the budget error.
 """
 
 from __future__ import annotations
+
+
+def witness_of(clause: str, vertices=(), counts: dict[str, int] | None = None) -> dict:
+    """A failure as report data: its clause, the vertices and the counts it names."""
+    return {"clause": clause, "vertices": list(vertices), "counts": dict(counts or {})}
 
 
 class KLinkageError(Exception):
@@ -33,7 +39,7 @@ class KLinkageError(Exception):
 
     def witness(self) -> dict:
         """The failure as report data."""
-        return {"clause": self.clause, "vertices": list(self.vertices), "counts": dict(self.counts)}
+        return witness_of(self.clause, self.vertices, self.counts)
 
 
 class InputError(KLinkageError, ValueError):

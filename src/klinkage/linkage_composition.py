@@ -20,7 +20,7 @@ from .digraph import (
     mask_of,
     partition_masks,
 )
-from .errors import ConstructionFailedError, InputError
+from .errors import ConstructionFailedError, InputError, witness_of
 from .jsonio import report_to_obj
 from .linkage_semicomplete import audit_kappa, solve_semicomplete
 from .paths import LinkageInstance, PathSystem
@@ -105,7 +105,7 @@ def _two_part_route(d: Digraph, masks, pairs):
     for i, (x, y) in enumerate(pairs):
         side = next(j for j, m in enumerate(masks) if m >> x & 1)
         if not masks[side] >> y & 1:
-            continue  # cross-part pair: would have been peeled as a direct arc
+            continue  # cross-part pair left unpeeled: no arc leaves x's part toward y's
         other = masks[1 - side] & ~terminal_mask
         for v in iter_bits(other):
             if d.has_arc(x, v) and d.has_arc(v, y):
@@ -113,46 +113,49 @@ def _two_part_route(d: Digraph, masks, pairs):
     return None
 
 
-def _solve_reduced(d: Digraph, part_masks: list[int], pairs, skip_audit, depth):
+def _solve_reduced(d: Digraph, part_masks: list[int], pairs, depth):
+    """The paths for ``pairs``, or the failed (stage, witness).
+
+    No step re-checks the co-size bound: at depth 0 the audit did, and each
+    peel or two-part route deletes at most 2 vertices outside any part while
+    the bound 2k-3 drops by 2.
+    """
     k = len(pairs)
     if k == 0:
         return []
     live_masks = [m & d.alive_mask for m in part_masks if m & d.alive_mask]
-    if not skip_audit:
-        for m in live_masks:
-            if (d.alive_mask & ~m).bit_count() < 2 * k - 3:
-                raise _CoSizeViolation(depth)
 
     direct = _peel_direct(d, pairs)
     if direct is not None:
         x, y = pairs[direct]
-        rest = _solve_reduced(
-            d.delete({x, y}), part_masks, pairs[:direct] + pairs[direct + 1:],
-            skip_audit, depth + 1,
-        )
-        rest.insert(direct, [x, y])
+        rest = _solve_reduced(d.delete({x, y}), part_masks, pairs[:direct] + pairs[direct + 1:],
+                              depth + 1)
+        if isinstance(rest, list):
+            rest.insert(direct, [x, y])
         return rest
 
     if k == 1:
         (x, y), = pairs
         path = d.shortest_path(x, y)
         if path is None:
-            raise _StageStuck("path", f"target {y} unreachable from {x}")
+            return "path", witness_of("target unreachable from its source", (x, y))
         return [path]
 
+    terminals = [t for p in pairs for t in p]
     if len(live_masks) < 2:
-        raise _StageStuck("degenerate", "all remaining vertices share one part")
+        return "degenerate", witness_of("all remaining vertices share one part", terminals,
+                                        {"pairs": k})
 
     if len(live_masks) == 2:
         routed = _two_part_route(d, live_masks, pairs)
         if routed is None:
-            raise _StageStuck("two-part", "no free vertex in the opposite part")
+            return "two-part", witness_of("no free vertex of the opposite part is a middle",
+                                          terminals, {"pairs": k})
         i, path = routed
-        rest = _solve_reduced(
-            d.delete(set(path)), part_masks, pairs[:i] + pairs[i + 1:],
-            skip_audit, depth + 1,
-        )
-        rest.insert(i, path)
+        rest = _solve_reduced(d.delete(set(path)), part_masks, pairs[:i] + pairs[i + 1:],
+                              depth + 1)
+        if isinstance(rest, list):
+            rest.insert(i, path)
         return rest
 
     parts = [list(iter_bits(m)) for m in live_masks]
@@ -163,7 +166,7 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, skip_audit, depth):
     # slack, so the inner audit would only repeat the outer one
     inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs)), skip_audit=True)
     if not inner.linked:
-        raise _StageStuck("filled-subsolve", report_to_obj(inner))
+        return "filled-subsolve", report_to_obj(inner)
 
     part_of = {}
     for j, m in enumerate(live_masks):
@@ -182,24 +185,15 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, skip_audit, depth):
     return out_paths
 
 
-class _CoSizeViolation(Exception):
-    def __init__(self, depth):
-        self.depth = depth
-
-
-class _StageStuck(Exception):
-    def __init__(self, stage, witness):
-        self.stage = stage
-        self.witness = witness
-
-
 def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) -> SolveReport:
     """Linkage pipeline for semicomplete compositions.
 
     Hypotheses: semicomplete outer digraph, 3k-strong, min out-degree 23k,
     and at least 2k-3 vertices outside every part.  The co-size threshold
-    is re-monitored at every peeling depth.  Linked outcomes are certified
-    against the original digraph, never the filled one.
+    holds at every peeling depth once it holds at the top: a peel or a
+    two-part route deletes at most 2 vertices outside any part and one pair,
+    which lowers the threshold by 2.  Linked outcomes are certified against
+    the original digraph, never the filled one.
     """
     d = compose(spec)
     pairs = tuple(tuple(p) for p in pairs)
@@ -226,14 +220,8 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
         if audit["min_co_size"] < 2 * k - 3:
             return SolveReport.of_hypothesis(f"a part leaves fewer than {2 * k - 3} vertices", audit)
 
-    try:
-        paths = _solve_reduced(d, part_masks, list(pairs), skip_audit, 0)
-    except _CoSizeViolation as exc:
-        return SolveReport.of_hypothesis(
-            f"part co-size fell below threshold at depth {exc.depth}", audit
-        )
-    except _StageStuck as exc:
-        return SolveReport.of_stage(exc.stage, exc.witness, audit)
-
+    paths = _solve_reduced(d, part_masks, list(pairs), 0)
+    if isinstance(paths, tuple):
+        return SolveReport.of_stage(*paths, audit)
     system = PathSystem(tuple(tuple(p) for p in paths), pairs, "composition-pipeline")
     return SolveReport.certified(d, pairs, system, audit)

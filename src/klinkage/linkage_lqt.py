@@ -20,7 +20,7 @@ from typing import Iterator
 from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import _first_c_good, nearly_in_dominating_set
-from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
+from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError, witness_of
 from .linkage_semicomplete import audit_kappa
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import HYPOTHESIS_VIOLATED, SolveReport
@@ -473,7 +473,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     except BudgetExceededError as exc:
         return SolveReport.of_stage("anchor-pair", exc.witness(), audit)
     if anchor is None:
-        return SolveReport.of_stage("anchor-pair", "no short anchor pair in the dominator set", audit)
+        return SolveReport.of_stage("anchor-pair", witness_of(
+            "no short anchor pair in the dominator set", us, {"k": k}), audit)
     u1, u2 = anchor
 
     free = aux.augmented.alive_mask & ~(mask_of(xs) | mask_of(ys))
@@ -487,21 +488,20 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         cands = d.out_mask(x) & d.alive_mask & ~ledger.claimed & ~helper_mask
         helper = _first_c_good(aux.augmented, cands, target, free, 11 * k)
         if helper is None:
-            return SolveReport.of_stage("source-helper", f"no good helper for source {x}", audit)
+            return SolveReport.of_stage("source-helper", witness_of(
+                "no out-neighbour of the source is c-good for its anchor", (x, target),
+                {"c": 11 * k}), audit)
         helper_mask |= 1 << helper
         if aux.augmented.has_arc(helper, target):
             base_paths.append([x, helper, target])
         else:
-            mids = (
-                aux.augmented.out_mask(helper)
-                & aux.augmented.in_mask(target)
-                & free
-                & ~u_mask
-                & ~helper_mask
-                & ~ledger.claimed
-            )
+            # out[helper] & in[target] & free has at least 11k bits; the ledger
+            # (U, as X and Y lie outside free) takes at most 9k-6 of them, earlier
+            # helpers and middles at most 2k-2: at least 8 are left
+            mids = (aux.augmented.out_mask(helper) & aux.augmented.in_mask(target) & free
+                    & ~helper_mask & ~ledger.claimed)
             if not mids:
-                return SolveReport.of_stage("source-helper", f"no second hop after {helper}", audit)
+                raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
             mid = next(iter_bits(mids))
             helper_mask |= 1 << mid
             base_paths.append([x, helper, mid, target])
@@ -532,7 +532,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     avoid = [v for v in iter_bits(b_mask) if v not in u2]
     routed = menger_set_paths(d, u2, ys, avoid=avoid)
     if isinstance(routed, Infeasible):
-        return SolveReport.of_stage("targets", routed.separator, audit)
+        return SolveReport.of_stage("targets", witness_of(
+            "a separator meets every U2-to-Y path", routed.separator, {"need": k}), audit)
     entry_for_target = {p[-1]: p[0] for p in routed.paths}
     tail_path = {p[0]: p for p in routed.paths}
 
@@ -552,12 +553,13 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     except BudgetExceededError as exc:
         return SolveReport.of_stage("anchor-link", exc.witness(), audit)
     if links is None:
-        return SolveReport.of_stage("anchor-link", "no disjoint short links inside the dominator set", audit)
+        return SolveReport.of_stage("anchor-link", witness_of(
+            "no disjoint short links inside the dominator set",
+            [v for pair in link_pairs for v in pair], {"k": k}), audit)
 
-    try:
-        link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
-    except ConstructionFailedError as exc:
-        return SolveReport.of_stage("anchor-replacement", exc.witness(), audit)
+    # no ledger pick: a link lies inside U, where arc_ok admits a synthetic
+    # arc only if it is reserved, and no terminal arc
+    link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
 
     final = []
     for i in range(k):

@@ -4,10 +4,11 @@ Pipeline: build a nearly in-dominating set U outside the terminals, split
 the sources into matched ones (with enough strong out-dominators of U) and
 the rest, route a minimum-total-vertex disjoint path system from U onto the
 targets, then stitch short connectors from the sources to the initial
-vertices of that system.  The connector step (``anchor_connectors``) is the
-workhorse: it links a set A to chosen initial vertices by paths of length
-at most 3, and the minimality of the U-to-Y system guarantees the
-connectors stay clear of it; that guarantee is asserted, not trusted.
+vertices of that system.  The connector step (``_connect``, which
+``anchor_connectors`` wraps with the check on U) is the workhorse: it links
+a set A to chosen initial vertices by paths of length at most 3, and the
+minimality of the U-to-Y system guarantees the connectors stay clear of
+it; that guarantee is checked, not trusted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from .connectivity import is_k_strong, min_vertex_menger
 from .digraph import Digraph, is_semicomplete, iter_bits, mask_of
 from .dominators import _first_c_good, nearly_in_dominating_set, verify_nearly_in_dominating_set
-from .errors import ConstructionFailedError, PreconditionViolatedError
+from .errors import ConstructionFailedError, PreconditionViolatedError, witness_of
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
 
@@ -144,22 +145,13 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         if d.has_arc(hop, s):
             paths.append((a, hop, s))
             continue
-        middles = (
-            out[hop]
-            & inc[s]
-            & alive
-            & ~a_mask
-            & ~ini_mask
-            & ~y2_mask
-            & ~y3_mask
-            & ~w_mask
-            & ~hop_mask
-            & ~mid_taken
-            & ~(1 << hop)
-            & ~(1 << s)
-        )
+        # hop is c-good for s without the arc hop->s, so out[hop] & in[s] & alive
+        # has c = 3k+|W|+3|A| bits; the mask drops at most c-1 of them: A, Ini(q),
+        # the 2nd and 3rd layers of q (k each), W, the hops and earlier middles
+        middles = out[hop] & inc[s] & alive & ~(
+            a_mask | ini_mask | y2_mask | y3_mask | w_mask | hop_mask | mid_taken)
         if not middles:
-            raise ConstructionFailedError(f"no second hop between {hop} and {s}", vertices=(hop, s))
+            raise AssertionError(f"c-good hop {hop} has no middle towards {s}")
         mid = next(iter_bits(middles))
         mid_taken |= 1 << mid
         paths.append((a, hop, mid, s))
@@ -281,12 +273,15 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     result = min_vertex_menger(d, us, ys, avoid=list(set(xs) | set(helpers)))
     if isinstance(result, Infeasible):
-        return SolveReport.of_stage("menger", result.separator, audit)
+        return SolveReport.of_stage("menger", witness_of(
+            "a separator meets every U-to-Y path", result.separator, {"need": k}), audit)
     q = result
     start_of = {p[-1]: p[0] for p in q.paths}
     q_for = {x: start_of[y] for x, y in instance.pairs}
 
-    # matched sources ride their helper into U off the q-system starts
+    # matched sources ride their helper into U off the q-system starts; a
+    # helper has at least 2k out-neighbours in U, and Ini(q) and the earlier
+    # landings take at most k + (k-1) of them
     ini_mask = mask_of(q.initials())
     u_mask = mask_of(us)
     p1: dict[int, tuple[int, ...]] = {}
@@ -295,7 +290,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         helper = matching[x]
         lands = d.out_mask(helper) & u_mask & ~ini_mask & ~used_lands
         if not lands:
-            return SolveReport.of_stage("two-paths", f"no landing vertex for source {x}", audit)
+            raise AssertionError(f"helper {helper} of source {x} has no landing vertex")
         land = next(iter_bits(lands))
         used_lands |= 1 << land
         p1[x] = (x, helper, land)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .digraph import Digraph
+from .errors import witness_of
 from .paths import PathSystem
 from .verify import verify_linkage
 
@@ -22,10 +23,10 @@ class SolveReport:
     A ``linked`` report always carries a path system that passed
     ``verify_linkage`` against the input digraph.  ``hypothesis_violated``
     names the failed hypothesis; ``stage_failed`` names the pipeline stage
-    and carries a witness.  A failure raised as an error has the error's
-    ``witness()`` (clause, vertices, counts) as its witness.  The audit dict
-    records every hypothesis that was measured (or explicitly skipped), so
-    artifacts are self-describing.
+    and carries a witness: the clause, vertices and counts of
+    ``errors.witness_of`` (an error's ``witness()`` is one), or the nested
+    report of an inner solve.  The audit dict records every hypothesis that
+    was measured (or explicitly skipped), so artifacts are self-describing.
     """
 
     outcome: str
@@ -45,7 +46,8 @@ class SolveReport:
         against ``d``, else the failed ``verify`` stage naming the clause."""
         report = verify_linkage(d, pairs, system)
         if not report:
-            return SolveReport.of_stage("verify", f"{report.clause}: {report.detail}", audit)
+            return SolveReport.of_stage("verify", witness_of(f"{report.clause}: {report.detail}"),
+                                        audit)
         return SolveReport(LINKED, system=system, audit=audit)
 
     @staticmethod

@@ -9,6 +9,7 @@ report of an inner solve.  No report may fall back to a Python repr.
 from __future__ import annotations
 
 import ast
+import builtins
 import inspect
 import pathlib
 
@@ -47,6 +48,22 @@ def test_every_error_class_is_raised_somewhere():
     assert CLASSES - {"KLinkageError"} - _raised_names() == set()
 
 
+def test_no_exception_class_outside_the_errors_module():
+    # a private exception class would be a second failure vocabulary
+    exception_names = CLASSES | {name for name, value in vars(builtins).items()
+                                 if inspect.isclass(value) and issubclass(value, BaseException)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                if bases & exception_names:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_witness_carries_the_structured_fields():
     exc = errors.PreconditionViolatedError("need 6, have 1", clause="too few", vertices=(4, 2),
                                            counts={"need": 6, "have": 1})
@@ -55,6 +72,7 @@ def test_witness_carries_the_structured_fields():
                              "counts": {"need": 6, "have": 1}}
     plain = errors.InputError("vertex 9 not in digraph")
     assert plain.witness() == {"clause": "vertex 9 not in digraph", "vertices": [], "counts": {}}
+    assert errors.witness_of("too few", (4, 2), {"need": 6, "have": 1}) == exc.witness()
 
 
 def test_budget_error_keeps_its_message_and_fields():

@@ -3,8 +3,8 @@
 Each case is one solve on a seeded input; its digest is the sha256 of
 ``dumps_canonical(report_to_obj(report))``.  The grid mixes semicomplete
 solves (n=60, k=1-2, audited and not), criterion-5 compositions,
-criterion-7 l-QT instances, a hypothesis violation and stage failures of
-all three solvers.  A digest changes only when a solver's output does: if
+criterion-7 l-QT instances, hypothesis violations and one failure of every
+stage the three solvers can fail at, seeded or built by hand.  A digest changes only when a solver's output does: if
 that is intended, re-pin with ``python tests/test_golden_reports.py``.
 """
 
@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from klinkage import (
+    CompositionSpec,
     LinkageInstance,
     build_digraph,
     compose,
@@ -55,6 +56,13 @@ def _dominating_set_fails():
     return solve_semicomplete(LinkageInstance(d, ((4, 0), (3, 1))), skip_audit=True)
 
 
+def _semicomplete_small(i):
+    n, k = 8 + i % 23, 1 + i % 3
+    d = random_tournament(n, 70_000 + i) if i % 2 else random_semicomplete(n, 0.3, 70_000 + i)
+    return solve_semicomplete(LinkageInstance(d, _terminal_pairs(d, k, 71_000 + i)),
+                              skip_audit=True)
+
+
 def _composition(i):
     spec, _d, pairs = _composition_instances(4)[i]
     return solve_composition(spec, pairs)
@@ -64,6 +72,19 @@ def _composition_thin(i):
     spec = random_composition(6, [2] * 6, 0.5, 95_000 + i, part_arcs=True)
     d = compose(spec)
     return solve_composition(spec, _terminal_pairs(d, 2, 96_000 + i), skip_audit=i > 0)
+
+
+def _composition_small(i):
+    h = 3 + i % 6
+    spec = random_composition(h, [2] * h, 0.5, 72_000 + i, part_arcs=bool(i % 2))
+    d = compose(spec)
+    return solve_composition(spec, _terminal_pairs(d, 1 + i % 3, 73_000 + i), skip_audit=True)
+
+
+def _arcless_parts(outer_arcs, sizes, pairs):
+    outer = build_digraph(len(sizes), outer_arcs)
+    spec = CompositionSpec.from_local_parts(outer, [build_digraph(s, []) for s in sizes])
+    return solve_composition(spec, pairs, skip_audit=True)
 
 
 def _lqt(i, skip_audit=True):
@@ -81,15 +102,37 @@ def _lqt_thin(seed):
     return solve_lqt(d, _terminal_pairs(d, 1, 85_000 + seed), 2, threshold=5, skip_audit=True)
 
 
+def _lqt_small(i, anchor_budget=2000):
+    h = 6 + i % 7
+    spec = random_extended_tournament(h, [1 + (i // 7 + j) % 3 for j in range(h)], 76_000 + i)
+    d = compose(spec)
+    return solve_lqt(d, _terminal_pairs(d, 1 + i % 2, 77_000 + i), 2, threshold=1 + i % 3,
+                     anchor_budget=anchor_budget, skip_audit=True)
+
+
 CASES = {
     **{f"semicomplete-{i}": (lambda i=i: _semicomplete(i)) for i in range(6)},
     "semicomplete-direct-arcs": _direct_arcs,
     "semicomplete-dominating-set": _dominating_set_fails,
+    "semicomplete-menger": lambda: _semicomplete_small(601),
+    "semicomplete-anchor-direct": lambda: _semicomplete_small(4),
     **{f"composition-{i}": (lambda i=i: _composition(i)) for i in range(4)},
     **{f"composition-thin-{i}": (lambda i=i: _composition_thin(i)) for i in (0, 1, 5)},
+    "composition-path": lambda: _composition_small(6),
+    # A = {0..5}, B = {6, 7} and an outer 2-cycle: peeling (0,6) and (7,1) empties B
+    "composition-degenerate": lambda: _arcless_parts([(0, 1), (1, 0)], [6, 2],
+                                                     ((0, 6), (7, 1), (2, 3), (4, 5))),
+    # A = {0..3}, B = {4} and the outer arc A->B: 4 is no middle back into A
+    "composition-two-part": lambda: _arcless_parts([(0, 1)], [4, 1], ((0, 1), (2, 3))),
     **{f"lqt-{i}": (lambda i=i: _lqt(i)) for i in range(5)},
     "lqt-audited": lambda: _lqt(0, skip_audit=False),
     **{f"lqt-thin-{s}": (lambda s=s: _lqt_thin(s)) for s in range(2)},
+    "lqt-dominating-set": lambda: _lqt_small(15),
+    "lqt-anchor-pair": lambda: _lqt_small(0, anchor_budget=0),
+    "lqt-source-helper": lambda: _lqt_small(3),
+    "lqt-source-replacement": lambda: _lqt_small(19),
+    "lqt-targets": lambda: _lqt_small(39),
+    "lqt-anchor-link": lambda: _lqt_small(12),
 }
 
 # name -> (outcome, stage, sha256 of the canonical report)
@@ -102,12 +145,18 @@ PINNED = {
         '6dd4ef29faf6771a3a472b6f5b5b2dfdecf6a3c64078d5969a09c82bd36dfac1'),
     'composition-3': ('linked', None,
         'e56c251645876d1147d1791f434fb2513988a4660c1be094319b4a47fde9c391'),
+    'composition-degenerate': ('stage_failed', 'degenerate',
+        'dd8d02ca989879ff776e2ed3666fd7a980f2d5f611ee85ed917acb4987ae676b'),
+    'composition-path': ('stage_failed', 'path',
+        '7c2c8d3cb8dff5d2628463497c1ef0f32a14e14c859a924c560be1287e34c490'),
     'composition-thin-0': ('hypothesis_violated', None,
         '9053f9e607cfaf35e0b8bb6c69a4977a257ca18a53403f796060366ead00a6cf'),
     'composition-thin-1': ('linked', None,
         '624743cf2fc5f613d445e883e8c061f8df1bcc51aea5d25efbfb3274d18f4bde'),
     'composition-thin-5': ('stage_failed', 'filled-subsolve',
         '61059c9f8087e6d1d72a787f5c44657e6d1659d41218980442843928e616c2a9'),
+    'composition-two-part': ('stage_failed', 'two-part',
+        'c41c91c0864c5d5e6e66f4e42dac8a759c89a0fdde4f2db4db65125a660476dc'),
     'lqt-0': ('linked', None,
         'e00fd6150e51cded06d76d0f1de6630b34dde8c0d06ff6d4eb49ceee48f6f96c'),
     'lqt-1': ('linked', None,
@@ -118,8 +167,20 @@ PINNED = {
         '3707b88a27029e95697f956290c7be1f008514901c02a08635e1f04ad072fb72'),
     'lqt-4': ('linked', None,
         'cfb629e2003cb76021d37ce590436da2819918b24172fa44fb9e886982dec7dc'),
+    'lqt-anchor-link': ('stage_failed', 'anchor-link',
+        'f85226b6f7e9c92291848a4270af4505b6623f16e98ca2a91e25a37464d465eb'),
+    'lqt-anchor-pair': ('stage_failed', 'anchor-pair',
+        '5be82d9207199a655162995c93c59bbbd298391adab09457ea90c0b91935ecb5'),
     'lqt-audited': ('hypothesis_violated', None,
         'be39aa786174e56ab1b98d39c583fec477296348fa3d7e9e3e9c4f57d251251d'),
+    'lqt-dominating-set': ('stage_failed', 'dominating-set',
+        'f59399869f2f320f77fa0ffaa7540573ec9a80d82522bf40aa7948037387444b'),
+    'lqt-source-helper': ('stage_failed', 'source-helper',
+        '364dee845375f7688e27d7b96fa748f2e5aa61db6a6de73779b1b8199afb93c7'),
+    'lqt-source-replacement': ('stage_failed', 'source-replacement',
+        '7db7184bb15c30e7473e74ecc9702940df0f558aefd91f58a98f4698ac759db8'),
+    'lqt-targets': ('stage_failed', 'targets',
+        'cbaed7e14a2a88904bc659b273c0b1427dcb318f6f2dc62b652a1e92156a0866'),
     'lqt-thin-0': ('stage_failed', 'auxiliary',
         '92126cdada8d3d9e14a0528268604de3c1d2868cff7b3db288af57edfb7b96e6'),
     'lqt-thin-1': ('stage_failed', 'auxiliary',
@@ -136,10 +197,14 @@ PINNED = {
         '388010d33410c765816034925afdbfeda94cde81feb0966eee30b504e08b06ec'),
     'semicomplete-5': ('linked', None,
         '02b15548c420bdb26b9cc60040804102c64b8279609bde5444da08425614629a'),
+    'semicomplete-anchor-direct': ('stage_failed', 'anchor-direct',
+        '089a7baf2eb30dd9b28a5b116b5371635a202e0c00501b8a0172d84c5c427000'),
     'semicomplete-direct-arcs': ('linked', None,
         'edb039050a34847a4f37c094f727d27998d6f538a9ce25dcd30b6dc618999bf6'),
     'semicomplete-dominating-set': ('stage_failed', 'dominating-set',
         '05263eebd0ee02f428ac16513180c06abb763029f9184ea26f17f4f7cc0bae85'),
+    'semicomplete-menger': ('stage_failed', 'menger',
+        '1d7e6578a8b20f4fd50112d519ca6f4f5a3027f163dd0a6aa8639fb7fed6b62d'),
 }
 
 
@@ -159,6 +224,15 @@ def test_grid_covers_every_outcome_and_solver():
         "linked", "hypothesis_violated", "stage_failed"}
     assert {name.split("-")[0] for name, (outcome, _, _) in PINNED.items()
             if outcome == "linked"} == {"semicomplete", "composition", "lqt"}
+    # every stage a solver can fail at, but ``verify`` (tests/test_linkage_semicomplete.py)
+    assert {(name.split("-")[0], stage) for name, (outcome, stage, _) in PINNED.items()
+            if outcome == "stage_failed"} == {
+        *(("semicomplete", s) for s in ("dominating-set", "menger", "anchor-direct",
+                                        "anchor-landed")),
+        *(("composition", s) for s in ("path", "degenerate", "two-part", "filled-subsolve")),
+        *(("lqt", s) for s in ("auxiliary", "dominating-set", "anchor-pair", "source-helper",
+                               "source-replacement", "targets", "anchor-link")),
+    }
 
 
 if __name__ == "__main__":

@@ -162,7 +162,8 @@ class TestSolveSemicomplete:
                             lambda d, pairs, ps: LinkageReport(False, "Count", "rejected"))
         rep = solve_semicomplete(LinkageInstance(d, pairs), skip_audit=True)
         assert not rep.linked
-        assert rep.stage == "verify" and rep.witness == "Count: rejected"
+        assert rep.stage == "verify"
+        assert rep.witness == {"clause": "Count: rejected", "vertices": [], "counts": {}}
 
     def test_random_tournament_end_to_end(self):
         d = random_tournament(200, 11)
