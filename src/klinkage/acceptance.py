@@ -368,7 +368,7 @@ def _c7_lqt_substitutes():
     for k in (1, 2):
         for n in range(9 * k - 6, 15):
             t = random_tournament(max(n, 2 * k), 62_000 + 31 * k + n)
-            pair = find_short_anchor_pair(t, k, budget=20_000, allow_undersized=True)
+            pair = find_short_anchor_pair(t, k)
             if pair is None or not verify_short_anchor(t, *pair):
                 anchors_ok = False
     if not anchors_ok:

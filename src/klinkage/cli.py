@@ -43,11 +43,11 @@ from .jsonio import (
     report_to_obj,
 )
 from .linkage_composition import solve_composition
-from .linkage_lqt import solve_lqt
+from .linkage_lqt import _ANCHOR_BUDGET, solve_lqt
 from .linkage_semicomplete import solve_semicomplete
 from .paths import Infeasible, LinkageInstance
 from .reports import HYPOTHESIS_VIOLATED, LINKED
-from .verify import brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
+from .verify import _ORACLE_BUDGET, brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -141,20 +141,20 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     d, _parts = _read_digraph(args.input)
     result: dict = {"n": d.n, "order": d.order}
-    code = EXIT_OK
+    ok = True  # every requested check passes
     if args.kappa:
         result["kappa"] = kappa(d)
     if args.semicomplete:
         result["semicomplete"] = is_semicomplete(d)
-        code = EXIT_OK if result["semicomplete"] else EXIT_NEGATIVE
+        ok &= result["semicomplete"]
     if args.lqt is not None:
         result["l"] = args.lqt
         result["l_quasi_transitive"] = is_l_quasi_transitive(d, args.lqt)
-        code = EXIT_OK if result["l_quasi_transitive"] else EXIT_NEGATIVE
+        ok &= result["l_quasi_transitive"]
     if args.king is not None:
         result["vertex"] = args.king
         result["in_king"] = is_in_king(d, args.king)
-        code = EXIT_OK if result["in_king"] else EXIT_NEGATIVE
+        ok &= result["in_king"]
     if args.nid:
         vertex = args.vertex if args.vertex is not None else nearly_in_dominating_vertex(d)
         cmax = args.cmax if args.cmax is not None else d.order
@@ -169,11 +169,11 @@ def _cmd_check(args) -> int:
             prof = goodness_profile(d, vertex)
             result["widths"] = {str(v): w for v, w in sorted(prof.widths.items())}
             result["dominators"] = sorted(prof.dominators)
-        code = EXIT_OK if rep.ok else EXIT_NEGATIVE
+        ok &= rep.ok
     if args.seed is not None:
         result["seed"] = args.seed
     _emit(dumps_canonical(result), args.output)
-    return code
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_solve(args) -> int:
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--pairs", required=True, help="x1:y1,x2:y2,...")
     solve.add_argument("--l", type=int, default=2)
     solve.add_argument("--threshold", type=int, default=None)
-    solve.add_argument("--anchor-budget", type=int, default=20000, dest="anchor_budget")
+    solve.add_argument("--anchor-budget", type=int, default=_ANCHOR_BUDGET, dest="anchor_budget")
     solve.add_argument("--skip-audit", action="store_true", dest="skip_audit")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("-o", "--output")
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--k", type=int, default=None)
     oracle.add_argument("--pairs", default=None)
-    oracle.add_argument("--budget", type=int, default=2_000_000)
+    oracle.add_argument("--budget", type=int, default=_ORACLE_BUDGET)
     oracle.add_argument("--seed", type=int, default=None)
     oracle.add_argument("-o", "--output")
     oracle.set_defaults(func=_cmd_oracle)

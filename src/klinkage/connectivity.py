@@ -41,9 +41,7 @@ def local_connectivity(d: Digraph, x: int, y: int, limit: int | None = None) -> 
         raise InputError(f"limit must be None or non-negative, got {limit}")
     if x == y:
         raise InputError("local connectivity needs two distinct vertices")
-    for v in (x, y):
-        if not d.has_vertex(v):
-            raise InputError(f"vertex {v} not in digraph", vertices=(v,))
+    d._check_vertices((x, y))
     return _kernel.local_connectivity(d, x, y, limit or 0)
 
 

@@ -15,7 +15,7 @@ threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Budget, InputError, PreconditionViolatedError
@@ -82,37 +82,10 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        """The digraph on ids 0..n-1 with exactly ``arcs``.
-
-        The masks are ORed in one loop with no per-arc test.  Before it, the
-        min and max of the distinct ids are range-checked (a negative id
-        would index a mask from the end); after it, a popcount total below
-        ``len(arcs)`` shows a duplicate and bit u of ``out[u]`` a self-loop.
-        When a check fails, or the loop meets a value that is not an id
-        pair, the per-arc loop runs instead: it exists to raise the first
-        offending arc's error.
-        """
+        """The digraph on ids 0..n-1 with exactly ``arcs``, checked one arc
+        at a time: the first arc out of range, a self-loop or a repeat raises."""
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        arcs = arcs if isinstance(arcs, list) else list(arcs)
-        try:
-            ids = set(chain.from_iterable(arcs))
-            if not ids or (min(ids) >= 0 and max(ids) < n):
-                out = [0] * n
-                inc = [0] * n
-                for u, v in arcs:
-                    out[u] |= 1 << v
-                    inc[v] |= 1 << u
-                if (sum(map(int.bit_count, map(out.__getitem__, ids))) == len(arcs)
-                        and not any(out[u] >> u & 1 for u in ids)):
-                    return cls(n, (1 << n) - 1, out, inc)
-        except (TypeError, ValueError):
-            pass
-        return cls._from_arcs_checked(n, arcs)
-
-    @classmethod
-    def _from_arcs_checked(cls, n: int, arcs: list) -> "Digraph":
-        """``from_arcs`` one arc at a time, raising at the first bad arc."""
         out = [0] * n
         inc = [0] * n
         for u, v in arcs:
@@ -313,17 +286,13 @@ def delete(d: Digraph, drop: Iterable[int]) -> Digraph:
 
 
 def is_semicomplete(d: Digraph) -> bool:
-    """True iff every pair of distinct alive vertices is joined by an arc."""
-    return _is_semicomplete_on(d, d._alive)
-
-
-def _is_semicomplete_on(d: Digraph, alive: int) -> bool:
-    """Semicompleteness of d restricted to the vertex mask ``alive``.
+    """True iff every pair of distinct alive vertices is joined by an arc.
 
     No row holds its own vertex, so each of the |alive| rows of
     ``(out | in) & alive`` has at most |alive| - 1 bits, and their total
     reaches |alive| * (|alive| - 1) exactly when every row is full.
     """
+    alive = d._alive
     flags, count = _flags(alive), alive.bit_count()
     rows = map(int.__or__, compress(d._out, flags), compress(d._in, flags))
     return sum(map(int.bit_count, map(alive.__and__, rows))) == count * (count - 1)
@@ -331,9 +300,8 @@ def _is_semicomplete_on(d: Digraph, alive: int) -> bool:
 
 def is_tournament(d: Digraph) -> bool:
     """Semicomplete with no 2-cycles: exactly one arc per pair."""
-    if not is_semicomplete(d):
-        return False
-    return all(d.out_mask(v) & d.in_mask(v) == 0 for v in d.vertices())
+    count = d.order
+    return is_semicomplete(d) and d.num_arcs == count * (count - 1) // 2
 
 
 def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
@@ -373,10 +341,23 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     return True
 
 
-def _tournament_in(v: int, out_v: int, in_v: int) -> int:
-    """v's in-mask in the spanning tournament: v loses the in-arcs from
-    the larger ids it also points to."""
-    return in_v & ~(out_v >> v << v)
+def _spanning_in_masks(d: Digraph, alive: int) -> tuple[list[int], list[int]] | None:
+    """The ids of the mask ``alive`` and their in-masks in the spanning
+    tournament of d on ``alive``, or None when d is not semicomplete there.
+
+    v loses the in-arcs from the larger ids it also points to, so a pair
+    leaves exactly one bit when it is adjacent and none when it is not: the
+    in-masks hold |alive| * (|alive| - 1) / 2 bits exactly when every pair
+    is adjacent.
+    """
+    flags = _flags(alive)
+    ids = list(compress(range(d.n), flags))
+    tins = [in_v & ~(out_v >> v << v) & alive
+            for v, out_v, in_v in zip(ids, compress(d._out, flags), compress(d._in, flags))]
+    count = len(ids)
+    if sum(map(int.bit_count, tins)) < count * (count - 1) // 2:
+        return None
+    return ids, tins
 
 
 def spanning_tournament(d: Digraph) -> Digraph:
@@ -384,17 +365,17 @@ def spanning_tournament(d: Digraph) -> Digraph:
 
     The tie-break makes the output deterministic; any spanning tournament
     would do for the dominator constructions built on top of this.  v keeps
-    its out-arcs except those to smaller in-neighbours; ``_tournament_in``
-    gives its in-arcs.
+    its out-arcs except those to smaller in-neighbours, and its in-arcs are
+    those of ``_spanning_in_masks``.
     """
-    if not is_semicomplete(d):
+    rows = _spanning_in_masks(d, d._alive)
+    if rows is None:
         raise PreconditionViolatedError("spanning tournament needs a semicomplete digraph")
     out = [0] * d.n
     inc = [0] * d.n
-    for v in d.vertices():
-        out_v, in_v = d.out_mask(v), d.in_mask(v)
-        out[v] = out_v & ~(in_v & ((1 << v) - 1))
-        inc[v] = _tournament_in(v, out_v, in_v)
+    for v, tin in zip(*rows):
+        out[v] = d._out[v] & ~(d._in[v] & ((1 << v) - 1))
+        inc[v] = tin
     return Digraph(d.n, d.alive_mask, out, inc)
 
 

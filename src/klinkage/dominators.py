@@ -19,10 +19,11 @@ c = w + 1 for a width w, so the worst c is one scan of the same list.
 ``_first_c_good`` is the one scan for a c-good vertex.
 
 The selection ranks the vertices by their in-mask ``tin(v)`` in the
-spanning tournament on ``alive`` (``digraph._tournament_in``).  Removing a
-set T lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the
-degrees are counted once, and each pick scans the ranking until a first
-count falls below the best degree found.
+spanning tournament on ``alive`` (``digraph._spanning_in_masks``, which
+also decides semicompleteness from the same masks).  Removing a set T
+lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the degrees
+are counted once, and each pick scans the ranking until a first count
+falls below the best degree found.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .digraph import (Digraph, _flags, _is_semicomplete_on, _tournament_in, is_semicomplete,
-                      is_tournament, iter_bits)
+from .digraph import Digraph, _flags, _spanning_in_masks, is_tournament, iter_bits
 from .errors import InputError, PreconditionViolatedError
 
 __all__ = [
@@ -103,14 +103,11 @@ def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
     return GoodnessProfile(u, widths, frozenset(iter_bits(d.in_mask(u))))
 
 
-def _ranked_picks(d: Digraph, alive: int, m: int) -> list[int]:
+def _ranked_picks(ids: list[int], tins: list[int], m: int) -> list[int]:
     """m maximum-in-degree picks, ties to the smallest id, from the spanning
-    tournament of d on ``alive`` minus the earlier picks.  Each scan of the
-    ranking stops below the best degree: no later degree can reach it."""
-    flags = _flags(alive)
-    ids = list(compress(range(d.n), flags))
-    tins = [tin & alive
-            for tin in map(_tournament_in, ids, compress(d._out, flags), compress(d._in, flags))]
+    tournament with vertices ``ids`` and in-masks ``tins`` minus the earlier
+    picks.  Each scan of the ranking stops below the best degree: no later
+    degree can reach it."""
     ranked = sorted(zip(map(int.bit_count, tins), ids, tins), key=itemgetter(0), reverse=True)
     taken = 0
     chosen: list[int] = []
@@ -138,9 +135,10 @@ def nearly_in_dominating_vertex(d: Digraph) -> int:
     """
     if d.order < 1:
         raise PreconditionViolatedError("empty digraph")
-    if not is_semicomplete(d):
+    rows = _spanning_in_masks(d, d.alive_mask)
+    if rows is None:
         raise PreconditionViolatedError("nearly in-dominating selection needs a semicomplete digraph")
-    return _ranked_picks(d, d.alive_mask, 1)[0]
+    return _ranked_picks(*rows, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,8 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
     u_i is the selected vertex of the subdigraph with X, Y and the earlier
     u_j removed.  Since 2-paths survive in supergraphs, the result is a
     nearly in-dominating set of d minus X and Y.  Semicompleteness is
-    checked once, on the mask of d minus X and Y (it survives deletion).
+    decided once, on the mask of d minus X and Y (it survives deletion), by
+    the spanning-tournament in-masks the picks rank.
     """
     if m < 0:
         raise InputError(f"set size must be non-negative, got {m}")
@@ -217,9 +216,10 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
         raise PreconditionViolatedError(f"need {m} vertices outside the terminals, have {have}",
                                         clause="too few vertices outside the terminals",
                                         counts={"need": m, "have": have})
-    if not _is_semicomplete_on(d, alive):
+    rows = _spanning_in_masks(d, alive)
+    if rows is None:
         raise PreconditionViolatedError("terminal-free subdigraph is not semicomplete")
-    return _ranked_picks(d, alive, m)
+    return _ranked_picks(*rows, m)
 
 
 def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out") -> bool:

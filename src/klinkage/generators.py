@@ -98,11 +98,8 @@ def circulant_tournament(n: int) -> Digraph:
     return build_digraph(n, arcs)
 
 
-def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
-    """Random tournament plus, per pair, the reverse arc with probability p_double."""
-    if not 0.0 <= p_double <= 1.0:
-        raise InputError("p_double must lie in [0, 1]")
-    rng = SplitMix64(seed)
+def _semicomplete_arcs(rng: SplitMix64, n: int, p_double: float) -> list[tuple[int, int]]:
+    """Per pair, one bit orients it and one uniform draw below p_double adds the reverse arc."""
     arcs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -110,7 +107,14 @@ def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
             arcs.append((i, j) if fwd else (j, i))
             if rng.uniform() < p_double:
                 arcs.append((j, i) if fwd else (i, j))
-    return build_digraph(n, arcs)
+    return arcs
+
+
+def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
+    """Random tournament plus, per pair, the reverse arc with probability p_double."""
+    if not 0.0 <= p_double <= 1.0:
+        raise InputError("p_double must lie in [0, 1]")
+    return build_digraph(n, _semicomplete_arcs(SplitMix64(seed), n, p_double))
 
 
 def random_composition(
@@ -130,14 +134,7 @@ def random_composition(
     if h < 2:
         raise InputError("a composition needs at least 2 parts")
     rng = SplitMix64(seed)
-    outer_arcs = []
-    for i in range(h):
-        for j in range(i + 1, h):
-            fwd = bool(rng.bit())
-            outer_arcs.append((i, j) if fwd else (j, i))
-            if rng.uniform() < p_double:
-                outer_arcs.append((j, i) if fwd else (i, j))
-    outer = build_digraph(h, outer_arcs)
+    outer = build_digraph(h, _semicomplete_arcs(rng, h, p_double))
 
     local_parts = []
     for size in part_sizes:
@@ -170,9 +167,7 @@ def _default_core() -> Digraph:
 
 
 def non_linked_family(
-    k: int,
-    core: Digraph | None = None,
-    witness: tuple[tuple[int, int], tuple[int, int]] | None = None,
+    k: int, core: Digraph | None = None
 ) -> tuple[CompositionSpec, list[tuple[int, int]]]:
     """Family of strong compositions that are not k-linked despite one huge part.
 
@@ -180,10 +175,9 @@ def non_linked_family(
     2k-4, with 2-cycles between the last vertex and all others.  All parts
     are single vertices except the last, which carries ``core``: a strong
     digraph that is not 2-linked.  Returns the composition spec together with the
-    terminal assignment that cannot be linked.
-
-    ``witness`` names core-local pairs (u, v), (x, y) admitting no disjoint
-    (u, v)- and (x, y)-paths; when omitted the exhaustive oracle finds one.
+    terminal assignment that cannot be linked: the exhaustive oracle finds
+    core-local pairs (u, v), (x, y) admitting no disjoint (u, v)- and
+    (x, y)-paths.
     """
     if k < 3:
         raise InputError(f"k={k}: the outer digraph would have fewer than 3 vertices")
@@ -194,17 +188,15 @@ def non_linked_family(
     if not core.is_strong():
         raise PreconditionViolatedError("core digraph is not strong")
 
-    if witness is None:
-        from .verify import brute_force_k_linked
+    from .verify import brute_force_k_linked
 
-        try:
-            res = brute_force_k_linked(core, 2, budget=2_000_000)
-        except BudgetExceededError as exc:
-            raise ConstructionFailedError("could not certify the core as non-2-linked in budget") from exc
-        if res is True:
-            raise ConstructionFailedError("core digraph is 2-linked")
-        witness = (res[0], res[1])
-    (u, v), (x, y) = witness
+    try:
+        res = brute_force_k_linked(core, 2)
+    except BudgetExceededError as exc:
+        raise ConstructionFailedError("could not certify the core as non-2-linked in budget") from exc
+    if res is True:
+        raise ConstructionFailedError("core digraph is 2-linked")
+    (u, v), (x, y) = res
 
     r = 2 * k - 3
     outer_arcs = [(i, j) for i in range(r - 1) for j in range(i + 1, r - 1)]

@@ -94,11 +94,10 @@ def _id_pairs(arcs: list) -> bool:
 def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list | None]:
     """The digraph (and the ``parts``, if given) a digraph document describes.
 
-    The arcs are checked in bulk (``_id_pairs`` here, then the range,
-    duplicate and self-loop checks of ``Digraph.from_arcs``).  The per-arc
-    checks run only when a bulk check fails, and only to word the error:
-    each ``FormatError`` names the first offending arc, type faults before
-    range, self-loop and duplicate faults.
+    The arc types are checked in bulk (``_id_pairs``), and one arc at a
+    time only when that check fails, to name the first offending arc; the
+    range, self-loop and duplicate checks are ``Digraph.from_arcs``'s, at
+    its first offending arc.  Type faults come before the others.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{source}: expected a JSON object")
@@ -177,7 +176,7 @@ def _jsonable(value):
     raise TypeError(f"report witness holds a {type(value).__name__}, which has no JSON form")
 
 
-def digraph_to_dot(d: Digraph, name: str = "G", highlight: PathSystem | None = None) -> str:
+def digraph_to_dot(d: Digraph, highlight: PathSystem | None = None) -> str:
     """DOT text; arcs on highlighted paths are colored and path vertices boxed."""
     on_path: set[tuple[int, int]] = set()
     endpoints: set[int] = set()
@@ -185,7 +184,7 @@ def digraph_to_dot(d: Digraph, name: str = "G", highlight: PathSystem | None = N
         for p in highlight.paths:
             on_path.update(zip(p, p[1:]))
             endpoints.update((p[0], p[-1]))
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for v in d.vertices():
         shape = ' [shape=box]' if v in endpoints else ""
         lines.append(f"  {v}{shape};")

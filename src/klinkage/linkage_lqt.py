@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# Candidate lists the anchor-pair and anchor-link searches may expand by default.
+_ANCHOR_BUDGET = 20_000
+
+
 def pool_threshold(k: int, l: int) -> int:
     """Pool size that makes the pigeonhole and budget arguments airtight."""
     if k < 1 or l < 2:
@@ -128,9 +132,7 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     """
     if u == v:
         raise InputError("need two distinct vertices")
-    for w in (u, v):
-        if not d.has_vertex(w):
-            raise InputError(f"vertex {w} not in digraph", vertices=(w,))
+    d._check_vertices((u, v))
     if limit < 1:
         return ShortPathPool(u, v, (), ())
     pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
@@ -166,15 +168,15 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
 class AuxiliaryDigraph:
     """The semicomplete auxiliary digraph with its replacement pools.
 
-    ``new_arcs`` were added between non-adjacent pairs away from the
-    terminals and each is backed by ``available[arc]``: independent paths
-    of the original digraph, length at most l+1, sharing only endpoints.
+    The keys of ``available`` are the new arcs, added between non-adjacent
+    pairs away from the terminals, and each is backed by ``available[arc]``:
+    independent paths of the original digraph, length at most l+1, sharing
+    only endpoints.
     ``terminal_arcs`` only exist to make the digraph semicomplete around
     the terminals; no returned linkage may use them.
     """
 
     augmented: Digraph
-    new_arcs: frozenset[tuple[int, int]]
     available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
     terminal_arcs: frozenset[tuple[int, int]]
 
@@ -250,9 +252,7 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
     augmented = d.add_arcs(list(new_arcs) + sorted(terminal_arcs))
     if not is_semicomplete(augmented):
         raise AssertionError("auxiliary digraph must be semicomplete")
-    return AuxiliaryDigraph(
-        augmented, frozenset(new_arcs), dict(new_arcs), frozenset(terminal_arcs)
-    )
+    return AuxiliaryDigraph(augmented, new_arcs, frozenset(terminal_arcs))
 
 
 # -- short anchoring -------------------------------------------------------
@@ -332,8 +332,7 @@ def verify_short_anchor(t: Digraph, u1, u2, budget: Budget | None = None) -> boo
     return True
 
 
-def find_short_anchor_pair(t: Digraph, k: int, budget: int = 20000,
-                           allow_undersized: bool = False):
+def find_short_anchor_pair(t: Digraph, k: int, budget: int = _ANCHOR_BUDGET):
     """Search two disjoint k-sets where the first short anchors the second.
 
     Heuristic first (high out-degree sources vs high in-degree sinks), then
@@ -343,14 +342,8 @@ def find_short_anchor_pair(t: Digraph, k: int, budget: int = 20000,
     """
     if k < 1:
         raise InputError(f"k must be positive, got {k}", counts={"k": k})
-    n = t.order
-    if n < 9 * k - 6 and not allow_undersized:
-        raise PreconditionViolatedError(
-            f"anchor pair existence is guaranteed from {9 * k - 6} vertices, digraph has {n}",
-            counts={"need": 9 * k - 6, "have": n},
-        )
     alive = list(t.vertices())
-    if n < 2 * k:
+    if len(alive) < 2 * k:
         return None
     by_out = sorted(alive, key=lambda v: (-t.out_degree(v), v))
     by_in = sorted(alive, key=lambda v: (-t.in_degree(v), v))
@@ -409,7 +402,7 @@ def _splice(augmented_path, d: Digraph, aux: AuxiliaryDigraph, ledger: _Ledger,
 
 
 def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
-              anchor_budget: int = 20000, skip_audit: bool = False) -> SolveReport:
+              anchor_budget: int = _ANCHOR_BUDGET, skip_audit: bool = False) -> SolveReport:
     """Linkage pipeline for l-quasi-transitive digraphs.
 
     The guaranteed connectivity bound is astronomically conservative, so
@@ -454,7 +447,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
                            witness=exc.witness())
     except ConstructionFailedError as exc:
         return SolveReport.of_stage("auxiliary", exc.witness(), audit)
-    audit["new_arcs"] = len(aux.new_arcs)
+    audit["new_arcs"] = len(aux.available)
     # the same arc labels recur in every report on one digraph: interned,
     # reports kept together hold one copy of each
     audit["auxiliary"] = {
@@ -467,9 +460,9 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     except PreconditionViolatedError as exc:
         return SolveReport.of_stage("dominating-set", exc.witness(), audit)
     u_mask = mask_of(us)
-    t_u = spanning_tournament(aux.augmented.induced(us))
+    d_u = aux.augmented.induced(us)
     try:
-        anchor = find_short_anchor_pair(t_u, k, anchor_budget, allow_undersized=True)
+        anchor = find_short_anchor_pair(spanning_tournament(d_u), k, anchor_budget)
     except BudgetExceededError as exc:
         return SolveReport.of_stage("anchor-pair", exc.witness(), audit)
     if anchor is None:
@@ -517,13 +510,12 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     # reserve replacements for every synthetic arc inside the dominator set,
     # so the target-side routing can avoid them before they are chosen
     reserved: dict[tuple[int, int], tuple[int, ...]] = {}
-    unusable: set[tuple[int, int]] = set()
-    for arc in sorted(aux.new_arcs):
+    for arc in sorted(aux.available):
         if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
             try:
                 reserved[arc] = ledger.pick(aux.available[arc], arc)
             except ConstructionFailedError:
-                unusable.add(arc)
+                pass  # no link may use it: arc_ok admits reserved arcs only
     reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
     if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
         raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
@@ -538,16 +530,15 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     tail_path = {p[0]: p for p in routed.paths}
 
     def arc_ok(a, b):
-        if d.has_arc(a, b):
-            return True
-        return (a, b) in aux.new_arcs and (a, b) not in unusable
+        # a link lies inside U: no terminal arc, and a synthetic arc there is
+        # reserved or has no disjoint replacement left
+        return d.has_arc(a, b) or (a, b) in reserved
 
     def prefer(path):
         synthetic = sum(0 if d.has_arc(a, b) else 1 for a, b in zip(path, path[1:]))
         return (synthetic, len(path), path)
 
     link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
-    d_u = aux.augmented.induced(us)
     try:
         links = _disjoint_short_linkage(d_u, link_pairs, Budget(anchor_budget), arc_ok, prefer)
     except BudgetExceededError as exc:
@@ -557,8 +548,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             "no disjoint short links inside the dominator set",
             [v for pair in link_pairs for v in pair], {"k": k}), audit)
 
-    # no ledger pick: a link lies inside U, where arc_ok admits a synthetic
-    # arc only if it is reserved, and no terminal arc
+    # no ledger pick: arc_ok admits a synthetic arc only if it is reserved
     link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
 
     final = []

@@ -38,9 +38,6 @@ class PathSystem:
     def terminals(self) -> set[int]:
         return {p[-1] for p in self.paths}
 
-    def interiors(self) -> set[int]:
-        return {v for p in self.paths for v in p[1:-1]}
-
     def total_vertices(self) -> int:
         return sum(len(p) for p in self.paths)
 

@@ -23,6 +23,9 @@ __all__ = [
     "brute_force_k_linked",
 ]
 
+# Node expansions the brute-force searches may make by default.
+_ORACLE_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class LinkageReport:
@@ -114,7 +117,7 @@ def _solve_pairs(d: Digraph, pairs, budget: Budget) -> PathSystem | Infeasible:
 
 
 def brute_force_disjoint_paths(
-    d: Digraph, pairs, budget: int = 2_000_000
+    d: Digraph, pairs, budget: int = _ORACLE_BUDGET
 ) -> PathSystem | Infeasible:
     """Exhaustive backtracking for vertex-disjoint linking paths.
 
@@ -147,7 +150,7 @@ def _pair_assignments(vertices: tuple[int, ...]):
             yield ((partner, first),) + tail
 
 
-def brute_force_k_linked(d: Digraph, k: int, budget: int = 5_000_000):
+def brute_force_k_linked(d: Digraph, k: int, budget: int = _ORACLE_BUDGET):
     """Is every choice of 2k distinct terminals linkable?
 
     Returns True, or the first failing assignment in a fixed enumeration

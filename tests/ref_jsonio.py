@@ -2,10 +2,11 @@
 
 ``ref_digraph_from_obj`` checks every arc with ``isinstance`` and ``len``
 and builds the masks with ``ref_from_arcs``, which range-checks, rejects
-self-loops and looks for a duplicate at each arc in turn.  These are the
-versions ``jsonio.digraph_from_obj`` and ``Digraph.from_arcs`` replaced
-with column-wise checks and one mask-building loop; the tests require the
-identical digraph, or the identical exception class and message, from both.
+self-loops and looks for a duplicate at each arc in turn.
+``jsonio.digraph_from_obj`` checks the arc types column-wise instead, and
+``Digraph.from_arcs`` is the same per-arc loop with witness vertices on its
+errors; the tests require the identical digraph, or the identical exception
+class and message, from both.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -111,6 +112,15 @@ class TestCheckFlags:
         code, _ = run_cli(["check", "--input", path, "--semicomplete"])
         assert code == 1
         code, _ = run_cli(["check", "--input", path, "--lqt", "2"])
+        assert code == 1
+        # one negative check fails the run, whichever flag comes last
+        comp = os.path.join(workdir, "c.json")
+        code, _ = run_cli(["gen", "--family", "composition", "--part-sizes", "2,2",
+                           "--seed", "1", "-o", comp])
+        assert code == 0
+        code, out = run_cli(["check", "--input", comp, "--semicomplete", "--lqt", "2"])
+        obj = json.loads(out)
+        assert (obj["semicomplete"], obj["l_quasi_transitive"]) == (False, True)
         assert code == 1
 
     def test_lqt_budget_overrun_is_exit_four(self, workdir, monkeypatch):
@@ -347,6 +357,17 @@ class TestDeterminism:
         assert code == 0
         assert out.startswith("PASS  flow vs exhaustive search")
         assert out.splitlines()[-1].startswith("OK  1 criteria in")
+
+    def test_bench_workers_match_the_serial_run(self):
+        def without_seconds(out):
+            return [re.sub(r"\s+[0-9.]+s(  |$)", r"\1", line) for line in out.splitlines()]
+
+        code, serial = run_cli(["bench", "--only", "1,2"])
+        assert code == 0
+        code, parallel = run_cli(["bench", "--only", "1,2", "--workers", "2"])
+        assert code == 0
+        assert without_seconds(parallel) == without_seconds(serial)
+        assert len(serial.splitlines()) == 3
 
 
 # -- fuzzing the CLI in-process ------------------------------------------------

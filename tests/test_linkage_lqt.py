@@ -162,7 +162,6 @@ class TestBuildAuxiliary:
     def test_semicomplete_adds_nothing(self):
         d = random_semicomplete(15, 0.4, 2)
         aux = build_auxiliary(d, [0], [1], 2, 5)
-        assert not aux.new_arcs
         assert not aux.available
 
     def test_triangle_gadget_pool(self):
@@ -170,7 +169,7 @@ class TestBuildAuxiliary:
         d = compose(spec)
         assert is_l_quasi_transitive(d, 2)
         aux = build_auxiliary(d, [], [], 2, 3)
-        assert len(aux.new_arcs) == 1
+        assert len(aux.available) == 1
         ((arc, pool),) = aux.available.items()
         assert arc == (0, 1)
         assert len(pool) == 3
@@ -224,20 +223,14 @@ class TestShortAnchors:
     def test_strong_tournament_k1_always_found(self):
         for n in (3, 5, 8):
             t = random_tournament(n, 100 + n)
-            got = find_short_anchor_pair(t, 1, allow_undersized=True)
+            got = find_short_anchor_pair(t, 1)
             assert got is not None
-
-    def test_undersized_needs_override(self):
-        t = random_tournament(11, 9)
-        with pytest.raises(PreconditionViolatedError, match="guaranteed from 12 vertices"):
-            find_short_anchor_pair(t, 2)
-        assert find_short_anchor_pair(t, 2, allow_undersized=True) is not None
 
     def test_circulant_eleven_pair_reverified(self):
         from klinkage.generators import circulant_tournament
 
         t = circulant_tournament(11)
-        got = find_short_anchor_pair(t, 2, allow_undersized=True)
+        got = find_short_anchor_pair(t, 2)
         assert got is not None
         assert verify_short_anchor(t, *got)
 
@@ -268,7 +261,7 @@ class TestShortAnchors:
 
     def test_negative_k(self):
         with pytest.raises(InputError, match="k must be positive, got -1"):
-            find_short_anchor_pair(random_tournament(6, 0), -1, allow_undersized=True)
+            find_short_anchor_pair(random_tournament(6, 0), -1)
 
 
 class TestAnchorBudget:
@@ -277,13 +270,13 @@ class TestAnchorBudget:
     @pytest.mark.parametrize("n, k", [(16, 6), (18, 7)])
     def test_undersized_search_stops_at_the_default_budget(self, n, k):
         with pytest.raises(BudgetExceededError) as info:
-            find_short_anchor_pair(random_tournament(n, 1), k, allow_undersized=True)
+            find_short_anchor_pair(random_tournament(n, 1), k)
         assert (info.value.budget, info.value.expanded) == (20_000, 20_001)
 
     @pytest.mark.parametrize("n, k", [(16, 6), (18, 7)])
     def test_lowered_budget(self, n, k):
         with pytest.raises(BudgetExceededError) as info:
-            find_short_anchor_pair(random_tournament(n, 1), k, budget=50, allow_undersized=True)
+            find_short_anchor_pair(random_tournament(n, 1), k, budget=50)
         assert (info.value.budget, info.value.expanded) == (50, 51)
 
     def test_solve_reports_the_spent_budget(self):

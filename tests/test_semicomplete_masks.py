@@ -1,14 +1,18 @@
 """The semicomplete audit and the helper count against the per-vertex loops
 they replaced (``tests/ref_semicomplete.py``): ``is_semicomplete`` and
-``Digraph.min_out_degree`` decide in one pass over the alive rows, and
-``partition_terminals`` counts the out-neighbours in U of every outside
-vertex at once with a bit-sliced counter."""
+``Digraph.min_out_degree`` decide in one pass over the alive rows, the
+spanning tournament and the dominator selection decide semicompleteness
+from the tournament in-masks they build, and ``partition_terminals``
+counts the out-neighbours in U of every outside vertex at once with a
+bit-sliced counter."""
 
 from __future__ import annotations
 
 import ref_semicomplete
 
-from klinkage import build_digraph, is_semicomplete, partition_terminals
+from klinkage import (build_digraph, is_semicomplete, is_tournament, nearly_in_dominating_set,
+                      nearly_in_dominating_vertex, partition_terminals, spanning_tournament)
+from klinkage.errors import PreconditionViolatedError
 from klinkage.generators import SplitMix64, random_digraph, random_semicomplete
 
 
@@ -32,6 +36,28 @@ def _random_case(rng: SplitMix64, trial: int):
     return d
 
 
+def _rejects(fn, *args) -> bool:
+    """fn raises PreconditionViolatedError; any other exception escapes."""
+    try:
+        fn(*args)
+    except PreconditionViolatedError:
+        return True
+    return False
+
+
+def _check_tournament_masks(d) -> bool:
+    """The in-mask decisions and ``is_tournament`` against the reference;
+    returns whether d is a tournament."""
+    semicomplete = ref_semicomplete.is_semicomplete(d)
+    assert _rejects(spanning_tournament, d) == (not semicomplete)
+    if d.order:  # the empty digraph has no vertex to select
+        assert _rejects(nearly_in_dominating_vertex, d) == (not semicomplete)
+    two_cycle = any(d.out_mask(v) & d.in_mask(v) for v in d.vertices())
+    tournament = semicomplete and not two_cycle
+    assert is_tournament(d) == tournament
+    return tournament
+
+
 def _without_pair(d, u, v):
     """d with both arcs between u and v removed."""
     return build_digraph(d.n, [a for a in d.arcs() if {*a} != {u, v}])
@@ -41,14 +67,17 @@ class TestAuditAgainstReference:
     def test_random_digraphs_0_to_40(self):
         rng = SplitMix64(71_001)
         verdicts = {True: 0, False: 0}
+        tournaments = 0
         for trial in range(1_200):
             d = _random_case(rng, trial)
             got = is_semicomplete(d)
             assert got == ref_semicomplete.is_semicomplete(d), trial
             verdicts[got] += 1
             assert _outcome(d.min_out_degree) == _outcome(ref_semicomplete.min_out_degree, d), trial
-        # measured 803 True, 397 False
+            tournaments += _check_tournament_masks(d)
+        # measured 803 True, 397 False, 186 tournaments
         assert verdicts[True] >= 600 and verdicts[False] >= 300, verdicts
+        assert tournaments >= 120, tournaments
 
     def test_one_missing_pair(self):
         rng = SplitMix64(71_002)
@@ -60,10 +89,15 @@ class TestAuditAgainstReference:
             v = (u + 1 + rng.randrange(n - 1)) % n
             broken = _without_pair(d, u, v)
             assert not is_semicomplete(broken) and not ref_semicomplete.is_semicomplete(broken)
+            _check_tournament_masks(broken)
+            # the in-masks fall short by exactly the missing pair's bit
+            assert _rejects(nearly_in_dominating_set, broken, [], [], 0)
+            assert not _rejects(nearly_in_dominating_set, broken, [u], [v], 0)
             for drop in (u, v):
                 healed = broken.delete([drop])
                 assert is_semicomplete(healed) and ref_semicomplete.is_semicomplete(healed)
                 assert healed.min_out_degree() == ref_semicomplete.min_out_degree(healed)
+                _check_tournament_masks(healed)
             assert broken.min_out_degree() == ref_semicomplete.min_out_degree(broken)
 
 
