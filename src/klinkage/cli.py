@@ -8,6 +8,7 @@ not linked, failed check), 2 usage or format error, 3 hypothesis violated,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .connectivity import kappa
@@ -86,6 +87,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _emit_dot(dot: str, out: str):
+    """Write ``dot`` next to ``out``, as its ``.dot`` sibling."""
+    _emit(dot, os.path.splitext(out)[0] + ".dot")
+
+
 def _cmd_gen(args) -> int:
     meta = {"family": args.family, "seed": args.seed}
     parts = None
@@ -130,11 +136,7 @@ def _cmd_gen(args) -> int:
     text = dumps_canonical(digraph_to_obj(d, parts, meta))
     _emit(text, args.output)
     if args.dot:
-        if not args.output:
-            raise FormatError("--dot needs -o to name the sibling file")
-        dot_path = args.output.rsplit(".", 1)[0] + ".dot"
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(digraph_to_dot(d))
+        _emit_dot(digraph_to_dot(d), args.output)
     return EXIT_OK
 
 
@@ -204,11 +206,7 @@ def _cmd_solve(args) -> int:
         obj["seed"] = args.seed
     _emit(dumps_canonical(obj), args.output)
     if args.dot:
-        if not args.output:
-            raise FormatError("--dot needs -o to name the sibling file")
-        dot_path = args.output.rsplit(".", 1)[0] + ".dot"
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(digraph_to_dot(d, highlight=report.system))
+        _emit_dot(digraph_to_dot(d, highlight=report.system), args.output)
     if report.outcome == LINKED:
         return EXIT_OK
     if report.outcome == HYPOTHESIS_VIOLATED:
@@ -374,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "dot", False) and not args.output:
+            raise FormatError("--dot needs -o to name the sibling file")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

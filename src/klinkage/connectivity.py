@@ -59,50 +59,44 @@ def _pivot_pairs(d: Digraph, v: int):
             yield u, v
 
 
+def _pivot_scan(d: Digraph, cap: int) -> int:
+    """min(kappa(d), cap), by the pivot reduction of Even (1975).
+
+    Scans pivots v_0, v_1, ... and keeps the least local connectivity over
+    the non-adjacent ordered pairs at each, each query capped at the running
+    minimum.  Once i pivots are scanned and the minimum is at most i, it is
+    exact: a smaller cut would miss a scanned pivot, and that pivot has a
+    partner it separates.  The first pivot finds the empty cut of a digraph
+    that is not strong, so no separate strong-connectivity test is needed.
+    In semicomplete-like digraphs most pairs are settled by the kernel's
+    first step, which counts the 2-paths a->w->b before any augmentation.
+    """
+    best = cap
+    for i, v in enumerate(d.vertices()):
+        if i >= best:
+            break
+        for a, b in _pivot_pairs(d, v):
+            flow = _kernel.local_connectivity(d, a, b, best)
+            if flow < best:
+                if not flow:
+                    return 0  # a 0 limit would lift the kernel's cap
+                best = flow
+    return best
+
+
 def is_k_strong(d: Digraph, k: int) -> bool:
     """True iff d has at least k+1 vertices and no vertex cut smaller than k.
 
-    Uses the pivot reduction of Even (1975): fix any k vertices; a cut of
-    size below k misses one of them, and that pivot then has a non-adjacent
-    partner with small local connectivity.  Costs O(k * n) bounded flow
-    runs instead of O(n^2).  The pivots are Even's, unchanged; in
-    semicomplete-like digraphs most pairs are certified by the kernel's
-    first step, which counts the 2-paths a->w->b before any augmentation.
+    Scans k pivots (Even 1975): O(k * n) bounded flow runs instead of O(n^2).
     """
-    if d.order < k + 1:
-        return False
-    if k <= 0:
-        return True
-    if not d.is_strong():
-        return False
-    for v in list(d.vertices())[:k]:
-        for a, b in _pivot_pairs(d, v):
-            if _kernel.local_connectivity(d, a, b, k) < k:
-                return False
-    return True
+    return d.order > k and (k <= 0 or _pivot_scan(d, k) >= k)
 
 
 def kappa(d: Digraph) -> int:
-    """Exact degree of strong connectivity; 0 iff not strong, n-1 at most.
-
-    Scans pivot vertices v_0, v_1, ... accumulating the least local
-    connectivity over non-adjacent ordered pairs at each pivot; once the
-    number of processed pivots exceeds the running minimum, some pivot
-    avoided every minimum cut and the minimum is exact.  The pivot order is
-    Even's, unchanged; a pair with at least the running minimum of 2-paths
-    a->w->b is settled by the kernel's first step, with no augmentation.
-    """
+    """Exact degree of strong connectivity; 0 iff not strong, n-1 at most."""
     if d.order < 2:
         raise InputError("connectivity degree needs at least 2 vertices")
-    if not d.is_strong():
-        return 0
-    best = d.order - 1
-    for i, v in enumerate(d.vertices()):
-        if i > best:
-            break
-        for a, b in _pivot_pairs(d, v):
-            best = min(best, _kernel.local_connectivity(d, a, b, best))
-    return best
+    return _pivot_scan(d, d.order - 1)
 
 
 def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):

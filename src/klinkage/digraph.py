@@ -120,7 +120,7 @@ class Digraph:
         return 0 <= v < self.n and bool(self._alive >> v & 1)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return self.has_vertex(u) and bool(self._out[u] >> v & 1)
+        return self.has_vertex(u) and self.has_vertex(v) and bool(self._out[u] >> v & 1)
 
     def out_mask(self, v: int) -> int:
         return self._out[v]

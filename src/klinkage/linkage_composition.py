@@ -76,19 +76,15 @@ def fill_parts(d0: Digraph, parts, ys) -> Digraph:
 def minimalize_path(d: Digraph, path) -> list[int]:
     """Shrink a path to a minimal one with the same endpoints inside V(path).
 
-    Repeatedly replaces the path by a shortest same-endpoint path in the
-    subdigraph induced by its own vertices; at the fixed point no path on a
-    proper vertex subset exists (it would have been shorter).
+    Returns the shortest same-endpoint path in the subdigraph induced by the
+    path's own vertices: no path on a proper subset of its vertices exists,
+    as that path would be shorter.
     """
     path = list(path)
-    while True:
-        allowed = mask_of(path)
-        shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~allowed)
-        if shorter is None:
-            raise AssertionError("path vertices no longer connect their endpoints")
-        if shorter == path:
-            return path
-        path = shorter
+    shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~mask_of(path))
+    if shorter is None:
+        raise AssertionError("path vertices no longer connect their endpoints")
+    return shorter
 
 
 def _peel_direct(d: Digraph, pairs):

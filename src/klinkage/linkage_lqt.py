@@ -258,26 +258,21 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
 # -- short anchoring -------------------------------------------------------
 
 
-def _short_paths_between(d: Digraph, a: int, b: int, blocked: int, arc_ok=None):
+def _short_paths_between(d: Digraph, a: int, b: int, blocked: int):
     """All simple a->b paths of length <= 3 avoiding blocked interiors."""
-    ok = arc_ok or (lambda u, v: True)
     out: list[tuple[int, ...]] = []
-    if d.has_arc(a, b) and ok(a, b):
+    if d.has_arc(a, b):
         out.append((a, b))
     free = d.alive_mask & ~blocked & ~(1 << a) & ~(1 << b)
     for w in iter_bits(d.out_mask(a) & d.in_mask(b) & free):
-        if ok(a, w) and ok(w, b):
-            out.append((a, w, b))
+        out.append((a, w, b))
     for w1 in iter_bits(d.out_mask(a) & free):
-        if not ok(a, w1):
-            continue
         for w2 in iter_bits(d.out_mask(w1) & d.in_mask(b) & free & ~(1 << w1)):
-            if ok(w1, w2) and ok(w2, b):
-                out.append((a, w1, w2, b))
+            out.append((a, w1, w2, b))
     return out
 
 
-def _disjoint_short_linkage(d: Digraph, pairs, budget: Budget, arc_ok=None,
+def _disjoint_short_linkage(d: Digraph, pairs, budget: Budget,
                             prefer=None) -> list[tuple[int, ...]] | None:
     """Backtracking for disjoint length-<=3 paths, one per pair.
 
@@ -294,7 +289,7 @@ def _disjoint_short_linkage(d: Digraph, pairs, budget: Budget, arc_ok=None,
     while len(acc) < len(pairs):
         a, b = pairs[len(acc)]
         budget.spend()
-        cands = _short_paths_between(d, a, b, blocked | used, arc_ok)
+        cands = _short_paths_between(d, a, b, blocked | used)
         if prefer is not None:
             cands.sort(key=prefer)
         frames.append((iter(cands), used))
@@ -515,7 +510,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             try:
                 reserved[arc] = ledger.pick(aux.available[arc], arc)
             except ConstructionFailedError:
-                pass  # no link may use it: arc_ok admits reserved arcs only
+                pass  # no link may use it: the link digraph holds reserved arcs only
     reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
     if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
         raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
@@ -529,18 +524,16 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     entry_for_target = {p[-1]: p[0] for p in routed.paths}
     tail_path = {p[0]: p for p in routed.paths}
 
-    def arc_ok(a, b):
-        # a link lies inside U: no terminal arc, and a synthetic arc there is
-        # reserved or has no disjoint replacement left
-        return d.has_arc(a, b) or (a, b) in reserved
-
     def prefer(path):
         synthetic = sum(0 if d.has_arc(a, b) else 1 for a, b in zip(path, path[1:]))
         return (synthetic, len(path), path)
 
+    # a link lies inside U and uses d's arcs there and the reserved synthetic
+    # ones: no terminal arc, no synthetic arc without a disjoint replacement
+    links_in = d.induced(us).add_arcs(reserved)
     link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
     try:
-        links = _disjoint_short_linkage(d_u, link_pairs, Budget(anchor_budget), arc_ok, prefer)
+        links = _disjoint_short_linkage(links_in, link_pairs, Budget(anchor_budget), prefer)
     except BudgetExceededError as exc:
         return SolveReport.of_stage("anchor-link", exc.witness(), audit)
     if links is None:
@@ -548,7 +541,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             "no disjoint short links inside the dominator set",
             [v for pair in link_pairs for v in pair], {"k": k}), audit)
 
-    # no ledger pick: arc_ok admits a synthetic arc only if it is reserved
+    # no ledger pick: the link digraph holds a synthetic arc only if it is reserved
     link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
 
     final = []

@@ -5,7 +5,9 @@ adds the full bundle between its two parts vertex by vertex.
 ``ref_fill_parts`` lists every synthetic arc of the filling and adds them
 with ``Digraph.add_arcs``.  These are the versions ``compose`` and
 ``fill_parts`` replaced with per-part masks; the tests require identical
-masks, or the identical exception, from both.
+masks, or the identical exception, from both.  ``ref_minimalize_path``
+repeats the shortest-path call inside V(path) until it returns its input;
+``minimalize_path`` makes the call once, and the tests require the same path.
 """
 
 from __future__ import annotations
@@ -68,3 +70,16 @@ def ref_fill_parts(d0: Digraph, parts, ys) -> Digraph:
             for v in iter_bits(rest & ~(1 << u)):
                 new_arcs.append((u, v))
     return d0.add_arcs(new_arcs)
+
+
+def ref_minimalize_path(d: Digraph, path) -> list[int]:
+    """Shortest same-endpoint path inside V(path), repeated to a fixed point."""
+    path = list(path)
+    while True:
+        allowed = mask_of(path)
+        shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~allowed)
+        if shorter is None:
+            raise AssertionError("path vertices no longer connect their endpoints")
+        if shorter == path:
+            return path
+        path = shorter

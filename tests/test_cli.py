@@ -75,6 +75,30 @@ class TestGen:
         with open(os.path.join(workdir, "t.dot"), encoding="utf-8") as fh:
             assert fh.read().startswith("digraph")
 
+    def test_dot_sibling_keeps_a_dotted_directory(self, workdir):
+        # only the file name's extension is replaced, never a directory's
+        os.mkdir(os.path.join(workdir, "out.d"))
+        path = os.path.join(workdir, "out.d", "t")
+        code, _ = run_cli(["gen", "--family", "tournament", "--n", "4", "-o", path, "--dot"])
+        assert code == 0
+        assert sorted(os.listdir(os.path.join(workdir, "out.d"))) == ["t", "t.dot"]
+
+    def test_dot_without_output_writes_nothing(self, workdir, monkeypatch):
+        # --dot names its file after -o: without one, the usage error comes
+        # before any work, so stdout stays empty and no solver runs
+        path = os.path.join(workdir, "k.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_K3, fh)
+        monkeypatch.setattr("klinkage.cli.solve_semicomplete", None)
+        for argv in (["gen", "--family", "tournament", "--n", "4", "--dot"],
+                     ["solve", "--input", path, "--class", "semicomplete", "--pairs", "0:2",
+                      "--dot"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_cli(argv)
+            assert (code, out) == (2, ""), argv
+            assert "--dot needs -o" in err.getvalue()
+
     def test_composition_carries_parts(self, workdir):
         path = os.path.join(workdir, "comp.json")
         run_cli(["gen", "--family", "composition", "--part-sizes", "2,3,2",
@@ -278,6 +302,19 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "--input", dpath, "--paths", ppath])
         assert code == 1
         assert json.loads(out)["clause"] == "ArcMembership"
+
+
+    def test_negative_id_on_a_path_is_a_missing_arc(self, workdir):
+        dpath = os.path.join(workdir, "d.json")
+        ppath = os.path.join(workdir, "ps.json")
+        with open(dpath, "w", encoding="utf-8") as fh:
+            json.dump({"n": 3, "arcs": [[0, 1], [1, 2]]}, fh)
+        with open(ppath, "w", encoding="utf-8") as fh:
+            json.dump({"paths": [[0, -1, 2]], "pairs": [[0, 2]]}, fh)
+        out = run_cli_process(["verify", "--input", dpath, "--paths", ppath])
+        assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
+        assert json.loads(out.stdout)["clause"] == "ArcMembership"
 
 
 class TestOracleCommand:

@@ -24,6 +24,7 @@ from klinkage.generators import (
     random_tournament,
 )
 
+import ref_connectivity
 import ref_flow
 import ref_menger
 import ref_split_flow
@@ -114,6 +115,84 @@ class TestKappa:
         for trial in range(25):
             d = random_digraph(9, 14_000 + trial, (3, 5, 7, 9)[trial % 4])
             assert kappa(d) == brute_kappa(d)
+
+    @staticmethod
+    def _kernel_calls(monkeypatch, fn, *args):
+        """fn's result and the (a, b, limit) of every kernel call it makes."""
+        calls = []
+        kernel = connectivity._kernel.local_connectivity
+
+        def record(d, a, b, limit):
+            calls.append((a, b, limit))
+            return kernel(d, a, b, limit)
+
+        with monkeypatch.context() as m:
+            m.setattr(connectivity._kernel, "local_connectivity", record)
+            return fn(*args), calls
+
+    def _strong_inputs(self):
+        for trial in range(30):
+            n = 6 + trial % 9
+            if trial % 3 == 0:
+                d = random_tournament(n, 40_000 + trial)
+            elif trial % 3 == 1:
+                d = random_semicomplete(n, 0.4, 40_000 + trial)
+            else:
+                d = random_digraph(n, 40_000 + trial, n - 1 + trial % 4)
+            if trial % 5 == 4:
+                d = d.delete([trial % n])
+            if d.is_strong():
+                yield d
+
+    def test_is_k_strong_makes_the_oracles_kernel_calls(self, monkeypatch):
+        # on k-strong inputs the one pivot scan queries the same pairs, in the
+        # same order and with the same limit, as the loop it replaced; below
+        # k it goes on past the oracle's early return, to min(kappa, k)
+        passed = failed = 0
+        for d in self._strong_inputs():
+            for k in range(0, 6):
+                got, calls = self._kernel_calls(monkeypatch, is_k_strong, d, k)
+                want, ref_calls = self._kernel_calls(
+                    monkeypatch, ref_connectivity.ref_is_k_strong, d, k)
+                assert got == want, (d, k)
+                if got:
+                    assert calls == ref_calls, (d, k)
+                    passed += bool(calls)
+                else:
+                    assert calls[:len(ref_calls)] == ref_calls, (d, k)
+                    failed += 1
+        assert passed >= 20 and failed >= 20
+
+    def test_kappa_matches_oracle_with_no_more_kernel_calls(self, monkeypatch):
+        strong = 0
+        for trial in range(80):
+            n = 2 + trial % 11
+            d = random_digraph(n, 50_000 + trial, 1 + trial % (2 * n))
+            if trial % 7 == 6:
+                d = d.delete([trial % n])
+            if d.order < 2:
+                continue
+            got, calls = self._kernel_calls(monkeypatch, kappa, d)
+            want, ref_calls = self._kernel_calls(monkeypatch, ref_connectivity.ref_kappa, d)
+            assert got == want == brute_kappa(d), (trial, d)
+            if d.is_strong():
+                strong += 1
+                assert len(calls) <= len(ref_calls), (trial, d)
+            else:
+                # the oracle's BFS pair made no kernel call; the scan stops at
+                # the first empty cut, which the first pivot's pairs contain
+                v0 = next(d.vertices())
+                assert got == 0
+                assert [(a, b) for a, b, _ in calls] == list(_pivot_pairs(d, v0))[:len(calls)]
+        assert 10 <= strong <= 70
+
+    def test_kappa_scans_one_pivot_fewer(self, monkeypatch):
+        # kappa(C_7 circulant) = 3: the scan stops after 3 pivots, the oracle after 4
+        d = circulant_tournament(7)
+        got, calls = self._kernel_calls(monkeypatch, kappa, d)
+        want, ref_calls = self._kernel_calls(monkeypatch, ref_connectivity.ref_kappa, d)
+        assert got == want == 3
+        assert {min(a, b) for a, b, _ in calls} < {min(a, b) for a, b, _ in ref_calls}
 
     def test_pivot_pairs_match_has_arc_scan(self):
         # the mask-driven pair order is the order of the plain scan, so the

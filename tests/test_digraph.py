@@ -58,6 +58,12 @@ class TestBuild:
         with pytest.raises(InputError, match=r"outside 0\.\.1"):
             build_digraph(2, [(0, 2)])
 
+    def test_has_arc_needs_two_vertices(self):
+        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)]).delete([2])
+        assert d.has_arc(0, 1)
+        for u, v in ((0, -1), (-1, 0), (0, 3), (3, 0), (1, 2), (2, 0)):
+            assert not d.has_arc(u, v), (u, v)
+
     def test_degree_sum_is_arc_count(self):
         d = build_digraph(4, [(0, 1), (1, 2), (2, 0), (3, 1)])
         assert sum(d.out_degree(v) for v in d.vertices()) == d.num_arcs

@@ -3,8 +3,9 @@
 Each case is one solve on a seeded input; its digest is the sha256 of
 ``dumps_canonical(report_to_obj(report))``.  The grid mixes semicomplete
 solves (n=60, k=1-2, audited and not), criterion-5 compositions,
-criterion-7 l-QT instances, hypothesis violations and one failure of every
-stage the three solvers can fail at, seeded or built by hand.  A digest changes only when a solver's output does: if
+criterion-7 l-QT instances, hypothesis violations, a hand-built linked solve
+whose source has no helper and one failure of every stage the three solvers
+can fail at, seeded or built by hand.  A digest changes only when a solver's output does: if
 that is intended, re-pin with ``python tests/test_golden_reports.py``.
 """
 
@@ -23,6 +24,7 @@ from klinkage import (
     solve_lqt,
     solve_semicomplete,
 )
+from klinkage import linkage_semicomplete
 from klinkage.acceptance import _composition_instances, _lqt_instances
 from klinkage.generators import (
     SplitMix64,
@@ -54,6 +56,29 @@ def _direct_arcs():
 def _dominating_set_fails():
     d = build_digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     return solve_semicomplete(LinkageInstance(d, ((4, 0), (3, 1))), skip_audit=True)
+
+
+def _leftover_linked():
+    """x = 0 sees no helper, so its path is built as a leftover source's.
+
+    y = 1, C = 2..4, A = 5..19, B = 20..59; inside each group list position
+    i beats j when (j - i) mod m < m/2, and at a tie when i is even; full
+    bundles x->A, C->x, B->x, C->A, B->C, A->B, y->x, C->y, y->A, B->y.
+    """
+    groups = [list(range(2, 5)), list(range(5, 20)), list(range(20, 60))]
+    arcs = []
+    for g in groups:
+        m = len(g)
+        for i in range(m):
+            for j in range(i + 1, m):
+                gap = 2 * (j - i)
+                arcs.append((g[i], g[j]) if gap < m or gap == m and i % 2 == 0 else (g[j], g[i]))
+    x, y, (c, a, b) = [0], [1], groups
+    for tails, heads in ((x, a), (c, x), (b, x), (c, a), (b, c), (a, b), (y, x), (c, y),
+                         (y, a), (b, y)):
+        arcs += [(u, v) for u in tails for v in heads]
+    d = build_digraph(60, arcs)
+    return solve_semicomplete(LinkageInstance(d, ((0, 1),)), skip_audit=True)
 
 
 def _semicomplete_small(i):
@@ -116,6 +141,7 @@ CASES = {
     "semicomplete-dominating-set": _dominating_set_fails,
     "semicomplete-menger": lambda: _semicomplete_small(601),
     "semicomplete-anchor-direct": lambda: _semicomplete_small(4),
+    "semicomplete-leftover-linked": _leftover_linked,
     **{f"composition-{i}": (lambda i=i: _composition(i)) for i in range(4)},
     **{f"composition-thin-{i}": (lambda i=i: _composition_thin(i)) for i in (0, 1, 5)},
     "composition-path": lambda: _composition_small(6),
@@ -203,6 +229,8 @@ PINNED = {
         'edb039050a34847a4f37c094f727d27998d6f538a9ce25dcd30b6dc618999bf6'),
     'semicomplete-dominating-set': ('stage_failed', 'dominating-set',
         '05263eebd0ee02f428ac16513180c06abb763029f9184ea26f17f4f7cc0bae85'),
+    'semicomplete-leftover-linked': ('linked', None,
+        'acfc34f671cf293f85ad77c386f52c1c468f172ccdb5936b77831be4bc378b07'),
     'semicomplete-menger': ('stage_failed', 'menger',
         '1d7e6578a8b20f4fd50112d519ca6f4f5a3027f163dd0a6aa8639fb7fed6b62d'),
 }
@@ -233,6 +261,22 @@ def test_grid_covers_every_outcome_and_solver():
         *(("lqt", s) for s in ("auxiliary", "dominating-set", "anchor-pair", "source-helper",
                                "source-replacement", "targets", "anchor-link")),
     }
+
+
+def test_leftover_source_is_linked(monkeypatch):
+    # the one linked case whose source has no helper: its path is the
+    # leftover branch's, straight from x to its q-start
+    splits = []
+    partition = linkage_semicomplete.partition_terminals
+
+    def record(*args):
+        splits.append(partition(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(linkage_semicomplete, "partition_terminals", record)
+    report = _leftover_linked()
+    assert splits == [([], {}, [0])]
+    assert report.system.paths == ((0, 5, 20, 2, 1),)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from klinkage import (
     verify_linkage,
 )
 from conftest import assert_in_masks_transpose, out_neighbors
+from ref_composition import ref_minimalize_path
 from klinkage.acceptance import brute_kappa
 from klinkage.errors import InputError
 from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
@@ -146,6 +147,23 @@ class TestMinimalize:
             assert _is_minimal(d, got)
             checked += 1
         assert checked > 10
+
+    def test_one_call_is_the_fixed_point(self):
+        # the lexicographically smallest shortest path inside V(path) is
+        # already minimal, so repeating the call never changes it
+        shrunk = 0
+        for seed in range(200):
+            n = 6 + seed % 7
+            d = random_digraph(n, 97_000 + seed, 2 + seed % 4)
+            rng = SplitMix64(98_000 + seed)
+            x, y = rng.sample(list(range(n)), 2)
+            p = _some_long_path(d, x, y)
+            if p is None:
+                continue
+            got = minimalize_path(d, p)
+            assert got == ref_minimalize_path(d, p), (seed, p)
+            shrunk += got != p
+        assert shrunk >= 50
 
 
 def _some_long_path(d, x, y):
