@@ -87,9 +87,9 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _emit_dot(dot: str, out: str):
-    """Write ``dot`` next to ``out``, as its ``.dot`` sibling."""
-    _emit(dot, os.path.splitext(out)[0] + ".dot")
+def _dot_sibling(out: str) -> str:
+    """The ``.dot`` file named after the report path ``out``."""
+    return os.path.splitext(out)[0] + ".dot"
 
 
 def _cmd_gen(args) -> int:
@@ -136,7 +136,7 @@ def _cmd_gen(args) -> int:
     text = dumps_canonical(digraph_to_obj(d, parts, meta))
     _emit(text, args.output)
     if args.dot:
-        _emit_dot(digraph_to_dot(d), args.output)
+        _emit(digraph_to_dot(d), _dot_sibling(args.output))
     return EXIT_OK
 
 
@@ -206,7 +206,7 @@ def _cmd_solve(args) -> int:
         obj["seed"] = args.seed
     _emit(dumps_canonical(obj), args.output)
     if args.dot:
-        _emit_dot(digraph_to_dot(d, highlight=report.system), args.output)
+        _emit(digraph_to_dot(d, highlight=report.system), _dot_sibling(args.output))
     if report.outcome == LINKED:
         return EXIT_OK
     if report.outcome == HYPOTHESIS_VIOLATED:
@@ -374,6 +374,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "dot", False) and not args.output:
             raise FormatError("--dot needs -o to name the sibling file")
+        if getattr(args, "dot", False) and _dot_sibling(args.output) == args.output:
+            raise FormatError(f"--dot would write over the report: -o {args.output} ends in .dot")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,11 +73,14 @@ class BudgetExceededError(KLinkageError):
 
 class Budget:
     """Work units of one search: ``spend`` raises
-    ``BudgetExceededError(spent, limit)`` once ``spent`` passes ``limit``."""
+    ``BudgetExceededError(spent, limit)`` once ``spent`` passes ``limit``.
+    A negative ``limit`` is an ``InputError``; 0 allows no work."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: float):
+        if limit < 0:
+            raise InputError(f"budget must be at least 0, got {limit}", counts={"budget": limit})
         self.limit = limit
         self.spent = 0
 

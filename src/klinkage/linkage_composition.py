@@ -22,7 +22,7 @@ from .digraph import (
 )
 from .errors import ConstructionFailedError, InputError, witness_of
 from .jsonio import report_to_obj
-from .linkage_semicomplete import audit_kappa, solve_semicomplete
+from .linkage_semicomplete import audit_hypotheses, solve_semicomplete
 from .paths import LinkageInstance, PathSystem
 from .reports import SolveReport
 
@@ -197,24 +197,19 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     k = instance.k
     part_masks = [p.alive_mask for p in spec.parts]
 
-    audit: dict = {"class": "composition", "k": k}
-    audit["outer_semicomplete"] = is_semicomplete(spec.outer)
-    audit["min_out_degree"] = d.min_out_degree()
-    audit["kappa_threshold"] = 3 * k
-    audit["out_degree_threshold"] = 23 * k
-    audit["min_co_size"] = min((d.alive_mask & ~m).bit_count() for m in part_masks)
-    if not skip_audit and not audit["outer_semicomplete"]:
-        return SolveReport.of_hypothesis("outer digraph not semicomplete", audit)
-    violated = audit_kappa(
-        audit, d, 3 * k, ["kappa", "min_out_degree", "co_size"] if skip_audit else None
-    )
-    if violated:
-        return SolveReport.of_hypothesis(violated, audit)
-    if not skip_audit:
-        if audit["min_out_degree"] < 23 * k:
-            return SolveReport.of_hypothesis(f"min out-degree < {23 * k}", audit)
-        if audit["min_co_size"] < 2 * k - 3:
-            return SolveReport.of_hypothesis(f"a part leaves fewer than {2 * k - 3} vertices", audit)
+    audit: dict = {"class": "composition", "k": k,
+                   "outer_semicomplete": is_semicomplete(spec.outer),
+                   "min_out_degree": d.min_out_degree(), "kappa_threshold": 3 * k,
+                   "out_degree_threshold": 23 * k,
+                   "min_co_size": min((d.alive_mask & ~m).bit_count() for m in part_masks)}
+    violation = audit_hypotheses(
+        audit, d,
+        [] if skip_audit else [("outer digraph not semicomplete", audit["outer_semicomplete"])],
+        [(f"min out-degree < {23 * k}", audit["min_out_degree"] >= 23 * k),
+         (f"a part leaves fewer than {2 * k - 3} vertices", audit["min_co_size"] >= 2 * k - 3)],
+        ["kappa", "min_out_degree", "co_size"] if skip_audit else None)
+    if violation:
+        return violation
 
     paths = _solve_reduced(d, part_masks, list(pairs), 0)
     if isinstance(paths, tuple):

@@ -21,9 +21,9 @@ from .connectivity import menger_set_paths
 from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import _first_c_good, nearly_in_dominating_set
 from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError, witness_of
-from .linkage_semicomplete import audit_kappa
+from .linkage_semicomplete import audit_hypotheses
 from .paths import Infeasible, LinkageInstance, PathSystem
-from .reports import HYPOTHESIS_VIOLATED, SolveReport
+from .reports import SolveReport
 
 __all__ = [
     "pool_threshold",
@@ -415,22 +415,15 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     bound = 81 * k * k * (l + 2) ** 2
     pool_goal = pool_threshold(k, l) if threshold is None else threshold
 
-    audit: dict = {
-        "class": "lqt",
-        "k": k,
-        "l": l,
-        "strong": d.is_strong(),
-        "kappa_threshold": bound,
-        "pool_threshold": pool_goal,
-    }
-    audit["l_quasi_transitive"] = is_l_quasi_transitive(d, l)
-    if not audit["strong"]:
-        return SolveReport.of_hypothesis("not strong", audit)
-    if not audit["l_quasi_transitive"]:
-        return SolveReport.of_hypothesis(f"not {l}-quasi-transitive", audit)
-    violated = audit_kappa(audit, d, bound, ["kappa"] if skip_audit else None)
-    if violated:
-        return SolveReport.of_hypothesis(violated, audit)
+    audit: dict = {"class": "lqt", "k": k, "l": l, "strong": d.is_strong(),
+                   "kappa_threshold": bound, "pool_threshold": pool_goal,
+                   "l_quasi_transitive": is_l_quasi_transitive(d, l)}
+    violation = audit_hypotheses(
+        audit, d, [("not strong", audit["strong"]),
+                   (f"not {l}-quasi-transitive", audit["l_quasi_transitive"])],
+        [], ["kappa"] if skip_audit else None)
+    if violation:
+        return violation
     if not skip_audit and bound - 2 * k - 2 * pool_threshold(k, l) * (l + 2) <= 0:
         # connectivity slack that feeds the extraction argument
         raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
@@ -438,8 +431,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     try:
         aux = build_auxiliary(d, xs, ys, l, pool_goal)
     except PreconditionViolatedError as exc:  # no short return path: d is strong here
-        return SolveReport(HYPOTHESIS_VIOLATED, audit=audit, failure=exc.clause,
-                           witness=exc.witness())
+        return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
     except ConstructionFailedError as exc:
         return SolveReport.of_stage("auxiliary", exc.witness(), audit)
     audit["new_arcs"] = len(aux.available)

@@ -20,7 +20,7 @@ from .errors import ConstructionFailedError, PreconditionViolatedError, witness_
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport
 
-__all__ = ["anchor_connectors", "audit_kappa", "partition_terminals", "solve_semicomplete"]
+__all__ = ["anchor_connectors", "audit_hypotheses", "partition_terminals", "solve_semicomplete"]
 
 
 def _layer_masks(q: PathSystem) -> tuple[int, int]:
@@ -213,35 +213,30 @@ def partition_terminals(d: Digraph, xs, ys, us, k: int):
     return matched, matching, leftover
 
 
-def audit_kappa(audit: dict, d: Digraph, b: int, skipped: list[str] | None) -> str | None:
-    """The kappa part of the hypothesis audit, shared by all three solvers.
+def audit_hypotheses(audit: dict, d: Digraph, before, after,
+                     skipped: list[str] | None) -> SolveReport | None:
+    """The hypothesis audit of all three solvers.
 
-    With ``skipped`` (the checks a skip-audit solve leaves out) the audit
-    records that kappa was not measured; otherwise it records whether d is
-    b-strong.  Returns the violated hypothesis, or None.
+    ``before`` and ``after`` are the solver's ``(hypothesis, holds)``
+    clauses around the bound ``audit["kappa_threshold"]``, checked in order.
+    With ``skipped`` (the checks a skip-audit solve leaves out) only
+    ``before`` is checked, and the audit records that kappa was not
+    measured.  Returns the report naming the first violated hypothesis, or
+    None.
     """
+    for hypothesis, holds in before:
+        if not holds:
+            return SolveReport.of_hypothesis(hypothesis, audit)
     if skipped is not None:
         audit["kappa_at_least"] = None
         audit["skipped"] = skipped
         return None
+    b = audit["kappa_threshold"]
     audit["kappa_at_least"] = is_k_strong(d, b)
-    return None if audit["kappa_at_least"] else f"kappa < {b}"
-
-
-def _audit(d: Digraph, k: int, skip: bool) -> tuple[dict, str | None]:
-    audit: dict = {"class": "semicomplete", "k": k}
-    audit["semicomplete"] = is_semicomplete(d)
-    audit["min_out_degree"] = d.min_out_degree() if d.order else 0
-    audit["kappa_threshold"] = 3 * k
-    audit["out_degree_threshold"] = 22 * k
-    if not audit["semicomplete"]:
-        return audit, "not semicomplete"
-    violated = audit_kappa(audit, d, 3 * k, ["kappa", "min_out_degree"] if skip else None)
-    if violated or skip:
-        return audit, violated
-    if audit["min_out_degree"] < 22 * k:
-        return audit, f"min out-degree < {22 * k}"
-    return audit, None
+    for hypothesis, holds in [(f"kappa < {b}", audit["kappa_at_least"]), *after]:
+        if not holds:
+            return SolveReport.of_hypothesis(hypothesis, audit)
+    return None
 
 
 def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> SolveReport:
@@ -255,9 +250,15 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     d = instance.digraph
     k = instance.k
     xs, ys = instance.sources(), instance.targets()
-    audit, violated = _audit(d, k, skip_audit)
-    if violated:
-        return SolveReport.of_hypothesis(violated, audit)
+    audit: dict = {"class": "semicomplete", "k": k, "semicomplete": is_semicomplete(d),
+                   "min_out_degree": d.min_out_degree(), "kappa_threshold": 3 * k,
+                   "out_degree_threshold": 22 * k}
+    violation = audit_hypotheses(
+        audit, d, [("not semicomplete", audit["semicomplete"])],
+        [(f"min out-degree < {22 * k}", audit["min_out_degree"] >= 22 * k)],
+        ["kappa", "min_out_degree"] if skip_audit else None)
+    if violation:
+        return violation
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
         system = PathSystem(tuple(instance.pairs), tuple(instance.pairs), "direct-arcs")

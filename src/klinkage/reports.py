@@ -51,8 +51,8 @@ class SolveReport:
         return SolveReport(LINKED, system=system, audit=audit)
 
     @staticmethod
-    def of_hypothesis(which: str, audit: dict) -> "SolveReport":
-        return SolveReport(HYPOTHESIS_VIOLATED, audit=audit, failure=which)
+    def of_hypothesis(which: str, audit: dict, witness=None) -> "SolveReport":
+        return SolveReport(HYPOTHESIS_VIOLATED, audit=audit, failure=which, witness=witness)
 
     @staticmethod
     def of_stage(stage: str, witness, audit: dict) -> "SolveReport":

@@ -99,6 +99,23 @@ class TestGen:
             assert (code, out) == (2, ""), argv
             assert "--dot needs -o" in err.getvalue()
 
+    def test_dot_report_path_writes_nothing(self, workdir, monkeypatch):
+        # the .dot sibling of a report path ending in .dot is the report
+        # itself: refused before any work, so no file appears and no solver runs
+        path = os.path.join(workdir, "k.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_K3, fh)
+        monkeypatch.setattr("klinkage.cli.solve_semicomplete", None)
+        report = os.path.join(workdir, "rep.dot")
+        for argv in (["gen", "--family", "tournament", "--n", "4"],
+                     ["solve", "--input", path, "--class", "semicomplete", "--pairs", "0:2"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_cli([*argv, "-o", report, "--dot"])
+            assert (code, out) == (2, ""), argv
+            assert "--dot would write over the report" in err.getvalue()
+        assert os.listdir(workdir) == ["k.json"]
+
     def test_composition_carries_parts(self, workdir):
         path = os.path.join(workdir, "comp.json")
         run_cli(["gen", "--family", "composition", "--part-sizes", "2,3,2",
@@ -334,6 +351,24 @@ class TestOracleCommand:
             code, out = run_cli(["oracle", "--input", path, *mode, "--budget", str(budget)])
             assert code == 4
             assert out == f'{{\n  "budget": {budget},\n  "outcome": "budget_exceeded"\n}}\n'
+
+    def test_negative_budget_is_exit_two(self, workdir):
+        # a budget below 0 is malformed input, not an overrun; 0 stays legal
+        path = os.path.join(workdir, "e.json")
+        run_cli(["gen", "--family", "extended-tournament", "--part-sizes", "1,2,3,1,2,3",
+                 "--seed", "76000", "-o", path])
+        lqt = ["solve", "--input", path, "--class", "lqt", "--pairs", "3:0", "--threshold", "1",
+               "--skip-audit", "--anchor-budget"]
+        code, out = run_cli([*lqt, "0"])
+        assert (code, json.loads(out)["stage"]) == (1, "anchor-pair")
+        for argv in (["oracle", "--input", path, "--k", "1", "--budget", "-5"],
+                     ["oracle", "--input", path, "--pairs", "3:0", "--budget", "-5"],
+                     [*lqt, "-1"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_cli(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.getvalue().startswith("error: InputError: budget must be at least 0")
 
     def test_composition_solve_uses_parts(self, workdir):
         path = os.path.join(workdir, "comp.json")

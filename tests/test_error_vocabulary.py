@@ -96,6 +96,14 @@ def test_budget_lets_its_limit_through_and_raises_past_it():
     assert (info.value.expanded, info.value.budget) == (9, 4)
 
 
+def test_budget_rejects_a_negative_limit():
+    with pytest.raises(errors.InputError, match="budget must be at least 0, got -1") as info:
+        errors.Budget(-1)
+    assert info.value.counts == {"budget": -1}
+    with pytest.raises(errors.BudgetExceededError):
+        errors.Budget(0).spend()
+
+
 def _check_witness(witness, where):
     """A stage witness is an error's fields or a nested report, all the way down."""
     assert isinstance(witness, dict), where

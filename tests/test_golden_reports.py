@@ -3,9 +3,10 @@
 Each case is one solve on a seeded input; its digest is the sha256 of
 ``dumps_canonical(report_to_obj(report))``.  The grid mixes semicomplete
 solves (n=60, k=1-2, audited and not), criterion-5 compositions,
-criterion-7 l-QT instances, hypothesis violations, a hand-built linked solve
-whose source has no helper and one failure of every stage the three solvers
-can fail at, seeded or built by hand.  A digest changes only when a solver's output does: if
+criterion-7 l-QT instances, a violation of every audit clause of the three
+solvers, a hand-built linked solve whose source has no helper and one
+failure of every stage the three solvers can fail at, seeded or built by
+hand.  A digest changes only when a solver's output does: if
 that is intended, re-pin with ``python tests/test_golden_reports.py``.
 """
 
@@ -41,6 +42,17 @@ def _terminal_pairs(d, k, seed):
     return tuple((terms[2 * i], terms[2 * i + 1]) for i in range(k))
 
 
+def _complete(n):
+    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+
+
+def _transitive(n):
+    return build_digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+_FOUR_CYCLE = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
 def _semicomplete(i):
     d = random_tournament(60, 93_000 + i) if i % 2 else random_semicomplete(60, 0.3, 93_000 + i)
     k = 1 + i % 2
@@ -49,13 +61,11 @@ def _semicomplete(i):
 
 
 def _direct_arcs():
-    d = build_digraph(10, [(i, j) for i in range(10) for j in range(10) if i != j])
-    return solve_semicomplete(LinkageInstance(d, ((0, 1), (2, 3))), skip_audit=True)
+    return solve_semicomplete(LinkageInstance(_complete(10), ((0, 1), (2, 3))), skip_audit=True)
 
 
 def _dominating_set_fails():
-    d = build_digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    return solve_semicomplete(LinkageInstance(d, ((4, 0), (3, 1))), skip_audit=True)
+    return solve_semicomplete(LinkageInstance(_transitive(5), ((4, 0), (3, 1))), skip_audit=True)
 
 
 def _leftover_linked():
@@ -112,6 +122,11 @@ def _arcless_parts(outer_arcs, sizes, pairs):
     return solve_composition(spec, pairs, skip_audit=True)
 
 
+def _audited_parts(outer_arcs, parts, pairs):
+    outer = build_digraph(len(parts), outer_arcs)
+    return solve_composition(CompositionSpec.from_local_parts(outer, parts), pairs)
+
+
 def _lqt(i, skip_audit=True):
     spec, d = _lqt_instances(5, 20, 61_000)[i]
     parts = spec.part_vertex_ids()
@@ -142,6 +157,9 @@ CASES = {
     "semicomplete-menger": lambda: _semicomplete_small(601),
     "semicomplete-anchor-direct": lambda: _semicomplete_small(4),
     "semicomplete-leftover-linked": _leftover_linked,
+    "semicomplete-not-semicomplete": lambda: solve_semicomplete(
+        LinkageInstance(_FOUR_CYCLE, ((0, 2),))),
+    "semicomplete-kappa": lambda: solve_semicomplete(LinkageInstance(_transitive(8), ((7, 0),))),
     **{f"composition-{i}": (lambda i=i: _composition(i)) for i in range(4)},
     **{f"composition-thin-{i}": (lambda i=i: _composition_thin(i)) for i in (0, 1, 5)},
     "composition-path": lambda: _composition_small(6),
@@ -150,7 +168,19 @@ CASES = {
                                                      ((0, 6), (7, 1), (2, 3), (4, 5))),
     # A = {0..3}, B = {4} and the outer arc A->B: 4 is no middle back into A
     "composition-two-part": lambda: _arcless_parts([(0, 1)], [4, 1], ((0, 1), (2, 3))),
+    # the outer 2-cycles 0<->1<->2 leave 0 and 2 non-adjacent
+    "composition-outer": lambda: _audited_parts([(0, 1), (1, 0), (1, 2), (2, 1)],
+                                                [_complete(1)] * 3, ((0, 2),)),
+    # five complete 3-parts under a complete outer digraph: out-degree 14
+    "composition-out-degree": lambda: _audited_parts(_complete(5).arcs(), [_complete(3)] * 5,
+                                                     ((0, 3),)),
+    # parts 1, 1 and K_75: the large part leaves 2 < 2k-3 = 3 vertices
+    "composition-co-size": lambda: _audited_parts(_complete(3).arcs(),
+                                                  [_complete(1), _complete(1), _complete(75)],
+                                                  ((0, 2), (1, 3), (4, 5))),
     **{f"lqt-{i}": (lambda i=i: _lqt(i)) for i in range(5)},
+    "lqt-not-strong": lambda: solve_lqt(_transitive(8), ((0, 7),), 2),
+    "lqt-not-quasi-transitive": lambda: solve_lqt(_FOUR_CYCLE, ((0, 2),), 2),
     "lqt-audited": lambda: _lqt(0, skip_audit=False),
     **{f"lqt-thin-{s}": (lambda s=s: _lqt_thin(s)) for s in range(2)},
     "lqt-dominating-set": lambda: _lqt_small(15),
@@ -161,7 +191,7 @@ CASES = {
     "lqt-anchor-link": lambda: _lqt_small(12),
 }
 
-# name -> (outcome, stage, sha256 of the canonical report)
+# name -> (outcome, failed stage or hypothesis, sha256 of the canonical report)
 PINNED = {
     'composition-0': ('linked', None,
         '84e30cce0197a6c64e8b0e9db1459f165e43fdc0718655b675c834fdab6bf556'),
@@ -171,11 +201,17 @@ PINNED = {
         '6dd4ef29faf6771a3a472b6f5b5b2dfdecf6a3c64078d5969a09c82bd36dfac1'),
     'composition-3': ('linked', None,
         'e56c251645876d1147d1791f434fb2513988a4660c1be094319b4a47fde9c391'),
+    'composition-co-size': ('hypothesis_violated', 'a part leaves fewer than 3 vertices',
+        'fdb52c417eb7b2b32d63eab1841b9a4ea668533e3efcc8054492b8fa46f52cf9'),
     'composition-degenerate': ('stage_failed', 'degenerate',
         'dd8d02ca989879ff776e2ed3666fd7a980f2d5f611ee85ed917acb4987ae676b'),
+    'composition-out-degree': ('hypothesis_violated', 'min out-degree < 23',
+        'afb4ed1b0f59c7956b36ebdcec5d26c8d7f5bf54dd49181f3f07f9fd6c73f812'),
+    'composition-outer': ('hypothesis_violated', 'outer digraph not semicomplete',
+        'e1f471f3ed0c572bcb6af726ee5c62cee8e6bfa41e42464e1cdc0f769f8895b9'),
     'composition-path': ('stage_failed', 'path',
         '7c2c8d3cb8dff5d2628463497c1ef0f32a14e14c859a924c560be1287e34c490'),
-    'composition-thin-0': ('hypothesis_violated', None,
+    'composition-thin-0': ('hypothesis_violated', 'kappa < 6',
         '9053f9e607cfaf35e0b8bb6c69a4977a257ca18a53403f796060366ead00a6cf'),
     'composition-thin-1': ('linked', None,
         '624743cf2fc5f613d445e883e8c061f8df1bcc51aea5d25efbfb3274d18f4bde'),
@@ -197,10 +233,14 @@ PINNED = {
         'f85226b6f7e9c92291848a4270af4505b6623f16e98ca2a91e25a37464d465eb'),
     'lqt-anchor-pair': ('stage_failed', 'anchor-pair',
         '5be82d9207199a655162995c93c59bbbd298391adab09457ea90c0b91935ecb5'),
-    'lqt-audited': ('hypothesis_violated', None,
+    'lqt-audited': ('hypothesis_violated', 'kappa < 1296',
         'be39aa786174e56ab1b98d39c583fec477296348fa3d7e9e3e9c4f57d251251d'),
     'lqt-dominating-set': ('stage_failed', 'dominating-set',
         'f59399869f2f320f77fa0ffaa7540573ec9a80d82522bf40aa7948037387444b'),
+    'lqt-not-quasi-transitive': ('hypothesis_violated', 'not 2-quasi-transitive',
+        '7472f7f8cd1117f39bd7f3ddbbf76e4bd50aeb0e3354af0c2e30bd14ffdadefd'),
+    'lqt-not-strong': ('hypothesis_violated', 'not strong',
+        'ca06ec4f516cfa747cdae1b3b5ad01741551a9b6919b214d17a6566cc661bef3'),
     'lqt-source-helper': ('stage_failed', 'source-helper',
         '364dee845375f7688e27d7b96fa748f2e5aa61db6a6de73779b1b8199afb93c7'),
     'lqt-source-replacement': ('stage_failed', 'source-replacement',
@@ -213,7 +253,7 @@ PINNED = {
         '2df83a2c811f4cb8d7ff5dcc054e5a1503e24c848c7cc4b093c948a81f10805a'),
     'semicomplete-0': ('linked', None,
         'f35e8f40ad58a387dcb3bb6a6a41e56b1259c6a6908365ba26f0f81e802c1b16'),
-    'semicomplete-1': ('hypothesis_violated', None,
+    'semicomplete-1': ('hypothesis_violated', 'min out-degree < 44',
         '4b33df2ccca519fe5f7c847a26227a844457a3c181c409f1638712cb1151015f'),
     'semicomplete-2': ('linked', None,
         '0384718f309e9728584eb52927e72aef2070022088f7d56d6b93639d9eb9a1f2'),
@@ -229,10 +269,14 @@ PINNED = {
         'edb039050a34847a4f37c094f727d27998d6f538a9ce25dcd30b6dc618999bf6'),
     'semicomplete-dominating-set': ('stage_failed', 'dominating-set',
         '05263eebd0ee02f428ac16513180c06abb763029f9184ea26f17f4f7cc0bae85'),
+    'semicomplete-kappa': ('hypothesis_violated', 'kappa < 3',
+        '2e5c7e27f8a54ac4623fd6b0a4673ec66821534d5ea27f5eb150c075bd04ae01'),
     'semicomplete-leftover-linked': ('linked', None,
         'acfc34f671cf293f85ad77c386f52c1c468f172ccdb5936b77831be4bc378b07'),
     'semicomplete-menger': ('stage_failed', 'menger',
         '1d7e6578a8b20f4fd50112d519ca6f4f5a3027f163dd0a6aa8639fb7fed6b62d'),
+    'semicomplete-not-semicomplete': ('hypothesis_violated', 'not semicomplete',
+        '89c0b0cbe30486bf4f39e3733485d1fa3fa1704eaef1a7b8daf3e2a31eb03728'),
 }
 
 
@@ -243,7 +287,7 @@ def digest(report) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_pinned(name):
     report = CASES[name]()
-    assert (report.outcome, report.stage, digest(report)) == PINNED[name]
+    assert (report.outcome, report.stage or report.failure, digest(report)) == PINNED[name]
 
 
 def test_grid_covers_every_outcome_and_solver():
@@ -252,8 +296,17 @@ def test_grid_covers_every_outcome_and_solver():
         "linked", "hypothesis_violated", "stage_failed"}
     assert {name.split("-")[0] for name, (outcome, _, _) in PINNED.items()
             if outcome == "linked"} == {"semicomplete", "composition", "lqt"}
+    # every audit clause of the three solvers
+    assert {(name.split("-")[0], what) for name, (outcome, what, _) in PINNED.items()
+            if outcome == "hypothesis_violated"} == {
+        *(("semicomplete", h) for h in ("not semicomplete", "kappa < 3", "min out-degree < 44")),
+        *(("composition", h) for h in ("outer digraph not semicomplete", "kappa < 6",
+                                       "min out-degree < 23",
+                                       "a part leaves fewer than 3 vertices")),
+        *(("lqt", h) for h in ("not strong", "not 2-quasi-transitive", "kappa < 1296")),
+    }
     # every stage a solver can fail at, but ``verify`` (tests/test_linkage_semicomplete.py)
-    assert {(name.split("-")[0], stage) for name, (outcome, stage, _) in PINNED.items()
+    assert {(name.split("-")[0], what) for name, (outcome, what, _) in PINNED.items()
             if outcome == "stage_failed"} == {
         *(("semicomplete", s) for s in ("dominating-set", "menger", "anchor-direct",
                                         "anchor-landed")),
@@ -282,5 +335,5 @@ def test_leftover_source_is_linked(monkeypatch):
 if __name__ == "__main__":
     for name in sorted(CASES):
         report = CASES[name]()
-        print(f"    {name!r}: ({report.outcome!r}, {report.stage!r},\n"
+        print(f"    {name!r}: ({report.outcome!r}, {report.stage or report.failure!r},\n"
               f"        {digest(report)!r}),")

@@ -287,6 +287,9 @@ class TestAnchorBudget:
         assert (rep.outcome, rep.stage) == ("stage_failed", "anchor-pair")
         assert rep.witness == {"clause": "search passed its expansion budget", "vertices": [],
                                "counts": {"expanded": 1, "budget": 0}}
+        with pytest.raises(InputError, match="budget must be at least 0, got -1"):
+            solve_lqt(d, ((parts[0][0], parts[10][0]),), 2, threshold=5, anchor_budget=-1,
+                      skip_audit=True)
 
 
 class TestSolveLqt:
