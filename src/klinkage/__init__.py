@@ -15,25 +15,19 @@ from .connectivity import (
 from .digraph import (
     CompositionSpec,
     Digraph,
-    build_digraph,
     compose,
     composition_from_digraph,
-    delete,
-    induced,
     is_l_quasi_transitive,
     is_semicomplete,
     is_tournament,
     spanning_tournament,
 )
 from .dominators import (
-    GoodnessProfile,
     goodness_profile,
     is_c_good,
-    is_gamma_dominator,
     is_in_king,
     nearly_in_dominating_set,
     nearly_in_dominating_vertex,
-    two_path_width,
     verify_nearly_in_dominating,
     verify_nearly_in_dominating_set,
 )
@@ -53,7 +47,6 @@ from .linkage_composition import (
     strip_intra_part_arcs,
 )
 from .linkage_lqt import (
-    AuxiliaryDigraph,
     build_auxiliary,
     pool_threshold,
     find_short_anchor_pair,

@@ -267,6 +267,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     from .acceptance import _CRITERIA, run_criteria
 
+    if args.workers < 1:
+        raise FormatError(f"--workers must be at least 1, got {args.workers}")
     only = None
     if args.only:
         known = {n for n, _, _ in _CRITERIA}

@@ -23,15 +23,12 @@ from .errors import Budget, InputError, PreconditionViolatedError
 __all__ = [
     "Digraph",
     "CompositionSpec",
-    "build_digraph",
     "compose",
     "composition_from_digraph",
     "is_semicomplete",
     "is_tournament",
     "is_l_quasi_transitive",
     "spanning_tournament",
-    "induced",
-    "delete",
 ]
 
 # Paths the l-quasi-transitivity search may push before it gives up; the
@@ -267,19 +264,6 @@ class Digraph:
             step = out[path[-1]] & mask
             path.append((step & -step).bit_length() - 1)
         return path
-
-
-def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Construct a digraph on ids 0..n-1 with exactly the given arcs."""
-    return Digraph.from_arcs(n, arcs)
-
-
-def induced(d: Digraph, keep: Iterable[int]) -> Digraph:
-    return d.induced(keep)
-
-
-def delete(d: Digraph, drop: Iterable[int]) -> Digraph:
-    return d.delete(drop)
 
 
 # -- class predicates -----------------------------------------------------

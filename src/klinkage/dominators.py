@@ -36,26 +36,14 @@ from .digraph import Digraph, _flags, _spanning_in_masks, is_tournament, iter_bi
 from .errors import InputError, PreconditionViolatedError
 
 __all__ = [
-    "two_path_width",
     "is_c_good",
-    "GoodnessProfile",
     "goodness_profile",
     "nearly_in_dominating_vertex",
     "verify_nearly_in_dominating",
     "verify_nearly_in_dominating_set",
     "nearly_in_dominating_set",
-    "is_gamma_dominator",
     "is_in_king",
 ]
-
-
-def two_path_width(d: Digraph, v: int, u: int) -> int:
-    """Number of independent (v, u)-paths of length 2 (= common middles)."""
-    if u == v:
-        raise InputError("width is defined for distinct vertices")
-    d._check_vertices((u, v))
-    middles = d.out_mask(v) & d.in_mask(u) & ~(1 << u) & ~(1 << v)
-    return middles.bit_count()
 
 
 def _widths(d: Digraph, u: int, alive: int, among: int) -> list[int]:
@@ -220,19 +208,6 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
     if rows is None:
         raise PreconditionViolatedError("terminal-free subdigraph is not semicomplete")
     return _ranked_picks(*rows, m)
-
-
-def is_gamma_dominator(d: Digraph, v: int, us, gamma: int, direction: str = "out") -> bool:
-    """Does v have at least gamma out- (or in-) neighbours inside U?"""
-    d._check_vertices((v,))
-    u_mask = d._check_vertices(us)
-    if u_mask >> v & 1:
-        raise InputError(f"vertex {v} lies in the reference set", vertices=(v,))
-    if direction == "out":
-        return (d.out_mask(v) & u_mask).bit_count() >= gamma
-    if direction == "in":
-        return (d.in_mask(v) & u_mask).bit_count() >= gamma
-    raise InputError(f"direction must be 'out' or 'in', got {direction!r}")
 
 
 def is_in_king(t: Digraph, v: int) -> bool:

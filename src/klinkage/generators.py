@@ -8,7 +8,7 @@ written from generated digraphs so runs can be replayed.
 
 from __future__ import annotations
 
-from .digraph import CompositionSpec, Digraph, build_digraph, compose
+from .digraph import CompositionSpec, Digraph, compose
 from .errors import BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
 
 __all__ = [
@@ -70,7 +70,7 @@ def random_digraph(n: int, seed: int, tenths: int) -> Digraph:
     """Each ordered pair of distinct vertices gets an arc with probability
     tenths/10, one draw per pair in row-major order."""
     rng = SplitMix64(seed)
-    return build_digraph(
+    return Digraph.from_arcs(
         n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(10) < tenths]
     )
 
@@ -84,7 +84,7 @@ def random_tournament(n: int, seed: int) -> Digraph:
     for i in range(n):
         for j in range(i + 1, n):
             arcs.append((i, j) if rng.bit() else (j, i))
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 def circulant_tournament(n: int) -> Digraph:
@@ -95,7 +95,7 @@ def circulant_tournament(n: int) -> Digraph:
         raise InputError("circulant tournament needs at least 3 vertices")
     half = (n - 1) // 2
     arcs = [(i, (i + d) % n) for i in range(n) for d in range(1, half + 1)]
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 def _semicomplete_arcs(rng: SplitMix64, n: int, p_double: float) -> list[tuple[int, int]]:
@@ -114,7 +114,7 @@ def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
     """Random tournament plus, per pair, the reverse arc with probability p_double."""
     if not 0.0 <= p_double <= 1.0:
         raise InputError("p_double must lie in [0, 1]")
-    return build_digraph(n, _semicomplete_arcs(SplitMix64(seed), n, p_double))
+    return Digraph.from_arcs(n, _semicomplete_arcs(SplitMix64(seed), n, p_double))
 
 
 def random_composition(
@@ -134,7 +134,7 @@ def random_composition(
     if h < 2:
         raise InputError("a composition needs at least 2 parts")
     rng = SplitMix64(seed)
-    outer = build_digraph(h, _semicomplete_arcs(rng, h, p_double))
+    outer = Digraph.from_arcs(h, _semicomplete_arcs(rng, h, p_double))
 
     local_parts = []
     for size in part_sizes:
@@ -146,7 +146,7 @@ def random_composition(
                 for b in range(size):
                     if a != b and rng.uniform() < 0.5:
                         arcs.append((a, b))
-        local_parts.append(build_digraph(size, arcs))
+        local_parts.append(Digraph.from_arcs(size, arcs))
     return CompositionSpec.from_local_parts(outer, local_parts)
 
 
@@ -163,7 +163,7 @@ def random_extended_tournament(h: int, part_sizes: list[int], seed: int) -> Comp
 
 def _default_core() -> Digraph:
     # directed 4-cycle: strong, not 2-linked
-    return build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def non_linked_family(
@@ -202,9 +202,9 @@ def non_linked_family(
     outer_arcs = [(i, j) for i in range(r - 1) for j in range(i + 1, r - 1)]
     outer_arcs += [(i, r - 1) for i in range(r - 1)]
     outer_arcs += [(r - 1, i) for i in range(r - 1)]
-    outer = build_digraph(r, outer_arcs)
+    outer = Digraph.from_arcs(r, outer_arcs)
 
-    parts = [build_digraph(1, []) for _ in range(r - 1)] + [core]
+    parts = [Digraph.from_arcs(1, []) for _ in range(r - 1)] + [core]
     spec = CompositionSpec.from_local_parts(outer, parts)
 
     off = r - 1  # core ids shift by the number of single-vertex parts

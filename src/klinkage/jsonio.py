@@ -13,7 +13,7 @@ import json
 from itertools import chain
 from typing import Any
 
-from .digraph import Digraph, build_digraph
+from .digraph import Digraph
 from .errors import FormatError, InputError
 from .paths import PathSystem
 
@@ -112,7 +112,7 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
             if not (isinstance(arc, list) and len(arc) == 2 and all(map(_is_id, arc))):
                 raise FormatError(f"{source}: field 'arcs[{i}]' must be a pair of integers")
     try:
-        d = build_digraph(n, arcs)
+        d = Digraph.from_arcs(n, arcs)
     except InputError as exc:
         raise FormatError(f"{source}: {exc}") from exc
     parts = obj.get("parts")

@@ -204,7 +204,7 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
                    "min_co_size": min((d.alive_mask & ~m).bit_count() for m in part_masks)}
     violation = audit_hypotheses(
         audit, d,
-        [] if skip_audit else [("outer digraph not semicomplete", audit["outer_semicomplete"])],
+        [("outer digraph not semicomplete", audit["outer_semicomplete"])],
         [(f"min out-degree < {23 * k}", audit["min_out_degree"] >= 23 * k),
          (f"a part leaves fewer than {2 * k - 3} vertices", audit["min_co_size"] >= 2 * k - 3)],
         ["kappa", "min_out_degree", "co_size"] if skip_audit else None)

@@ -29,7 +29,6 @@ __all__ = [
     "pool_threshold",
     "ShortPathPool",
     "independent_short_paths",
-    "AuxiliaryDigraph",
     "build_auxiliary",
     "verify_short_anchor",
     "find_short_anchor_pair",
@@ -414,6 +413,10 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     xs, ys = instance.sources(), instance.targets()
     bound = 81 * k * k * (l + 2) ** 2
     pool_goal = pool_threshold(k, l) if threshold is None else threshold
+    # malformed arguments fail before the audit, whatever the input
+    if pool_goal < 1:
+        raise InputError("threshold must be positive")
+    Budget(anchor_budget)
 
     audit: dict = {"class": "lqt", "k": k, "l": l, "strong": d.is_strong(),
                    "kappa_threshold": bound, "pool_threshold": pool_goal,

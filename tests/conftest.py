@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from klinkage import build_digraph
+from klinkage import Digraph
 from klinkage.digraph import iter_bits
 
 
@@ -17,7 +17,7 @@ def digraphs(draw, min_n=2, max_n=8):
         for v in range(n):
             if u != v and draw(st.booleans()):
                 arcs.append((u, v))
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 @st.composite
@@ -31,7 +31,7 @@ def semicomplete_digraphs(draw, min_n=2, max_n=8):
                 arcs.append((u, v))
             if kind in ("bwd", "both"):
                 arcs.append((v, u))
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 def assert_in_masks_transpose(d):

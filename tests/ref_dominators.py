@@ -12,7 +12,17 @@ masks with one width pass; the tests check that they agree.
 from __future__ import annotations
 
 from klinkage.digraph import mask_of, spanning_tournament
-from klinkage.dominators import NidReport, two_path_width
+from klinkage.dominators import NidReport
+from klinkage.errors import InputError
+
+
+def two_path_width(d, v: int, u: int) -> int:
+    """Number of independent (v, u)-paths of length 2 (= common middles)."""
+    if u == v:
+        raise InputError("width is defined for distinct vertices")
+    d._check_vertices((u, v))
+    middles = d.out_mask(v) & d.in_mask(u) & ~(1 << u) & ~(1 << v)
+    return middles.bit_count()
 
 
 def nearly_in_dominating_vertex(d):

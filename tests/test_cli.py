@@ -353,7 +353,9 @@ class TestOracleCommand:
             assert out == f'{{\n  "budget": {budget},\n  "outcome": "budget_exceeded"\n}}\n'
 
     def test_negative_budget_is_exit_two(self, workdir):
-        # a budget below 0 is malformed input, not an overrun; 0 stays legal
+        # a budget below 0 is malformed input, not an overrun; 0 stays legal.
+        # The lqt flags are checked before the audit, so the transitive
+        # tournament, which is not strong, exits 2 too
         path = os.path.join(workdir, "e.json")
         run_cli(["gen", "--family", "extended-tournament", "--part-sizes", "1,2,3,1,2,3",
                  "--seed", "76000", "-o", path])
@@ -361,14 +363,23 @@ class TestOracleCommand:
                "--skip-audit", "--anchor-budget"]
         code, out = run_cli([*lqt, "0"])
         assert (code, json.loads(out)["stage"]) == (1, "anchor-pair")
-        for argv in (["oracle", "--input", path, "--k", "1", "--budget", "-5"],
-                     ["oracle", "--input", path, "--pairs", "3:0", "--budget", "-5"],
-                     [*lqt, "-1"]):
+        transitive = os.path.join(workdir, "t.json")
+        with open(transitive, "w", encoding="utf-8") as fh:
+            json.dump({"n": 6, "arcs": [[i, j] for i in range(6) for j in range(i + 1, 6)]}, fh)
+        not_strong = ["solve", "--input", transitive, "--class", "lqt", "--pairs", "0:5"]
+        budget, threshold = "budget must be at least 0", "threshold must be positive"
+        for argv, message in ((["oracle", "--input", path, "--k", "1", "--budget", "-5"], budget),
+                              (["oracle", "--input", path, "--pairs", "3:0", "--budget", "-5"],
+                               budget),
+                              ([*lqt, "-1"], budget),
+                              ([*not_strong, "--anchor-budget", "-1"], budget),
+                              ([*not_strong, "--threshold", "-3"], threshold),
+                              ([*not_strong, "--threshold", "0"], threshold)):
             err = io.StringIO()
             with redirect_stderr(err):
                 code, out = run_cli(argv)
             assert (code, out) == (2, ""), argv
-            assert err.getvalue().startswith("error: InputError: budget must be at least 0")
+            assert err.getvalue().startswith(f"error: InputError: {message}"), argv
 
     def test_composition_solve_uses_parts(self, workdir):
         path = os.path.join(workdir, "comp.json")
@@ -440,6 +451,7 @@ class TestDeterminism:
         assert code == 0
         assert without_seconds(parallel) == without_seconds(serial)
         assert len(serial.splitlines()) == 3
+        assert run_cli(["bench", "--only", "1", "--workers", "0"]) == (2, "")
 
 
 # -- fuzzing the CLI in-process ------------------------------------------------

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from klinkage import (
+    Digraph,
     Infeasible,
     PathSystem,
-    build_digraph,
     is_k_strong,
     kappa,
     local_connectivity,
@@ -32,7 +32,7 @@ from conftest import digraphs
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 class TestLocalConnectivity:
@@ -45,11 +45,11 @@ class TestLocalConnectivity:
                     assert local_connectivity(d, x, y) == 3
 
     def test_cycle(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert local_connectivity(d, 0, 1) == 1
 
     def test_unreachable(self):
-        d = build_digraph(3, [(0, 1), (1, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
         assert local_connectivity(d, 2, 0) == 0
 
     def test_same_vertex_rejected(self):
@@ -59,7 +59,7 @@ class TestLocalConnectivity:
     def test_second_path_backs_through_a_used_vertex(self):
         # the first augmenting path 2-11-1-6-0 blocks both disjoint paths;
         # the second cancels 1->6 and 11->1, stepping back across vertex 1
-        d = build_digraph(12, [(1, 6), (2, 3), (2, 11), (3, 5), (4, 8), (5, 6), (6, 0),
+        d = Digraph.from_arcs(12, [(1, 6), (2, 3), (2, 11), (3, 5), (4, 8), (5, 6), (6, 0),
                                (8, 0), (11, 1), (11, 4)])
         assert local_connectivity(d, 2, 0) == 2
 
@@ -89,7 +89,7 @@ class TestLocalConnectivity:
 
 class TestKappa:
     def test_transitive_tournament_is_zero(self):
-        d = build_digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        d = Digraph.from_arcs(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         assert kappa(d) == 0
 
     def test_complete_five(self):
@@ -213,7 +213,7 @@ class TestKappa:
         for trial in range(25):
             d = random_digraph(7, 900 + trial, 5)
             perm = rng.sample(list(range(7)), 7)
-            relabeled = build_digraph(7, [(perm[u], perm[v]) for u, v in d.arcs()])
+            relabeled = Digraph.from_arcs(7, [(perm[u], perm[v]) for u, v in d.arcs()])
             assert kappa(d) == kappa(relabeled)
             x, y = rng.sample(list(range(7)), 2)
             assert local_connectivity(d, x, y) == local_connectivity(
@@ -569,7 +569,7 @@ class TestAgainstNetworkx:
         rng = SplitMix64(2_030)
         outcomes = {PathSystem: 0, Infeasible: 0}
         for i, n in enumerate((30, 50, 75, 100, 140, 200)):
-            sparse = build_digraph(n, {(u, v) for u in range(n)
+            sparse = Digraph.from_arcs(n, {(u, v) for u in range(n)
                                        for v in rng.sample(list(range(n)), 3) if u != v})
             # two queries on a sparse digraph, one on a semicomplete one
             for d in (sparse, sparse, random_semicomplete(n, 0.2, 800 + i)):
@@ -596,7 +596,7 @@ class TestMengerSetPaths:
         assert sorted(got.paths) == [(0, 2), (1, 3)]
 
     def test_avoid_blocks_and_names_cut(self):
-        d = build_digraph(3, [(0, 1), (1, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
         got = menger_set_paths(d, [0], [2], avoid=[1])
         assert isinstance(got, Infeasible)
         assert got.separator == (1,)
@@ -618,7 +618,7 @@ class TestMengerSetPaths:
             menger_set_paths(random_tournament(8, 1), xs, ys)
 
     def test_repeated_avoid_vertex_allowed(self):
-        d = build_digraph(3, [(0, 1), (1, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
         assert menger_set_paths(d, [0], [2], avoid=[1, 1]) == Infeasible(separator=(1,))
 
     def test_system_size_matches_exhaustive_feasibility(self):
@@ -688,7 +688,7 @@ class TestMinVertexMenger:
         assert got == min_vertex_menger(complete(6), [0, 1], [2], avoid=[3])
 
     def test_forced_intermediate_total(self):
-        d = build_digraph(5, [(0, 2), (1, 4), (4, 3)])
+        d = Digraph.from_arcs(5, [(0, 2), (1, 4), (4, 3)])
         got = min_vertex_menger(d, [0, 1], [2, 3])
         assert got.total_vertices() == 5
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from klinkage import (
     CompositionSpec,
     Digraph,
-    build_digraph,
     compose,
     composition_from_digraph,
     is_l_quasi_transitive,
@@ -29,11 +28,11 @@ from ref_lqt import ref_is_l_quasi_transitive
 
 
 def cycle3():
-    return build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    return Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 class TestBuild:
@@ -43,29 +42,29 @@ class TestBuild:
         assert d.num_arcs == 3
 
     def test_two_cycle_is_semicomplete(self):
-        d = build_digraph(2, [(0, 1), (1, 0)])
+        d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         assert is_semicomplete(d)
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError, match="^self-loop at 0$"):
-            build_digraph(2, [(0, 0)])
+            Digraph.from_arcs(2, [(0, 0)])
 
     def test_duplicate_arc_rejected(self):
         with pytest.raises(InputError, match="listed twice"):
-            build_digraph(2, [(0, 1), (0, 1)])
+            Digraph.from_arcs(2, [(0, 1), (0, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError, match=r"outside 0\.\.1"):
-            build_digraph(2, [(0, 2)])
+            Digraph.from_arcs(2, [(0, 2)])
 
     def test_has_arc_needs_two_vertices(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)]).delete([2])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]).delete([2])
         assert d.has_arc(0, 1)
         for u, v in ((0, -1), (-1, 0), (0, 3), (3, 0), (1, 2), (2, 0)):
             assert not d.has_arc(u, v), (u, v)
 
     def test_degree_sum_is_arc_count(self):
-        d = build_digraph(4, [(0, 1), (1, 2), (2, 0), (3, 1)])
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 0), (3, 1)])
         assert sum(d.out_degree(v) for v in d.vertices()) == d.num_arcs
         assert sum(d.in_degree(v) for v in d.vertices()) == d.num_arcs
 
@@ -75,7 +74,7 @@ class TestPredicates:
         assert is_semicomplete(cycle3())
 
     def test_path_not_semicomplete(self):
-        assert not is_semicomplete(build_digraph(3, [(0, 1), (1, 2)]))
+        assert not is_semicomplete(Digraph.from_arcs(3, [(0, 1), (1, 2)]))
 
     def test_complete_semicomplete(self):
         assert is_semicomplete(complete(4))
@@ -85,10 +84,10 @@ class TestPredicates:
         assert not is_tournament(complete(3))
 
     def test_path_not_quasi_transitive(self):
-        assert not is_l_quasi_transitive(build_digraph(3, [(0, 1), (1, 2)]), 2)
+        assert not is_l_quasi_transitive(Digraph.from_arcs(3, [(0, 1), (1, 2)]), 2)
 
     def test_four_cycle_exact_lengths(self):
-        c4 = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        c4 = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert is_l_quasi_transitive(c4, 3)
         assert not is_l_quasi_transitive(c4, 2)
 
@@ -112,7 +111,7 @@ class TestPredicates:
 
 def near_complete(n):
     """Every arc on n vertices except the two between 0 and 1."""
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n)
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n)
                              if i != j and {i, j} != {0, 1}])
 
 
@@ -183,7 +182,7 @@ class TestSpanningTournament:
 
     def test_rejects_non_semicomplete(self):
         with pytest.raises(PreconditionViolatedError, match="spanning tournament needs"):
-            spanning_tournament(build_digraph(3, [(0, 1), (1, 2)]))
+            spanning_tournament(Digraph.from_arcs(3, [(0, 1), (1, 2)]))
 
     def test_matches_arc_list_reference(self):
         # the per-vertex mask formulas against the arc-by-arc construction,
@@ -231,38 +230,38 @@ class TestSubdigraphs:
 
 class TestComposition:
     def test_two_cycle_of_singletons(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(1, []), build_digraph(1, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, []), Digraph.from_arcs(1, [])])
         assert compose(spec).arcs() == [(0, 1), (1, 0)]
 
     def test_arc_count_formula(self):
         # arcless parts of sizes 2 and 3 under a 2-cycle: 2*3 + 3*2 arcs
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(2, []), build_digraph(3, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, []), Digraph.from_arcs(3, [])])
         assert compose(spec).num_arcs == 12
 
     def test_transitive_triangle_of_singletons(self):
-        tri = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
-        spec = CompositionSpec.from_local_parts(tri, [build_digraph(1, [])] * 3)
+        tri = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
+        spec = CompositionSpec.from_local_parts(tri, [Digraph.from_arcs(1, [])] * 3)
         assert compose(spec) == tri
 
     def test_part_overlap_rejected(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        part = build_digraph(2, [])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        part = Digraph.from_arcs(2, [])
         with pytest.raises(InputError, match="part vertex sets overlap"):
             compose(CompositionSpec(two, (part, part)))
 
     def test_arity_mismatch(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         with pytest.raises(InputError, match="parts given"):
-            compose(CompositionSpec.from_local_parts(two, [build_digraph(1, [])]))
+            compose(CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, [])]))
 
     def test_strip_and_readd_reproduces_arcs(self):
         from klinkage import strip_intra_part_arcs
 
         spec = CompositionSpec.from_local_parts(
             random_semicomplete(3, 0.5, 4),
-            [build_digraph(2, [(0, 1)]), build_digraph(2, [(1, 0)]), build_digraph(1, [])],
+            [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(2, [(1, 0)]), Digraph.from_arcs(1, [])],
         )
         d = compose(spec)
         parts = spec.part_vertex_ids()
@@ -273,14 +272,14 @@ class TestComposition:
     def test_recover_spec_roundtrip(self):
         spec = CompositionSpec.from_local_parts(
             random_semicomplete(4, 0.3, 9),
-            [build_digraph(2, [(0, 1)]), build_digraph(1, []), build_digraph(3, []), build_digraph(1, [])],
+            [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(1, []), Digraph.from_arcs(3, []), Digraph.from_arcs(1, [])],
         )
         d = compose(spec)
         back = composition_from_digraph(d, spec.part_vertex_ids())
         assert compose(back) == d
 
     def test_recover_rejects_partial_bundle(self):
-        d = build_digraph(3, [(0, 2), (1, 2), (2, 0)])  # {0,1} -> {2} full, {2} -> {0,1} partial
+        d = Digraph.from_arcs(3, [(0, 2), (1, 2), (2, 0)])  # {0,1} -> {2} full, {2} -> {0,1} partial
         with pytest.raises(InputError, match="cross arcs present"):
             composition_from_digraph(d, [[0, 1], [2]])
 
@@ -288,7 +287,7 @@ class TestComposition:
 class TestShortestPath:
     def test_lowest_path_among_shortest(self):
         # 0->1->3 and 0->2->3 tie; the lower second vertex wins
-        d = build_digraph(5, [(0, 2), (0, 1), (2, 3), (1, 3), (3, 4), (0, 4)])
+        d = Digraph.from_arcs(5, [(0, 2), (0, 1), (2, 3), (1, 3), (3, 4), (0, 4)])
         assert d.shortest_path(0, 3) == [0, 1, 3]
         assert d.shortest_path(0, 3, forbidden=0b10) == [0, 2, 3]
         assert d.shortest_path(0, 4) == [0, 4]

@@ -2,15 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from klinkage import (
-    build_digraph,
+    Digraph,
     goodness_profile,
     is_c_good,
-    is_gamma_dominator,
     is_in_king,
     nearly_in_dominating_set,
     nearly_in_dominating_vertex,
     spanning_tournament,
-    two_path_width,
     verify_nearly_in_dominating,
     verify_nearly_in_dominating_set,
 )
@@ -24,20 +22,21 @@ from klinkage.generators import (
 )
 
 import ref_dominators
+from ref_dominators import two_path_width
 from conftest import digraphs, semicomplete_digraphs
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 def transitive(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestWidth:
     def test_cycle(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert two_path_width(d, 0, 2) == 1
 
     def test_complete(self):
@@ -67,11 +66,11 @@ class TestWidth:
 
 class TestCGood:
     def test_domination_branch(self):
-        d = build_digraph(2, [(0, 1)])
+        d = Digraph.from_arcs(2, [(0, 1)])
         assert is_c_good(d, 0, 1, 10**6)
 
     def test_cycle_width_one(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert is_c_good(d, 0, 2, 1)
         assert not is_c_good(d, 0, 2, 2)
 
@@ -113,7 +112,7 @@ class TestNearlyInDominatingVertex:
         assert rep.ok
 
     def test_cycle_tie_break(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert nearly_in_dominating_vertex(d) == 0
         assert verify_nearly_in_dominating(d, 0, 3).ok
 
@@ -124,7 +123,7 @@ class TestNearlyInDominatingVertex:
 
     def test_rejects_non_semicomplete(self):
         with pytest.raises(PreconditionViolatedError, match="needs a semicomplete digraph"):
-            nearly_in_dominating_vertex(build_digraph(3, [(0, 1), (1, 2)]))
+            nearly_in_dominating_vertex(Digraph.from_arcs(3, [(0, 1), (1, 2)]))
 
     @pytest.mark.parametrize("c_max", [0, -1])
     def test_empty_sweep_rejected(self, c_max):
@@ -186,7 +185,7 @@ def _biased_semicomplete(n, seed, tenths, doubles):
             arcs.append((i, j) if fwd else (j, i))
             if rng.randrange(10) < doubles:
                 arcs.append((j, i) if fwd else (i, j))
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 class TestAgainstReference:
@@ -312,40 +311,9 @@ class TestVertexCheckAgainstSweep:
         assert failing >= 1_000, failing
 
 
-class TestGammaDominator:
-    def test_full_out_neighborhood(self):
-        d = build_digraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert is_gamma_dominator(d, 0, [1, 2, 3], 3, "out")
-
-    def test_gamma_zero_always(self):
-        d = build_digraph(3, [(0, 1)])
-        assert is_gamma_dominator(d, 2, [0, 1], 0, "out")
-        assert is_gamma_dominator(d, 2, [0, 1], 0, "in")
-
-    @pytest.mark.parametrize("v, us, unknown", [(99, [1, 2], 99), (-1, [1, 2], -1), (0, [99], 99),
-                                                 (0, [1, -1], -1)])
-    def test_ids_outside_the_digraph_rejected(self, v, us, unknown):
-        with pytest.raises(InputError, match=f"^vertex {unknown} not in digraph$"):
-            is_gamma_dominator(random_tournament(10, 1), v, us, 0)
-
-    def test_vertex_in_set_rejected(self):
-        with pytest.raises(InputError, match="lies in the reference set"):
-            is_gamma_dominator(complete(3), 1, [0, 1], 1, "out")
-
-    def test_semicomplete_dichotomy(self):
-        # with |U| = 3k, not a 2k-out-dominator forces (k+1)-in-dominator
-        k = 2
-        for seed in range(20):
-            d = random_semicomplete(12, 0.3, 900 + seed)
-            us = list(range(3 * k))
-            for v in range(3 * k, 12):
-                if not is_gamma_dominator(d, v, us, 2 * k, "out"):
-                    assert is_gamma_dominator(d, v, us, k + 1, "in")
-
-
 class TestInKing:
     def test_cycle_everyone(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert all(is_in_king(d, v) for v in range(3))
 
     def test_transitive_source_not(self):
@@ -363,7 +331,7 @@ class TestInKing:
 
 
 def test_goodness_profile_fields():
-    d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     prof = goodness_profile(d, 2)
     assert prof.target == 2
     assert prof.dominators == {1}

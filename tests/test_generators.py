@@ -8,7 +8,7 @@ from klinkage import (
     is_tournament,
     kappa,
 )
-from klinkage.digraph import build_digraph
+from klinkage.digraph import Digraph
 from klinkage.errors import InputError, PreconditionViolatedError
 from klinkage.generators import (
     SplitMix64,
@@ -144,7 +144,7 @@ class TestProp2Family:
 
     def test_core_must_be_strong(self):
         with pytest.raises(PreconditionViolatedError, match="not strong"):
-            non_linked_family(3, core=build_digraph(3, [(0, 1), (1, 2)]))
+            non_linked_family(3, core=Digraph.from_arcs(3, [(0, 1), (1, 2)]))
 
     def test_default_family_k3(self):
         spec, bad = non_linked_family(3)

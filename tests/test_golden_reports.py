@@ -18,8 +18,8 @@ import pytest
 
 from klinkage import (
     CompositionSpec,
+    Digraph,
     LinkageInstance,
-    build_digraph,
     compose,
     solve_composition,
     solve_lqt,
@@ -43,14 +43,14 @@ def _terminal_pairs(d, k, seed):
 
 
 def _complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 def _transitive(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-_FOUR_CYCLE = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+_FOUR_CYCLE = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def _semicomplete(i):
@@ -87,7 +87,7 @@ def _leftover_linked():
     for tails, heads in ((x, a), (c, x), (b, x), (c, a), (b, c), (a, b), (y, x), (c, y),
                          (y, a), (b, y)):
         arcs += [(u, v) for u in tails for v in heads]
-    d = build_digraph(60, arcs)
+    d = Digraph.from_arcs(60, arcs)
     return solve_semicomplete(LinkageInstance(d, ((0, 1),)), skip_audit=True)
 
 
@@ -117,13 +117,13 @@ def _composition_small(i):
 
 
 def _arcless_parts(outer_arcs, sizes, pairs):
-    outer = build_digraph(len(sizes), outer_arcs)
-    spec = CompositionSpec.from_local_parts(outer, [build_digraph(s, []) for s in sizes])
+    outer = Digraph.from_arcs(len(sizes), outer_arcs)
+    spec = CompositionSpec.from_local_parts(outer, [Digraph.from_arcs(s, []) for s in sizes])
     return solve_composition(spec, pairs, skip_audit=True)
 
 
 def _audited_parts(outer_arcs, parts, pairs):
-    outer = build_digraph(len(parts), outer_arcs)
+    outer = Digraph.from_arcs(len(parts), outer_arcs)
     return solve_composition(CompositionSpec.from_local_parts(outer, parts), pairs)
 
 
@@ -171,6 +171,9 @@ CASES = {
     # the outer 2-cycles 0<->1<->2 leave 0 and 2 non-adjacent
     "composition-outer": lambda: _audited_parts([(0, 1), (1, 0), (1, 2), (2, 1)],
                                                 [_complete(1)] * 3, ((0, 2),)),
+    # the same instance under skip_audit: the class check still runs
+    "composition-outer-skip": lambda: _arcless_parts([(0, 1), (1, 0), (1, 2), (2, 1)], [1] * 3,
+                                                     ((0, 2),)),
     # five complete 3-parts under a complete outer digraph: out-degree 14
     "composition-out-degree": lambda: _audited_parts(_complete(5).arcs(), [_complete(3)] * 5,
                                                      ((0, 3),)),
@@ -208,6 +211,8 @@ PINNED = {
     'composition-out-degree': ('hypothesis_violated', 'min out-degree < 23',
         'afb4ed1b0f59c7956b36ebdcec5d26c8d7f5bf54dd49181f3f07f9fd6c73f812'),
     'composition-outer': ('hypothesis_violated', 'outer digraph not semicomplete',
+        'e1f471f3ed0c572bcb6af726ee5c62cee8e6bfa41e42464e1cdc0f769f8895b9'),
+    'composition-outer-skip': ('hypothesis_violated', 'outer digraph not semicomplete',
         'e1f471f3ed0c572bcb6af726ee5c62cee8e6bfa41e42464e1cdc0f769f8895b9'),
     'composition-path': ('stage_failed', 'path',
         '7c2c8d3cb8dff5d2628463497c1ef0f32a14e14c859a924c560be1287e34c490'),

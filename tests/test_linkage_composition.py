@@ -2,7 +2,7 @@ import pytest
 
 from klinkage import (
     CompositionSpec,
-    build_digraph,
+    Digraph,
     fill_parts,
     compose,
     is_semicomplete,
@@ -20,7 +20,7 @@ from klinkage.generators import SplitMix64, random_composition, random_digraph, 
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 class TestStrip:
@@ -31,7 +31,7 @@ class TestStrip:
         assert_in_masks_transpose(d0)
 
     def test_two_cycle_of_two_cycles(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [two, two])
         d = compose(spec)
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
@@ -65,9 +65,9 @@ class TestStrip:
     def test_strong_part_breaks_equality(self):
         # a strongly connected part survives alone only before stripping
         outer = complete(3)
-        cycle = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        cycle = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         spec = CompositionSpec.from_local_parts(
-            outer, [build_digraph(1, []), build_digraph(1, []), cycle]
+            outer, [Digraph.from_arcs(1, []), Digraph.from_arcs(1, []), cycle]
         )
         d = compose(spec)
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
@@ -78,16 +78,16 @@ class TestStrip:
 
 class TestFillParts:
     def test_part_without_targets_becomes_complete(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(3, []), build_digraph(1, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(3, []), Digraph.from_arcs(1, [])])
         d0 = compose(spec)
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[])
         assert_in_masks_transpose(dp)
         assert all(dp.has_arc(u, v) for u in (0, 1, 2) for v in (0, 1, 2) if u != v)
 
     def test_target_dominates_part(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(2, []), build_digraph(1, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, []), Digraph.from_arcs(1, [])])
         d0 = compose(spec)
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[0])
         assert_in_masks_transpose(dp)
@@ -105,8 +105,8 @@ class TestFillParts:
             assert is_semicomplete(dp)
 
     def test_rejects_unstripped_input(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(2, [(0, 1)]), build_digraph(1, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(1, [])])
         with pytest.raises(InputError, match="intra-part arcs"):
             fill_parts(compose(spec), spec.part_vertex_ids(), ys=[])
 
@@ -117,7 +117,7 @@ class TestMinimalize:
         assert minimalize_path(d, [0, 1]) == [0, 1]
 
     def test_shortcut_taken(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (0, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
         assert minimalize_path(d, [0, 1, 2]) == [0, 2]
 
     def test_never_longer_and_endpoints_kept(self):
@@ -203,7 +203,7 @@ class TestSolveComposition:
         from klinkage import LinkageInstance, solve_semicomplete
 
         d = random_semicomplete(50, 0.6, 7)
-        parts = [build_digraph(1, []) for _ in range(50)]
+        parts = [Digraph.from_arcs(1, []) for _ in range(50)]
         spec = CompositionSpec.from_local_parts(d, parts)
         assert compose(spec) == d
         pairs = ((0, 25), (10, 40))
@@ -226,8 +226,8 @@ class TestSolveComposition:
         assert rep.system.paths == tuple(tuple(p) for p in pairs)
 
     def test_two_part_routing(self):
-        two = build_digraph(2, [(0, 1), (1, 0)])
-        spec = CompositionSpec.from_local_parts(two, [build_digraph(4, []), build_digraph(4, [])])
+        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(4, []), Digraph.from_arcs(4, [])])
         d = compose(spec)
         pairs = ((0, 1), (2, 3))  # same-part pairs, no direct arcs
         rep = solve_composition(spec, pairs, skip_audit=True)

@@ -5,8 +5,8 @@ import pytest
 from klinkage import (
     SplitMix64,
     CompositionSpec,
+    Digraph,
     build_auxiliary,
-    build_digraph,
     compose,
     pool_threshold,
     find_short_anchor_pair,
@@ -35,7 +35,7 @@ from ref_lqt import ref_independent_short_paths
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 class TestThresholdFormula:
@@ -58,13 +58,13 @@ class TestIndependentShortPaths:
         assert len(pool.forward) == 6  # direct arc + five distinct middles
 
     def test_directed_path_single(self):
-        d = build_digraph(3, [(0, 1), (1, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
         pool = independent_short_paths(d, 0, 2, 2, 5)
         assert pool.forward == ((0, 1, 2),)
         assert pool.backward == ()
 
     def test_lonely_arc(self):
-        d = build_digraph(4, [(0, 1)])
+        d = Digraph.from_arcs(4, [(0, 1)])
         pool = independent_short_paths(d, 0, 1, 2, 5)
         assert pool.forward == ((0, 1),)
 
@@ -80,7 +80,7 @@ class TestIndependentShortPaths:
     @pytest.mark.parametrize("u, v", [(0, 9), (0, -1), (9, 0), (-1, 0), (0, 2), (2, 1)])
     def test_ids_not_in_the_digraph(self, u, v):
         # 9 and -1 are out of range, 2 is deleted
-        d = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).delete([2])
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).delete([2])
         with pytest.raises(InputError, match="not in digraph"):
             independent_short_paths(d, u, v, 2, 3)
         with pytest.raises(InputError, match="not in digraph"):
@@ -90,7 +90,7 @@ class TestIndependentShortPaths:
         # l = 0 admits only the direct arcs, l = -1 no path at all
         paths = {}
         for l in (-1, 0):
-            for d in [build_digraph(4, [(0, 1), (1, 2), (2, 3)])] + [
+            for d in [Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])] + [
                 random_semicomplete(8, 0.5, seed) for seed in range(20)
             ]:
                 pool = independent_short_paths(d, 0, 3, l, 3)
@@ -138,7 +138,7 @@ class TestIndependentShortPaths:
     def test_huge_l_stops_at_the_order(self):
         # lengths stop at order - 1, and a direction at its first unreachable
         # length, so l = 10**6 costs what l = 9 does
-        cycle = build_digraph(10, [(0, 2)] + [(i, i + 1) for i in range(2, 9)] + [(9, 1), (1, 0)])
+        cycle = Digraph.from_arcs(10, [(0, 2)] + [(i, i + 1) for i in range(2, 9)] + [(9, 1), (1, 0)])
         for d in [cycle] + [random_digraph(10, 93_000 + s, 2 + s % 5) for s in range(10)]:
             start = time.perf_counter()
             got = independent_short_paths(d, 0, 1, 10**6, 5)
@@ -152,9 +152,9 @@ class TestIndependentShortPaths:
 
 def _triangle_gadget():
     """One non-adjacent pair backed by exactly three independent 3-paths."""
-    outer = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    outer = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     return CompositionSpec.from_local_parts(
-        outer, [build_digraph(2, []), complete(3), complete(3)]
+        outer, [Digraph.from_arcs(2, []), complete(3), complete(3)]
     )
 
 
@@ -179,7 +179,7 @@ class TestBuildAuxiliary:
 
     def test_not_strong_rejected(self):
         with pytest.raises(PreconditionViolatedError, match="needs a strong digraph"):
-            build_auxiliary(build_digraph(3, [(0, 1), (1, 2)]), [], [], 2, 3)
+            build_auxiliary(Digraph.from_arcs(3, [(0, 1), (1, 2)]), [], [], 2, 3)
 
     def test_threshold_unreachable_on_small_digraph(self):
         spec = random_extended_tournament(10, [3] * 10, 4)
@@ -205,7 +205,7 @@ class TestBuildAuxiliary:
 
 class TestShortAnchors:
     def test_single_arc_anchors(self):
-        t = build_digraph(2, [(0, 1)])
+        t = Digraph.from_arcs(2, [(0, 1)])
         assert verify_short_anchor(t, [0], [1])
 
     def test_distance_four_fails(self):
@@ -300,7 +300,7 @@ class TestSolveLqt:
         assert rep.audit["new_arcs"] == 0
 
     def test_not_strong(self):
-        d = build_digraph(4, [(0, 1), (1, 2), (2, 3)])
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])
         rep = solve_lqt(d, ((0, 3),), 2)
         assert rep.outcome == "hypothesis_violated"
         assert rep.failure == "not strong"

@@ -1,10 +1,10 @@
 import pytest
 
 from klinkage import (
+    Digraph,
     LinkageInstance,
     PathSystem,
     brute_force_disjoint_paths,
-    build_digraph,
     anchor_connectors,
     min_vertex_menger,
     nearly_in_dominating_set,
@@ -20,7 +20,7 @@ from klinkage.verify import LinkageReport
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 def _pipeline_context(n=120, seed=3, k=2):
@@ -107,7 +107,7 @@ class TestPartitionTerminals:
             arcs.append((x, 10))  # out-neighbourhood misses the dominator pool
         for u in us:
             arcs.append((u, 0))
-        d = build_digraph(n, arcs)
+        d = Digraph.from_arcs(n, arcs)
         matched, matching, leftover = partition_terminals(d, [0, 1], [2, 3], us, k)
         assert matched == [] and leftover == [0, 1]
 
@@ -136,13 +136,13 @@ class TestSolveSemicomplete:
         assert rep.audit["kappa_at_least"] is True
 
     def test_transitive_reports_connectivity(self):
-        d = build_digraph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+        d = Digraph.from_arcs(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
         rep = solve_semicomplete(LinkageInstance(d, ((0, 1), (2, 3))))
         assert rep.outcome == "hypothesis_violated"
         assert rep.failure == "kappa < 6"
 
     def test_not_semicomplete_reported_first(self):
-        d = build_digraph(8, [(0, 1), (1, 2)])
+        d = Digraph.from_arcs(8, [(0, 1), (1, 2)])
         rep = solve_semicomplete(LinkageInstance(d, ((0, 1), (2, 3))))
         assert rep.failure == "not semicomplete"
 
@@ -218,7 +218,7 @@ class TestSolveSemicomplete:
             assert verify_linkage(t, pairs, rep.system).ok
 
     def test_too_small_for_dominating_set(self):
-        d = build_digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        d = Digraph.from_arcs(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         rep = solve_semicomplete(LinkageInstance(d, ((4, 0), (3, 1))), skip_audit=True)
         # k=2 needs a 6-vertex dominating set outside the four terminals
         assert rep.outcome == "stage_failed"

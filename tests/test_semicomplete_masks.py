@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ref_semicomplete
 
-from klinkage import (build_digraph, is_semicomplete, is_tournament, nearly_in_dominating_set,
+from klinkage import (Digraph, is_semicomplete, is_tournament, nearly_in_dominating_set,
                       nearly_in_dominating_vertex, partition_terminals, spanning_tournament)
 from klinkage.errors import PreconditionViolatedError
 from klinkage.generators import SplitMix64, random_digraph, random_semicomplete
@@ -60,7 +60,7 @@ def _check_tournament_masks(d) -> bool:
 
 def _without_pair(d, u, v):
     """d with both arcs between u and v removed."""
-    return build_digraph(d.n, [a for a in d.arcs() if {*a} != {u, v}])
+    return Digraph.from_arcs(d.n, [a for a in d.arcs() if {*a} != {u, v}])
 
 
 class TestAuditAgainstReference:

@@ -1,11 +1,11 @@
 import pytest
 
 from klinkage import (
+    Digraph,
     Infeasible,
     PathSystem,
     brute_force_disjoint_paths,
     brute_force_k_linked,
-    build_digraph,
     kappa,
     verify_linkage,
 )
@@ -16,7 +16,7 @@ from conftest import out_neighbors
 
 
 def complete(n):
-    return build_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
 class TestVerifyLinkage:
@@ -36,7 +36,7 @@ class TestVerifyLinkage:
         assert "5" in rep.detail
 
     def test_missing_arc_fails(self):
-        d = build_digraph(3, [(0, 1)])
+        d = Digraph.from_arcs(3, [(0, 1)])
         ps = PathSystem(((0, 2),), ((0, 2),))
         rep = verify_linkage(d, [(0, 2)], ps)
         assert rep.clause == "ArcMembership"
@@ -63,7 +63,7 @@ class TestVerifyLinkage:
 class TestBruteForceDisjointPaths:
     def test_four_cycle_crossing_pairs_infeasible(self):
         # the only (0,2)-path is 0-1-2 and the only (1,3)-path is 1-2-3
-        d = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         res = brute_force_disjoint_paths(d, [(0, 2), (1, 3)])
         assert isinstance(res, Infeasible)
 
@@ -94,7 +94,7 @@ class TestBruteForceKLinked:
         assert brute_force_k_linked(complete(4), 2) is True
 
     def test_transitive_not_one_linked(self):
-        d = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
         res = brute_force_k_linked(d, 1)
         assert res is not True
         # the witness is a genuine failure
