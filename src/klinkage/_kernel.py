@@ -35,6 +35,8 @@ pairs have many 2-paths, so most bounded queries end at this first step.
 
 from __future__ import annotations
 
+from .digraph import _union
+
 __all__ = ["local_connectivity"]
 
 
@@ -86,13 +88,7 @@ def local_connectivity(d, s: int, t: int, limit: int) -> int:
                 return flow
             free_in ^= nxt
             levels.append(nxt)
-            front = nxt & ~used
-            rest = nxt & used
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                front |= flow_in[low.bit_length() - 1]
-            front &= free_out
+            front = (nxt & ~used | _union(flow_in, nxt & used)) & free_out
             if not front:
                 return flow
             free_out ^= front

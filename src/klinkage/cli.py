@@ -130,8 +130,6 @@ def _cmd_gen(args) -> int:
         meta.pop("seed")
         meta["k"] = args.k
         meta["bad_pairs"] = [list(p) for p in bad_pairs]
-    else:
-        raise FormatError(f"unknown family {args.family!r}")
 
     text = dumps_canonical(digraph_to_obj(d, parts, meta))
     _emit(text, args.output)
@@ -188,7 +186,7 @@ def _cmd_solve(args) -> int:
             raise FormatError("composition solving needs a 'parts' field in the digraph file")
         spec = composition_from_digraph(d, parts)
         report = solve_composition(spec, pairs, skip_audit=args.skip_audit)
-    elif args.klass == "lqt":
+    else:
         report = solve_lqt(
             d,
             pairs,
@@ -197,8 +195,6 @@ def _cmd_solve(args) -> int:
             anchor_budget=args.anchor_budget,
             skip_audit=args.skip_audit,
         )
-    else:
-        raise FormatError(f"unknown class {args.klass!r}")
 
     obj = report_to_obj(report)
     obj["pairs"] = [list(p) for p in pairs]
@@ -267,8 +263,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     from .acceptance import _CRITERIA, run_criteria
 
-    if args.workers < 1:
-        raise FormatError(f"--workers must be at least 1, got {args.workers}")
     only = None
     if args.only:
         known = {n for n, _, _ in _CRITERIA}
@@ -278,15 +272,7 @@ def _cmd_bench(args) -> int:
             raise FormatError("--only must be a comma-separated list, e.g. 4,5") from None
         if not known.issuperset(only):
             raise FormatError(f"--only: criteria are numbered {min(known)}..{max(known)}")
-    if args.workers > 1:
-        from multiprocessing import Pool
-
-        numbers = [n for n, _, _ in _CRITERIA if only is None or n in only]
-        with Pool(args.workers) as pool:
-            batches = pool.map(run_criteria, [[n] for n in numbers])
-        results = [r for batch in batches for r in batch]
-    else:
-        results = run_criteria(only)
+    results = run_criteria(only)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -335,9 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--class", required=True, dest="klass",
                        choices=["semicomplete", "composition", "lqt"])
     solve.add_argument("--pairs", required=True, help="x1:y1,x2:y2,...")
-    solve.add_argument("--l", type=int, default=2)
-    solve.add_argument("--threshold", type=int, default=None)
-    solve.add_argument("--anchor-budget", type=int, default=_ANCHOR_BUDGET, dest="anchor_budget")
+    lqt_only = "; read by --class lqt only, ignored otherwise"
+    solve.add_argument("--l", type=int, default=2, help="the l of l-quasi-transitivity" + lqt_only)
+    solve.add_argument("--threshold", type=int, default=None,
+                       help="pool size per auxiliary arc (default: the theorem's)" + lqt_only)
+    solve.add_argument("--anchor-budget", type=int, default=_ANCHOR_BUDGET, dest="anchor_budget",
+                       help="candidate-list expansions per anchor search" + lqt_only)
     solve.add_argument("--skip-audit", action="store_true", dest="skip_audit")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("-o", "--output")
@@ -364,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="acceptance suite")
     bench.add_argument("--suite", choices=["acceptance"], default=None)
     bench.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    bench.add_argument("--workers", type=int, default=1, help="criteria run in parallel")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -44,6 +44,17 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(rows: Sequence[int], mask: int) -> int:
+    """The OR of ``rows[v]`` over the set bits v of ``mask``: one BFS level,
+    the full bundle of a part set, the in-reach of a vertex set."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 _FLAG = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -209,12 +220,8 @@ class Digraph:
         seen = 1 << start
         frontier = seen
         while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= self._alive & ~seen
-            seen |= nxt
-            frontier = nxt
+            frontier = _union(adj, frontier) & self._alive & ~seen
+            seen |= frontier
         return seen
 
     def is_strong(self) -> bool:
@@ -250,15 +257,10 @@ class Digraph:
                 return None
             levels.append(frontier)
             seen |= frontier
-            reach = 0
-            for u in iter_bits(frontier):
-                reach |= out[u]
+            reach = _union(out, frontier)
         on_path = [dst_bit]  # per level, from the last: vertices on a shortest path
         for level in reversed(levels[1:]):
-            into = 0
-            for w in iter_bits(on_path[-1]):
-                into |= self._in[w]
-            on_path.append(level & into)
+            on_path.append(level & _union(self._in, on_path[-1]))
         path = [src]
         for mask in reversed(on_path):
             step = out[path[-1]] & mask
@@ -424,11 +426,8 @@ def compose(spec: CompositionSpec) -> Digraph:
     out = [0] * capacity
     inc = [0] * capacity
     for hid, p in carriers:
-        succ = pred = 0
-        for hj in iter_bits(outer._out[hid]):
-            succ |= part_mask[hj]
-        for hj in iter_bits(outer._in[hid]):
-            pred |= part_mask[hj]
+        succ = _union(part_mask, outer._out[hid])
+        pred = _union(part_mask, outer._in[hid])
         for v in iter_bits(p._alive):
             out[v] = p._out[v] | succ
             inc[v] = p._in[v] | pred

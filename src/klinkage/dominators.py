@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .digraph import Digraph, _flags, _spanning_in_masks, is_tournament, iter_bits
+from .digraph import Digraph, _flags, _spanning_in_masks, _union, is_tournament, iter_bits
 from .errors import InputError, PreconditionViolatedError
 
 __all__ = [
@@ -215,8 +215,5 @@ def is_in_king(t: Digraph, v: int) -> bool:
     if not is_tournament(t):
         raise PreconditionViolatedError("in-kings are defined on tournaments")
     t._check_vertices((v,))
-    reach = t.in_mask(v)
-    for w in iter_bits(t.in_mask(v)):
-        reach |= t.in_mask(w)
-    reach |= 1 << v
+    reach = t.in_mask(v) | _union(t._in, t.in_mask(v)) | 1 << v
     return reach & t.alive_mask == t.alive_mask

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .digraph import (
     CompositionSpec,
     Digraph,
+    _union,
     compose,
     is_semicomplete,
     iter_bits,
@@ -60,7 +61,7 @@ def fill_parts(d0: Digraph, parts, ys) -> Digraph:
     y_mask = mask_of(ys)
     out, inc = list(d0._out), list(d0._in)
     for m in masks:
-        if any(d0.out_mask(u) & m for u in iter_bits(m)):
+        if _union(d0._out, m) & m:
             raise InputError("digraph still has intra-part arcs")
         inner_y = m & y_mask
         rest = m & ~y_mask
@@ -102,10 +103,9 @@ def _two_part_route(d: Digraph, masks, pairs):
         side = next(j for j, m in enumerate(masks) if m >> x & 1)
         if not masks[side] >> y & 1:
             continue  # cross-part pair left unpeeled: no arc leaves x's part toward y's
-        other = masks[1 - side] & ~terminal_mask
-        for v in iter_bits(other):
-            if d.has_arc(x, v) and d.has_arc(v, y):
-                return i, [x, v, y]
+        mids = masks[1 - side] & ~terminal_mask & d._out[x] & d._in[y]
+        if mids:
+            return i, [x, (mids & -mids).bit_length() - 1, y]
     return None
 
 

@@ -18,7 +18,7 @@ from math import comb, inf
 from typing import Iterator
 
 from .connectivity import menger_set_paths
-from .digraph import Digraph, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
+from .digraph import Digraph, _union, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
 from .dominators import _first_c_good, nearly_in_dominating_set
 from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError, witness_of
 from .linkage_semicomplete import audit_hypotheses
@@ -89,10 +89,7 @@ def _paths_of_length(out: list[int], inc: list[int], a: int, b: int, length: int
     while True:
         levels = [inc[b] & free]
         while len(levels) < length - 2 and levels[-1]:
-            into = 0
-            for w in iter_bits(levels[-1]):
-                into |= inc[w]
-            levels.append(into & free)
+            levels.append(_union(inc, levels[-1]) & free)
         if not levels[-1]:
             return paths, False
         top = levels[-1]
@@ -412,8 +409,9 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     k = instance.k
     xs, ys = instance.sources(), instance.targets()
     bound = 81 * k * k * (l + 2) ** 2
-    pool_goal = pool_threshold(k, l) if threshold is None else threshold
-    # malformed arguments fail before the audit, whatever the input
+    # malformed arguments fail before the audit, whatever the input and threshold
+    full_pool = pool_threshold(k, l)
+    pool_goal = full_pool if threshold is None else threshold
     if pool_goal < 1:
         raise InputError("threshold must be positive")
     Budget(anchor_budget)
@@ -427,7 +425,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         [], ["kappa"] if skip_audit else None)
     if violation:
         return violation
-    if not skip_audit and bound - 2 * k - 2 * pool_threshold(k, l) * (l + 2) <= 0:
+    if not skip_audit and bound - 2 * k - 2 * full_pool * (l + 2) <= 0:
         # connectivity slack that feeds the extraction argument
         raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
 

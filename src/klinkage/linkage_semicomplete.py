@@ -14,7 +14,7 @@ it; that guarantee is checked, not trusted.
 from __future__ import annotations
 
 from .connectivity import is_k_strong, min_vertex_menger
-from .digraph import Digraph, is_semicomplete, iter_bits, mask_of
+from .digraph import Digraph, _union, is_semicomplete, iter_bits, mask_of
 from .dominators import _first_c_good, nearly_in_dominating_set, verify_nearly_in_dominating_set
 from .errors import ConstructionFailedError, PreconditionViolatedError, witness_of
 from .paths import Infeasible, LinkageInstance, PathSystem
@@ -28,14 +28,6 @@ def _layer_masks(q: PathSystem) -> tuple[int, int]:
     y2 = mask_of(p[1] for p in q.paths if len(p) > 1)
     y3 = mask_of(p[2] for p in q.paths if len(p) > 2)
     return y2, y3
-
-
-def _one_in_dominator_mask(d: Digraph, of: int) -> int:
-    """Vertices with at least one in-neighbour inside ``of`` (a mask)."""
-    m = 0
-    for u in iter_bits(of):
-        m |= d.out_mask(u)
-    return m
 
 
 def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> PathSystem:
@@ -110,7 +102,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
 
     y2_mask, y3_mask = _layer_masks(q)
     outside = d.alive_mask & ~(x_mask | y_mask | u_mask)
-    helper_pool = _one_in_dominator_mask(d, u_mask & ~ini_mask)
+    helper_pool = _union(d._out, u_mask & ~ini_mask)  # an in-neighbour in U minus Ini(q)
     need = 7 * k + 3 * len(ws) + 7 * len(anchors)
     for a in anchors:
         have = (d.out_mask(a) & outside & helper_pool).bit_count()

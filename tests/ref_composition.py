@@ -8,6 +8,9 @@ with ``Digraph.add_arcs``.  These are the versions ``compose`` and
 masks, or the identical exception, from both.  ``ref_minimalize_path``
 repeats the shortest-path call inside V(path) until it returns its input;
 ``minimalize_path`` makes the call once, and the tests require the same path.
+``ref_two_part_route`` scans the free vertices of the opposite part one by
+one for a middle; ``_two_part_route`` takes the lowest bit of one mask, and
+the tests require the same pair and path.
 """
 
 from __future__ import annotations
@@ -83,3 +86,18 @@ def ref_minimalize_path(d: Digraph, path) -> list[int]:
         if shorter == path:
             return path
         path = shorter
+
+
+def ref_two_part_route(d: Digraph, masks, pairs):
+    """The first pair with a free middle in the opposite part, and the
+    lowest such middle, found vertex by vertex."""
+    terminal_mask = mask_of(t for p in pairs for t in p)
+    for i, (x, y) in enumerate(pairs):
+        side = next(j for j, m in enumerate(masks) if m >> x & 1)
+        if not masks[side] >> y & 1:
+            continue
+        other = masks[1 - side] & ~terminal_mask
+        for v in iter_bits(other):
+            if d.has_arc(x, v) and d.has_arc(v, y):
+                return i, [x, v, y]
+    return None

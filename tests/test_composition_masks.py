@@ -1,15 +1,18 @@
 """``compose`` and ``fill_parts`` against the arc-walking builders they
 replaced (``tests/ref_composition.py``): identical ``n``, alive mask, out-
-and in-masks, or the identical exception class and message."""
+and in-masks, or the identical exception class and message.  The two-part
+route against the vertex-by-vertex scan it replaced: the same pair and
+the same (lowest) middle."""
 
 from __future__ import annotations
 
 from conftest import assert_in_masks_transpose
-from ref_composition import ref_compose, ref_fill_parts
+from ref_composition import ref_compose, ref_fill_parts, ref_two_part_route
 
 from klinkage import CompositionSpec, compose, fill_parts, strip_intra_part_arcs
-from klinkage.digraph import composition_from_digraph, iter_bits
+from klinkage.digraph import composition_from_digraph, iter_bits, mask_of
 from klinkage.generators import SplitMix64, random_composition, random_digraph
+from klinkage.linkage_composition import _two_part_route
 
 
 def _outcome(build, *args):
@@ -92,3 +95,29 @@ def test_pool_shape_specs_match_arc_walk():
         _check_fill(rng, spec, d)
         loaded = composition_from_digraph(d, [list(iter_bits(p.alive_mask)) for p in spec.parts])
         assert _check_pair(compose, ref_compose, loaded) == d
+
+
+def test_two_part_route_matches_vertex_scan():
+    """Two-part compositions, some with a vertex deleted as a peel leaves
+    them, and up to 4 random disjoint pairs; at least 100 winning pairs have
+    several middles, so a route that broke ties other than by the lowest
+    id would differ."""
+    rng = SplitMix64(4_244)
+    routed = tied = 0
+    for seed in range(8_000, 8_600):
+        spec = random_composition(2, [2 + rng.randrange(6), 2 + rng.randrange(6)], 0.7, seed,
+                                  part_arcs=rng.randrange(2) == 1)
+        d = compose(spec)
+        if rng.randrange(3) == 0:
+            d = d.delete([rng.randrange(d.n)])
+        masks = [p.alive_mask & d.alive_mask for p in spec.parts]
+        ids = rng.sample(list(d.vertices()), 2 * min(2 + rng.randrange(3), d.order // 2))
+        pairs = list(zip(ids[::2], ids[1::2]))
+        got = _two_part_route(d, masks, pairs)
+        assert got == ref_two_part_route(d, masks, pairs), (seed, pairs)
+        if got is not None:
+            routed += 1
+            (x, y), others = pairs[got[0]], mask_of(ids)
+            side = 0 if masks[0] >> x & 1 else 1
+            tied += (masks[1 - side] & ~others & d.out_mask(x) & d.in_mask(y)).bit_count() >= 2
+    assert tied >= 100, (routed, tied)
