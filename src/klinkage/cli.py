@@ -23,7 +23,7 @@ from .dominators import (
     nearly_in_dominating_vertex,
     verify_nearly_in_dominating,
 )
-from .errors import BudgetExceededError, FormatError, KLinkageError
+from .errors import BudgetExceededError, FormatError, InputError, KLinkageError
 from .generators import (
     circulant_tournament,
     non_linked_family,
@@ -366,6 +366,8 @@ def main(argv=None) -> int:
             raise FormatError("--dot needs -o to name the sibling file")
         if getattr(args, "dot", False) and _dot_sibling(args.output) == args.output:
             raise FormatError(f"--dot would write over the report: -o {args.output} ends in .dot")
+        if getattr(args, "lqt", None) is not None and args.lqt < 1:  # before the input is read
+            raise InputError("path length must be at least 1")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -297,9 +297,11 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     semicompleteness (the conventional identification; the literal
     exact-length reading is vacuous at length one).  A witness ends at a
     non-neighbour of its start u, so only such u search: each simple path
-    of l - 1 arcs from u ends in one mask test for an arc to an unused
-    non-neighbour.  Past ``LQT_EXPANSION_BUDGET`` pushed paths the search
-    raises ``BudgetExceededError``.
+    of l - 2 arcs from u, ending at v, takes its last two arcs v -> x -> w
+    in one mask test, an unused out-neighbour x of v in the in-rows of the
+    unused non-neighbours w.  For l = 2 that path is u alone, so nothing is
+    pushed.  Past ``LQT_EXPANSION_BUDGET`` pushed paths the search raises
+    ``BudgetExceededError``.
     """
     if l < 1:
         raise InputError("path length must be at least 1")
@@ -316,8 +318,8 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
         stack = [(u, 1 << u, 0)]
         while stack:
             v, used, depth = stack.pop()
-            if depth == l - 1:
-                if out[v] & bad & ~used:
+            if depth == l - 2:  # the last two arcs: a middle into an unused non-neighbour
+                if out[v] & _union(inc, bad & ~used) & ~used:
                     return False
                 continue
             step = out[v] & ~used

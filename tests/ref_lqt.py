@@ -3,7 +3,9 @@
 ``ref_is_l_quasi_transitive`` collects, for every vertex, all endpoints of
 simple paths of exactly l arcs and then checks adjacency to each.
 ``klinkage.digraph`` searches only from vertices with a non-neighbour,
-finishes each path of l - 1 arcs with one mask test, stops at the first
+enumerates paths of l - 2 arcs and tests the last two arcs of every
+witness at once, as one mask: an unused out-neighbour of the path's end
+inside the in-rows of the unused non-neighbours.  It stops at the first
 witness and answers vacuous lengths at once; the tests require both to
 give the same answers.
 

@@ -290,6 +290,15 @@ class TestInvalidInputExitTwo:
             code, out = run_cli([argv[0], "--input", k6, *argv[1:]])
         assert (code, out, err.getvalue()) == (2, "", line)
 
+    def test_lqt_below_one_before_the_input_is_read(self, workdir):
+        # the length is refused first, so a missing file is never opened
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["check", "--input", os.path.join(workdir, "absent.json"),
+                                 "--kappa", "--lqt", "0"])
+        assert (code, out, err.getvalue()) == (
+            2, "", "error: InputError: path length must be at least 1\n")
+
     def test_missing_input_file(self, workdir):
         out = run_cli_process(["check", "--input", os.path.join(workdir, "absent.json"), "--kappa"])
         assert out.returncode == 2, out.stderr

@@ -135,11 +135,58 @@ class TestLQuasiTransitive:
         assert min(seen.values()) >= 1_000, seen
 
     def test_extended_tournaments_at_length_two(self, monkeypatch):
-        # the benchmark's lqt shape: at l = 2 one push per arc, 1,710 of them
-        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 10_000)
+        # the benchmark's lqt shape: at l = 2 nothing is pushed
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 0)
         for s in range(24):
             d = compose(random_extended_tournament(20, [3] * 20, s))
             assert is_l_quasi_transitive(d, 2) is ref_is_l_quasi_transitive(d, 2) is True
+
+    def test_against_exhaustive_endpoints_above_ten(self):
+        """Seeded extended tournaments, one in three as is, one with an arc
+        removed and one with an arc reversed: 20 parts of 3 at l = 2 and
+        8 parts of 2 at l = 3, answers of both kinds."""
+        seen = {True: 0, False: 0}
+        for s in range(60):
+            for parts, size, l in ((20, 3, 2), (8, 2, 3)):
+                d = compose(random_extended_tournament(parts, [size] * parts, s))
+                arcs = d.arcs()
+                a, b = arcs[s * 7_919 % len(arcs)]
+                rest = [arc for arc in arcs if arc != (a, b)]
+                d = (d, Digraph.from_arcs(d.n, rest), Digraph.from_arcs(d.n, [*rest, (b, a)]))[s % 3]
+                got = is_l_quasi_transitive(d, l)
+                assert got == ref_is_l_quasi_transitive(d, l), (s, l)
+                seen[got] += 1
+        assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("l, limit", [(2, 0), (3, 8), (4, 16)])
+    def test_budget_boundary(self, monkeypatch, l, limit):
+        # the root pushes its 8 out-neighbours at l = 3, and one of them its
+        # 8 unused ones at l = 4; l = 2 pushes nothing
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", limit)
+        assert not is_l_quasi_transitive(near_complete(10), l)
+        monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", limit - 1)
+        with pytest.raises(BudgetExceededError if limit else InputError):  # no budget below 0
+            is_l_quasi_transitive(near_complete(10), l)
+
+    def test_length_two_unions_one_row_per_non_adjacent_pair(self, monkeypatch):
+        # a work count, not a timer: at l = 2 each vertex makes at most one
+        # _union call, over the in-rows of its non-neighbours
+        union = klinkage.digraph._union
+        rows = []  # one entry per call: the rows it unions
+
+        def counted(table, mask):
+            rows.append(mask.bit_count())
+            return union(table, mask)
+
+        monkeypatch.setattr(klinkage.digraph, "_union", counted)
+        for s in range(24):
+            d = compose(random_extended_tournament(20, [3] * 20, s))
+            rows.clear()
+            assert is_l_quasi_transitive(d, 2)
+            apart = sum(1 for u in d.vertices() for w in d.vertices()
+                        if u != w and not d.has_arc(u, w) and not d.has_arc(w, u))
+            assert len(rows) <= d.order
+            assert sum(rows) == apart == 2 * d.order, s
 
     def test_vacuous_lengths_need_no_search(self, monkeypatch):
         monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 0)
