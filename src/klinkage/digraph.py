@@ -14,7 +14,8 @@ threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -376,11 +377,16 @@ class CompositionSpec:
 
     ``outer`` lives on ids 0..h-1; ``parts[i]`` is a digraph over the shared
     realization id space whose alive set is the i-th part.  Part alive sets
-    must be pairwise disjoint.
+    must be pairwise disjoint.  ``digraph`` is the realized digraph, equal
+    to ``compose(spec)``, when the spec was recovered from it by
+    ``composition_from_digraph``; ``solve_composition`` then solves it
+    without composing again.  Specs built from an outer digraph and parts
+    leave it None.  It is neither compared nor shown in the repr.
     """
 
     outer: Digraph
     parts: tuple[Digraph, ...]
+    digraph: Digraph | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_local_parts(cls, outer: Digraph, local_parts: Sequence[Digraph]) -> "CompositionSpec":
@@ -453,23 +459,30 @@ def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> C
     """Recover a CompositionSpec from a realized digraph and its part lists.
 
     Validates the all-or-nothing bundle property between every ordered pair
-    of parts.
+    of parts: part i sends the full bundle to part j when j lies in the AND
+    of i's out-rows, and none when j misses their OR.  Cross arcs are
+    counted only to word the error.  The spec keeps ``d`` as its
+    ``digraph``, which the bundle check shows equals ``compose`` of it.
     """
     masks = partition_masks(d, part_ids)
     h = len(masks)
+    if h < 2:
+        raise InputError("outer digraph needs at least 2 vertices")
     outer_arcs = []
-    for i in range(h):
-        for j in range(h):
+    for i, m in enumerate(masks):
+        some = _union(d._out, m)
+        every = reduce(int.__and__, compress(d._out, _flags(m)), d._alive)
+        for j, mj in enumerate(masks):
             if i == j:
                 continue
-            cross = sum((d.out_mask(v) & masks[j]).bit_count() for v in iter_bits(masks[i]))
-            full = masks[i].bit_count() * masks[j].bit_count()
-            if cross == full:
+            if not mj & ~every:
                 outer_arcs.append((i, j))
-            elif cross != 0:
+            elif some & mj:
+                cross = sum((d._out[v] & mj).bit_count() for v in iter_bits(m))
                 raise InputError(
-                    f"parts {i}->{j}: {cross} of {full} cross arcs present"
+                    f"parts {i}->{j}: {cross} of {m.bit_count() * mj.bit_count()} "
+                    "cross arcs present"
                 )
     outer = Digraph.from_arcs(h, outer_arcs)
-    parts = tuple(d.induced(iter_bits(m)) for m in masks)
-    return CompositionSpec(outer, parts)
+    parts = tuple(d._restrict(m) for m in masks)
+    return CompositionSpec(outer, parts, d)

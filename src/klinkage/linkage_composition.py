@@ -47,31 +47,45 @@ def strip_intra_part_arcs(d: Digraph, parts) -> Digraph:
 
 
 def fill_parts(d0: Digraph, parts, ys) -> Digraph:
-    """Fill each part with a synthetic semicomplete interior.
+    """Fill each part of ``strip_intra_part_arcs``' output with a synthetic
+    semicomplete interior.
+
+    Checks that ``parts`` partition d0 and that no arc runs inside a part,
+    then makes the one fill pass, ``_fill_interiors``.  The solver calls
+    that pass on the unstripped digraph directly: it overwrites each part's
+    interior, so no stripped copy is built.
+    """
+    masks = partition_masks(d0, parts)
+    for m in masks:
+        if _union(d0._out, m) & m:
+            raise InputError("digraph still has intra-part arcs")
+    return _fill_interiors(d0, masks, mask_of(ys))
+
+
+def _fill_interiors(d: Digraph, masks, y_mask: int) -> Digraph:
+    """d with the arcs inside each part of ``masks`` replaced by a synthetic
+    semicomplete interior, in one pass over the part vertices.
 
     Inside part S with target subset Y' = Y intersect S: Y' and S minus Y'
     each become complete digraphs, and every Y' vertex dominates every
     other part vertex (never the reverse).  A target therefore keeps full
     out-degree while non-targets lose at most |Y| out-arcs relative to the
     unstripped digraph.  On masks, with R = S minus Y', a vertex v of Y'
-    gains out-mask S - v and in-mask Y' - v, and a vertex v of R gains
-    out-mask R - v and in-mask S - v.
+    gets out-mask S - v and in-mask Y' - v inside S, and a vertex v of R
+    gets out-mask R - v and in-mask S - v; its arcs leaving S stay.  The
+    masks must be disjoint and within d's alive set (not checked).
     """
-    masks = partition_masks(d0, parts)
-    y_mask = mask_of(ys)
-    out, inc = list(d0._out), list(d0._in)
+    out, inc = list(d._out), list(d._in)
     for m in masks:
-        if _union(d0._out, m) & m:
-            raise InputError("digraph still has intra-part arcs")
         inner_y = m & y_mask
         rest = m & ~y_mask
         for v in iter_bits(inner_y):
-            out[v] |= m & ~(1 << v)
-            inc[v] |= inner_y & ~(1 << v)
+            out[v] = out[v] & ~m | m & ~(1 << v)
+            inc[v] = inc[v] & ~m | inner_y & ~(1 << v)
         for v in iter_bits(rest):
-            out[v] |= rest & ~(1 << v)
-            inc[v] |= m & ~(1 << v)
-    return Digraph(d0.n, d0.alive_mask, out, inc)
+            out[v] = out[v] & ~m | rest & ~(1 << v)
+            inc[v] = inc[v] & ~m | m & ~(1 << v)
+    return Digraph(d.n, d.alive_mask, out, inc)
 
 
 def minimalize_path(d: Digraph, path) -> list[int]:
@@ -154,10 +168,7 @@ def _solve_reduced(d: Digraph, part_masks: list[int], pairs, depth):
             rest.insert(i, path)
         return rest
 
-    parts = [list(iter_bits(m)) for m in live_masks]
-    ys = [y for _, y in pairs]
-    d0 = strip_intra_part_arcs(d, parts)
-    filled = fill_parts(d0, parts, ys)
+    filled = _fill_interiors(d, live_masks, mask_of(y for _, y in pairs))
     # the filled digraph inherits the composition's strongness and degree
     # slack, so the inner audit would only repeat the outer one
     inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs)), skip_audit=True)
@@ -189,9 +200,11 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     holds at every peeling depth once it holds at the top: a peel or a
     two-part route deletes at most 2 vertices outside any part and one pair,
     which lowers the threshold by 2.  Linked outcomes are certified against
-    the original digraph, never the filled one.
+    the original digraph, never the filled one: the spec's kept digraph
+    when it was recovered by ``composition_from_digraph``, else
+    ``compose(spec)``.
     """
-    d = compose(spec)
+    d = spec.digraph if spec.digraph is not None else compose(spec)
     pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)  # validates terminals
     k = instance.k

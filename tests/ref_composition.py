@@ -5,7 +5,13 @@ adds the full bundle between its two parts vertex by vertex.
 ``ref_fill_parts`` lists every synthetic arc of the filling and adds them
 with ``Digraph.add_arcs``.  These are the versions ``compose`` and
 ``fill_parts`` replaced with per-part masks; the tests require identical
-masks, or the identical exception, from both.  ``ref_minimalize_path``
+masks, or the identical exception, from both, and from the solver's one
+fill pass over the unstripped digraph, ``_fill_interiors``.
+``ref_composition_from_digraph`` counts the cross arcs of every ordered
+pair of parts vertex by vertex and keeps no digraph; the tests require the
+same outer digraph and parts, or the same ``InputError``, from
+``composition_from_digraph``, which tests each bundle with one OR and one
+AND of a part's out-rows and keeps the digraph it was given.  ``ref_minimalize_path``
 repeats the shortest-path call inside V(path) until it returns its input;
 ``minimalize_path`` makes the call once, and the tests require the same path.
 ``ref_two_part_route`` scans the free vertices of the opposite part one by
@@ -15,7 +21,7 @@ the tests require the same pair and path.
 
 from __future__ import annotations
 
-from klinkage.digraph import Digraph, iter_bits, mask_of, partition_masks
+from klinkage.digraph import CompositionSpec, Digraph, iter_bits, mask_of, partition_masks
 from klinkage.errors import InputError
 
 
@@ -73,6 +79,32 @@ def ref_fill_parts(d0: Digraph, parts, ys) -> Digraph:
             for v in iter_bits(rest & ~(1 << u)):
                 new_arcs.append((u, v))
     return d0.add_arcs(new_arcs)
+
+
+def ref_composition_from_digraph(d: Digraph, part_ids) -> CompositionSpec:
+    """Recover a spec by counting each pair of parts' cross arcs vertex by
+    vertex: all of them is an outer arc, none is no arc, anything else an
+    error.  Fewer than two parts fail as ``compose`` fails on such a spec."""
+    masks = partition_masks(d, part_ids)
+    h = len(masks)
+    if h < 2:
+        raise InputError("outer digraph needs at least 2 vertices")
+    outer_arcs = []
+    for i in range(h):
+        for j in range(h):
+            if i == j:
+                continue
+            cross = sum((d.out_mask(v) & masks[j]).bit_count() for v in iter_bits(masks[i]))
+            full = masks[i].bit_count() * masks[j].bit_count()
+            if cross == full:
+                outer_arcs.append((i, j))
+            elif cross != 0:
+                raise InputError(
+                    f"parts {i}->{j}: {cross} of {full} cross arcs present"
+                )
+    outer = Digraph.from_arcs(h, outer_arcs)
+    parts = tuple(d.induced(iter_bits(m)) for m in masks)
+    return CompositionSpec(outer, parts)
 
 
 def ref_minimalize_path(d: Digraph, path) -> list[int]:

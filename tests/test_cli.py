@@ -290,6 +290,18 @@ class TestInvalidInputExitTwo:
             code, out = run_cli([argv[0], "--input", k6, *argv[1:]])
         assert (code, out, err.getvalue()) == (2, "", line)
 
+    def test_one_part_composition(self, workdir):
+        path = os.path.join(workdir, "one.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 4, "arcs": [[0, 1], [1, 2], [2, 3], [3, 0]], "parts": [[0, 1, 2, 3]]},
+                      fh)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["solve", "--input", path, "--class", "composition",
+                                 "--pairs", "0:2"])
+        assert (code, out, err.getvalue()) == (
+            2, "", "error: InputError: outer digraph needs at least 2 vertices\n")
+
     def test_lqt_below_one_before_the_input_is_read(self, workdir):
         # the length is refused first, so a missing file is never opened
         err = io.StringIO()

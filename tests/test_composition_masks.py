@@ -1,18 +1,31 @@
 """``compose`` and ``fill_parts`` against the arc-walking builders they
 replaced (``tests/ref_composition.py``): identical ``n``, alive mask, out-
-and in-masks, or the identical exception class and message.  The two-part
-route against the vertex-by-vertex scan it replaced: the same pair and
-the same (lowest) middle."""
+and in-masks, or the identical exception class and message; the solver's
+one fill pass, ``_fill_interiors`` on the unstripped digraph, against both.
+``composition_from_digraph`` against the cross-arc count it replaced: the
+same outer digraph and parts and a kept digraph equal to ``compose`` of
+the spec, or the same ``InputError``.  The two-part route against the
+vertex-by-vertex scan it replaced: the same pair and the same (lowest)
+middle."""
 
 from __future__ import annotations
 
 from conftest import assert_in_masks_transpose
-from ref_composition import ref_compose, ref_fill_parts, ref_two_part_route
+from ref_composition import (
+    ref_compose,
+    ref_composition_from_digraph,
+    ref_fill_parts,
+    ref_two_part_route,
+)
 
-from klinkage import CompositionSpec, compose, fill_parts, strip_intra_part_arcs
-from klinkage.digraph import composition_from_digraph, iter_bits, mask_of
+from klinkage import CompositionSpec, Digraph, compose, fill_parts, strip_intra_part_arcs
+from klinkage.digraph import composition_from_digraph, iter_bits, mask_of, partition_masks
 from klinkage.generators import SplitMix64, random_composition, random_digraph
-from klinkage.linkage_composition import _two_part_route
+from klinkage.linkage_composition import _fill_interiors, _two_part_route
+
+
+def _masks(d):
+    return ("built", d.n, d._alive, list(d._out), list(d._in))
 
 
 def _outcome(build, *args):
@@ -21,7 +34,7 @@ def _outcome(build, *args):
         d = build(*args)
     except Exception as exc:  # the two builders must fail alike
         return ("error", type(exc), str(exc)), None
-    return ("built", d.n, d._alive, list(d._out), list(d._in)), d
+    return _masks(d), d
 
 
 def _check_pair(build, ref_build, *args):
@@ -67,6 +80,20 @@ def _check_fill(rng: SplitMix64, spec: CompositionSpec, d):
     assert filled is not None
     # the unstripped digraph too: rejected alike when a part has arcs
     _check_pair(fill_parts, ref_fill_parts, d, parts, ys)
+    _check_single_pass(d, parts, ys)
+    if ys:  # a peel deletes terminals: the pass sees dead ids and emptier parts
+        _check_single_pass(d.delete([ys[0]]), parts, ys[1:])
+
+
+def _check_single_pass(d, parts, ys):
+    """The solver's fill pass over the live part masks of the unstripped
+    digraph builds what stripping and then filling builds, arc walk included."""
+    live = [[v for v in p if d.has_vertex(v)] for p in parts]
+    masks = [m for m in partition_masks(d, live) if m]
+    got, passed = _outcome(_fill_interiors, d, masks, mask_of(ys))
+    d0 = strip_intra_part_arcs(d, live)
+    assert got == _outcome(fill_parts, d0, live, ys)[0] == _outcome(ref_fill_parts, d0, live, ys)[0]
+    assert_in_masks_transpose(passed)
 
 
 def test_random_specs_match_arc_walk():
@@ -95,6 +122,72 @@ def test_pool_shape_specs_match_arc_walk():
         _check_fill(rng, spec, d)
         loaded = composition_from_digraph(d, [list(iter_bits(p.alive_mask)) for p in spec.parts])
         assert _check_pair(compose, ref_compose, loaded) == d
+        assert loaded.digraph is d
+
+
+def _recovery(recover, d, part_ids):
+    """The recovered outer and part masks plus the spec, or the error."""
+    try:
+        spec = recover(d, part_ids)
+    except Exception as exc:  # the two recoveries must fail alike
+        return ("error", type(exc), str(exc)), None
+    for p in spec.parts:
+        assert_in_masks_transpose(p)
+    assert_in_masks_transpose(spec.outer)
+    return ("built", [_masks(g) for g in (spec.outer, *spec.parts)]), spec
+
+
+def _perturbed_composition(rng: SplitMix64, trial: int):
+    """A realized composition and its part lists: outer digraphs with
+    2-cycles, empty parts and single parts; one in three with a cross arc
+    removed or added, and some with an intra-part arc toggled, which no
+    bundle reads."""
+    h = rng.randrange(9)
+    outer = random_digraph(h, 320_000 + trial, 1 + rng.randrange(9))
+    local = [random_digraph(0 if rng.randrange(8) == 0 else 1 + rng.randrange(3),
+                            330_000 + 9 * trial + i, rng.randrange(11)) for i in range(h)]
+    if h >= 2:
+        spec = CompositionSpec.from_local_parts(outer, local)
+        d, parts = compose(spec), spec.part_vertex_ids()
+    else:  # no outer digraph to compose on: the parts side by side, no arc between
+        d = Digraph.from_arcs(sum(p.n for p in local), [])
+        parts = [list(range(sum(p.n for p in local[:i]), sum(p.n for p in local[:i + 1])))
+                 for i in range(h)]
+    part_of = {v: i for i, p in enumerate(parts) for v in p}
+    arcs = set(d.arcs())
+    pairs = [(u, v) for u in range(d.n) for v in range(d.n) if u != v]
+    fault = rng.randrange(6)
+    cross = [(u, v) for u, v in pairs if part_of[u] != part_of[v]
+             and ((u, v) in arcs) == (fault == 0)]
+    inner = [(u, v) for u, v in pairs if part_of[u] == part_of[v]]
+    if fault <= 1 and cross:
+        arcs ^= {cross[rng.randrange(len(cross))]}
+    elif fault == 2 and inner:
+        arcs ^= {inner[rng.randrange(len(inner))]}
+    return Digraph.from_arcs(d.n, sorted(arcs)), parts
+
+
+def test_recovery_matches_cross_arc_count():
+    """1,500 realized compositions, about a third with a cross arc removed or
+    added: the same outer arcs, parts and masks as the vertex-by-vertex count,
+    or the same error, and a kept digraph that is the input and equals
+    ``compose`` of the recovered spec."""
+    rng = SplitMix64(4_245)
+    seen = {"built": 0, "bundle": 0, "under-two-parts": 0, "empty-part": 0, "two-cycle": 0}
+    for trial in range(1_500):
+        d, parts = _perturbed_composition(rng, trial)
+        got, spec = _recovery(composition_from_digraph, d, parts)
+        want, _ = _recovery(ref_composition_from_digraph, d, parts)
+        assert got == want, (trial, parts)
+        if spec is None:
+            seen["bundle" if "cross arcs" in got[2] else "under-two-parts"] += 1
+            continue
+        seen["built"] += 1
+        seen["empty-part"] += any(not p for p in parts)
+        seen["two-cycle"] += any(spec.outer.has_arc(v, u) for u, v in spec.outer.arcs())
+        assert spec.digraph is d
+        assert _outcome(compose, spec)[0] == _masks(d), trial
+    assert min(seen.values()) >= 100, seen
 
 
 def test_two_part_route_matches_vertex_scan():

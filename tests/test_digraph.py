@@ -325,6 +325,12 @@ class TestComposition:
         back = composition_from_digraph(d, spec.part_vertex_ids())
         assert compose(back) == d
 
+    @pytest.mark.parametrize("parts", [[[0, 1, 2, 3]], []], ids=["one-part", "no-part"])
+    def test_recover_needs_two_parts(self, parts):
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) if parts else Digraph.from_arcs(0, [])
+        with pytest.raises(InputError, match="^outer digraph needs at least 2 vertices$"):
+            composition_from_digraph(d, parts)
+
     def test_recover_rejects_partial_bundle(self):
         d = Digraph.from_arcs(3, [(0, 2), (1, 2), (2, 0)])  # {0,1} -> {2} full, {2} -> {0,1} partial
         with pytest.raises(InputError, match="cross arcs present"):

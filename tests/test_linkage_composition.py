@@ -14,8 +14,11 @@ from klinkage import (
 )
 from conftest import assert_in_masks_transpose, out_neighbors
 from ref_composition import ref_minimalize_path
+from klinkage import linkage_composition
 from klinkage.acceptance import brute_kappa
+from klinkage.digraph import composition_from_digraph
 from klinkage.errors import InputError
+from klinkage.jsonio import dumps_canonical, report_to_obj
 from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
 
 
@@ -297,3 +300,60 @@ class TestSolveComposition:
         spec = random_composition(3, [2, 2, 2], 0.2, 5)
         rep = solve_composition(spec, ((0, 2), (1, 4)))
         assert rep.outcome == "hypothesis_violated"
+
+
+class TestKeptDigraph:
+    """A spec recovered by ``composition_from_digraph`` is solved on the
+    digraph it keeps, with ``compose`` made to raise, and its canonical
+    report is byte for byte the one of the same outer digraph and parts
+    solved through ``compose``."""
+
+    @staticmethod
+    def _both(monkeypatch, spec, pairs, skip_audit):
+        recovered = composition_from_digraph(compose(spec), spec.part_vertex_ids())
+        composed = solve_composition(CompositionSpec(recovered.outer, recovered.parts), pairs,
+                                     skip_audit=skip_audit)
+
+        def no_compose(_spec):
+            raise AssertionError("a recovered spec was composed again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linkage_composition, "compose", no_compose)
+            kept = solve_composition(recovered, pairs, skip_audit=skip_audit)
+        assert dumps_canonical(report_to_obj(kept)) == dumps_canonical(report_to_obj(composed))
+        return kept.outcome
+
+    def test_pool_shape_specs(self, monkeypatch):
+        """The 24 pool-shape specs of ``tests/test_composition_masks.py``,
+        audited and not, with two random pairs and with two non-adjacent
+        pairs inside parts (the ``composition`` pool's choice)."""
+        outcomes = []
+        for seed in range(7_000, 7_024):
+            spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
+            d = compose(spec)
+            terms = SplitMix64(seed).sample(list(d.vertices()), 4)
+            inside = [(x, y) for part in spec.part_vertex_ids() for x in part for y in part
+                      if x != y and not d.has_arc(x, y)]
+            chosen = [inside[0]] + [p for p in inside if not set(p) & set(inside[0])][:1]
+            for pairs in (((terms[0], terms[1]), (terms[2], terms[3])), tuple(chosen)):
+                for skip_audit in (False, True):
+                    outcomes.append(self._both(monkeypatch, spec, pairs, skip_audit))
+        assert outcomes.count("linked") >= 80, outcomes
+
+    def test_golden_composition_cases(self, monkeypatch):
+        import test_golden_reports as golden
+
+        calls = []
+
+        def record(spec, pairs, skip_audit=False):
+            calls.append((spec, pairs, skip_audit))
+            return solve_composition(spec, pairs, skip_audit=skip_audit)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(golden, "solve_composition", record)
+            names = [name for name in golden.CASES if name.startswith("composition")]
+            for name in names:
+                golden.CASES[name]()
+        assert len(calls) == len(names) >= 14
+        outcomes = {self._both(monkeypatch, *call) for call in calls}
+        assert outcomes == {"linked", "stage_failed", "hypothesis_violated"}
