@@ -19,7 +19,7 @@ from itertools import combinations
 from math import factorial
 
 from .connectivity import is_k_strong, kappa, local_connectivity, min_vertex_menger
-from .digraph import Digraph, compose, iter_bits, mask_of
+from .digraph import Digraph, iter_bits, mask_of
 from .dominators import is_in_king, nearly_in_dominating_vertex, verify_nearly_in_dominating
 from .errors import ConstructionFailedError, PreconditionViolatedError
 from .generators import (
@@ -33,7 +33,7 @@ from .generators import (
 from .linkage_composition import solve_composition, strip_intra_part_arcs
 from .linkage_lqt import build_auxiliary, pool_threshold, find_short_anchor_pair, solve_lqt, verify_short_anchor
 from .linkage_semicomplete import solve_semicomplete
-from .paths import Infeasible, LinkageInstance, PathSystem
+from .paths import Infeasible, LinkageInstance
 from .verify import brute_force_disjoint_paths, brute_force_k_linked, verify_linkage
 
 
@@ -221,10 +221,10 @@ def _c5_composition_checks():
             sizes[sizes.index(max(sizes))] -= 1
         spec = random_composition(h, sizes, (i % 4) * 0.25, 51_000 + i, part_arcs=True)
         i += 1
-        if any(p.alive_mask.bit_count() >= 2 and p.is_strong() for p in spec.parts):
+        d = spec.digraph
+        if any(m.bit_count() >= 2 and d._restrict(m).is_strong() for m in spec.part_masks):
             continue
         done += 1
-        d = compose(spec)
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
         if kappa(d) != kappa(d0):
             mismatch += 1
@@ -254,7 +254,7 @@ def _composition_instances(count: int):
     while len(found) < count:
         spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
         seed += 1
-        d = compose(spec)
+        d = spec.digraph
         if d.min_out_degree() < 46 or not is_k_strong(d, 6):
             continue
         pair_opts = [
@@ -279,7 +279,7 @@ def _composition_instances(count: int):
 
 def _c6_non_linked_reproduction():
     spec, bad_pairs = non_linked_family(3)
-    d = compose(spec)
+    d = spec.digraph
     strong_enough = kappa(d) >= 1
     not_linked = brute_force_k_linked(d, 3) is not True
     bad_infeasible = isinstance(brute_force_disjoint_paths(d, bad_pairs), Infeasible)
@@ -303,7 +303,7 @@ def _lqt_instances(count: int, h: int, seed0: int):
     while len(found) < count:
         spec = random_extended_tournament(h, [3] * h, seed)
         seed += 1
-        d = compose(spec)
+        d = spec.digraph
         if d.is_strong():
             found.append((spec, d))
     return found
@@ -323,7 +323,7 @@ def _c7_lqt_substitutes():
     while len(built) < 50:
         spec = random_extended_tournament(14, [3] * 14, seed)
         seed += 1
-        d = compose(spec)
+        d = spec.digraph
         if not d.is_strong():
             continue
         parts = spec.part_vertex_ids()

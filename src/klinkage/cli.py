@@ -114,19 +114,13 @@ def _cmd_gen(args) -> int:
         else:
             spec = random_extended_tournament(len(sizes), sizes, args.seed)
         meta["part_sizes"] = sizes
-        from .digraph import compose
-
-        d = compose(spec)
-        parts = spec.part_vertex_ids()
+        d, parts = spec.digraph, spec.part_vertex_ids()
     elif args.family == "non-linked":
         core = None
         if args.core:
             core, _ = _read_digraph(args.core)
         spec, bad_pairs = non_linked_family(args.k, core)
-        from .digraph import compose
-
-        d = compose(spec)
-        parts = spec.part_vertex_ids()
+        d, parts = spec.digraph, spec.part_vertex_ids()
         meta.pop("seed")
         meta["k"] = args.k
         meta["bad_pairs"] = [list(p) for p in bad_pairs]

@@ -14,7 +14,7 @@ threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -202,17 +202,6 @@ class Digraph:
             inc[v] |= 1 << u
         return self._replace(self._alive, out, inc)
 
-    def shifted(self, offset: int, capacity: int) -> "Digraph":
-        """Re-embed this digraph with all ids moved up by ``offset``."""
-        if offset < 0 or self.n + offset > capacity:
-            raise InputError("shift does not fit in capacity")
-        out = [0] * capacity
-        inc = [0] * capacity
-        for v in self.vertices():
-            out[v + offset] = self._out[v] << offset
-            inc[v + offset] = self._in[v] << offset
-        return Digraph(capacity, self._alive << offset, out, inc)
-
     # -- reachability -----------------------------------------------------
 
     def reach_mask(self, start: int, forward: bool = True) -> int:
@@ -373,83 +362,81 @@ def spanning_tournament(d: Digraph) -> Digraph:
 
 @dataclass(frozen=True)
 class CompositionSpec:
-    """An outer digraph plus pre-embedded parts describing a composition.
+    """A composition: an outer digraph whose vertices carry parts, realized.
 
-    ``outer`` lives on ids 0..h-1; ``parts[i]`` is a digraph over the shared
-    realization id space whose alive set is the i-th part.  Part alive sets
-    must be pairwise disjoint.  ``digraph`` is the realized digraph, equal
-    to ``compose(spec)``, when the spec was recovered from it by
-    ``composition_from_digraph``; ``solve_composition`` then solves it
-    without composing again.  Specs built from an outer digraph and parts
-    leave it None.  It is neither compared nor shown in the repr.
+    ``outer`` lives on ids 0..h-1.  ``digraph`` is the realized digraph: the
+    part arcs, plus the full bundle from part i to part j along every outer
+    arc.  ``part_masks[i]`` is the vertex mask, in ``digraph``, of the part
+    the i-th alive outer vertex carries.  Build one with
+    ``from_local_parts`` or recover one with ``composition_from_digraph``.
     """
 
     outer: Digraph
-    parts: tuple[Digraph, ...]
-    digraph: Digraph | None = field(default=None, compare=False, repr=False)
+    digraph: Digraph
+    part_masks: tuple[int, ...]
 
     @classmethod
     def from_local_parts(cls, outer: Digraph, local_parts: Sequence[Digraph]) -> "CompositionSpec":
-        """Embed locally-numbered parts consecutively into one id space."""
-        capacity = sum(p.n for p in local_parts)
-        embedded = []
-        offset = 0
-        for p in local_parts:
-            embedded.append(p.shifted(offset, capacity))
-            offset += p.n
-        return cls(outer, tuple(embedded))
+        """Embed locally-numbered parts consecutively into one id space and
+        realize the composition.
+
+        The i-th alive outer vertex carries the i-th part.  Every vertex of a
+        part keeps its part masks, shifted by the part's offset, ORed with
+        the part masks over the outer out-neighbours (out-mask) and
+        in-neighbours (in-mask) of its carrier.
+        """
+        h = outer.order
+        if h < 2:
+            raise InputError("outer digraph needs at least 2 vertices")
+        if h != len(local_parts):
+            raise InputError(f"outer has {h} vertices but {len(local_parts)} parts given")
+        carriers = list(iter_bits(outer._alive))
+        offsets = []
+        part_mask = [0] * outer.n
+        capacity = 0
+        for hid, p in zip(carriers, local_parts):
+            offsets.append(capacity)
+            part_mask[hid] = p._alive << capacity
+            capacity += p.n
+        out = [0] * capacity
+        inc = [0] * capacity
+        for hid, p, offset in zip(carriers, local_parts, offsets):
+            succ = _union(part_mask, outer._out[hid])
+            pred = _union(part_mask, outer._in[hid])
+            for v in iter_bits(p._alive):
+                out[v + offset] = p._out[v] << offset | succ
+                inc[v + offset] = p._in[v] << offset | pred
+        masks = tuple(part_mask[hid] for hid in carriers)
+        return cls(outer, Digraph(capacity, _union(part_mask, outer._alive), out, inc), masks)
 
     def part_vertex_ids(self) -> list[list[int]]:
-        return [list(p.vertices()) for p in self.parts]
+        return [list(iter_bits(m)) for m in self.part_masks]
 
 
 def compose(spec: CompositionSpec) -> Digraph:
-    """Realize the composition: part arcs plus full bundles along outer arcs.
-
-    The i-th alive outer vertex carries the i-th part.  Every vertex of a
-    part keeps its part masks, ORed with the part masks over the outer
-    out-neighbours (out-mask) and in-neighbours (in-mask) of its carrier.
-    """
-    h = spec.outer.order
-    if h < 2:
-        raise InputError("outer digraph needs at least 2 vertices")
-    if h != len(spec.parts):
-        raise InputError(f"outer has {h} vertices but {len(spec.parts)} parts given")
-    capacities = {p.n for p in spec.parts}
-    if len(capacities) != 1:
-        raise InputError("parts must share one id space")
-    capacity = capacities.pop()
-
-    alive = 0
-    for p in spec.parts:
-        if alive & p.alive_mask:
-            raise InputError("part vertex sets overlap")
-        alive |= p.alive_mask
-
-    outer = spec.outer
-    carriers = list(zip(iter_bits(outer._alive), spec.parts))
-    part_mask = [0] * outer.n
-    for hid, p in carriers:
-        part_mask[hid] = p._alive
-    out = [0] * capacity
-    inc = [0] * capacity
-    for hid, p in carriers:
-        succ = _union(part_mask, outer._out[hid])
-        pred = _union(part_mask, outer._in[hid])
-        for v in iter_bits(p._alive):
-            out[v] = p._out[v] | succ
-            inc[v] = p._in[v] | pred
-    return Digraph(capacity, alive, out, inc)
+    """The realized digraph of ``spec``, which the spec holds.  Kept because
+    ``perfbench/workloads.py`` calls ``kl.compose(spec)``."""
+    return spec.digraph
 
 
 def partition_masks(d: Digraph, parts: Iterable[Iterable[int]]) -> list[int]:
-    """Each part's vertex mask, once the parts are checked to partition d."""
-    masks = [mask_of(p) for p in parts]
+    """Each part's vertex mask, once the parts are checked to partition d:
+    every id is a vertex of d, no part repeats one, no two share one, and
+    together they cover d."""
+    masks = []
     union = 0
-    for m in masks:
+    for part in parts:
+        m = 0
+        for v in part:
+            if not d.has_vertex(v):
+                raise InputError(f"part vertex {v} not in digraph", vertices=(v,))
+            if m >> v & 1:
+                raise InputError(f"part repeats vertex {v}", vertices=(v,))
+            m |= 1 << v
         if m & union:
             raise InputError("part vertex sets overlap")
         union |= m
+        masks.append(m)
     if union != d.alive_mask:
         raise InputError("parts do not cover the digraph")
     return masks
@@ -462,7 +449,7 @@ def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> C
     of parts: part i sends the full bundle to part j when j lies in the AND
     of i's out-rows, and none when j misses their OR.  Cross arcs are
     counted only to word the error.  The spec keeps ``d`` as its
-    ``digraph``, which the bundle check shows equals ``compose`` of it.
+    ``digraph`` and the checked part masks as its ``part_masks``.
     """
     masks = partition_masks(d, part_ids)
     h = len(masks)
@@ -483,6 +470,4 @@ def composition_from_digraph(d: Digraph, part_ids: Sequence[Iterable[int]]) -> C
                     f"parts {i}->{j}: {cross} of {m.bit_count() * mj.bit_count()} "
                     "cross arcs present"
                 )
-    outer = Digraph.from_arcs(h, outer_arcs)
-    parts = tuple(d._restrict(m) for m in masks)
-    return CompositionSpec(outer, parts, d)
+    return CompositionSpec(Digraph.from_arcs(h, outer_arcs), d, tuple(masks))

@@ -8,7 +8,7 @@ written from generated digraphs so runs can be replayed.
 
 from __future__ import annotations
 
-from .digraph import CompositionSpec, Digraph, compose
+from .digraph import CompositionSpec, Digraph
 from .errors import BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError
 
 __all__ = [

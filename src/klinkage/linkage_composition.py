@@ -15,7 +15,6 @@ from .digraph import (
     CompositionSpec,
     Digraph,
     _union,
-    compose,
     is_semicomplete,
     iter_bits,
     mask_of,
@@ -200,15 +199,12 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     holds at every peeling depth once it holds at the top: a peel or a
     two-part route deletes at most 2 vertices outside any part and one pair,
     which lowers the threshold by 2.  Linked outcomes are certified against
-    the original digraph, never the filled one: the spec's kept digraph
-    when it was recovered by ``composition_from_digraph``, else
-    ``compose(spec)``.
+    the spec's realized digraph, never the filled one.
     """
-    d = spec.digraph if spec.digraph is not None else compose(spec)
+    d, part_masks = spec.digraph, spec.part_masks
     pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)  # validates terminals
     k = instance.k
-    part_masks = [p.alive_mask for p in spec.parts]
 
     audit: dict = {"class": "composition", "k": k,
                    "outer_semicomplete": is_semicomplete(spec.outer),

@@ -1,17 +1,17 @@
 """Arc-walking composition builders, used only as test oracles.
 
-``ref_compose`` ORs every part's masks in, then walks each outer arc and
-adds the full bundle between its two parts vertex by vertex.
-``ref_fill_parts`` lists every synthetic arc of the filling and adds them
-with ``Digraph.add_arcs``.  These are the versions ``compose`` and
-``fill_parts`` replaced with per-part masks; the tests require identical
-masks, or the identical exception, from both, and from the solver's one
-fill pass over the unstripped digraph, ``_fill_interiors``.
+``ref_compose`` embeds each locally-numbered part at its offset arc by
+arc, then walks each outer arc and adds the full bundle between its two
+parts vertex by vertex.  ``ref_fill_parts`` lists every synthetic arc of
+the filling and adds them with ``Digraph.add_arcs``.  These are the
+versions ``CompositionSpec.from_local_parts`` and ``fill_parts`` replaced
+with per-part masks; the tests require the identical spec and masks, or
+the identical exception, from both, and from the solver's one fill pass
+over the unstripped digraph, ``_fill_interiors``.
 ``ref_composition_from_digraph`` counts the cross arcs of every ordered
-pair of parts vertex by vertex and keeps no digraph; the tests require the
-same outer digraph and parts, or the same ``InputError``, from
-``composition_from_digraph``, which tests each bundle with one OR and one
-AND of a part's out-rows and keeps the digraph it was given.  ``ref_minimalize_path``
+pair of parts vertex by vertex; the tests require the same spec, or the
+same ``InputError``, from ``composition_from_digraph``, which tests each
+bundle with one OR and one AND of a part's out-rows.  ``ref_minimalize_path``
 repeats the shortest-path call inside V(path) until it returns its input;
 ``minimalize_path`` makes the call once, and the tests require the same path.
 ``ref_two_part_route`` scans the free vertices of the opposite part one by
@@ -25,41 +25,27 @@ from klinkage.digraph import CompositionSpec, Digraph, iter_bits, mask_of, parti
 from klinkage.errors import InputError
 
 
-def ref_compose(spec) -> Digraph:
-    """Realize the composition: part arcs plus full bundles along outer arcs."""
-    h = spec.outer.order
+def ref_compose(outer: Digraph, local_parts) -> CompositionSpec:
+    """Realize the composition of locally-numbered parts, embedded
+    consecutively: part arcs at their offsets plus full bundles along outer
+    arcs."""
+    h = outer.order
     if h < 2:
         raise InputError("outer digraph needs at least 2 vertices")
-    if h != len(spec.parts):
-        raise InputError(f"outer has {h} vertices but {len(spec.parts)} parts given")
-    capacities = {p.n for p in spec.parts}
-    if len(capacities) != 1:
-        raise InputError("parts must share one id space")
-    capacity = capacities.pop()
-
-    alive = 0
-    for p in spec.parts:
-        if alive & p.alive_mask:
-            raise InputError("part vertex sets overlap")
-        alive |= p.alive_mask
-
-    outer_ids = list(spec.outer.vertices())
-    part_index = {hid: i for i, hid in enumerate(outer_ids)}
-    out = [0] * capacity
-    inc = [0] * capacity
-    for p in spec.parts:
-        for v in p.vertices():
-            out[v] |= p.out_mask(v)
-            inc[v] |= p.in_mask(v)
-    for hi in outer_ids:
-        for hj in iter_bits(spec.outer.out_mask(hi)):
-            src_mask = spec.parts[part_index[hi]].alive_mask
-            dst_mask = spec.parts[part_index[hj]].alive_mask
-            for v in iter_bits(src_mask):
-                out[v] |= dst_mask
-            for w in iter_bits(dst_mask):
-                inc[w] |= src_mask
-    return Digraph(capacity, alive, out, inc)
+    if h != len(local_parts):
+        raise InputError(f"outer has {h} vertices but {len(local_parts)} parts given")
+    capacity = sum(p.n for p in local_parts)
+    arcs = []
+    members = {}
+    offset = 0
+    for hid, p in zip(outer.vertices(), local_parts):
+        members[hid] = [v + offset for v in p.vertices()]
+        arcs += [(u + offset, v + offset) for u, v in p.arcs()]
+        offset += p.n
+    for hi, hj in outer.arcs():
+        arcs += [(u, v) for u in members[hi] for v in members[hj]]
+    d = Digraph.from_arcs(capacity, arcs).induced(v for vs in members.values() for v in vs)
+    return CompositionSpec(outer, d, tuple(mask_of(vs) for vs in members.values()))
 
 
 def ref_fill_parts(d0: Digraph, parts, ys) -> Digraph:
@@ -84,7 +70,8 @@ def ref_fill_parts(d0: Digraph, parts, ys) -> Digraph:
 def ref_composition_from_digraph(d: Digraph, part_ids) -> CompositionSpec:
     """Recover a spec by counting each pair of parts' cross arcs vertex by
     vertex: all of them is an outer arc, none is no arc, anything else an
-    error.  Fewer than two parts fail as ``compose`` fails on such a spec."""
+    error.  Fewer than two parts fail as ``from_local_parts`` fails on such
+    a spec."""
     masks = partition_masks(d, part_ids)
     h = len(masks)
     if h < 2:
@@ -102,9 +89,7 @@ def ref_composition_from_digraph(d: Digraph, part_ids) -> CompositionSpec:
                 raise InputError(
                     f"parts {i}->{j}: {cross} of {full} cross arcs present"
                 )
-    outer = Digraph.from_arcs(h, outer_arcs)
-    parts = tuple(d.induced(iter_bits(m)) for m in masks)
-    return CompositionSpec(outer, parts)
+    return CompositionSpec(Digraph.from_arcs(h, outer_arcs), d, tuple(masks))
 
 
 def ref_minimalize_path(d: Digraph, path) -> list[int]:

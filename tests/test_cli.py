@@ -302,6 +302,22 @@ class TestInvalidInputExitTwo:
         assert (code, out, err.getvalue()) == (
             2, "", "error: InputError: outer digraph needs at least 2 vertices\n")
 
+    def test_part_repeating_a_vertex(self, workdir):
+        path = os.path.join(workdir, "repeat.json")
+        run_cli(["gen", "--family", "composition", "--part-sizes", "2,3,2", "--p-double", "0.5",
+                 "--seed", "3", "-o", path])
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["parts"] == [[0, 1], [2, 3, 4], [5, 6]]
+        doc["parts"] = [[0, 1], [2, 3, 4], [5, 6, 6]]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["solve", "--input", path, "--class", "composition",
+                                 "--pairs", "0:2", "--skip-audit"])
+        assert (code, out, err.getvalue()) == (2, "", "error: InputError: part repeats vertex 6\n")
+
     def test_lqt_below_one_before_the_input_is_read(self, workdir):
         # the length is refused first, so a missing file is never opened
         err = io.StringIO()
@@ -530,7 +546,7 @@ _malformed_path_docs = st.one_of(_json_values.map(json.dumps), st.text(max_size=
 
 
 @st.composite
-def _cli_runs(draw):
+def _cli_runs(draw, commands=("gen", "check", "solve", "verify", "oracle")):
     """(argv with {g}/{p}/{o}/{missing} file placeholders, digraph text, path system text).
 
     Half of the runs are clean: every value parses and the documents are
@@ -555,7 +571,7 @@ def _cli_runs(draw):
     pairs = ",".join(f"{a}:{b}" for a, b in zip(terminals[:k], terminals[k:2 * k]))
     pairs = draw(either(st.just(pairs or "0:1"), st.text(alphabet="0123456789:,- x", max_size=8)))
     input_file = draw(either(st.just("{g}"), st.just("{missing}")))
-    command = draw(st.sampled_from(["gen", "check", "solve", "verify", "oracle"]))
+    command = draw(st.sampled_from(commands))
     argv = [command]
 
     def maybe(flag, values):
@@ -612,22 +628,70 @@ def _cli_runs(draw):
     return argv, doc_text, paths_text
 
 
+# per command, the flags with a smallest legal value (for solve, with --class lqt)
+_RANGED = {"solve": (("--threshold", 1), ("--anchor-budget", 0), ("--l", 2)),
+           "check": (("--lqt", 1),), "oracle": (("--budget", 0),)}
+
+
+def _below_range(argv) -> bool:
+    """The argv sets a budget, pool threshold or path length below its
+    smallest legal value: malformed input, whatever the documents hold."""
+    if argv[0] == "solve" and argv[argv.index("--class") + 1] != "lqt":
+        return False
+    return any(flag in argv and int(argv[argv.index(flag) + 1]) < low
+               for flag, low in _RANGED.get(argv[0], ()))
+
+
+@st.composite
+def _below_range_runs(draw):
+    """A run of a command with range-checked flags, one of them set below
+    its smallest legal value."""
+    argv, doc, paths = draw(_cli_runs(commands=tuple(_RANGED)))
+    if argv[0] == "solve":
+        argv[argv.index("--class") + 1] = "lqt"
+    flag, low = draw(st.sampled_from(_RANGED[argv[0]]))
+    value = str(draw(st.integers(-1, low - 1)))
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv, doc, paths
+
+
+def _run_fuzzed(argv, doc, paths):
+    """The run's argv with its files filled in, its exit code and its stdout."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, name) for name in ("g", "p", "o", "missing")}
+        for name, text in (("g", doc), ("p", paths)):
+            with open(files[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [a.format(**files) for a in argv]
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    return argv, code, out.getvalue()
+
+
 class TestFuzz:
-    """Random argv and documents: every run exits 0-4 and raises nothing."""
+    """Random argv and documents: every run exits 0-4 and raises nothing,
+    and a run with a flag below its range exits 2 with nothing on stdout."""
 
     @given(_cli_runs())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_exit_code_in_range(self, run):
-        argv, doc, paths = run
-        with tempfile.TemporaryDirectory() as tmp:
-            files = {name: os.path.join(tmp, name) for name in ("g", "p", "o", "missing")}
-            for name, text in (("g", doc), ("p", paths)):
-                with open(files[name], "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            argv = [a.format(**files) for a in argv]
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the argv
-                    code = exc.code
-        assert code in (0, 1, 2, 3, 4), (argv, doc, paths)
+        argv, code, out = _run_fuzzed(*run)
+        assert code in (0, 1, 2, 3, 4), (argv, *run[1:])
+        if _below_range(argv):
+            assert (code, out) == (2, ""), (argv, *run[1:])
+
+    @given(_below_range_runs())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_flag_below_range_is_exit_two(self, run):
+        """About one example in thirty above sets a flag below its range;
+        every example here does."""
+        assert _below_range(run[0])
+        argv, code, out = _run_fuzzed(*run)
+        assert (code, out) == (2, ""), (argv, *run[1:])

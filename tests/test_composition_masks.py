@@ -1,12 +1,12 @@
-"""``compose`` and ``fill_parts`` against the arc-walking builders they
-replaced (``tests/ref_composition.py``): identical ``n``, alive mask, out-
+"""``CompositionSpec.from_local_parts`` and ``fill_parts`` against the
+arc-walking builders they replaced (``tests/ref_composition.py``): the
+identical outer digraph, part masks and realized ``n``, alive mask, out-
 and in-masks, or the identical exception class and message; the solver's
 one fill pass, ``_fill_interiors`` on the unstripped digraph, against both.
 ``composition_from_digraph`` against the cross-arc count it replaced: the
-same outer digraph and parts and a kept digraph equal to ``compose`` of
-the spec, or the same ``InputError``.  The two-part route against the
-vertex-by-vertex scan it replaced: the same pair and the same (lowest)
-middle."""
+same spec, holding the digraph it was given, or the same ``InputError``.
+The two-part route against the vertex-by-vertex scan it replaced: the same
+pair and the same (lowest) middle."""
 
 from __future__ import annotations
 
@@ -18,18 +18,20 @@ from ref_composition import (
     ref_two_part_route,
 )
 
-from klinkage import CompositionSpec, Digraph, compose, fill_parts, strip_intra_part_arcs
-from klinkage.digraph import composition_from_digraph, iter_bits, mask_of, partition_masks
+from klinkage import CompositionSpec, Digraph, fill_parts, strip_intra_part_arcs
+from klinkage.digraph import composition_from_digraph, mask_of, partition_masks
 from klinkage.generators import SplitMix64, random_composition, random_digraph
 from klinkage.linkage_composition import _fill_interiors, _two_part_route
 
 
 def _masks(d):
+    if isinstance(d, CompositionSpec):
+        return ("built", _masks(d.outer), _masks(d.digraph), d.part_masks)
     return ("built", d.n, d._alive, list(d._out), list(d._in))
 
 
 def _outcome(build, *args):
-    """The built digraph's masks, or the exception's class and message."""
+    """The built digraph's or spec's masks, or the exception's class and message."""
     try:
         d = build(*args)
     except Exception as exc:  # the two builders must fail alike
@@ -42,13 +44,13 @@ def _check_pair(build, ref_build, *args):
     want, _ = _outcome(ref_build, *args)
     assert got == want, args
     if d is not None:
-        assert_in_masks_transpose(d)
+        assert_in_masks_transpose(d.digraph if isinstance(d, CompositionSpec) else d)
     return d
 
 
-def _random_spec(rng: SplitMix64, trial: int):
-    """A spec from random outer and part digraphs; about one in six is
-    malformed on purpose (wrong arity, capacities, overlap)."""
+def _random_parts(rng: SplitMix64, trial: int):
+    """A random outer digraph and as many random local parts as it has
+    vertices; about one in twelve has one part too many or too few."""
     h = 2 + rng.randrange(6)
     outer = random_digraph(h, 300_000 + trial, 1 + rng.randrange(9))
     if rng.randrange(10) < 3:
@@ -61,13 +63,7 @@ def _random_spec(rng: SplitMix64, trial: int):
         count -= 1
     local = [random_digraph(1 + rng.randrange(4), 310_000 + 8 * trial + i, rng.randrange(11))
              for i in range(count)]
-    spec = CompositionSpec.from_local_parts(outer, local)
-    parts = list(spec.parts)
-    if flaw == 2:
-        parts[-1] = parts[-1].shifted(0, parts[-1].n + 1)
-    elif flaw == 3 and len(parts) >= 2:
-        parts[1] = parts[0]
-    return CompositionSpec(outer, tuple(parts))
+    return outer, local
 
 
 def _check_fill(rng: SplitMix64, spec: CompositionSpec, d):
@@ -100,41 +96,51 @@ def test_random_specs_match_arc_walk():
     rng = SplitMix64(4_242)
     seen = {"built": 0, "error": 0, "two-cycle": 0, "deleted": 0}
     for trial in range(3_200):
-        spec = _random_spec(rng, trial)
-        d = _check_pair(compose, ref_compose, spec)
-        seen["built" if d is not None else "error"] += 1
-        seen["two-cycle"] += any(spec.outer.has_arc(v, u) for u, v in spec.outer.arcs())
-        seen["deleted"] += spec.outer.order < spec.outer.n
-        if d is not None:
-            _check_fill(rng, spec, d)
+        outer, local = _random_parts(rng, trial)
+        spec = _check_pair(CompositionSpec.from_local_parts, ref_compose, outer, local)
+        seen["built" if spec is not None else "error"] += 1
+        seen["two-cycle"] += any(outer.has_arc(v, u) for u, v in outer.arcs())
+        seen["deleted"] += outer.order < outer.n
+        if spec is not None:
+            _check_fill(rng, spec, spec.digraph)
     assert seen["error"] >= 100, seen
     assert seen["two-cycle"] >= 1_000, seen
     assert seen["deleted"] >= 600, seen
 
 
+def _local_parts(spec: CompositionSpec):
+    """The parts of a realized spec renumbered from 0, read arc by arc."""
+    local = []
+    for ids in spec.part_vertex_ids():
+        index = {v: i for i, v in enumerate(ids)}
+        local.append(Digraph.from_arcs(len(ids), [(index[u], index[v]) for u, v in spec.digraph.arcs()
+                                                  if u in index and v in index]))
+    return local
+
+
 def test_pool_shape_specs_match_arc_walk():
-    """20 parts of 3 with part arcs, as in the ``composition`` benchmark pool,
-    also rebuilt from the realized digraph as the CLI loads it."""
+    """20 parts of 3 with part arcs, as in the ``composition`` benchmark pool:
+    the arc walk over the parts read back from the realized digraph builds
+    the same spec, and so does recovering it as the CLI loads it."""
     rng = SplitMix64(4_243)
     for seed in range(7_000, 7_024):
         spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
-        d = _check_pair(compose, ref_compose, spec)
-        _check_fill(rng, spec, d)
-        loaded = composition_from_digraph(d, [list(iter_bits(p.alive_mask)) for p in spec.parts])
-        assert _check_pair(compose, ref_compose, loaded) == d
-        assert loaded.digraph is d
+        assert _masks(ref_compose(spec.outer, _local_parts(spec))) == _masks(spec)
+        assert_in_masks_transpose(spec.digraph)
+        _check_fill(rng, spec, spec.digraph)
+        loaded = composition_from_digraph(spec.digraph, spec.part_vertex_ids())
+        assert loaded == spec and _masks(loaded) == _masks(spec)
+        assert loaded.digraph is spec.digraph
 
 
 def _recovery(recover, d, part_ids):
-    """The recovered outer and part masks plus the spec, or the error."""
+    """The recovered spec's masks plus the spec, or the error."""
     try:
         spec = recover(d, part_ids)
     except Exception as exc:  # the two recoveries must fail alike
         return ("error", type(exc), str(exc)), None
-    for p in spec.parts:
-        assert_in_masks_transpose(p)
     assert_in_masks_transpose(spec.outer)
-    return ("built", [_masks(g) for g in (spec.outer, *spec.parts)]), spec
+    return _masks(spec), spec
 
 
 def _perturbed_composition(rng: SplitMix64, trial: int):
@@ -148,7 +154,7 @@ def _perturbed_composition(rng: SplitMix64, trial: int):
                             330_000 + 9 * trial + i, rng.randrange(11)) for i in range(h)]
     if h >= 2:
         spec = CompositionSpec.from_local_parts(outer, local)
-        d, parts = compose(spec), spec.part_vertex_ids()
+        d, parts = spec.digraph, spec.part_vertex_ids()
     else:  # no outer digraph to compose on: the parts side by side, no arc between
         d = Digraph.from_arcs(sum(p.n for p in local), [])
         parts = [list(range(sum(p.n for p in local[:i]), sum(p.n for p in local[:i + 1])))
@@ -169,9 +175,8 @@ def _perturbed_composition(rng: SplitMix64, trial: int):
 
 def test_recovery_matches_cross_arc_count():
     """1,500 realized compositions, about a third with a cross arc removed or
-    added: the same outer arcs, parts and masks as the vertex-by-vertex count,
-    or the same error, and a kept digraph that is the input and equals
-    ``compose`` of the recovered spec."""
+    added: the same outer arcs and part masks as the vertex-by-vertex count,
+    or the same error, and the input as the spec's digraph."""
     rng = SplitMix64(4_245)
     seen = {"built": 0, "bundle": 0, "under-two-parts": 0, "empty-part": 0, "two-cycle": 0}
     for trial in range(1_500):
@@ -185,8 +190,7 @@ def test_recovery_matches_cross_arc_count():
         seen["built"] += 1
         seen["empty-part"] += any(not p for p in parts)
         seen["two-cycle"] += any(spec.outer.has_arc(v, u) for u, v in spec.outer.arcs())
-        assert spec.digraph is d
-        assert _outcome(compose, spec)[0] == _masks(d), trial
+        assert spec.digraph is d, trial
     assert min(seen.values()) >= 100, seen
 
 
@@ -200,10 +204,10 @@ def test_two_part_route_matches_vertex_scan():
     for seed in range(8_000, 8_600):
         spec = random_composition(2, [2 + rng.randrange(6), 2 + rng.randrange(6)], 0.7, seed,
                                   part_arcs=rng.randrange(2) == 1)
-        d = compose(spec)
+        d = spec.digraph
         if rng.randrange(3) == 0:
             d = d.delete([rng.randrange(d.n)])
-        masks = [p.alive_mask & d.alive_mask for p in spec.parts]
+        masks = [m & d.alive_mask for m in spec.part_masks]
         ids = rng.sample(list(d.vertices()), 2 * min(2 + rng.randrange(3), d.order // 2))
         pairs = list(zip(ids[::2], ids[1::2]))
         got = _two_part_route(d, masks, pairs)

@@ -11,12 +11,14 @@ from klinkage import (
     is_tournament,
     nearly_in_dominating_vertex,
     spanning_tournament,
+    strip_intra_part_arcs,
 )
 import klinkage.digraph
 from klinkage.digraph import iter_bits
 from klinkage.errors import BudgetExceededError, InputError, PreconditionViolatedError
 from klinkage.generators import (
     SplitMix64,
+    random_composition,
     random_digraph,
     random_extended_tournament,
     random_semicomplete,
@@ -292,20 +294,12 @@ class TestComposition:
         spec = CompositionSpec.from_local_parts(tri, [Digraph.from_arcs(1, [])] * 3)
         assert compose(spec) == tri
 
-    def test_part_overlap_rejected(self):
-        two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
-        part = Digraph.from_arcs(2, [])
-        with pytest.raises(InputError, match="part vertex sets overlap"):
-            compose(CompositionSpec(two, (part, part)))
-
     def test_arity_mismatch(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         with pytest.raises(InputError, match="parts given"):
             compose(CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, [])]))
 
     def test_strip_and_readd_reproduces_arcs(self):
-        from klinkage import strip_intra_part_arcs
-
         spec = CompositionSpec.from_local_parts(
             random_semicomplete(3, 0.5, 4),
             [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(2, [(1, 0)]), Digraph.from_arcs(1, [])],
@@ -313,7 +307,8 @@ class TestComposition:
         d = compose(spec)
         parts = spec.part_vertex_ids()
         stripped = strip_intra_part_arcs(d, parts)
-        intra = [a for p in spec.parts for a in p.arcs()]
+        intra = [a for ids in parts for a in d.induced(ids).arcs()]
+        assert intra == [(0, 1), (3, 2)]
         assert set(stripped.add_arcs(intra).arcs()) == set(d.arcs())
 
     def test_recover_spec_roundtrip(self):
@@ -324,6 +319,20 @@ class TestComposition:
         d = compose(spec)
         back = composition_from_digraph(d, spec.part_vertex_ids())
         assert compose(back) == d
+
+    @pytest.mark.parametrize("last, message", [
+        ([5, 6, 6], "part repeats vertex 6"),
+        ([5, 6, -1], "part vertex -1 not in digraph"),
+        ([5, 6, 7], "part vertex 7 not in digraph"),
+    ], ids=["repeat", "negative", "out-of-range"])
+    def test_part_lists_hold_vertices_once(self, last, message):
+        # a repeat used to fold into its part's mask and the list passed; a
+        # negative id raised ValueError, one past the end "do not cover"
+        spec = random_composition(3, [2, 3, 2], 0.5, 3)
+        parts = [[0, 1], [2, 3, 4], last]
+        for check in (composition_from_digraph, strip_intra_part_arcs):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                check(spec.digraph, parts)
 
     @pytest.mark.parametrize("parts", [[[0, 1, 2, 3]], []], ids=["one-part", "no-part"])
     def test_recover_needs_two_parts(self, parts):

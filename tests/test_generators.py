@@ -92,7 +92,7 @@ class TestRandomComposition:
     def test_arc_count_formula(self):
         spec = random_composition(3, [2, 2, 2], 0.5, 6)
         d = compose(spec)
-        sizes = {hv: p.alive_mask.bit_count() for hv, p in zip(spec.outer.vertices(), spec.parts)}
+        sizes = {hv: m.bit_count() for hv, m in zip(spec.outer.vertices(), spec.part_masks)}
         expect = sum(sizes[u] * sizes[v] for u, v in spec.outer.arcs())
         assert d.num_arcs == expect
 
@@ -165,5 +165,4 @@ class TestProp2Family:
     def test_one_big_part_dominates(self):
         spec, _ = non_linked_family(3)
         d = compose(spec)
-        core_part = spec.parts[-1]
-        assert (d.alive_mask & ~core_part.alive_mask).bit_count() <= 2 * 3 - 4
+        assert (d.alive_mask & ~spec.part_masks[-1]).bit_count() <= 2 * 3 - 4

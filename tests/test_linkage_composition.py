@@ -14,7 +14,6 @@ from klinkage import (
 )
 from conftest import assert_in_masks_transpose, out_neighbors
 from ref_composition import ref_minimalize_path
-from klinkage import linkage_composition
 from klinkage.acceptance import brute_kappa
 from klinkage.digraph import composition_from_digraph
 from klinkage.errors import InputError
@@ -57,10 +56,10 @@ class TestStrip:
             sizes = [1 + rng.randrange(3) for _ in range(h)]
             spec = random_composition(h, sizes, 0.4, 71_000 + i, part_arcs=True)
             i += 1
-            if any(p.alive_mask.bit_count() >= 2 and p.is_strong() for p in spec.parts):
+            d = spec.digraph
+            if any(m.bit_count() >= 2 and d._restrict(m).is_strong() for m in spec.part_masks):
                 continue
             done += 1
-            d = compose(spec)
             d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
             assert_in_masks_transpose(d0)
             assert kappa(d) == kappa(d0)
@@ -302,42 +301,35 @@ class TestSolveComposition:
         assert rep.outcome == "hypothesis_violated"
 
 
-class TestKeptDigraph:
-    """A spec recovered by ``composition_from_digraph`` is solved on the
-    digraph it keeps, with ``compose`` made to raise, and its canonical
-    report is byte for byte the one of the same outer digraph and parts
-    solved through ``compose``."""
+class TestRecoveredSpec:
+    """A generator spec is the spec ``composition_from_digraph`` recovers
+    from its digraph and part lists, and the two solve to the same canonical
+    report bytes."""
 
     @staticmethod
-    def _both(monkeypatch, spec, pairs, skip_audit):
-        recovered = composition_from_digraph(compose(spec), spec.part_vertex_ids())
-        composed = solve_composition(CompositionSpec(recovered.outer, recovered.parts), pairs,
-                                     skip_audit=skip_audit)
-
-        def no_compose(_spec):
-            raise AssertionError("a recovered spec was composed again")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(linkage_composition, "compose", no_compose)
-            kept = solve_composition(recovered, pairs, skip_audit=skip_audit)
-        assert dumps_canonical(report_to_obj(kept)) == dumps_canonical(report_to_obj(composed))
+    def _both(spec, pairs, skip_audit):
+        recovered = composition_from_digraph(spec.digraph, spec.part_vertex_ids())
+        assert recovered == spec
+        built = solve_composition(spec, pairs, skip_audit=skip_audit)
+        kept = solve_composition(recovered, pairs, skip_audit=skip_audit)
+        assert dumps_canonical(report_to_obj(kept)) == dumps_canonical(report_to_obj(built))
         return kept.outcome
 
-    def test_pool_shape_specs(self, monkeypatch):
+    def test_pool_shape_specs(self):
         """The 24 pool-shape specs of ``tests/test_composition_masks.py``,
         audited and not, with two random pairs and with two non-adjacent
         pairs inside parts (the ``composition`` pool's choice)."""
         outcomes = []
         for seed in range(7_000, 7_024):
             spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
-            d = compose(spec)
+            d = spec.digraph
             terms = SplitMix64(seed).sample(list(d.vertices()), 4)
             inside = [(x, y) for part in spec.part_vertex_ids() for x in part for y in part
                       if x != y and not d.has_arc(x, y)]
             chosen = [inside[0]] + [p for p in inside if not set(p) & set(inside[0])][:1]
             for pairs in (((terms[0], terms[1]), (terms[2], terms[3])), tuple(chosen)):
                 for skip_audit in (False, True):
-                    outcomes.append(self._both(monkeypatch, spec, pairs, skip_audit))
+                    outcomes.append(self._both(spec, pairs, skip_audit))
         assert outcomes.count("linked") >= 80, outcomes
 
     def test_golden_composition_cases(self, monkeypatch):
@@ -355,5 +347,5 @@ class TestKeptDigraph:
             for name in names:
                 golden.CASES[name]()
         assert len(calls) == len(names) >= 14
-        outcomes = {self._both(monkeypatch, *call) for call in calls}
+        outcomes = {self._both(*call) for call in calls}
         assert outcomes == {"linked", "stage_failed", "hypothesis_violated"}
