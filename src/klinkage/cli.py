@@ -302,10 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--semicomplete", action="store_true")
     check.add_argument("--lqt", type=int, default=None, metavar="L")
     check.add_argument("--king", type=int, default=None, metavar="V")
-    check.add_argument("--nid", action="store_true")
-    check.add_argument("--vertex", type=int, default=None)
-    check.add_argument("--cmax", type=int, default=None)
-    check.add_argument("--profile", action="store_true", help="dump the goodness profile")
+    check.add_argument("--nid", action="store_true", help="nearly in-dominating vertex check")
+    nid_only = "; read with --nid only, ignored otherwise"
+    check.add_argument("--vertex", type=int, default=None,
+                       help="the vertex to check (default: one of largest in-degree in the"
+                            " spanning tournament)" + nid_only)
+    check.add_argument("--cmax", type=int, default=None,
+                       help="check every c from 1 to CMAX (default: the order)" + nid_only)
+    check.add_argument("--profile", action="store_true",
+                       help="dump the goodness profile" + nid_only)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("-o", "--output")
     check.set_defaults(func=_cmd_check)

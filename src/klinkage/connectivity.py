@@ -325,11 +325,10 @@ class _SplitFlow:
         return paths
 
 
-def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int,
-                  provenance: str):
+def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
     want = len(sinks)
     if want == 0:
-        return PathSystem((), (), provenance)
+        return PathSystem((), ())
     net = _SplitFlow(d, sources, sinks, avoid_mask)
     flow = net.run(want)
     if flow < want:
@@ -339,7 +338,7 @@ def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: 
             raise AssertionError("non-avoided separator part must match max flow")
         return Infeasible(separator=sep)
     raw = net.paths()
-    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw), provenance)
+    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw))
 
 
 def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],
@@ -354,7 +353,7 @@ def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],
     if len(xs) != len(ys):
         raise InputError(f"|X|={len(xs)} but |Y|={len(ys)}")
     _validate_sets(d, [("X", xs), ("Y", ys), ("avoid", avoid)])
-    return _solve_menger(d, sorted(xs), sorted(ys), mask_of(avoid), "menger")
+    return _solve_menger(d, sorted(xs), sorted(ys), mask_of(avoid))
 
 
 def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
@@ -369,7 +368,7 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
     if len(us) < len(ys):
         raise InputError(f"need |U| >= |Y|, got {len(us)} < {len(ys)}")
     _validate_sets(d, [("U", us), ("Y", ys), ("avoid", avoid)])
-    result = _solve_menger(d, sorted(us), sorted(ys), mask_of(avoid), "min-vertex-menger")
+    result = _solve_menger(d, sorted(us), sorted(ys), mask_of(avoid))
     if isinstance(result, PathSystem):
         bad = sorted(set(us).intersection(v for p in result.paths for v in p[1:]))
         if bad:

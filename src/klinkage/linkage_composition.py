@@ -101,13 +101,6 @@ def minimalize_path(d: Digraph, path) -> list[int]:
     return shorter
 
 
-def _peel_direct(d: Digraph, pairs):
-    for i, (x, y) in enumerate(pairs):
-        if d.has_arc(x, y):
-            return i
-    return None
-
-
 def _two_part_route(d: Digraph, masks, pairs):
     """Routing when only two parts remain: one pair crosses the
     opposite part through a free vertex.  Returns (pair index, path)."""
@@ -122,84 +115,22 @@ def _two_part_route(d: Digraph, masks, pairs):
     return None
 
 
-def _solve_reduced(d: Digraph, part_masks: list[int], pairs, depth):
-    """The paths for ``pairs``, or the failed (stage, witness).
-
-    No step re-checks the co-size bound: at depth 0 the audit did, and each
-    peel or two-part route deletes at most 2 vertices outside any part while
-    the bound 2k-3 drops by 2.
-    """
-    k = len(pairs)
-    if k == 0:
-        return []
-    live_masks = [m & d.alive_mask for m in part_masks if m & d.alive_mask]
-
-    direct = _peel_direct(d, pairs)
-    if direct is not None:
-        x, y = pairs[direct]
-        rest = _solve_reduced(d.delete({x, y}), part_masks, pairs[:direct] + pairs[direct + 1:],
-                              depth + 1)
-        if isinstance(rest, list):
-            rest.insert(direct, [x, y])
-        return rest
-
-    if k == 1:
-        (x, y), = pairs
-        path = d.shortest_path(x, y)
-        if path is None:
-            return "path", witness_of("target unreachable from its source", (x, y))
-        return [path]
-
-    terminals = [t for p in pairs for t in p]
-    if len(live_masks) < 2:
-        return "degenerate", witness_of("all remaining vertices share one part", terminals,
-                                        {"pairs": k})
-
-    if len(live_masks) == 2:
-        routed = _two_part_route(d, live_masks, pairs)
-        if routed is None:
-            return "two-part", witness_of("no free vertex of the opposite part is a middle",
-                                          terminals, {"pairs": k})
-        i, path = routed
-        rest = _solve_reduced(d.delete(set(path)), part_masks, pairs[:i] + pairs[i + 1:],
-                              depth + 1)
-        if isinstance(rest, list):
-            rest.insert(i, path)
-        return rest
-
-    filled = _fill_interiors(d, live_masks, mask_of(y for _, y in pairs))
-    # the filled digraph inherits the composition's strongness and degree
-    # slack, so the inner audit would only repeat the outer one
-    inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs)), skip_audit=True)
-    if not inner.linked:
-        return "filled-subsolve", report_to_obj(inner)
-
-    part_of = {}
-    for j, m in enumerate(live_masks):
-        for v in iter_bits(m):
-            part_of[v] = j
-    out_paths = []
-    for path in inner.system.paths:
-        minimal = minimalize_path(filled, path)
-        for u, v in zip(minimal, minimal[1:]):
-            if part_of[u] == part_of[v]:
-                raise ConstructionFailedError(
-                    f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
-                    vertices=(u, v), counts={"depth": depth},
-                )
-        out_paths.append(minimal)
-    return out_paths
-
-
 def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) -> SolveReport:
     """Linkage pipeline for semicomplete compositions.
 
     Hypotheses: semicomplete outer digraph, 3k-strong, min out-degree 23k,
-    and at least 2k-3 vertices outside every part.  The co-size threshold
-    holds at every peeling depth once it holds at the top: a peel or a
-    two-part route deletes at most 2 vertices outside any part and one pair,
-    which lowers the threshold by 2.  Linked outcomes are certified against
-    the spec's realized digraph, never the filled one.
+    and at least 2k-3 vertices outside every part.  Past the audit, each
+    round settles one open pair and deletes its path from the running
+    digraph: the first open pair joined by an arc takes that arc, a last
+    open pair takes a shortest path, and with exactly two live parts one
+    pair is routed through the opposite part (``_two_part_route``); with
+    fewer than two live parts the solve fails.  With three or more live
+    parts the rounds stop and one semicomplete solve on the filled digraph
+    settles every open pair at once.  No round re-checks the co-size
+    bound: it holds after every round once it holds at the top, as a peel
+    or a two-part route deletes at most 2 vertices outside any part and one
+    pair, which lowers the threshold by 2.  Linked outcomes are certified
+    against the spec's realized digraph, never the filled one.
     """
     d, part_masks = spec.digraph, spec.part_masks
     pairs = tuple(tuple(p) for p in pairs)
@@ -220,8 +151,55 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     if violation:
         return violation
 
-    paths = _solve_reduced(d, part_masks, list(pairs), 0)
-    if isinstance(paths, tuple):
-        return SolveReport.of_stage(*paths, audit)
-    system = PathSystem(tuple(tuple(p) for p in paths), pairs, "composition-pipeline")
+    rest, open_ids, paths = d, list(range(k)), [None] * k
+    while open_ids:
+        live = [m & rest.alive_mask for m in part_masks if m & rest.alive_mask]
+        i = next((i for i in open_ids if rest.has_arc(*pairs[i])), None)
+        terminals = [t for j in open_ids for t in pairs[j]]
+        if i is not None:
+            path = list(pairs[i])
+        elif len(open_ids) == 1:
+            i, = open_ids
+            path = rest.shortest_path(*pairs[i])
+            if path is None:
+                return SolveReport.of_stage("path", witness_of(
+                    "target unreachable from its source", pairs[i]), audit)
+        elif len(live) < 2:
+            return SolveReport.of_stage("degenerate", witness_of(
+                "all remaining vertices share one part", terminals,
+                {"pairs": len(open_ids)}), audit)
+        elif len(live) > 2:
+            break
+        else:
+            routed = _two_part_route(rest, live, [pairs[j] for j in open_ids])
+            if routed is None:
+                return SolveReport.of_stage("two-part", witness_of(
+                    "no free vertex of the opposite part is a middle", terminals,
+                    {"pairs": len(open_ids)}), audit)
+            j, path = routed
+            i = open_ids[j]
+        paths[i] = path
+        open_ids.remove(i)
+        rest = rest.delete(set(path))
+
+    if open_ids:
+        filled = _fill_interiors(rest, live, mask_of(pairs[i][1] for i in open_ids))
+        # the filled digraph inherits the composition's strongness and degree
+        # slack, so the inner audit would only repeat the outer one
+        inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs[i] for i in open_ids)),
+                                   skip_audit=True)
+        if not inner.linked:
+            return SolveReport.of_stage("filled-subsolve", report_to_obj(inner), audit)
+        part_of = {v: j for j, m in enumerate(live) for v in iter_bits(m)}
+        depth = k - len(open_ids)
+        for i, path in zip(open_ids, inner.system.paths):
+            minimal = minimalize_path(filled, path)
+            for u, v in zip(minimal, minimal[1:]):
+                if part_of[u] == part_of[v]:
+                    raise ConstructionFailedError(
+                        f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
+                        vertices=(u, v), counts={"depth": depth},
+                    )
+            paths[i] = minimal
+    system = PathSystem(tuple(tuple(p) for p in paths), pairs)
     return SolveReport.certified(d, pairs, system, audit)

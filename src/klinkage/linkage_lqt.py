@@ -543,5 +543,5 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         mid = link_real[i]
         tail = tail_path[entry_for_target[ys[i]]]
         final.append(tuple(head + mid[1:] + list(tail[1:])))
-    system = PathSystem(tuple(final), pairs, "lqt-pipeline")
+    system = PathSystem(tuple(final), pairs)
     return SolveReport.certified(d, pairs, system, audit)

@@ -114,7 +114,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
             )
 
     if not anchors:
-        return PathSystem((), (), "anchor")
+        return PathSystem((), ())
 
     alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
     out, inc = d._out, d._in
@@ -156,7 +156,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
                 f"connector touched the protected region at {list(iter_bits(overlap))}",
                 vertices=iter_bits(overlap),
             )
-    return PathSystem(tuple(paths), tuple(zip(anchors, targets)), "anchor")
+    return PathSystem(tuple(paths), tuple(zip(anchors, targets)))
 
 
 def partition_terminals(d: Digraph, xs, ys, us, k: int):
@@ -253,7 +253,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         return violation
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
-        system = PathSystem(tuple(instance.pairs), tuple(instance.pairs), "direct-arcs")
+        system = PathSystem(tuple(instance.pairs), tuple(instance.pairs))
         return SolveReport.certified(d, instance.pairs, system, audit)
 
     try:
@@ -318,5 +318,5 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         else:
             full = p2_path[x] + tail[1:]
         final.append(full)
-    system = PathSystem(tuple(final), tuple(instance.pairs), "semicomplete-pipeline")
+    system = PathSystem(tuple(final), tuple(instance.pairs))
     return SolveReport.certified(d, instance.pairs, system, audit)

@@ -20,7 +20,6 @@ class PathSystem:
 
     paths: tuple[tuple[int, ...], ...]
     pairing: tuple[tuple[int, int], ...]
-    provenance: str = ""
 
     def __post_init__(self):
         if len(self.paths) != len(self.pairing):

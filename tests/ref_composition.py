@@ -16,13 +16,30 @@ repeats the shortest-path call inside V(path) until it returns its input;
 ``minimalize_path`` makes the call once, and the tests require the same path.
 ``ref_two_part_route`` scans the free vertices of the opposite part one by
 one for a middle; ``_two_part_route`` takes the lowest bit of one mask, and
-the tests require the same pair and path.
+the tests require the same pair and path.  ``ref_solve_composition`` is the
+recursive reduction ``solve_composition`` folded into one loop:
+``_solve_reduced`` peels (``_peel_direct``), routes or fills, recurses on
+the rest and re-inserts each settled path at its index on the way back up,
+returning the paths or the failed (stage, witness); the tests require the
+same canonical report bytes, or the same exception, from both.
 """
 
 from __future__ import annotations
 
-from klinkage.digraph import CompositionSpec, Digraph, iter_bits, mask_of, partition_masks
-from klinkage.errors import InputError
+from klinkage.digraph import (
+    CompositionSpec,
+    Digraph,
+    is_semicomplete,
+    iter_bits,
+    mask_of,
+    partition_masks,
+)
+from klinkage.errors import ConstructionFailedError, InputError, witness_of
+from klinkage.jsonio import report_to_obj
+from klinkage.linkage_composition import _fill_interiors, _two_part_route, minimalize_path
+from klinkage.linkage_semicomplete import audit_hypotheses, solve_semicomplete
+from klinkage.paths import LinkageInstance, PathSystem
+from klinkage.reports import SolveReport
 
 
 def ref_compose(outer: Digraph, local_parts) -> CompositionSpec:
@@ -118,3 +135,106 @@ def ref_two_part_route(d: Digraph, masks, pairs):
             if d.has_arc(x, v) and d.has_arc(v, y):
                 return i, [x, v, y]
     return None
+
+
+def _peel_direct(d: Digraph, pairs):
+    for i, (x, y) in enumerate(pairs):
+        if d.has_arc(x, y):
+            return i
+    return None
+
+
+def _solve_reduced(d: Digraph, part_masks: list[int], pairs, depth):
+    """The paths for ``pairs``, or the failed (stage, witness).
+
+    No step re-checks the co-size bound: at depth 0 the audit did, and each
+    peel or two-part route deletes at most 2 vertices outside any part while
+    the bound 2k-3 drops by 2.
+    """
+    k = len(pairs)
+    if k == 0:
+        return []
+    live_masks = [m & d.alive_mask for m in part_masks if m & d.alive_mask]
+
+    direct = _peel_direct(d, pairs)
+    if direct is not None:
+        x, y = pairs[direct]
+        rest = _solve_reduced(d.delete({x, y}), part_masks, pairs[:direct] + pairs[direct + 1:],
+                              depth + 1)
+        if isinstance(rest, list):
+            rest.insert(direct, [x, y])
+        return rest
+
+    if k == 1:
+        (x, y), = pairs
+        path = d.shortest_path(x, y)
+        if path is None:
+            return "path", witness_of("target unreachable from its source", (x, y))
+        return [path]
+
+    terminals = [t for p in pairs for t in p]
+    if len(live_masks) < 2:
+        return "degenerate", witness_of("all remaining vertices share one part", terminals,
+                                        {"pairs": k})
+
+    if len(live_masks) == 2:
+        routed = _two_part_route(d, live_masks, pairs)
+        if routed is None:
+            return "two-part", witness_of("no free vertex of the opposite part is a middle",
+                                          terminals, {"pairs": k})
+        i, path = routed
+        rest = _solve_reduced(d.delete(set(path)), part_masks, pairs[:i] + pairs[i + 1:],
+                              depth + 1)
+        if isinstance(rest, list):
+            rest.insert(i, path)
+        return rest
+
+    filled = _fill_interiors(d, live_masks, mask_of(y for _, y in pairs))
+    # the filled digraph inherits the composition's strongness and degree
+    # slack, so the inner audit would only repeat the outer one
+    inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs)), skip_audit=True)
+    if not inner.linked:
+        return "filled-subsolve", report_to_obj(inner)
+
+    part_of = {}
+    for j, m in enumerate(live_masks):
+        for v in iter_bits(m):
+            part_of[v] = j
+    out_paths = []
+    for path in inner.system.paths:
+        minimal = minimalize_path(filled, path)
+        for u, v in zip(minimal, minimal[1:]):
+            if part_of[u] == part_of[v]:
+                raise ConstructionFailedError(
+                    f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
+                    vertices=(u, v), counts={"depth": depth},
+                )
+        out_paths.append(minimal)
+    return out_paths
+
+
+def ref_solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) -> SolveReport:
+    """``solve_composition``'s audit, then the recursive reduction."""
+    d, part_masks = spec.digraph, spec.part_masks
+    pairs = tuple(tuple(p) for p in pairs)
+    k = LinkageInstance(d, pairs).k  # validates terminals
+
+    audit: dict = {"class": "composition", "k": k,
+                   "outer_semicomplete": is_semicomplete(spec.outer),
+                   "min_out_degree": d.min_out_degree(), "kappa_threshold": 3 * k,
+                   "out_degree_threshold": 23 * k,
+                   "min_co_size": min((d.alive_mask & ~m).bit_count() for m in part_masks)}
+    violation = audit_hypotheses(
+        audit, d,
+        [("outer digraph not semicomplete", audit["outer_semicomplete"])],
+        [(f"min out-degree < {23 * k}", audit["min_out_degree"] >= 23 * k),
+         (f"a part leaves fewer than {2 * k - 3} vertices", audit["min_co_size"] >= 2 * k - 3)],
+        ["kappa", "min_out_degree", "co_size"] if skip_audit else None)
+    if violation:
+        return violation
+
+    paths = _solve_reduced(d, part_masks, list(pairs), 0)
+    if isinstance(paths, tuple):
+        return SolveReport.of_stage(*paths, audit)
+    system = PathSystem(tuple(tuple(p) for p in paths), pairs)
+    return SolveReport.certified(d, pairs, system, audit)

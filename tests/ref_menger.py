@@ -157,12 +157,12 @@ def _separator(net: _McmfNet, src: int, split_eid, source_eid, sink_eid) -> tupl
     return tuple(sorted(sep))
 
 
-def solve(d, sources, sinks, avoid=(), provenance: str = "") -> PathSystem | Infeasible:
+def solve(d, sources, sinks, avoid=()) -> PathSystem | Infeasible:
     """The set-to-set system on the explicit network; sources and sinks are sorted first."""
     sources, sinks, avoid_mask = sorted(sources), sorted(sinks), mask_of(avoid)
     want = len(sinks)
     if want == 0:
-        return PathSystem((), (), provenance)
+        return PathSystem((), ())
     net, src, snk, split_eid, source_eid, sink_eid = _build_split_net(
         d, sources, sinks, avoid_mask
     )
@@ -170,4 +170,4 @@ def solve(d, sources, sinks, avoid=(), provenance: str = "") -> PathSystem | Inf
     if flow < want:
         return Infeasible(separator=_separator(net, src, split_eid, source_eid, sink_eid))
     raw = _extract_paths(d, net, sources, source_eid, snk)
-    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw), provenance)
+    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw))

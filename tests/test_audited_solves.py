@@ -59,16 +59,18 @@ def _tally(reports) -> Counter:
 
 
 def test_audited_semicomplete_solves_never_fail_a_stage():
-    reports = []
+    reports, piped = [], 0
     for i in range(64):
         n, k = 100 + (i * 37) % 101, 1 + i % 2
         d = random_tournament(n, 98_000 + i) if i % 3 else random_semicomplete(n, 0.2, 98_000 + i)
         pairs = _terminal_pairs(d, k, CHOICES[i // 2 % 4], SplitMix64(99_000 + i))
         assert len(pairs) == k
         reports.append(solve_semicomplete(LinkageInstance(d, pairs)))
+        # past the direct-arcs shortcut: some pair is not an arc of the input
+        piped += reports[-1].linked and not all(d.has_arc(x, y) for x, y in pairs)
     assert _tally(reports)["linked"] >= 56
-    # most of them past the direct-arcs shortcut, through every stage
-    assert sum(r.linked and r.system.provenance == "semicomplete-pipeline" for r in reports) >= 40
+    # most of them through every stage
+    assert piped >= 40
 
 
 def test_audited_compositions_never_fail_a_stage():

@@ -320,10 +320,9 @@ class TestMengerAgainstReference:
     @staticmethod
     def _check(d, xs, ys, us, avoid):
         got = menger_set_paths(d, xs, ys, avoid)
-        assert got == ref_menger.solve(d, xs, ys, avoid, "menger"), (xs, ys, avoid)
+        assert got == ref_menger.solve(d, xs, ys, avoid), (xs, ys, avoid)
         got_min = min_vertex_menger(d, xs + us, ys, avoid)
-        assert got_min == ref_menger.solve(d, xs + us, ys, avoid, "min-vertex-menger"), (
-            xs, ys, us, avoid)
+        assert got_min == ref_menger.solve(d, xs + us, ys, avoid), (xs, ys, us, avoid)
         return got, got_min
 
     def test_random_digraphs_with_deletions(self):

@@ -4,6 +4,9 @@
 stage failure of the golden grid carries a structured witness: the
 ``clause`` / ``vertices`` / ``counts`` of the error behind it, or the nested
 report of an inner solve.  No report may fall back to a Python repr.
+Every ``SolveReport.of_stage`` call names its stage with a string literal
+inside a ``solve_*`` function (or ``SolveReport.certified`` for ``verify``),
+and the stages so named are the golden grid's.
 """
 
 from __future__ import annotations
@@ -123,6 +126,44 @@ def test_golden_stage_failures_report_data(name):
     obj = report_to_obj(CASES[name]())
     _check_witness(obj["witness"], name)
     assert "SolveReport(" not in dumps_canonical(obj)
+
+
+def _stage_calls():
+    """(module, enclosing class and function names, call) of every
+    ``SolveReport.of_stage`` call in the package."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = (*scope, child.name)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "of_stage"
+                  and getattr(child.func.value, "id", None) == "SolveReport"):
+                yield scope, child
+            yield from walk(child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope, call in walk(tree, ()):
+            yield path.stem, scope, call
+
+
+def test_every_stage_is_a_literal_named_in_a_solver():
+    found, misplaced = set(), []
+    for module, scope, call in _stage_calls():
+        where = f"{module}.py:{call.lineno}"
+        stage = call.args[0] if call.args else None
+        if not (isinstance(stage, ast.Constant) and isinstance(stage.value, str)):
+            misplaced.append(f"{where} names no literal stage")
+            continue
+        if not (scope and scope[-1].startswith("solve_")
+                or scope == ("SolveReport", "certified") and stage.value == "verify"):
+            misplaced.append(f"{where} {stage.value!r} in {'.'.join(scope) or 'the module'}")
+        found.add((module.removeprefix("linkage_"), stage.value))
+    assert misplaced == []
+    # the golden grid fails every stage but ``verify``, so the two lists agree
+    assert found == {(name.split("-")[0], what) for name, (outcome, what, _) in PINNED.items()
+                     if outcome == "stage_failed"} | {("reports", "verify")}
 
 
 def test_jsonable_rejects_types_without_a_json_form():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from klinkage import (
@@ -13,7 +15,8 @@ from klinkage import (
     verify_linkage,
 )
 from conftest import assert_in_masks_transpose, out_neighbors
-from ref_composition import ref_minimalize_path
+import ref_composition
+from ref_composition import ref_minimalize_path, ref_solve_composition
 from klinkage.acceptance import brute_kappa
 from klinkage.digraph import composition_from_digraph
 from klinkage.errors import InputError
@@ -349,3 +352,120 @@ class TestRecoveredSpec:
         assert len(calls) == len(names) >= 14
         outcomes = {self._both(*call) for call in calls}
         assert outcomes == {"linked", "stage_failed", "hypothesis_violated"}
+
+
+def _canonical_or_error(solve, spec, pairs, skip_audit):
+    try:
+        return dumps_canonical(report_to_obj(solve(spec, pairs, skip_audit=skip_audit)))
+    except Exception as exc:  # both solves must fail alike
+        return type(exc), str(exc)
+
+
+def _inside_pairs(spec, d, avoid=()):
+    """Non-adjacent ordered pairs inside one part, off ``avoid``."""
+    return [(x, y) for part in spec.part_vertex_ids() for x in part for y in part
+            if x != y and not d.has_arc(x, y) and not {x, y} & set(avoid)]
+
+
+def _disjoint(rng, options, k, used=()):
+    """Up to k pairs from ``options``, in random order, sharing no vertex."""
+    used, pairs = set(used), []
+    for pair in rng.sample(options, len(options)):
+        if len(pairs) < k and not set(pair) & used:
+            pairs.append(pair)
+            used |= set(pair)
+    return pairs
+
+
+def _differential_cases(rng, trials):
+    """(spec, pairs, skip_audit) in four shapes, one per trial in turn:
+    small random compositions with random terminals (some audited, some
+    repeating a terminal); two parts under an outer 2-cycle with pairs
+    inside the parts; two parts whose 2-vertex part two cross pairs empty;
+    20 parts of 3 with a cross pair joined by an arc and two pairs inside
+    parts."""
+    for trial in range(trials):
+        shape, seed = trial % 4, 100_000 + trial
+        if shape == 0:
+            h = 2 + rng.randrange(7)
+            spec = random_composition(h, [1 + rng.randrange(4) for _ in range(h)],
+                                      rng.randrange(4) / 3, seed, part_arcs=rng.randrange(2) == 1)
+            k = 1 + rng.randrange(4)
+            if spec.digraph.order < 2 * k:
+                continue
+            terms = rng.sample(list(spec.digraph.vertices()), 2 * k)
+            if rng.randrange(20) == 0:
+                terms[-1] = terms[0]
+            pairs = [(terms[2 * i], terms[2 * i + 1]) for i in range(k)]
+            yield spec, tuple(pairs), rng.randrange(4) != 0
+            continue
+        if shape == 1:
+            spec = random_composition(2, [2 + rng.randrange(5), 2 + rng.randrange(5)], 1.0, seed,
+                                      part_arcs=rng.randrange(3) == 0)
+            pairs = _disjoint(rng, _inside_pairs(spec, spec.digraph), 2 + rng.randrange(2))
+        elif shape == 2:
+            spec = random_composition(2, [3 + rng.randrange(4), 2], 1.0, seed)
+            a, b = spec.part_vertex_ids()
+            a = rng.sample(a, len(a))
+            pairs = [(a[0], b[0]), (b[1], a[1])]
+            pairs += _disjoint(rng, _inside_pairs(spec, spec.digraph, a[:2] + b),
+                               1 + rng.randrange(2))
+        else:
+            spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
+            d = spec.digraph
+            part_of = {v: j for j, part in enumerate(spec.part_vertex_ids()) for v in part}
+            cross = [(u, v) for u, v in d.arcs() if part_of[u] != part_of[v]]
+            pairs = [cross[rng.randrange(len(cross))]]
+            pairs += _disjoint(rng, _inside_pairs(spec, d), 2, pairs[0])
+        if pairs:
+            yield spec, tuple(rng.sample(pairs, len(pairs))), True
+
+
+class TestAgainstRecursiveReduction:
+    """The one loop of ``solve_composition`` against the recursive
+    reduction it replaced (``ref_composition.ref_solve_composition``): the
+    same canonical report bytes, or the same exception, with a floor on
+    every round kind the recursion takes."""
+
+    def test_report_bytes_match(self, monkeypatch):
+        rounds = []
+        peel, route, fill = (ref_composition._peel_direct, ref_composition._two_part_route,
+                             ref_composition.solve_semicomplete)
+
+        def record_peel(d, pairs):
+            i = peel(d, pairs)
+            rounds.append("peel" if i is not None else "shortest" if len(pairs) == 1 else "none")
+            return i
+
+        def record_route(*args):
+            routed = route(*args)
+            rounds.append("route" if routed else "none")
+            return routed
+
+        def record_fill(*args, **kwargs):
+            rounds.append("fill")
+            return fill(*args, **kwargs)
+
+        monkeypatch.setattr(ref_composition, "_peel_direct", record_peel)
+        monkeypatch.setattr(ref_composition, "_two_part_route", record_route)
+        monkeypatch.setattr(ref_composition, "solve_semicomplete", record_fill)
+        seen = Counter()
+        for spec, pairs, skip_audit in _differential_cases(SplitMix64(4_246), 800):
+            rounds.clear()
+            want = _canonical_or_error(ref_solve_composition, spec, pairs, skip_audit)
+            got = _canonical_or_error(solve_composition, spec, pairs, skip_audit)
+            assert got == want, (spec, pairs, skip_audit)
+            if isinstance(got, tuple):
+                seen["error"] += 1
+                continue
+            report = solve_composition(spec, pairs, skip_audit=skip_audit)
+            seen[report.stage or report.outcome] += 1
+            if report.linked:
+                seen["peel then fill"] += "peel" in rounds and "fill" in rounds
+                seen["route"] += "route" in rounds
+                seen["final shortest path"] += "shortest" in rounds
+        # read 200, 117, 146, 187, 41, 15, 27, 42 and 7 (about 1.5 s)
+        floors = {"peel then fill": 100, "route": 60, "final shortest path": 70, "path": 90,
+                  "degenerate": 20, "two-part": 8, "filled-subsolve": 12,
+                  "hypothesis_violated": 20, "error": 3}
+        assert all(seen[kind] >= floor for kind, floor in floors.items()), seen
