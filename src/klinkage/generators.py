@@ -100,6 +100,8 @@ def circulant_tournament(n: int) -> Digraph:
 
 def _semicomplete_arcs(rng: SplitMix64, n: int, p_double: float) -> list[tuple[int, int]]:
     """Per pair, one bit orients it and one uniform draw below p_double adds the reverse arc."""
+    if not 0.0 <= p_double <= 1.0:
+        raise InputError("p_double must lie in [0, 1]")
     arcs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -112,8 +114,6 @@ def _semicomplete_arcs(rng: SplitMix64, n: int, p_double: float) -> list[tuple[i
 
 def random_semicomplete(n: int, p_double: float, seed: int) -> Digraph:
     """Random tournament plus, per pair, the reverse arc with probability p_double."""
-    if not 0.0 <= p_double <= 1.0:
-        raise InputError("p_double must lie in [0, 1]")
     return Digraph.from_arcs(n, _semicomplete_arcs(SplitMix64(seed), n, p_double))
 
 

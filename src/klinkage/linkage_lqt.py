@@ -5,8 +5,9 @@ one direction, and enough of them can be harvested to back a synthetic
 "new arc" with a pool of independent replacement paths.  Adding those arcs
 (plus throwaway arcs into the sources and out of the targets) yields a
 semicomplete digraph where dominator-based routing works; every synthetic
-arc on a chosen route is then substituted by a pooled path, with a global
-reservation ledger keeping substitutions disjoint.
+arc on a chosen route is then substituted by a pooled path whose interior
+misses one claimed mask: the terminals, the dominator set, the helpers and
+every earlier substitution.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
                 open_sides.remove(side)
         if not open_sides:
             break
-    residual = d.delete(iter_bits(removed))  # interiors only; u, v stay
-    stalled_strong = residual.is_strong() and residual.order >= 2
+    stalled_strong = d.delete(iter_bits(removed)).is_strong()  # interiors only; u, v stay
     paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
     return ShortPathPool(
         u, v, tuple(pools[0]), tuple(pools[1]), stalled_strong,
@@ -168,13 +168,14 @@ class AuxiliaryDigraph:
     pairs away from the terminals, and each is backed by ``available[arc]``:
     independent paths of the original digraph, length at most l+1, sharing
     only endpoints.
-    ``terminal_arcs`` only exist to make the digraph semicomplete around
-    the terminals; no returned linkage may use them.
+    ``augmented`` also holds terminal arcs, into the sources and out of the
+    targets, that only make it semicomplete around the terminals: they are
+    neither arcs of the original digraph nor keys of ``available``, and no
+    returned linkage may use them.
     """
 
     augmented: Digraph
     available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-    terminal_arcs: frozenset[tuple[int, int]]
 
 
 def _check_pool(sub: Digraph, arc, pool, l: int) -> None:
@@ -219,13 +220,12 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
             pool = independent_short_paths(sub, u, v, l, threshold)
             nf, nb = pool.counts()
             if max(nf, nb) < threshold:
-                if pool.stalled_strong:
+                if pool.stalled_strong:  # a strong residual gives both distances
                     df, db = pool.stall_distances
                     raise PreconditionViolatedError(
                         f"pair {(u, v)} has no short return path (d{(u, v)}={df}, reverse={db})",
                         clause="no short return path", vertices=(u, v),
-                        counts={name: dist for name, dist in (("forward", df), ("backward", db))
-                                if dist is not None},
+                        counts={"forward": df, "backward": db},
                     )
                 raise ConstructionFailedError(
                     f"pair {(u, v)}: best per-direction counts {(nf, nb)}",
@@ -248,7 +248,7 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
     augmented = d.add_arcs(list(new_arcs) + sorted(terminal_arcs))
     if not is_semicomplete(augmented):
         raise AssertionError("auxiliary digraph must be semicomplete")
-    return AuxiliaryDigraph(augmented, new_arcs, frozenset(terminal_arcs))
+    return AuxiliaryDigraph(augmented, new_arcs)
 
 
 # -- short anchoring -------------------------------------------------------
@@ -354,41 +354,28 @@ def find_short_anchor_pair(t: Digraph, k: int, budget: int = _ANCHOR_BUDGET):
 # -- the full pipeline ------------------------------------------------------
 
 
-class _Ledger:
-    """Reservation ledger: replacement interiors must be globally fresh."""
-
-    def __init__(self, claimed: int):
-        self.claimed = claimed
-
-    def claim(self, vertices) -> None:
-        self.claimed |= mask_of(vertices)
-
-    def pick(self, pool, arc) -> tuple[int, ...]:
-        for path in pool:
-            if not mask_of(path[1:-1]) & self.claimed:
-                self.claim(path[1:-1])
-                return path
-        raise ConstructionFailedError(
-            f"no disjoint replacement path left for arc {arc}",
-            clause="no disjoint replacement path left", vertices=arc, counts={"pool": len(pool)},
-        )
+def _fresh(pool, claimed: int, arc) -> tuple[int, ...]:
+    """The first path of ``pool`` whose interior misses ``claimed``."""
+    for path in pool:
+        if not mask_of(path[1:-1]) & claimed:
+            return path
+    raise ConstructionFailedError(
+        f"no disjoint replacement path left for arc {arc}",
+        clause="no disjoint replacement path left", vertices=arc, counts={"pool": len(pool)},
+    )
 
 
-def _splice(augmented_path, d: Digraph, aux: AuxiliaryDigraph, ledger: _Ledger,
-            reserved: dict | None = None) -> list[int]:
-    """Rewrite a path of the auxiliary digraph into one of d."""
+def _splice(augmented_path, d: Digraph, replacement: dict) -> list[int]:
+    """Rewrite a path of the auxiliary digraph into one of d, each arc not
+    in d by its path in ``replacement``."""
     out = [augmented_path[0]]
     for a, b in zip(augmented_path, augmented_path[1:]):
         if d.has_arc(a, b):
             out.append(b)
-            continue
-        if (a, b) in aux.terminal_arcs:
-            raise AssertionError(f"terminal arc ({a},{b}) on a linking path")
-        if reserved is not None and (a, b) in reserved:
-            out.extend(reserved[(a, b)][1:])
-            continue
-        replacement = ledger.pick(aux.available[(a, b)], (a, b))
-        out.extend(replacement[1:])
+        elif (a, b) in replacement:
+            out.extend(replacement[(a, b)][1:])
+        else:  # a terminal arc, or a synthetic one that got no replacement
+            raise AssertionError(f"arc ({a},{b}) on a linking path has no replacement")
     return out
 
 
@@ -458,40 +445,45 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             "no short anchor pair in the dominator set", us, {"k": k}), audit)
     u1, u2 = anchor
 
-    free = aux.augmented.alive_mask & ~(mask_of(xs) | mask_of(ys))
-    ledger = _Ledger(mask_of(xs) | mask_of(ys) | u_mask)
+    terminals = mask_of(xs) | mask_of(ys)
+    free = aux.augmented.alive_mask & ~terminals
+    # every vertex in use: no later helper, middle or replacement interior
+    # may touch it, and none of them lies in Y
+    claimed = terminals | u_mask
 
     # sources ride a real arc to a helper that is strongly good for its anchor
     base_paths: list[list[int]] = []
-    helper_mask = 0
     for i, x in enumerate(xs):
         target = u1[i]
-        cands = d.out_mask(x) & d.alive_mask & ~ledger.claimed & ~helper_mask
+        cands = d.out_mask(x) & d.alive_mask & ~claimed
         helper = _first_c_good(aux.augmented, cands, target, free, 11 * k)
         if helper is None:
             return SolveReport.of_stage("source-helper", witness_of(
                 "no out-neighbour of the source is c-good for its anchor", (x, target),
                 {"c": 11 * k}), audit)
-        helper_mask |= 1 << helper
+        claimed |= 1 << helper
         if aux.augmented.has_arc(helper, target):
             base_paths.append([x, helper, target])
         else:
-            # out[helper] & in[target] & free has at least 11k bits; the ledger
-            # (U, as X and Y lie outside free) takes at most 9k-6 of them, earlier
-            # helpers and middles at most 2k-2: at least 8 are left
-            mids = (aux.augmented.out_mask(helper) & aux.augmented.in_mask(target) & free
-                    & ~helper_mask & ~ledger.claimed)
+            # out[helper] & in[target] & free has at least 11k bits; U (X and Y
+            # lie outside free) takes at most 9k-6 of them, earlier helpers and
+            # middles at most 2k-2: at least 8 are left
+            mids = aux.augmented.out_mask(helper) & aux.augmented.in_mask(target) & free & ~claimed
             if not mids:
                 raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
             mid = next(iter_bits(mids))
-            helper_mask |= 1 << mid
+            claimed |= 1 << mid
             base_paths.append([x, helper, mid, target])
-    ledger.claim(iter_bits(helper_mask))
 
+    # each synthetic arc of a source path gets a fresh replacement, in path order
+    replacement: dict[tuple[int, int], tuple[int, ...]] = {}
     try:
-        x_paths = [_splice(p, d, aux, ledger) for p in base_paths]
+        for arc in (arc for p in base_paths for arc in zip(p, p[1:]) if arc in aux.available):
+            replacement[arc] = path = _fresh(aux.available[arc], claimed, arc)
+            claimed |= mask_of(path[1:-1])
     except ConstructionFailedError as exc:
         return SolveReport.of_stage("source-replacement", exc.witness(), audit)
+    x_paths = [_splice(p, d, replacement) for p in base_paths]
     if any(len(p) > 2 * l + 5 for p in x_paths):
         raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
 
@@ -501,16 +493,15 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     for arc in sorted(aux.available):
         if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
             try:
-                reserved[arc] = ledger.pick(aux.available[arc], arc)
+                reserved[arc] = path = _fresh(aux.available[arc], claimed, arc)
             except ConstructionFailedError:
-                pass  # no link may use it: the link digraph holds reserved arcs only
-    reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
-    if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
+                continue  # no link may use it: the link digraph holds reserved arcs only
+            claimed |= mask_of(path[1:-1])
+    if sum(len(p) - 2 for p in reserved.values()) + len(us) > comb(m, 2) * (l + 2):
         raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
 
-    b_mask = mask_of(v for p in x_paths for v in p) | u_mask | mask_of(reserve_interiors)
-    avoid = [v for v in iter_bits(b_mask) if v not in u2]
-    routed = menger_set_paths(d, u2, ys, avoid=avoid)
+    # the source paths, U and the reservations: every claimed vertex outside Y
+    routed = menger_set_paths(d, u2, ys, avoid=iter_bits(claimed & ~mask_of(ys) & ~mask_of(u2)))
     if isinstance(routed, Infeasible):
         return SolveReport.of_stage("targets", witness_of(
             "a separator meets every U2-to-Y path", routed.separator, {"need": k}), audit)
@@ -534,8 +525,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
             "no disjoint short links inside the dominator set",
             [v for pair in link_pairs for v in pair], {"k": k}), audit)
 
-    # no ledger pick: the link digraph holds a synthetic arc only if it is reserved
-    link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
+    # the link digraph holds a synthetic arc only if it is reserved
+    link_real = [_splice(p, d, reserved) for p in links]
 
     final = []
     for i in range(k):

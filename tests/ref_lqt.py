@@ -14,15 +14,54 @@ shortest-path searches (the list BFS of ``ref_bfs``) per pick and taking
 the shorter path.
 ``klinkage.linkage_lqt`` picks the same paths length by length on the
 masks; the tests require both to return equal pools.
+
+``ref_solve_lqt`` is the pipeline after the auxiliary digraph as a
+reservation ledger kept it: a ``_Ledger`` object next to a helper mask, a
+two-mode ``_splice`` that picks from the ledger or reads the reserved map,
+the reserved interiors as a list and the Menger avoid set rebuilt from the
+spliced source paths.  It rebuilds the terminal arcs it checks from the
+auxiliary digraph: the arcs of ``augmented`` that are neither arcs of the
+input nor backed arcs.  ``klinkage.linkage_lqt.solve_lqt`` keeps one
+claimed mask; the tests require both to give the same report bytes.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass
+from math import comb
+
 from conftest import is_adjacent
 from ref_bfs import ref_shortest_path
-from klinkage.digraph import Digraph, is_semicomplete, iter_bits, mask_of
-from klinkage.errors import InputError
-from klinkage.linkage_lqt import ShortPathPool
+from klinkage.connectivity import menger_set_paths
+from klinkage.digraph import (
+    Digraph,
+    is_l_quasi_transitive,
+    is_semicomplete,
+    iter_bits,
+    mask_of,
+    spanning_tournament,
+)
+from klinkage.dominators import _first_c_good, nearly_in_dominating_set
+from klinkage.errors import (
+    Budget,
+    BudgetExceededError,
+    ConstructionFailedError,
+    InputError,
+    PreconditionViolatedError,
+    witness_of,
+)
+from klinkage.linkage_lqt import (
+    _ANCHOR_BUDGET,
+    ShortPathPool,
+    _disjoint_short_linkage,
+    build_auxiliary,
+    find_short_anchor_pair,
+    pool_threshold,
+)
+from klinkage.linkage_semicomplete import audit_hypotheses
+from klinkage.paths import Infeasible, LinkageInstance, PathSystem
+from klinkage.reports import SolveReport
 
 
 def _exact_length_endpoints(d: Digraph, src: int, length: int) -> set[int]:
@@ -86,3 +125,203 @@ def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) 
         bucket.append(tuple(pick))
         removed |= mask_of(pick[1:-1])
     return ShortPathPool(u, v, tuple(forward), tuple(backward))
+
+
+@dataclass(frozen=True)
+class _RefAuxiliary:
+    """An auxiliary digraph with its terminal arcs recorded."""
+
+    augmented: Digraph
+    available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
+    terminal_arcs: frozenset[tuple[int, int]]
+
+
+def _with_terminal_arcs(d: Digraph, aux) -> _RefAuxiliary:
+    """The terminal arcs are the arcs of ``augmented`` in neither d nor ``available``."""
+    terminal_arcs = frozenset(arc for arc in aux.augmented.arcs()
+                              if not d.has_arc(*arc) and arc not in aux.available)
+    return _RefAuxiliary(aux.augmented, aux.available, terminal_arcs)
+
+
+class _Ledger:
+    """Reservation ledger: replacement interiors must be globally fresh."""
+
+    def __init__(self, claimed: int):
+        self.claimed = claimed
+
+    def claim(self, vertices) -> None:
+        self.claimed |= mask_of(vertices)
+
+    def pick(self, pool, arc) -> tuple[int, ...]:
+        for path in pool:
+            if not mask_of(path[1:-1]) & self.claimed:
+                self.claim(path[1:-1])
+                return path
+        raise ConstructionFailedError(
+            f"no disjoint replacement path left for arc {arc}",
+            clause="no disjoint replacement path left", vertices=arc, counts={"pool": len(pool)},
+        )
+
+
+def _splice(augmented_path, d: Digraph, aux: _RefAuxiliary, ledger: _Ledger,
+            reserved: dict | None = None) -> list[int]:
+    """Rewrite a path of the auxiliary digraph into one of d."""
+    out = [augmented_path[0]]
+    for a, b in zip(augmented_path, augmented_path[1:]):
+        if d.has_arc(a, b):
+            out.append(b)
+            continue
+        if (a, b) in aux.terminal_arcs:
+            raise AssertionError(f"terminal arc ({a},{b}) on a linking path")
+        if reserved is not None and (a, b) in reserved:
+            out.extend(reserved[(a, b)][1:])
+            continue
+        replacement = ledger.pick(aux.available[(a, b)], (a, b))
+        out.extend(replacement[1:])
+    return out
+
+
+def ref_solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
+                  anchor_budget: int = _ANCHOR_BUDGET, skip_audit: bool = False) -> SolveReport:
+    """Linkage pipeline for l-quasi-transitive digraphs, with a reservation ledger."""
+    pairs = tuple(tuple(p) for p in pairs)
+    instance = LinkageInstance(d, pairs)
+    k = instance.k
+    xs, ys = instance.sources(), instance.targets()
+    bound = 81 * k * k * (l + 2) ** 2
+    # malformed arguments fail before the audit, whatever the input and threshold
+    full_pool = pool_threshold(k, l)
+    pool_goal = full_pool if threshold is None else threshold
+    if pool_goal < 1:
+        raise InputError("threshold must be positive")
+    Budget(anchor_budget)
+
+    audit: dict = {"class": "lqt", "k": k, "l": l, "strong": d.is_strong(),
+                   "kappa_threshold": bound, "pool_threshold": pool_goal,
+                   "l_quasi_transitive": is_l_quasi_transitive(d, l)}
+    violation = audit_hypotheses(
+        audit, d, [("not strong", audit["strong"]),
+                   (f"not {l}-quasi-transitive", audit["l_quasi_transitive"])],
+        [], ["kappa"] if skip_audit else None)
+    if violation:
+        return violation
+    if not skip_audit and bound - 2 * k - 2 * full_pool * (l + 2) <= 0:
+        # connectivity slack that feeds the extraction argument
+        raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
+
+    try:
+        aux = _with_terminal_arcs(d, build_auxiliary(d, xs, ys, l, pool_goal))
+    except PreconditionViolatedError as exc:  # no short return path: d is strong here
+        return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
+    except ConstructionFailedError as exc:
+        return SolveReport.of_stage("auxiliary", exc.witness(), audit)
+    audit["new_arcs"] = len(aux.available)
+    # the same arc labels recur in every report on one digraph: interned,
+    # reports kept together hold one copy of each
+    audit["auxiliary"] = {
+        sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(aux.available.items())
+    }
+
+    m = 9 * k - 6
+    try:
+        us = nearly_in_dominating_set(aux.augmented, xs, ys, m)
+    except PreconditionViolatedError as exc:
+        return SolveReport.of_stage("dominating-set", exc.witness(), audit)
+    u_mask = mask_of(us)
+    d_u = aux.augmented.induced(us)
+    try:
+        anchor = find_short_anchor_pair(spanning_tournament(d_u), k, anchor_budget)
+    except BudgetExceededError as exc:
+        return SolveReport.of_stage("anchor-pair", exc.witness(), audit)
+    if anchor is None:
+        return SolveReport.of_stage("anchor-pair", witness_of(
+            "no short anchor pair in the dominator set", us, {"k": k}), audit)
+    u1, u2 = anchor
+
+    free = aux.augmented.alive_mask & ~(mask_of(xs) | mask_of(ys))
+    ledger = _Ledger(mask_of(xs) | mask_of(ys) | u_mask)
+
+    # sources ride a real arc to a helper that is strongly good for its anchor
+    base_paths: list[list[int]] = []
+    helper_mask = 0
+    for i, x in enumerate(xs):
+        target = u1[i]
+        cands = d.out_mask(x) & d.alive_mask & ~ledger.claimed & ~helper_mask
+        helper = _first_c_good(aux.augmented, cands, target, free, 11 * k)
+        if helper is None:
+            return SolveReport.of_stage("source-helper", witness_of(
+                "no out-neighbour of the source is c-good for its anchor", (x, target),
+                {"c": 11 * k}), audit)
+        helper_mask |= 1 << helper
+        if aux.augmented.has_arc(helper, target):
+            base_paths.append([x, helper, target])
+        else:
+            # out[helper] & in[target] & free has at least 11k bits; the ledger
+            # (U, as X and Y lie outside free) takes at most 9k-6 of them, earlier
+            # helpers and middles at most 2k-2: at least 8 are left
+            mids = (aux.augmented.out_mask(helper) & aux.augmented.in_mask(target) & free
+                    & ~helper_mask & ~ledger.claimed)
+            if not mids:
+                raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
+            mid = next(iter_bits(mids))
+            helper_mask |= 1 << mid
+            base_paths.append([x, helper, mid, target])
+    ledger.claim(iter_bits(helper_mask))
+
+    try:
+        x_paths = [_splice(p, d, aux, ledger) for p in base_paths]
+    except ConstructionFailedError as exc:
+        return SolveReport.of_stage("source-replacement", exc.witness(), audit)
+    if any(len(p) > 2 * l + 5 for p in x_paths):
+        raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
+
+    # reserve replacements for every synthetic arc inside the dominator set,
+    # so the target-side routing can avoid them before they are chosen
+    reserved: dict[tuple[int, int], tuple[int, ...]] = {}
+    for arc in sorted(aux.available):
+        if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
+            try:
+                reserved[arc] = ledger.pick(aux.available[arc], arc)
+            except ConstructionFailedError:
+                pass  # no link may use it: the link digraph holds reserved arcs only
+    reserve_interiors = sorted(v for path in reserved.values() for v in path[1:-1])
+    if len(reserve_interiors) + len(us) > comb(m, 2) * (l + 2):
+        raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
+
+    b_mask = mask_of(v for p in x_paths for v in p) | u_mask | mask_of(reserve_interiors)
+    avoid = [v for v in iter_bits(b_mask) if v not in u2]
+    routed = menger_set_paths(d, u2, ys, avoid=avoid)
+    if isinstance(routed, Infeasible):
+        return SolveReport.of_stage("targets", witness_of(
+            "a separator meets every U2-to-Y path", routed.separator, {"need": k}), audit)
+    entry_for_target = {p[-1]: p[0] for p in routed.paths}
+    tail_path = {p[0]: p for p in routed.paths}
+
+    def prefer(path):
+        synthetic = sum(0 if d.has_arc(a, b) else 1 for a, b in zip(path, path[1:]))
+        return (synthetic, len(path), path)
+
+    # a link lies inside U and uses d's arcs there and the reserved synthetic
+    # ones: no terminal arc, no synthetic arc without a disjoint replacement
+    links_in = d.induced(us).add_arcs(reserved)
+    link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
+    try:
+        links = _disjoint_short_linkage(links_in, link_pairs, Budget(anchor_budget), prefer)
+    except BudgetExceededError as exc:
+        return SolveReport.of_stage("anchor-link", exc.witness(), audit)
+    if links is None:
+        return SolveReport.of_stage("anchor-link", witness_of(
+            "no disjoint short links inside the dominator set",
+            [v for pair in link_pairs for v in pair], {"k": k}), audit)
+
+    # no ledger pick: the link digraph holds a synthetic arc only if it is reserved
+    link_real = [_splice(p, d, aux, ledger, reserved) for p in links]
+
+    final = []
+    for i in range(k):
+        head = x_paths[i]
+        mid = link_real[i]
+        tail = tail_path[entry_for_target[ys[i]]]
+        final.append(tuple(head + mid[1:] + list(tail[1:])))
+    system = PathSystem(tuple(final), pairs)
+    return SolveReport.certified(d, pairs, system, audit)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from klinkage import LinkageInstance, compose, solve_composition, solve_semicomplete
+from klinkage import LinkageInstance, solve_composition, solve_semicomplete
 from klinkage.generators import SplitMix64, random_composition, random_semicomplete, random_tournament
 
 CHOICES = ("targets", "sources", "reverse", "random")
@@ -77,7 +77,7 @@ def test_audited_compositions_never_fail_a_stage():
     reports = []
     for i in range(100):
         spec = random_composition(20, [3] * 20, 0.9, 52_100 + i, part_arcs=True)
-        d = compose(spec)
+        d = spec.digraph
         k, rng = 1 + i % 2, SplitMix64(53_100 + i)
         choice = (*CHOICES, "parts")[i // 2 % 5]
         pairs = (_inside_parts(spec, d, k, rng) if choice == "parts"

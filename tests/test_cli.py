@@ -302,6 +302,16 @@ class TestInvalidInputExitTwo:
         assert (code, out, err.getvalue()) == (
             2, "", "error: InputError: outer digraph needs at least 2 vertices\n")
 
+    @pytest.mark.parametrize("family, size", [("semicomplete", ["--n", "4"]),
+                                              ("composition", ["--part-sizes", "2,2"])])
+    @pytest.mark.parametrize("p_double", ["1.5", "-0.5", "nan"])
+    def test_p_double_outside_the_unit_interval(self, family, size, p_double):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["gen", "--family", family, *size, "--p-double", p_double])
+        assert (code, out, err.getvalue()) == (
+            2, "", "error: InputError: p_double must lie in [0, 1]\n")
+
     def test_part_repeating_a_vertex(self, workdir):
         path = os.path.join(workdir, "repeat.json")
         run_cli(["gen", "--family", "composition", "--part-sizes", "2,3,2", "--p-double", "0.5",
@@ -664,6 +674,12 @@ def _below_range_runs(draw):
     return argv, doc, paths
 
 
+def _p_double_above_range(argv) -> bool:
+    """A run of ``gen`` that draws from a semicomplete family with ``--p-double 2``."""
+    return (argv[0] == "gen" and argv[2] in ("semicomplete", "composition")
+            and "--p-double" in argv and argv[argv.index("--p-double") + 1] == "2")
+
+
 def _run_fuzzed(argv, doc, paths):
     """The run's argv with its files filled in, its exit code and its stdout."""
     out = io.StringIO()
@@ -683,14 +699,15 @@ def _run_fuzzed(argv, doc, paths):
 
 class TestFuzz:
     """Random argv and documents: every run exits 0-4 and raises nothing,
-    and a run with a flag below its range exits 2 with nothing on stdout."""
+    and a run with a flag below its range, or with ``gen --p-double 2`` for
+    a family that reads it, exits 2 with nothing on stdout."""
 
     @given(_cli_runs())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_exit_code_in_range(self, run):
         argv, code, out = _run_fuzzed(*run)
         assert code in (0, 1, 2, 3, 4), (argv, *run[1:])
-        if _below_range(argv):
+        if _below_range(argv) or _p_double_above_range(argv):
             assert (code, out) == (2, ""), (argv, *run[1:])
 
     @given(_below_range_runs())

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from klinkage import (
     CompositionSpec,
     Digraph,
-    compose,
     composition_from_digraph,
     is_l_quasi_transitive,
     is_semicomplete,
@@ -140,7 +139,7 @@ class TestLQuasiTransitive:
         # the benchmark's lqt shape: at l = 2 nothing is pushed
         monkeypatch.setattr(klinkage.digraph, "LQT_EXPANSION_BUDGET", 0)
         for s in range(24):
-            d = compose(random_extended_tournament(20, [3] * 20, s))
+            d = random_extended_tournament(20, [3] * 20, s).digraph
             assert is_l_quasi_transitive(d, 2) is ref_is_l_quasi_transitive(d, 2) is True
 
     def test_against_exhaustive_endpoints_above_ten(self):
@@ -150,7 +149,7 @@ class TestLQuasiTransitive:
         seen = {True: 0, False: 0}
         for s in range(60):
             for parts, size, l in ((20, 3, 2), (8, 2, 3)):
-                d = compose(random_extended_tournament(parts, [size] * parts, s))
+                d = random_extended_tournament(parts, [size] * parts, s).digraph
                 arcs = d.arcs()
                 a, b = arcs[s * 7_919 % len(arcs)]
                 rest = [arc for arc in arcs if arc != (a, b)]
@@ -182,7 +181,7 @@ class TestLQuasiTransitive:
 
         monkeypatch.setattr(klinkage.digraph, "_union", counted)
         for s in range(24):
-            d = compose(random_extended_tournament(20, [3] * 20, s))
+            d = random_extended_tournament(20, [3] * 20, s).digraph
             rows.clear()
             assert is_l_quasi_transitive(d, 2)
             apart = sum(1 for u in d.vertices() for w in d.vertices()
@@ -281,30 +280,30 @@ class TestComposition:
     def test_two_cycle_of_singletons(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, []), Digraph.from_arcs(1, [])])
-        assert compose(spec).arcs() == [(0, 1), (1, 0)]
+        assert spec.digraph.arcs() == [(0, 1), (1, 0)]
 
     def test_arc_count_formula(self):
         # arcless parts of sizes 2 and 3 under a 2-cycle: 2*3 + 3*2 arcs
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, []), Digraph.from_arcs(3, [])])
-        assert compose(spec).num_arcs == 12
+        assert spec.digraph.num_arcs == 12
 
     def test_transitive_triangle_of_singletons(self):
         tri = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
         spec = CompositionSpec.from_local_parts(tri, [Digraph.from_arcs(1, [])] * 3)
-        assert compose(spec) == tri
+        assert spec.digraph == tri
 
     def test_arity_mismatch(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         with pytest.raises(InputError, match="parts given"):
-            compose(CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, [])]))
+            CompositionSpec.from_local_parts(two, [Digraph.from_arcs(1, [])])
 
     def test_strip_and_readd_reproduces_arcs(self):
         spec = CompositionSpec.from_local_parts(
             random_semicomplete(3, 0.5, 4),
             [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(2, [(1, 0)]), Digraph.from_arcs(1, [])],
         )
-        d = compose(spec)
+        d = spec.digraph
         parts = spec.part_vertex_ids()
         stripped = strip_intra_part_arcs(d, parts)
         intra = [a for ids in parts for a in d.induced(ids).arcs()]
@@ -316,9 +315,9 @@ class TestComposition:
             random_semicomplete(4, 0.3, 9),
             [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(1, []), Digraph.from_arcs(3, []), Digraph.from_arcs(1, [])],
         )
-        d = compose(spec)
+        d = spec.digraph
         back = composition_from_digraph(d, spec.part_vertex_ids())
-        assert compose(back) == d
+        assert back.digraph == d
 
     @pytest.mark.parametrize("last, message", [
         ([5, 6, 6], "part repeats vertex 6"),

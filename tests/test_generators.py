@@ -3,7 +3,6 @@ import pytest
 from klinkage import (
     brute_force_disjoint_paths,
     brute_force_k_linked,
-    compose,
     is_semicomplete,
     is_tournament,
     kappa,
@@ -85,13 +84,18 @@ class TestRandomSemicomplete:
 
 
 class TestRandomComposition:
+    @pytest.mark.parametrize("p_double", [1.5, -0.5, float("nan")])
+    def test_p_double_checked(self, p_double):
+        with pytest.raises(InputError, match=r"p_double must lie in \[0, 1\]"):
+            random_composition(2, [2, 2], p_double, 0)
+
     def test_single_vertex_parts_equal_outer(self):
         spec = random_composition(4, [1, 1, 1, 1], 0.4, 2)
-        assert compose(spec) == spec.outer
+        assert spec.digraph == spec.outer
 
     def test_arc_count_formula(self):
         spec = random_composition(3, [2, 2, 2], 0.5, 6)
-        d = compose(spec)
+        d = spec.digraph
         sizes = {hv: m.bit_count() for hv, m in zip(spec.outer.vertices(), spec.part_masks)}
         expect = sum(sizes[u] * sizes[v] for u, v in spec.outer.arcs())
         assert d.num_arcs == expect
@@ -100,13 +104,13 @@ class TestRandomComposition:
         from klinkage import is_l_quasi_transitive
 
         spec = random_extended_tournament(8, [2, 2, 2, 2, 2, 2, 2, 2], 1)
-        d = compose(spec)
+        d = spec.digraph
         assert not is_semicomplete(d)
         assert is_l_quasi_transitive(d, 2)
 
     def test_deterministic(self):
-        a = compose(random_composition(3, [2, 2, 2], 0.5, 6, part_arcs=True))
-        b = compose(random_composition(3, [2, 2, 2], 0.5, 6, part_arcs=True))
+        a = random_composition(3, [2, 2, 2], 0.5, 6, part_arcs=True).digraph
+        b = random_composition(3, [2, 2, 2], 0.5, 6, part_arcs=True).digraph
         assert a == b
 
     def test_strong_components_respect_outer(self):
@@ -115,7 +119,7 @@ class TestRandomComposition:
         # component around their own outer vertex
         for seed in range(15):
             spec = random_composition(5, [2, 1, 3, 2, 1], 0.3, 300 + seed)
-            d = compose(spec)
+            d = spec.digraph
             parts = spec.part_vertex_ids()
             outer_ids = list(spec.outer.vertices())
             part_of = {v: outer_ids[i] for i, ids in enumerate(parts) for v in ids}
@@ -148,7 +152,7 @@ class TestProp2Family:
 
     def test_default_family_k3(self):
         spec, bad = non_linked_family(3)
-        d = compose(spec)
+        d = spec.digraph
         assert d.order == 6
         assert kappa(d) >= 1
         assert isinstance(brute_force_disjoint_paths(d, bad), Infeasible)
@@ -157,12 +161,12 @@ class TestProp2Family:
 
     def test_family_is_valid_composition(self):
         spec, _ = non_linked_family(4)
-        d = compose(spec)
+        d = spec.digraph
         # outer digraph is semicomplete, so this is a semicomplete composition
         assert is_semicomplete(spec.outer)
         assert d.order == 2 * 4 - 3 - 1 + 4  # r-1 singles plus the 4-cycle core
 
     def test_one_big_part_dominates(self):
         spec, _ = non_linked_family(3)
-        d = compose(spec)
+        d = spec.digraph
         assert (d.alive_mask & ~spec.part_masks[-1]).bit_count() <= 2 * 3 - 4

@@ -20,7 +20,6 @@ from klinkage import (
     CompositionSpec,
     Digraph,
     LinkageInstance,
-    compose,
     solve_composition,
     solve_lqt,
     solve_semicomplete,
@@ -105,14 +104,14 @@ def _composition(i):
 
 def _composition_thin(i):
     spec = random_composition(6, [2] * 6, 0.5, 95_000 + i, part_arcs=True)
-    d = compose(spec)
+    d = spec.digraph
     return solve_composition(spec, _terminal_pairs(d, 2, 96_000 + i), skip_audit=i > 0)
 
 
 def _composition_small(i):
     h = 3 + i % 6
     spec = random_composition(h, [2] * h, 0.5, 72_000 + i, part_arcs=bool(i % 2))
-    d = compose(spec)
+    d = spec.digraph
     return solve_composition(spec, _terminal_pairs(d, 1 + i % 3, 73_000 + i), skip_audit=True)
 
 
@@ -138,16 +137,22 @@ def _lqt(i, skip_audit=True):
 
 def _lqt_thin(seed):
     spec = random_extended_tournament(8, [2] * 8, 84_000 + seed)
-    d = compose(spec)
+    d = spec.digraph
     return solve_lqt(d, _terminal_pairs(d, 1, 85_000 + seed), 2, threshold=5, skip_audit=True)
 
 
-def _lqt_small(i, anchor_budget=2000):
+def _lqt_small_instance(i, anchor_budget=2000):
+    """The digraph, pairs and ``solve_lqt`` keywords of the small l-QT case i."""
     h = 6 + i % 7
     spec = random_extended_tournament(h, [1 + (i // 7 + j) % 3 for j in range(h)], 76_000 + i)
-    d = compose(spec)
-    return solve_lqt(d, _terminal_pairs(d, 1 + i % 2, 77_000 + i), 2, threshold=1 + i % 3,
-                     anchor_budget=anchor_budget, skip_audit=True)
+    d = spec.digraph
+    return d, _terminal_pairs(d, 1 + i % 2, 77_000 + i), {
+        "threshold": 1 + i % 3, "anchor_budget": anchor_budget, "skip_audit": True}
+
+
+def _lqt_small(i, anchor_budget=2000):
+    d, pairs, kwargs = _lqt_small_instance(i, anchor_budget)
+    return solve_lqt(d, pairs, 2, **kwargs)
 
 
 CASES = {

@@ -6,7 +6,6 @@ from klinkage import (
     CompositionSpec,
     Digraph,
     fill_parts,
-    compose,
     is_semicomplete,
     kappa,
     minimalize_path,
@@ -38,7 +37,7 @@ class TestStrip:
     def test_two_cycle_of_two_cycles(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [two, two])
-        d = compose(spec)
+        d = spec.digraph
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
         assert_in_masks_transpose(d0)
         # bidirected complete bipartite digraph between {0,1} and {2,3}
@@ -74,7 +73,7 @@ class TestStrip:
         spec = CompositionSpec.from_local_parts(
             outer, [Digraph.from_arcs(1, []), Digraph.from_arcs(1, []), cycle]
         )
-        d = compose(spec)
+        d = spec.digraph
         d0 = strip_intra_part_arcs(d, spec.part_vertex_ids())
         assert_in_masks_transpose(d0)
         assert kappa(d) == brute_kappa(d) == 3
@@ -85,7 +84,7 @@ class TestFillParts:
     def test_part_without_targets_becomes_complete(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(3, []), Digraph.from_arcs(1, [])])
-        d0 = compose(spec)
+        d0 = spec.digraph
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[])
         assert_in_masks_transpose(dp)
         assert all(dp.has_arc(u, v) for u in (0, 1, 2) for v in (0, 1, 2) if u != v)
@@ -93,7 +92,7 @@ class TestFillParts:
     def test_target_dominates_part(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, []), Digraph.from_arcs(1, [])])
-        d0 = compose(spec)
+        d0 = spec.digraph
         dp = fill_parts(d0, spec.part_vertex_ids(), ys=[0])
         assert_in_masks_transpose(dp)
         assert dp.has_arc(0, 1) and not dp.has_arc(1, 0)
@@ -101,7 +100,7 @@ class TestFillParts:
     def test_result_semicomplete_when_outer_is(self):
         for seed in range(25):
             spec = random_composition(4, [2, 3, 1, 2], 0.5, 80_000 + seed, part_arcs=True)
-            d = compose(spec)
+            d = spec.digraph
             parts = spec.part_vertex_ids()
             d0 = strip_intra_part_arcs(d, parts)
             dp = fill_parts(d0, parts, ys=[0, 3])
@@ -113,7 +112,7 @@ class TestFillParts:
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(2, [(0, 1)]), Digraph.from_arcs(1, [])])
         with pytest.raises(InputError, match="intra-part arcs"):
-            fill_parts(compose(spec), spec.part_vertex_ids(), ys=[])
+            fill_parts(spec.digraph, spec.part_vertex_ids(), ys=[])
 
 
 class TestMinimalize:
@@ -210,7 +209,7 @@ class TestSolveComposition:
         d = random_semicomplete(50, 0.6, 7)
         parts = [Digraph.from_arcs(1, []) for _ in range(50)]
         spec = CompositionSpec.from_local_parts(d, parts)
-        assert compose(spec) == d
+        assert spec.digraph == d
         pairs = ((0, 25), (10, 40))
         comp = solve_composition(spec, pairs, skip_audit=True)
         semi = solve_semicomplete(LinkageInstance(d, pairs), skip_audit=True)
@@ -219,7 +218,7 @@ class TestSolveComposition:
 
     def test_direct_arcs_peeled(self):
         spec = random_composition(6, [2, 2, 2, 2, 2, 2], 0.8, 3, part_arcs=True)
-        d = compose(spec)
+        d = spec.digraph
         pairs = []
         for u, v in d.arcs():
             if all(t not in (u, v) for p in pairs for t in p):
@@ -233,7 +232,7 @@ class TestSolveComposition:
     def test_two_part_routing(self):
         two = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         spec = CompositionSpec.from_local_parts(two, [Digraph.from_arcs(4, []), Digraph.from_arcs(4, [])])
-        d = compose(spec)
+        d = spec.digraph
         pairs = ((0, 1), (2, 3))  # same-part pairs, no direct arcs
         rep = solve_composition(spec, pairs, skip_audit=True)
         assert rep.linked
@@ -248,7 +247,7 @@ class TestSolveComposition:
         while found is None:
             spec = random_composition(20, [3] * 20, 0.9, seed, part_arcs=True)
             seed += 1
-            d = compose(spec)
+            d = spec.digraph
             if d.min_out_degree() >= 46 and is_k_strong(d, 6):
                 found = (spec, d)
         spec, d = found
@@ -285,7 +284,7 @@ class TestSolveComposition:
             sizes = [1 + rng.randrange(3) for _ in range(h)]
             spec = random_composition(h, sizes, (seed % 4) * 0.3, 83_000 + seed,
                                       part_arcs=bool(seed % 2))
-            d = compose(spec)
+            d = spec.digraph
             k = 1 + seed % 2
             if d.order < 2 * k + 1:
                 continue

@@ -7,7 +7,6 @@ from klinkage import (
     CompositionSpec,
     Digraph,
     build_auxiliary,
-    compose,
     pool_threshold,
     find_short_anchor_pair,
     independent_short_paths,
@@ -22,6 +21,7 @@ from klinkage.errors import (
     BudgetExceededError,
     ConstructionFailedError,
     InputError,
+    KLinkageError,
     PreconditionViolatedError,
 )
 from klinkage.generators import (
@@ -31,7 +31,9 @@ from klinkage.generators import (
     random_tournament,
 )
 
-from ref_lqt import ref_independent_short_paths
+from klinkage.jsonio import dumps_canonical, report_to_obj
+
+from ref_lqt import ref_independent_short_paths, ref_solve_lqt
 
 
 def complete(n):
@@ -122,7 +124,7 @@ class TestIndependentShortPaths:
                 h = 2 + rng.randrange(6)
                 spec = random_extended_tournament(h, [1 + rng.randrange(3) for _ in range(h)],
                                                   92_000 + case)
-                d = compose(spec)
+                d = spec.digraph
             u, v = rng.sample(list(d.vertices()), 2)
             got = independent_short_paths(d, u, v, l, limit)
             assert got == ref_independent_short_paths(d, u, v, l, limit), (case, u, v, l, limit)
@@ -166,7 +168,7 @@ class TestBuildAuxiliary:
 
     def test_triangle_gadget_pool(self):
         spec = _triangle_gadget()
-        d = compose(spec)
+        d = spec.digraph
         assert is_l_quasi_transitive(d, 2)
         aux = build_auxiliary(d, [], [], 2, 3)
         assert len(aux.available) == 1
@@ -183,7 +185,7 @@ class TestBuildAuxiliary:
 
     def test_threshold_unreachable_on_small_digraph(self):
         spec = random_extended_tournament(10, [3] * 10, 4)
-        d = compose(spec)
+        d = spec.digraph
         assert d.is_strong()
         with pytest.raises(ConstructionFailedError) as err:
             build_auxiliary(d, [], [], 2, pool_threshold(2, 2))
@@ -194,11 +196,11 @@ class TestBuildAuxiliary:
 
     def test_terminal_arcs_complete_the_terminals(self):
         spec = random_extended_tournament(12, [3] * 12, 6)
-        d = compose(spec)
+        d = spec.digraph
         x, y = 0, 5
         aux = build_auxiliary(d, [x], [y], 2, 3)
         assert is_semicomplete(aux.augmented)
-        for w, t in aux.terminal_arcs:
+        for w, t in set(aux.augmented.arcs()) - set(d.arcs()) - set(aux.available):
             assert t == x or w == y
             assert not d.has_arc(w, t)
 
@@ -307,7 +309,7 @@ class TestSolveLqt:
 
     def test_connectivity_bound_audited_by_default(self):
         spec = random_extended_tournament(20, [3] * 20, 0)
-        d = compose(spec)
+        d = spec.digraph
         rep = solve_lqt(d, ((0, 30),), 2, threshold=5)
         assert rep.outcome == "hypothesis_violated"
         assert "kappa" in rep.failure
@@ -316,7 +318,7 @@ class TestSolveLqt:
         solved = 0
         for seed in range(6):
             spec = random_extended_tournament(20, [3] * 20, seed)
-            d = compose(spec)
+            d = spec.digraph
             if not d.is_strong():
                 continue
             parts = spec.part_vertex_ids()
@@ -330,7 +332,7 @@ class TestSolveLqt:
     def test_two_pairs_on_larger_instances(self):
         for seed in range(2):
             spec = random_extended_tournament(30, [3] * 30, 74_000 + seed)
-            d = compose(spec)
+            d = spec.digraph
             assert d.is_strong()
             parts = spec.part_vertex_ids()
             pairs = ((parts[0][0], parts[10][0]), (parts[5][0], parts[20][0]))
@@ -345,7 +347,7 @@ class TestSolveLqt:
         for seed in range(40):
             h = 8 + seed % 10
             spec = random_extended_tournament(h, [1 + seed % 3] * h, 84_000 + seed)
-            d = compose(spec)
+            d = spec.digraph
             if not d.is_strong():
                 continue
             rng = SplitMix64(85_000 + seed)
@@ -360,9 +362,54 @@ class TestSolveLqt:
 
     def test_same_part_terminals(self):
         spec = random_extended_tournament(20, [3] * 20, 2)
-        d = compose(spec)
+        d = spec.digraph
         parts = spec.part_vertex_ids()
         pairs = ((parts[0][0], parts[0][1]),)  # non-adjacent terminal pair
         rep = solve_lqt(d, pairs, 2, threshold=5, skip_audit=True)
         assert rep.linked
         assert verify_linkage(d, pairs, rep.system).ok
+
+
+def _ledger_instance(i):
+    """Seeded ``solve_lqt`` arguments: 6-23 parts of 1-4 vertices, k of 1-3,
+    threshold 1-6, anchor budget 200 or 20,000, audit skipped."""
+    rng = SplitMix64(70_000 + i)
+    h = 6 + rng.randrange(18)
+    sizes = [1 + rng.randrange(4) for _ in range(h)]
+    k = 1 + rng.randrange(3)
+    kwargs = {"threshold": 1 + rng.randrange(6), "anchor_budget": (200, 20_000)[rng.bit()],
+              "skip_audit": True}
+    d = random_extended_tournament(h, sizes, 70_000 + i).digraph
+    terms = SplitMix64(71_000 + i).sample(list(d.vertices()), 2 * k)
+    return d, tuple((terms[2 * j], terms[2 * j + 1]) for j in range(k)), kwargs
+
+
+def _outcome(solve, d, pairs, kwargs):
+    """The canonical report bytes and the stage, hypothesis or outcome, or
+    the error raised."""
+    try:
+        report = solve(d, pairs, 2, **kwargs)
+    except KLinkageError as exc:
+        return (type(exc).__name__, str(exc), exc.witness()), "raised"
+    return dumps_canonical(report_to_obj(report)), report.stage or report.failure or report.outcome
+
+
+# per outcome, half the count the 600 instances gave when the test was written
+_LEDGER_FLOORS = {"linked": 155, "auxiliary": 54, "source-helper": 34, "not strong": 18,
+                  "dominating-set": 13, "source-replacement": 12, "targets": 6,
+                  "anchor-link": 6}
+
+
+def test_claimed_mask_matches_the_ledger_solver():
+    """``solve_lqt`` keeps one claimed mask where ``ref_solve_lqt`` keeps a
+    ledger, a helper mask and the reserved interiors: the same report
+    bytes on every instance, over every stage the solve after the
+    auxiliary digraph can fail at."""
+    seen = {}
+    for i in range(600):
+        d, pairs, kwargs = _ledger_instance(i)
+        got, kind = _outcome(solve_lqt, d, pairs, kwargs)
+        want, _ = _outcome(ref_solve_lqt, d, pairs, kwargs)
+        assert got == want, (i, pairs, kwargs)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert all(seen.get(kind, 0) >= floor for kind, floor in _LEDGER_FLOORS.items()), seen

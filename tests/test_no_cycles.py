@@ -13,7 +13,7 @@ import gc
 
 import pytest
 
-from klinkage import LinkageInstance, compose, solve_composition, solve_lqt, solve_semicomplete
+from klinkage import LinkageInstance, solve_composition, solve_lqt, solve_semicomplete
 from klinkage.generators import (
     SplitMix64,
     random_composition,
@@ -21,6 +21,8 @@ from klinkage.generators import (
     random_semicomplete,
     random_tournament,
 )
+
+from test_golden_reports import _lqt_small_instance
 
 
 def _pairs(d, k, seed):
@@ -42,7 +44,7 @@ def _composition_solves():
     solves = []
     for i in (0, 1, 5):  # hypothesis violated, linked, failed filled subsolve
         spec = random_composition(6, [2] * 6, 0.5, 95_000 + i, part_arcs=True)
-        pairs = _pairs(compose(spec), 2, 96_000 + i)
+        pairs = _pairs(spec.digraph, 2, 96_000 + i)
         solves.append(lambda spec=spec, pairs=pairs, audit=i == 0: solve_composition(
             spec, pairs, skip_audit=not audit))
     return solves
@@ -54,7 +56,7 @@ def _lqt_solves():
     while len(solves) < 4:
         spec = random_extended_tournament(20, [3] * 20, seed)
         seed += 1
-        d = compose(spec)
+        d = spec.digraph
         if not d.is_strong():
             continue
         parts = spec.part_vertex_ids()
@@ -62,6 +64,9 @@ def _lqt_solves():
         if len(solves) % 2:
             pairs += ((parts[5][0], parts[15][0]),)
         solves.append(lambda d=d, pairs=pairs: solve_lqt(d, pairs, 2, threshold=5, skip_audit=True))
+    for i in (19, 12):  # the golden grid's source-replacement and anchor-link failures
+        d, pairs, kwargs = _lqt_small_instance(i)
+        solves.append(lambda d=d, pairs=pairs, kwargs=kwargs: solve_lqt(d, pairs, 2, **kwargs))
     return solves
 
 
