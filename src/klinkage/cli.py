@@ -23,7 +23,7 @@ from .dominators import (
     nearly_in_dominating_vertex,
     verify_nearly_in_dominating,
 )
-from .errors import BudgetExceededError, FormatError, InputError, KLinkageError
+from .errors import Budget, BudgetExceededError, FormatError, InputError, KLinkageError
 from .generators import (
     circulant_tournament,
     non_linked_family,
@@ -44,7 +44,7 @@ from .jsonio import (
     report_to_obj,
 )
 from .linkage_composition import solve_composition
-from .linkage_lqt import _ANCHOR_BUDGET, solve_lqt
+from .linkage_lqt import _ANCHOR_BUDGET, pool_threshold, solve_lqt
 from .linkage_semicomplete import solve_semicomplete
 from .paths import Infeasible, LinkageInstance
 from .reports import HYPOTHESIS_VIOLATED, LINKED
@@ -367,6 +367,11 @@ def main(argv=None) -> int:
             raise FormatError(f"--dot would write over the report: -o {args.output} ends in .dot")
         if getattr(args, "lqt", None) is not None and args.lqt < 1:  # before the input is read
             raise InputError("path length must be at least 1")
+        if getattr(args, "klass", None) == "lqt":  # solve_lqt's entry checks, in its order
+            pool_threshold(1, args.l)  # checks l; k waits for the pairs
+            if args.threshold is not None and args.threshold < 1:
+                raise InputError("threshold must be positive")
+            Budget(args.anchor_budget)
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from math import comb, inf
 from typing import Iterator
 
 from .connectivity import menger_set_paths
-from .digraph import Digraph, _union, is_l_quasi_transitive, is_semicomplete, iter_bits, mask_of, spanning_tournament
+from .digraph import Digraph, _union, is_l_quasi_transitive, iter_bits, mask_of, spanning_tournament
 from .dominators import _first_c_good, nearly_in_dominating_set
 from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError, witness_of
 from .linkage_semicomplete import audit_hypotheses
@@ -172,26 +172,13 @@ class AuxiliaryDigraph:
     targets, that only make it semicomplete around the terminals: they are
     neither arcs of the original digraph nor keys of ``available``, and no
     returned linkage may use them.
+    These invariants hold by construction; ``build_auxiliary`` does not
+    re-check them.  A faulty pool could not give a wrong ``linked`` report,
+    as the solve certifies its paths against the original digraph.
     """
 
     augmented: Digraph
     available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-
-
-def _check_pool(sub: Digraph, arc, pool, l: int) -> None:
-    """Record-time validation: real paths, short, sharing only endpoints."""
-    a, b = arc
-    out = sub._out  # restricted to the alive vertices, so a set bit is an arc of sub
-    taken = 0
-    for p in pool:
-        if not (p[0] == a and p[-1] == b and len(p) <= l + 2):
-            raise AssertionError(f"pool path {p} does not run {a}->{b} within {l + 1} arcs")
-        if not all(out[u] >> v & 1 for u, v in zip(p, p[1:])):
-            raise AssertionError(f"pool path {p} leaves the terminal-free subdigraph")
-        inner = mask_of(p[1:-1])
-        if inner & taken:
-            raise AssertionError("pool paths must share only their endpoints")
-        taken |= inner
 
 
 def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigraph:
@@ -236,19 +223,22 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
                 arc, chosen = (u, v), pool.forward
             else:
                 arc, chosen = (v, u), pool.backward
-            _check_pool(sub, arc, chosen, l)
+            # the pool holds by construction: _paths_of_length takes each hop
+            # from out rows ANDed with a level or with free, so every path is
+            # one of sub, with the loop's length, at most l+1 arcs; and
+            # independent_short_paths removes each interior from free before
+            # the next pick, so the interiors are disjoint
             new_arcs[arc] = chosen
 
+    # semicomplete by construction: every non-adjacent pair away from the
+    # terminals got exactly one new arc, and these cover every pair at one
     terminal_arcs = set()
     for x in xs:
         terminal_arcs.update((w, x) for w in iter_bits(d._alive & ~d._in[x] & ~(1 << x)))
     for y in ys:
         terminal_arcs.update((y, w) for w in iter_bits(d._alive & ~d._out[y] & ~(1 << y)))
 
-    augmented = d.add_arcs(list(new_arcs) + sorted(terminal_arcs))
-    if not is_semicomplete(augmented):
-        raise AssertionError("auxiliary digraph must be semicomplete")
-    return AuxiliaryDigraph(augmented, new_arcs)
+    return AuxiliaryDigraph(d.add_arcs(list(new_arcs) + sorted(terminal_arcs)), new_arcs)
 
 
 # -- short anchoring -------------------------------------------------------

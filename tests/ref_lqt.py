@@ -15,6 +15,13 @@ the shorter path.
 ``klinkage.linkage_lqt`` picks the same paths length by length on the
 masks; the tests require both to return equal pools.
 
+``ref_check_pool`` is the record-time check ``build_auxiliary`` ran on
+every pool it kept: endpoints and at most l+1 arcs, arcs of the
+terminal-free subdigraph, disjoint interiors.  All three hold by
+construction, so ``klinkage.linkage_lqt`` no longer runs it; the tests run
+it on every pool the golden, benchmark-pool and acceptance l-QT instances
+build.
+
 ``ref_solve_lqt`` is the pipeline after the auxiliary digraph as a
 reservation ledger kept it: a ``_Ledger`` object next to a helper mask, a
 two-mode ``_splice`` that picks from the ledger or reads the reserved map,
@@ -125,6 +132,22 @@ def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) 
         bucket.append(tuple(pick))
         removed |= mask_of(pick[1:-1])
     return ShortPathPool(u, v, tuple(forward), tuple(backward))
+
+
+def ref_check_pool(sub: Digraph, arc, pool, l: int) -> None:
+    """Raise AssertionError unless ``pool`` backs ``arc`` in ``sub``: paths
+    of at most l+1 arcs, arcs of ``sub``, sharing only endpoints."""
+    a, b = arc
+    taken = 0
+    for p in pool:
+        if not (p[0] == a and p[-1] == b and len(p) <= l + 2):
+            raise AssertionError(f"pool path {p} does not run {a}->{b} within {l + 1} arcs")
+        if not all(sub.has_arc(u, v) for u, v in zip(p, p[1:])):
+            raise AssertionError(f"pool path {p} leaves the terminal-free subdigraph")
+        inner = mask_of(p[1:-1])
+        if inner & taken:
+            raise AssertionError("pool paths must share only their endpoints")
+        taken |= inner
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,30 @@ class TestInvalidInputExitTwo:
         assert (code, out, err.getvalue()) == (
             2, "", "error: InputError: path length must be at least 1\n")
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--l", "1"], "need k >= 1 and l >= 2"),
+        (["--threshold", "0"], "threshold must be positive"),
+        (["--anchor-budget", "-1"], "budget must be at least 0, got -1"),
+        (["--l", "1", "--threshold", "0", "--anchor-budget", "-1"], "need k >= 1 and l >= 2"),
+        (["--threshold", "0", "--anchor-budget", "-1"], "threshold must be positive"),
+    ], ids=["l", "threshold", "anchor-budget", "all-three", "threshold-and-budget"])
+    def test_lqt_flags_before_the_input_is_read(self, workdir, flags, line):
+        # solve_lqt's own messages, in its order, and the missing file is never opened
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["solve", "--input", os.path.join(workdir, "absent.json"),
+                                 "--class", "lqt", "--pairs", "0:1", *flags])
+        assert (code, out, err.getvalue()) == (2, "", f"error: InputError: {line}\n")
+
+    def test_lqt_flags_ignored_by_other_classes(self, workdir):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["solve", "--input", os.path.join(workdir, "absent.json"),
+                                 "--class", "semicomplete", "--pairs", "0:1", "--l", "1",
+                                 "--threshold", "0", "--anchor-budget", "-1"])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("error: [Errno 2]")
+
     def test_missing_input_file(self, workdir):
         out = run_cli_process(["check", "--input", os.path.join(workdir, "absent.json"), "--kappa"])
         assert out.returncode == 2, out.stderr

@@ -25,15 +25,19 @@ from klinkage.errors import (
     PreconditionViolatedError,
 )
 from klinkage.generators import (
+    random_composition,
     random_digraph,
     random_extended_tournament,
     random_semicomplete,
     random_tournament,
 )
 
+from klinkage import linkage_lqt
 from klinkage.jsonio import dumps_canonical, report_to_obj
 
-from ref_lqt import ref_independent_short_paths, ref_solve_lqt
+from ref_lqt import ref_check_pool, ref_independent_short_paths, ref_solve_lqt
+from test_golden_reports import CASES
+from test_pool_reports import _reports
 
 
 def complete(n):
@@ -203,6 +207,70 @@ class TestBuildAuxiliary:
         for w, t in set(aux.augmented.arcs()) - set(d.arcs()) - set(aux.available):
             assert t == x or w == y
             assert not d.has_arc(w, t)
+
+
+def test_built_pools_pass_the_record_time_check(monkeypatch):
+    """Every auxiliary digraph that the golden, benchmark-pool and acceptance
+    l-QT solves build is semicomplete, and each of its pools passes
+    ``ref_check_pool`` in the terminal-free subdigraph: the checks that
+    ``build_auxiliary`` leaves to construction."""
+    built = []
+
+    def record(d, xs, ys, l, threshold):
+        aux = build_auxiliary(d, xs, ys, l, threshold)
+        built.append((d, xs, ys, l, aux))
+        return aux
+
+    monkeypatch.setattr(linkage_lqt, "build_auxiliary", record)
+    for name, case in CASES.items():
+        if name.startswith("lqt-"):
+            case()
+    counts = [len(built)]
+    _reports("lqt")
+    counts.append(len(built) - sum(counts))
+    for spec, d in _lqt_instances(10, 20, 61_000):
+        parts = spec.part_vertex_ids()
+        solve_lqt(d, ((parts[0][0], parts[10][0]),), 2, threshold=5, skip_audit=True)
+    counts.append(len(built) - sum(counts))
+    # in an extended tournament the non-adjacent pairs share a part, so at
+    # l = 2 every pool path has 3 arcs; the 2-cycles between the parts of
+    # these compositions add 2-arc paths, and their pools mix both lengths
+    for seed in range(41_000, 41_020):
+        d = random_composition(10, [3] * 10, 0.3, seed).digraph
+        try:
+            record(d, [0], [3], 2, 5)
+        except (ConstructionFailedError, PreconditionViolatedError):
+            pass
+    counts.append(len(built) - sum(counts))
+    arcs = mixed = 0
+    for d, xs, ys, l, aux in built:
+        assert is_semicomplete(aux.augmented)
+        sub = d.delete(list(xs) + list(ys))
+        for arc, pool in aux.available.items():
+            ref_check_pool(sub, arc, pool, l)
+            mixed += len({len(p) for p in pool}) > 1
+        arcs += len(aux.available)
+    # every golden case that gets past the audit and the construction, the 24
+    # pinned instances, the 10 acceptance solves and the compositions
+    assert counts == [11, 24, 10, 19], counts
+    assert arcs >= 2_000 and mixed >= 40, (arcs, mixed)
+
+
+class TestRefCheckPool:
+    """``ref_check_pool`` refuses each fault it checks for."""
+
+    def test_accepts_a_backing_pool(self):
+        ref_check_pool(complete(5), (0, 1), ((0, 1), (0, 2, 1), (0, 3, 4, 1)), 2)
+
+    @pytest.mark.parametrize("pool, fault", [
+        (((0, 2, 3, 4, 1),), "does not run 0->1 within 3 arcs"),
+        (((0, 2),), "does not run 0->1 within 3 arcs"),
+        (((0, 2, 1), (0, 3, 2, 1)), "share only their endpoints"),
+        (((0, 4, 1),), "leaves the terminal-free subdigraph"),
+    ])
+    def test_refuses(self, pool, fault):
+        with pytest.raises(AssertionError, match=fault):
+            ref_check_pool(complete(5).delete([4]), (0, 1), pool, 2)
 
 
 class TestShortAnchors:
