@@ -329,16 +329,16 @@ def _c7_lqt_substitutes():
         parts = spec.part_vertex_ids()
         x, y = parts[0][0], parts[1][0]
         try:
-            aux = build_auxiliary(d, [x], [y], 2, 3)
+            available = build_auxiliary(d, [x], [y], 2, 3)
         except PreconditionViolatedError:  # no short return path: d is strong
             key_violations += 1
             continue
         except ConstructionFailedError:
             continue  # pool too thin on this seed; take the next instance
-        built.append((d, x, y, aux))
-    for idx, (d, x, y, aux) in enumerate(built):
+        built.append((d, x, y, available))
+    for idx, (d, x, y, available) in enumerate(built):
         d0 = d.delete({x, y})
-        for (a, b), pool in aux.available.items():
+        for (a, b), pool in available.items():
             seen_interiors: set[int] = set()
             for p in pool:
                 if p[0] != a or p[-1] != b or len(p) > 4:
@@ -357,8 +357,8 @@ def _c7_lqt_substitutes():
         parts = spec.part_vertex_ids()
         x, y = parts[0][0], parts[10][0]
         rep = solve_lqt(d, ((x, y),), 2, threshold=5, skip_audit=True)
-        # verification also rules out synthetic and terminal arcs: they are
-        # simply not arcs of d
+        # verification also rules out synthetic arcs: they are simply not
+        # arcs of d
         if rep.linked and verify_linkage(d, ((x, y),), rep.system):
             solved += 1
     if solved != 10:

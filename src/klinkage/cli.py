@@ -133,6 +133,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # the range checks, in the order the checks below make them, before the input is read
+    if args.lqt is not None and args.lqt < 1:
+        raise InputError("path length must be at least 1")
+    if args.nid and args.cmax is not None and args.cmax < 1:
+        raise InputError(f"c_max must be at least 1, got {args.cmax}")
     d, _parts = _read_digraph(args.input)
     result: dict = {"n": d.n, "order": d.order}
     ok = True  # every requested check passes
@@ -171,6 +176,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.klass == "lqt":  # solve_lqt's entry checks, in its order, before the input is read
+        pool_threshold(1, args.l)  # checks l; k waits for the pairs
+        if args.threshold is not None and args.threshold < 1:
+            raise InputError("threshold must be positive")
+        Budget(args.anchor_budget)
     d, parts = _read_digraph(args.input)
     pairs = _parse_pairs(args.pairs)
     if args.klass == "semicomplete":
@@ -221,6 +231,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    Budget(args.budget)  # the search's range check, before the input is read
     d, _parts = _read_digraph(args.input)
     obj: dict = {"budget": args.budget}
     try:
@@ -365,13 +376,6 @@ def main(argv=None) -> int:
             raise FormatError("--dot needs -o to name the sibling file")
         if getattr(args, "dot", False) and _dot_sibling(args.output) == args.output:
             raise FormatError(f"--dot would write over the report: -o {args.output} ends in .dot")
-        if getattr(args, "lqt", None) is not None and args.lqt < 1:  # before the input is read
-            raise InputError("path length must be at least 1")
-        if getattr(args, "klass", None) == "lqt":  # solve_lqt's entry checks, in its order
-            pool_threshold(1, args.l)  # checks l; k waits for the pairs
-            if args.threshold is not None and args.threshold < 1:
-                raise InputError("threshold must be positive")
-            Budget(args.anchor_budget)
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

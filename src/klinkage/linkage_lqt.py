@@ -3,11 +3,11 @@
 Non-adjacent pairs in such a digraph are always joined by short paths in
 one direction, and enough of them can be harvested to back a synthetic
 "new arc" with a pool of independent replacement paths.  Adding those arcs
-(plus throwaway arcs into the sources and out of the targets) yields a
-semicomplete digraph where dominator-based routing works; every synthetic
-arc on a chosen route is then substituted by a pooled path whose interior
-misses one claimed mask: the terminals, the dominator set, the helpers and
-every earlier substitution.
+yields a digraph that is semicomplete once the terminals are deleted, and
+dominator-based routing works there; every synthetic arc on a chosen route
+is then substituted by a pooled path whose interior misses one claimed
+mask: the terminals, the dominator set, the helpers and every earlier
+substitution.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class ShortPathPool:
     backward: tuple[tuple[int, ...], ...]
     stalled_strong: bool = False
     stall_distances: tuple[object, object] | None = None
-
-    def counts(self) -> tuple[int, int]:
-        return len(self.forward), len(self.backward)
 
 
 def _paths_of_length(out: list[int], inc: list[int], a: int, b: int, length: int, free: int,
@@ -160,44 +157,25 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     )
 
 
-@dataclass(frozen=True)
-class AuxiliaryDigraph:
-    """The semicomplete auxiliary digraph with its replacement pools.
-
-    The keys of ``available`` are the new arcs, added between non-adjacent
-    pairs away from the terminals, and each is backed by ``available[arc]``:
-    independent paths of the original digraph, length at most l+1, sharing
-    only endpoints.
-    ``augmented`` also holds terminal arcs, into the sources and out of the
-    targets, that only make it semicomplete around the terminals: they are
-    neither arcs of the original digraph nor keys of ``available``, and no
-    returned linkage may use them.
-    These invariants hold by construction; ``build_auxiliary`` does not
-    re-check them.  A faulty pool could not give a wrong ``linked`` report,
-    as the solve certifies its paths against the original digraph.
-    """
-
-    augmented: Digraph
-    available: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-
-
-def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigraph:
-    """Add backed arcs between non-adjacent non-terminal pairs.
+def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
+                    ) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Map each backed arc between non-adjacent non-terminal pairs to its pool.
 
     For each such pair the extraction runs in the terminal-free subdigraph;
     the direction first reaching ``threshold`` independent short paths gets
-    the arc with the pool recorded.  A stall with a strong residual violates
-    the short-return-distance law of l-quasi-transitive digraphs and raises
-    PreconditionViolatedError with the witness pair; a stall below threshold
-    otherwise raises ConstructionFailedError.
+    the arc, backed by those paths (at most l+1 arcs, sharing only
+    endpoints), so d plus the arcs, minus the terminals, is semicomplete.
+    Nothing is re-checked: the solve certifies its paths against d.  A
+    stall with a strong residual violates the short-return-distance law of
+    l-quasi-transitive digraphs and raises PreconditionViolatedError with
+    the witness pair; a stall below threshold otherwise raises
+    ConstructionFailedError.
     """
     if threshold < 1:
         raise InputError("threshold must be positive")
     if not d.is_strong():
         raise PreconditionViolatedError("auxiliary construction needs a strong digraph")
-    xs, ys = list(xs), list(ys)
-    terminal_mask = mask_of(xs) | mask_of(ys)
-    sub = d.delete(iter_bits(terminal_mask))
+    sub = d.delete(iter_bits(mask_of(xs) | mask_of(ys)))
 
     new_arcs = {}
     alive, out, inc = sub._alive, sub._out, sub._in
@@ -205,7 +183,7 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
         # the non-neighbours of u above it, ascending
         for v in iter_bits(alive & ~(out[u] | inc[u]) & ~((2 << u) - 1)):
             pool = independent_short_paths(sub, u, v, l, threshold)
-            nf, nb = pool.counts()
+            nf, nb = len(pool.forward), len(pool.backward)
             if max(nf, nb) < threshold:
                 if pool.stalled_strong:  # a strong residual gives both distances
                     df, db = pool.stall_distances
@@ -230,15 +208,9 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int) -> AuxiliaryDigr
             # the next pick, so the interiors are disjoint
             new_arcs[arc] = chosen
 
-    # semicomplete by construction: every non-adjacent pair away from the
-    # terminals got exactly one new arc, and these cover every pair at one
-    terminal_arcs = set()
-    for x in xs:
-        terminal_arcs.update((w, x) for w in iter_bits(d._alive & ~d._in[x] & ~(1 << x)))
-    for y in ys:
-        terminal_arcs.update((y, w) for w in iter_bits(d._alive & ~d._out[y] & ~(1 << y)))
-
-    return AuxiliaryDigraph(d.add_arcs(list(new_arcs) + sorted(terminal_arcs)), new_arcs)
+    # semicomplete away from the terminals by construction: every
+    # non-adjacent pair there got exactly one new arc
+    return new_arcs
 
 
 # -- short anchoring -------------------------------------------------------
@@ -364,7 +336,7 @@ def _splice(augmented_path, d: Digraph, replacement: dict) -> list[int]:
             out.append(b)
         elif (a, b) in replacement:
             out.extend(replacement[(a, b)][1:])
-        else:  # a terminal arc, or a synthetic one that got no replacement
+        else:  # a synthetic arc that got no replacement
             raise AssertionError(f"arc ({a},{b}) on a linking path has no replacement")
     return out
 
@@ -407,25 +379,26 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
 
     try:
-        aux = build_auxiliary(d, xs, ys, l, pool_goal)
+        available = build_auxiliary(d, xs, ys, l, pool_goal)
     except PreconditionViolatedError as exc:  # no short return path: d is strong here
         return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
     except ConstructionFailedError as exc:
         return SolveReport.of_stage("auxiliary", exc.witness(), audit)
-    audit["new_arcs"] = len(aux.available)
+    augmented = d.add_arcs(available)
+    audit["new_arcs"] = len(available)
     # the same arc labels recur in every report on one digraph: interned,
     # reports kept together hold one copy of each
     audit["auxiliary"] = {
-        sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(aux.available.items())
+        sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(available.items())
     }
 
     m = 9 * k - 6
     try:
-        us = nearly_in_dominating_set(aux.augmented, xs, ys, m)
+        us = nearly_in_dominating_set(augmented, xs, ys, m)
     except PreconditionViolatedError as exc:
         return SolveReport.of_stage("dominating-set", exc.witness(), audit)
     u_mask = mask_of(us)
-    d_u = aux.augmented.induced(us)
+    d_u = augmented.induced(us)
     try:
         anchor = find_short_anchor_pair(spanning_tournament(d_u), k, anchor_budget)
     except BudgetExceededError as exc:
@@ -436,7 +409,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     u1, u2 = anchor
 
     terminals = mask_of(xs) | mask_of(ys)
-    free = aux.augmented.alive_mask & ~terminals
+    free = augmented.alive_mask & ~terminals
     # every vertex in use: no later helper, middle or replacement interior
     # may touch it, and none of them lies in Y
     claimed = terminals | u_mask
@@ -446,19 +419,19 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     for i, x in enumerate(xs):
         target = u1[i]
         cands = d.out_mask(x) & d.alive_mask & ~claimed
-        helper = _first_c_good(aux.augmented, cands, target, free, 11 * k)
+        helper = _first_c_good(augmented, cands, target, free, 11 * k)
         if helper is None:
             return SolveReport.of_stage("source-helper", witness_of(
                 "no out-neighbour of the source is c-good for its anchor", (x, target),
                 {"c": 11 * k}), audit)
         claimed |= 1 << helper
-        if aux.augmented.has_arc(helper, target):
+        if augmented.has_arc(helper, target):
             base_paths.append([x, helper, target])
         else:
             # out[helper] & in[target] & free has at least 11k bits; U (X and Y
             # lie outside free) takes at most 9k-6 of them, earlier helpers and
             # middles at most 2k-2: at least 8 are left
-            mids = aux.augmented.out_mask(helper) & aux.augmented.in_mask(target) & free & ~claimed
+            mids = augmented.out_mask(helper) & augmented.in_mask(target) & free & ~claimed
             if not mids:
                 raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
             mid = next(iter_bits(mids))
@@ -468,8 +441,8 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     # each synthetic arc of a source path gets a fresh replacement, in path order
     replacement: dict[tuple[int, int], tuple[int, ...]] = {}
     try:
-        for arc in (arc for p in base_paths for arc in zip(p, p[1:]) if arc in aux.available):
-            replacement[arc] = path = _fresh(aux.available[arc], claimed, arc)
+        for arc in (arc for p in base_paths for arc in zip(p, p[1:]) if arc in available):
+            replacement[arc] = path = _fresh(available[arc], claimed, arc)
             claimed |= mask_of(path[1:-1])
     except ConstructionFailedError as exc:
         return SolveReport.of_stage("source-replacement", exc.witness(), audit)
@@ -480,10 +453,10 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     # reserve replacements for every synthetic arc inside the dominator set,
     # so the target-side routing can avoid them before they are chosen
     reserved: dict[tuple[int, int], tuple[int, ...]] = {}
-    for arc in sorted(aux.available):
+    for arc in sorted(available):
         if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
             try:
-                reserved[arc] = path = _fresh(aux.available[arc], claimed, arc)
+                reserved[arc] = path = _fresh(available[arc], claimed, arc)
             except ConstructionFailedError:
                 continue  # no link may use it: the link digraph holds reserved arcs only
             claimed |= mask_of(path[1:-1])
@@ -503,7 +476,7 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         return (synthetic, len(path), path)
 
     # a link lies inside U and uses d's arcs there and the reserved synthetic
-    # ones: no terminal arc, no synthetic arc without a disjoint replacement
+    # ones: no synthetic arc without a disjoint replacement
     links_in = d.induced(us).add_arcs(reserved)
     link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
     try:

@@ -26,10 +26,13 @@ build.
 reservation ledger kept it: a ``_Ledger`` object next to a helper mask, a
 two-mode ``_splice`` that picks from the ledger or reads the reserved map,
 the reserved interiors as a list and the Menger avoid set rebuilt from the
-spliced source paths.  It rebuilds the terminal arcs it checks from the
-auxiliary digraph: the arcs of ``augmented`` that are neither arcs of the
-input nor backed arcs.  ``klinkage.linkage_lqt.solve_lqt`` keeps one
-claimed mask; the tests require both to give the same report bytes.
+spliced source paths.  It also builds the auxiliary digraph as
+``build_auxiliary`` once returned it: the backed arcs plus terminal arcs
+into every source and out of every target, which made it semicomplete at
+the terminals, and it checks that no linking path uses a terminal arc.
+``klinkage.linkage_lqt.solve_lqt`` keeps one claimed mask and adds the
+backed arcs only; the tests require both to give the same report bytes,
+so no step of the solve reads the terminal arcs.
 """
 
 from __future__ import annotations
@@ -159,11 +162,16 @@ class _RefAuxiliary:
     terminal_arcs: frozenset[tuple[int, int]]
 
 
-def _with_terminal_arcs(d: Digraph, aux) -> _RefAuxiliary:
-    """The terminal arcs are the arcs of ``augmented`` in neither d nor ``available``."""
-    terminal_arcs = frozenset(arc for arc in aux.augmented.arcs()
-                              if not d.has_arc(*arc) and arc not in aux.available)
-    return _RefAuxiliary(aux.augmented, aux.available, terminal_arcs)
+def _with_terminal_arcs(d: Digraph, xs, ys, available) -> _RefAuxiliary:
+    """The backed arcs plus terminal arcs into every source and out of every
+    target, which make the auxiliary digraph semicomplete at the terminals."""
+    terminal_arcs = set()
+    for x in xs:
+        terminal_arcs.update((w, x) for w in iter_bits(d._alive & ~d._in[x] & ~(1 << x)))
+    for y in ys:
+        terminal_arcs.update((y, w) for w in iter_bits(d._alive & ~d._out[y] & ~(1 << y)))
+    augmented = d.add_arcs(list(available) + sorted(terminal_arcs))
+    return _RefAuxiliary(augmented, available, frozenset(terminal_arcs))
 
 
 class _Ledger:
@@ -233,7 +241,7 @@ def ref_solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
 
     try:
-        aux = _with_terminal_arcs(d, build_auxiliary(d, xs, ys, l, pool_goal))
+        aux = _with_terminal_arcs(d, xs, ys, build_auxiliary(d, xs, ys, l, pool_goal))
     except PreconditionViolatedError as exc:  # no short return path: d is strong here
         return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
     except ConstructionFailedError as exc:

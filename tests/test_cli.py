@@ -328,29 +328,35 @@ class TestInvalidInputExitTwo:
                                  "--pairs", "0:2", "--skip-audit"])
         assert (code, out, err.getvalue()) == (2, "", "error: InputError: part repeats vertex 6\n")
 
-    def test_lqt_below_one_before_the_input_is_read(self, workdir):
-        # the length is refused first, so a missing file is never opened
+    @pytest.mark.parametrize("command, flags, line", [
+        ("solve", ["--l", "1"], "need k >= 1 and l >= 2"),
+        ("solve", ["--threshold", "0"], "threshold must be positive"),
+        ("solve", ["--anchor-budget", "-1"], "budget must be at least 0, got -1"),
+        ("solve", ["--l", "1", "--threshold", "0", "--anchor-budget", "-1"],
+         "need k >= 1 and l >= 2"),
+        ("solve", ["--threshold", "0", "--anchor-budget", "-1"], "threshold must be positive"),
+        ("check", ["--kappa", "--lqt", "0"], "path length must be at least 1"),
+        ("check", ["--lqt", "0", "--nid", "--cmax", "0"], "path length must be at least 1"),
+        ("check", ["--nid", "--cmax", "0"], "c_max must be at least 1, got 0"),
+        ("oracle", ["--k", "1", "--budget", "-5"], "budget must be at least 0, got -5"),
+    ], ids=["l", "threshold", "anchor-budget", "all-three", "threshold-and-budget",
+            "check-lqt", "check-lqt-and-cmax", "check-cmax", "oracle-budget"])
+    def test_lqt_flags_before_the_input_is_read(self, workdir, command, flags, line):
+        # the library's own messages, in its order, and the missing file is never opened
+        if command == "solve":
+            flags = ["--class", "lqt", "--pairs", "0:1", *flags]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli([command, "--input", os.path.join(workdir, "absent.json"), *flags])
+        assert (code, out, err.getvalue()) == (2, "", f"error: InputError: {line}\n")
+
+    def test_cmax_ignored_without_nid(self, workdir):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run_cli(["check", "--input", os.path.join(workdir, "absent.json"),
-                                 "--kappa", "--lqt", "0"])
-        assert (code, out, err.getvalue()) == (
-            2, "", "error: InputError: path length must be at least 1\n")
-
-    @pytest.mark.parametrize("flags, line", [
-        (["--l", "1"], "need k >= 1 and l >= 2"),
-        (["--threshold", "0"], "threshold must be positive"),
-        (["--anchor-budget", "-1"], "budget must be at least 0, got -1"),
-        (["--l", "1", "--threshold", "0", "--anchor-budget", "-1"], "need k >= 1 and l >= 2"),
-        (["--threshold", "0", "--anchor-budget", "-1"], "threshold must be positive"),
-    ], ids=["l", "threshold", "anchor-budget", "all-three", "threshold-and-budget"])
-    def test_lqt_flags_before_the_input_is_read(self, workdir, flags, line):
-        # solve_lqt's own messages, in its order, and the missing file is never opened
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, out = run_cli(["solve", "--input", os.path.join(workdir, "absent.json"),
-                                 "--class", "lqt", "--pairs", "0:1", *flags])
-        assert (code, out, err.getvalue()) == (2, "", f"error: InputError: {line}\n")
+                                 "--kappa", "--cmax", "0"])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("error: [Errno 2]")
 
     def test_lqt_flags_ignored_by_other_classes(self, workdir):
         err = io.StringIO()

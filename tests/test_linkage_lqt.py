@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,7 @@ from klinkage.generators import (
 from klinkage import linkage_lqt
 from klinkage.jsonio import dumps_canonical, report_to_obj
 
+from conftest import is_adjacent
 from ref_lqt import ref_check_pool, ref_independent_short_paths, ref_solve_lqt
 from test_golden_reports import CASES
 from test_pool_reports import _reports
@@ -167,16 +169,15 @@ def _triangle_gadget():
 class TestBuildAuxiliary:
     def test_semicomplete_adds_nothing(self):
         d = random_semicomplete(15, 0.4, 2)
-        aux = build_auxiliary(d, [0], [1], 2, 5)
-        assert not aux.available
+        assert not build_auxiliary(d, [0], [1], 2, 5)
 
     def test_triangle_gadget_pool(self):
         spec = _triangle_gadget()
         d = spec.digraph
         assert is_l_quasi_transitive(d, 2)
-        aux = build_auxiliary(d, [], [], 2, 3)
-        assert len(aux.available) == 1
-        ((arc, pool),) = aux.available.items()
+        available = build_auxiliary(d, [], [], 2, 3)
+        assert len(available) == 1
+        ((arc, pool),) = available.items()
         assert arc == (0, 1)
         assert len(pool) == 3
         assert all(len(p) == 4 for p in pool)
@@ -198,28 +199,30 @@ class TestBuildAuxiliary:
         assert max(forward, backward) < exc.counts["threshold"] == pool_threshold(2, 2)
         assert str(exc) == f"pair {exc.vertices}: best per-direction counts {(forward, backward)}"
 
-    def test_terminal_arcs_complete_the_terminals(self):
+    def test_one_backed_arc_per_non_adjacent_pair_off_the_terminals(self):
         spec = random_extended_tournament(12, [3] * 12, 6)
         d = spec.digraph
         x, y = 0, 5
-        aux = build_auxiliary(d, [x], [y], 2, 3)
-        assert is_semicomplete(aux.augmented)
-        for w, t in set(aux.augmented.arcs()) - set(d.arcs()) - set(aux.available):
-            assert t == x or w == y
-            assert not d.has_arc(w, t)
+        available = build_auxiliary(d, [x], [y], 2, 3)
+        sub = d.delete([x, y])
+        gaps = {frozenset(p) for p in combinations(sub.vertices(), 2) if not is_adjacent(sub, *p)}
+        assert gaps
+        # one key per gap: a pair backed in both directions would give two
+        assert len(available) == len(gaps)
+        assert {frozenset(arc) for arc in available} == gaps
 
 
 def test_built_pools_pass_the_record_time_check(monkeypatch):
-    """Every auxiliary digraph that the golden, benchmark-pool and acceptance
-    l-QT solves build is semicomplete, and each of its pools passes
-    ``ref_check_pool`` in the terminal-free subdigraph: the checks that
-    ``build_auxiliary`` leaves to construction."""
+    """The backed arcs that the golden, benchmark-pool and acceptance l-QT
+    solves build make d minus the terminals semicomplete, and each of their
+    pools passes ``ref_check_pool`` in the terminal-free subdigraph: the
+    checks that ``build_auxiliary`` leaves to construction."""
     built = []
 
     def record(d, xs, ys, l, threshold):
-        aux = build_auxiliary(d, xs, ys, l, threshold)
-        built.append((d, xs, ys, l, aux))
-        return aux
+        available = build_auxiliary(d, xs, ys, l, threshold)
+        built.append((d, xs, ys, l, available))
+        return available
 
     monkeypatch.setattr(linkage_lqt, "build_auxiliary", record)
     for name, case in CASES.items():
@@ -243,13 +246,13 @@ def test_built_pools_pass_the_record_time_check(monkeypatch):
             pass
     counts.append(len(built) - sum(counts))
     arcs = mixed = 0
-    for d, xs, ys, l, aux in built:
-        assert is_semicomplete(aux.augmented)
-        sub = d.delete(list(xs) + list(ys))
-        for arc, pool in aux.available.items():
+    for d, xs, ys, l, available in built:
+        assert is_semicomplete(d.add_arcs(available).delete(xs + ys))
+        sub = d.delete(xs + ys)
+        for arc, pool in available.items():
             ref_check_pool(sub, arc, pool, l)
             mixed += len({len(p) for p in pool}) > 1
-        arcs += len(aux.available)
+        arcs += len(available)
     # every golden case that gets past the audit and the construction, the 24
     # pinned instances, the 10 acceptance solves and the compositions
     assert counts == [11, 24, 10, 19], counts
