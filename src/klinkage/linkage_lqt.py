@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import comb, inf
 from typing import Iterator
 
@@ -65,51 +65,6 @@ class ShortPathPool:
     stall_distances: tuple[object, object] | None = None
 
 
-def _paths_of_length(out: list[int], inc: list[int], a: int, b: int, length: int, free: int,
-                     room: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Up to ``room`` a->b paths of exactly ``length`` arcs, interiors in ``free``.
-
-    Each path is the lexicographically smallest one left once the interiors
-    of the paths before it are removed.  The caller guarantees that no
-    shorter a->b path runs through ``free``; then every walk of ``length``
-    arcs through it is a simple path, so the search runs on walk levels:
-    ``levels[j - 1]`` holds the free vertices with a walk of j arcs to b.
-    The flag is False once no a->b path of ``length`` arcs or more can run
-    through what is left of ``free``.  ``room`` is at least 1.
-    """
-    if length == 1:
-        return ([(a, b)] if out[a] >> b & 1 else []), True
-    if length == 2:
-        middles = list(islice(iter_bits(out[a] & inc[b] & free), room))
-        return [(a, w, b) for w in middles], bool(inc[b] & free & ~mask_of(middles))
-    paths: list[tuple[int, ...]] = []
-    first = out[a]  # first hops not yet tried; one that fails once fails for good
-    while True:
-        levels = [inc[b] & free]
-        while len(levels) < length - 2 and levels[-1]:
-            levels.append(_union(inc, levels[-1]) & free)
-        if not levels[-1]:
-            return paths, False
-        top = levels[-1]
-        first &= free
-        while first:
-            c = (first & -first).bit_length() - 1
-            first ^= 1 << c
-            if out[c] & top:
-                break
-        else:
-            return paths, True
-        path = [a, c]
-        for level in reversed(levels):
-            step = out[path[-1]] & level
-            path.append((step & -step).bit_length() - 1)
-        path.append(b)
-        paths.append(tuple(path))
-        if len(paths) == room:
-            return paths, True
-        free &= ~mask_of(path[1:-1])
-
-
 def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> ShortPathPool:
     """Extract pairwise-independent paths of length <= l+1 between u and v.
 
@@ -122,7 +77,9 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
     arc at most once per direction: removing interiors never shortens a
     path, so the shortest length only grows.  Lengths stop at l+1 and at
     the order minus one, and a direction stops at the first length that no
-    walk through the free vertices reaches.
+    walk through the free vertices reaches.  One ``free`` mask holds the
+    vertices no pick has used, u and v excluded; lengths 1 and 2 are read
+    off the masks, longer ones off walk levels through ``free``.
     """
     if u == v:
         raise InputError("need two distinct vertices")
@@ -131,24 +88,60 @@ def independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> S
         return ShortPathPool(u, v, (), ())
     pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
     out, inc = d._out, d._in
-    base = d._alive & ~(1 << u) & ~(1 << v)
+    base = free = d._alive & ~(1 << u) & ~(1 << v)
     ends = ((u, v), (v, u))
     open_sides = [0, 1]
-    removed = 0
     for length in range(1, min(l + 1, d.order - 1) + 1):
         for side in list(open_sides):
+            a, b = ends[side]
             bucket = pools[side]
-            picked, more = _paths_of_length(out, inc, *ends[side], length, base & ~removed,
-                                            limit - len(bucket))
-            for path in picked:
-                bucket.append(path)
-                removed |= mask_of(path[1:-1])
+            if length == 1:
+                if out[a] >> b & 1:
+                    bucket.append((a, b))
+            elif length == 2:
+                middles = out[a] & inc[b] & free
+                while middles and len(bucket) < limit:
+                    w = middles & -middles
+                    middles ^= w
+                    free ^= w
+                    bucket.append((a, w.bit_length() - 1, b))
+                if not inc[b] & free:
+                    open_sides.remove(side)
+            else:
+                # no shorter a->b path runs through free, so every walk of
+                # length arcs through it is a simple path: levels[j - 1]
+                # holds the free vertices with a walk of j arcs to b
+                first = out[a]  # first hops not yet tried; one that fails once fails for good
+                while len(bucket) < limit:
+                    levels = [inc[b] & free]
+                    while len(levels) < length - 2 and levels[-1]:
+                        levels.append(_union(inc, levels[-1]) & free)
+                    if not levels[-1]:  # no path of length arcs or more is left
+                        open_sides.remove(side)
+                        break
+                    top = levels[-1]
+                    first &= free
+                    while first:
+                        c = (first & -first).bit_length() - 1
+                        first ^= 1 << c
+                        if out[c] & top:
+                            break
+                    else:
+                        break
+                    path = [a, c]
+                    free ^= 1 << c
+                    for level in reversed(levels):
+                        w = out[path[-1]] & level
+                        w &= -w
+                        free ^= w
+                        path.append(w.bit_length() - 1)
+                    path.append(b)
+                    bucket.append(tuple(path))
             if len(bucket) >= limit:
                 return ShortPathPool(u, v, tuple(pools[0]), tuple(pools[1]))
-            if not more:
-                open_sides.remove(side)
         if not open_sides:
             break
+    removed = base & ~free
     stalled_strong = d.delete(iter_bits(removed)).is_strong()  # interiors only; u, v stay
     paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
     return ShortPathPool(
@@ -201,11 +194,11 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
                 arc, chosen = (u, v), pool.forward
             else:
                 arc, chosen = (v, u), pool.backward
-            # the pool holds by construction: _paths_of_length takes each hop
-            # from out rows ANDed with a level or with free, so every path is
-            # one of sub, with the loop's length, at most l+1 arcs; and
-            # independent_short_paths removes each interior from free before
-            # the next pick, so the interiors are disjoint
+            # the pool holds by construction: independent_short_paths takes
+            # each hop from out rows ANDed with free or with a walk level
+            # inside it, so every path is one of sub, with the loop's length,
+            # at most l+1 arcs; and it clears each picked interior from free,
+            # so the interiors are disjoint
             new_arcs[arc] = chosen
 
     # semicomplete away from the terminals by construction: every

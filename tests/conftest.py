@@ -50,7 +50,7 @@ def assert_in_masks_transpose(d):
 
 def out_neighbors(d, v):
     """v's out-neighbours in ascending order."""
-    return list(iter_bits(d.out_mask(v)))
+    return [w for w, bit in enumerate(bin(d.out_mask(v))[:1:-1]) if bit == "1"]
 
 
 def is_adjacent(d, u, v):

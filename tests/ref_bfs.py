@@ -19,9 +19,7 @@ def ref_shortest_path(d, src: int, dst: int, forbidden: int = 0, max_len: int | 
     if src == dst:
         return [src]
 
-    def allowed(v: int) -> bool:
-        return v in (src, dst) or (d.has_vertex(v) and not forbidden >> v & 1)
-
+    allowed = d.alive_mask & ~forbidden | 1 << dst  # src is in parent from the start
     parent = {src: None}
     frontier = [src]
     depth = 0
@@ -30,7 +28,7 @@ def ref_shortest_path(d, src: int, dst: int, forbidden: int = 0, max_len: int | 
         nxt = []
         for u in frontier:
             for w in out_neighbors(d, u):
-                if w in parent or not allowed(w) or (skip_direct and u == src and w == dst):
+                if w in parent or not allowed >> w & 1 or (skip_direct and u == src and w == dst):
                     continue
                 parent[w] = u
                 if w == dst:

@@ -11,9 +11,13 @@ give the same answers.
 
 ``ref_independent_short_paths`` harvests a pool by running two
 shortest-path searches (the list BFS of ``ref_bfs``) per pick and taking
-the shorter path.
-``klinkage.linkage_lqt`` picks the same paths length by length on the
-masks; the tests require both to return equal pools.
+the shorter path.  ``ref_levelled_short_paths`` picks the same paths
+length by length on the masks, with one helper call per length and
+direction that returns its picks as a list: a ``removed`` mask gathers
+their interiors, and each call gets the free vertices as an argument.
+``klinkage.linkage_lqt`` walks one ``free`` mask in a single loop,
+clearing each picked vertex from it, and reads lengths 1 and 2 off the
+masks; the tests require all three to return equal pools.
 
 ``ref_check_pool`` is the record-time check ``build_auxiliary`` ran on
 every pool it kept: endpoints and at most l+1 arcs, arcs of the
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from conftest import is_adjacent
@@ -46,6 +51,7 @@ from ref_bfs import ref_shortest_path
 from klinkage.connectivity import menger_set_paths
 from klinkage.digraph import (
     Digraph,
+    _union,
     is_l_quasi_transitive,
     is_semicomplete,
     iter_bits,
@@ -135,6 +141,87 @@ def ref_independent_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) 
         bucket.append(tuple(pick))
         removed |= mask_of(pick[1:-1])
     return ShortPathPool(u, v, tuple(forward), tuple(backward))
+
+
+def _paths_of_length(out: list[int], inc: list[int], a: int, b: int, length: int, free: int,
+                     room: int) -> tuple[list[tuple[int, ...]], bool]:
+    """Up to ``room`` a->b paths of exactly ``length`` arcs, interiors in ``free``.
+
+    Each path is the lexicographically smallest one left once the interiors
+    of the paths before it are removed.  The caller guarantees that no
+    shorter a->b path runs through ``free``; then every walk of ``length``
+    arcs through it is a simple path, so the search runs on walk levels:
+    ``levels[j - 1]`` holds the free vertices with a walk of j arcs to b.
+    The flag is False once no a->b path of ``length`` arcs or more can run
+    through what is left of ``free``.  ``room`` is at least 1.
+    """
+    if length == 1:
+        return ([(a, b)] if out[a] >> b & 1 else []), True
+    if length == 2:
+        middles = list(islice(iter_bits(out[a] & inc[b] & free), room))
+        return [(a, w, b) for w in middles], bool(inc[b] & free & ~mask_of(middles))
+    paths: list[tuple[int, ...]] = []
+    first = out[a]  # first hops not yet tried; one that fails once fails for good
+    while True:
+        levels = [inc[b] & free]
+        while len(levels) < length - 2 and levels[-1]:
+            levels.append(_union(inc, levels[-1]) & free)
+        if not levels[-1]:
+            return paths, False
+        top = levels[-1]
+        first &= free
+        while first:
+            c = (first & -first).bit_length() - 1
+            first ^= 1 << c
+            if out[c] & top:
+                break
+        else:
+            return paths, True
+        path = [a, c]
+        for level in reversed(levels):
+            step = out[path[-1]] & level
+            path.append((step & -step).bit_length() - 1)
+        path.append(b)
+        paths.append(tuple(path))
+        if len(paths) == room:
+            return paths, True
+        free &= ~mask_of(path[1:-1])
+
+
+def ref_levelled_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> ShortPathPool:
+    """Extract pairwise-independent paths of length <= l+1 between u and v,
+    one ``_paths_of_length`` call per length and direction."""
+    if u == v:
+        raise InputError("need two distinct vertices")
+    d._check_vertices((u, v))
+    if limit < 1:
+        return ShortPathPool(u, v, (), ())
+    pools: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
+    out, inc = d._out, d._in
+    base = d._alive & ~(1 << u) & ~(1 << v)
+    ends = ((u, v), (v, u))
+    open_sides = [0, 1]
+    removed = 0
+    for length in range(1, min(l + 1, d.order - 1) + 1):
+        for side in list(open_sides):
+            bucket = pools[side]
+            picked, more = _paths_of_length(out, inc, *ends[side], length, base & ~removed,
+                                            limit - len(bucket))
+            for path in picked:
+                bucket.append(path)
+                removed |= mask_of(path[1:-1])
+            if len(bucket) >= limit:
+                return ShortPathPool(u, v, tuple(pools[0]), tuple(pools[1]))
+            if not more:
+                open_sides.remove(side)
+        if not open_sides:
+            break
+    stalled_strong = d.delete(iter_bits(removed)).is_strong()  # interiors only; u, v stay
+    paths = (d.shortest_path(u, v, removed), d.shortest_path(v, u, removed))
+    return ShortPathPool(
+        u, v, tuple(pools[0]), tuple(pools[1]), stalled_strong,
+        tuple(None if p is None else len(p) - 1 for p in paths),
+    )
 
 
 def ref_check_pool(sub: Digraph, arc, pool, l: int) -> None:

@@ -674,33 +674,47 @@ def _cli_runs(draw, commands=("gen", "check", "solve", "verify", "oracle")):
     return argv, doc_text, paths_text
 
 
-# per command, the flags with a smallest legal value (for solve, with --class lqt)
-_RANGED = {"solve": (("--threshold", 1), ("--anchor-budget", 0), ("--l", 2)),
-           "check": (("--lqt", 1),), "oracle": (("--budget", 0),)}
+# per command, the flags with a smallest legal value and the start of the error
+# their range check raises (for solve, with --class lqt; for check --cmax, with --nid)
+_RANGED = {"solve": (("--threshold", 1, "threshold must be positive"),
+                     ("--anchor-budget", 0, "budget must be at least 0"),
+                     ("--l", 2, "need k >= 1 and l >= 2")),
+           "check": (("--lqt", 1, "path length must be at least 1"),
+                     ("--cmax", 1, "c_max must be at least 1")),
+           "oracle": (("--budget", 0, "budget must be at least 0"),)}
 
 
-def _below_range(argv) -> bool:
-    """The argv sets a budget, pool threshold or path length below its
-    smallest legal value: malformed input, whatever the documents hold."""
+def _below_range(argv) -> list[str]:
+    """The errors of the flags the argv sets below their smallest legal
+    value, empty if none: malformed input, whatever the documents hold."""
     if argv[0] == "solve" and argv[argv.index("--class") + 1] != "lqt":
-        return False
-    return any(flag in argv and int(argv[argv.index(flag) + 1]) < low
-               for flag, low in _RANGED.get(argv[0], ()))
+        return []
+    errors = []
+    for flag, low, error in _RANGED.get(argv[0], ()):
+        if flag not in argv or (flag == "--cmax" and "--nid" not in argv):
+            continue
+        value = argv[argv.index(flag) + 1]
+        if value.lstrip("-").isdigit() and int(value) < low:
+            errors.append(error)
+    return errors
 
 
 @st.composite
-def _below_range_runs(draw):
-    """A run of a command with range-checked flags, one of them set below
-    its smallest legal value."""
-    argv, doc, paths = draw(_cli_runs(commands=tuple(_RANGED)))
-    if argv[0] == "solve":
+def _below_range_runs(draw, command, flag, low):
+    """A run of ``command`` with ``flag`` set below its smallest legal value
+    ``low``, and in half the runs no input to read."""
+    argv, doc, paths = draw(_cli_runs(commands=(command,)))
+    if command == "solve":
         argv[argv.index("--class") + 1] = "lqt"
-    flag, low = draw(st.sampled_from(_RANGED[argv[0]]))
     value = str(draw(st.integers(-1, low - 1)))
     if flag in argv:
         argv[argv.index(flag) + 1] = value
     else:
         argv += [flag, value]
+    if flag == "--cmax" and "--nid" not in argv:
+        argv.append("--nid")
+    if draw(st.booleans()):  # the range checks come before the input is read
+        argv[argv.index("--input") + 1] = "{missing}"
     return argv, doc, paths
 
 
@@ -711,20 +725,21 @@ def _p_double_above_range(argv) -> bool:
 
 
 def _run_fuzzed(argv, doc, paths):
-    """The run's argv with its files filled in, its exit code and its stdout."""
-    out = io.StringIO()
+    """The run's argv with its files filled in, its exit code, its stdout
+    and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: os.path.join(tmp, name) for name in ("g", "p", "o", "missing")}
         for name, text in (("g", doc), ("p", paths)):
             with open(files[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
         argv = [a.format(**files) for a in argv]
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
-    return argv, code, out.getvalue()
+    return argv, code, out.getvalue(), err.getvalue()
 
 
 class TestFuzz:
@@ -735,16 +750,25 @@ class TestFuzz:
     @given(_cli_runs())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_exit_code_in_range(self, run):
-        argv, code, out = _run_fuzzed(*run)
+        argv, code, out, _err = _run_fuzzed(*run)
         assert code in (0, 1, 2, 3, 4), (argv, *run[1:])
         if _below_range(argv) or _p_double_above_range(argv):
             assert (code, out) == (2, ""), (argv, *run[1:])
 
-    @given(_below_range_runs())
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_flag_below_range_is_exit_two(self, run):
+    @given(st.data())
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_flag_below_range_is_exit_two(self, data):
         """About one example in thirty above sets a flag below its range;
-        every example here does."""
-        assert _below_range(run[0])
-        argv, code, out = _run_fuzzed(*run)
-        assert (code, out) == (2, ""), (argv, *run[1:])
+        each example here makes one run per ranged flag, set below its
+        range.  The range checks run before the input is read, so the error
+        is one of theirs (or argparse's, or solve's ``--dot`` check), never
+        one of a missing or malformed document."""
+        for command, flags in _RANGED.items():
+            for flag, low, _error in flags:
+                run = data.draw(_below_range_runs(command, flag, low))
+                errors = _below_range(run[0])
+                assert errors
+                argv, code, out, err = _run_fuzzed(*run)
+                assert (code, out) == (2, ""), (argv, *run[1:])
+                assert err.startswith(("usage:", "error: --dot")) or any(
+                    err.startswith(f"error: InputError: {error}") for error in errors), (argv, err)

@@ -37,7 +37,12 @@ from klinkage import linkage_lqt
 from klinkage.jsonio import dumps_canonical, report_to_obj
 
 from conftest import is_adjacent
-from ref_lqt import ref_check_pool, ref_independent_short_paths, ref_solve_lqt
+from ref_lqt import (
+    ref_check_pool,
+    ref_independent_short_paths,
+    ref_levelled_short_paths,
+    ref_solve_lqt,
+)
 from test_golden_reports import CASES
 from test_pool_reports import _reports
 
@@ -107,8 +112,9 @@ class TestIndependentShortPaths:
         assert paths[-1] == 0 and paths[0] >= 20
 
     def test_against_two_search_extraction(self):
-        """The very pools of ref_lqt's two-searches-per-pick loop: both
-        directions, in order, and the stall flag and distances."""
+        """The very pools of ref_lqt's two-searches-per-pick loop and of its
+        one-call-per-length extraction: both directions, in order, and the
+        stall flag and distances."""
         rng = SplitMix64(9_001)
         seen = {"strong stalls": 0, "backward picks": 0, "paths of 4+ arcs": 0,
                 "deleted": 0, "two-cycles": 0}
@@ -133,6 +139,7 @@ class TestIndependentShortPaths:
                 d = spec.digraph
             u, v = rng.sample(list(d.vertices()), 2)
             got = independent_short_paths(d, u, v, l, limit)
+            assert got == ref_levelled_short_paths(d, u, v, l, limit), (case, u, v, l, limit)
             assert got == ref_independent_short_paths(d, u, v, l, limit), (case, u, v, l, limit)
             seen["strong stalls"] += got.stalled_strong
             seen["backward picks"] += len(got.backward)
@@ -212,19 +219,27 @@ class TestBuildAuxiliary:
         assert {frozenset(arc) for arc in available} == gaps
 
 
+def _recorded_auxiliaries(monkeypatch):
+    """A ``build_auxiliary`` wrapper that keeps each call's arguments and
+    backed arcs, set in place of the one ``solve_lqt`` calls, and the list
+    it keeps them in."""
+    built = []
+
+    def record(d, xs, ys, l, threshold):
+        available = build_auxiliary(d, xs, ys, l, threshold)
+        built.append((d, xs, ys, l, threshold, available))
+        return available
+
+    monkeypatch.setattr(linkage_lqt, "build_auxiliary", record)
+    return record, built
+
+
 def test_built_pools_pass_the_record_time_check(monkeypatch):
     """The backed arcs that the golden, benchmark-pool and acceptance l-QT
     solves build make d minus the terminals semicomplete, and each of their
     pools passes ``ref_check_pool`` in the terminal-free subdigraph: the
     checks that ``build_auxiliary`` leaves to construction."""
-    built = []
-
-    def record(d, xs, ys, l, threshold):
-        available = build_auxiliary(d, xs, ys, l, threshold)
-        built.append((d, xs, ys, l, available))
-        return available
-
-    monkeypatch.setattr(linkage_lqt, "build_auxiliary", record)
+    record, built = _recorded_auxiliaries(monkeypatch)
     for name, case in CASES.items():
         if name.startswith("lqt-"):
             case()
@@ -246,7 +261,7 @@ def test_built_pools_pass_the_record_time_check(monkeypatch):
             pass
     counts.append(len(built) - sum(counts))
     arcs = mixed = 0
-    for d, xs, ys, l, available in built:
+    for d, xs, ys, l, _threshold, available in built:
         assert is_semicomplete(d.add_arcs(available).delete(xs + ys))
         sub = d.delete(xs + ys)
         for arc, pool in available.items():
@@ -257,6 +272,30 @@ def test_built_pools_pass_the_record_time_check(monkeypatch):
     # pinned instances, the 10 acceptance solves and the compositions
     assert counts == [11, 24, 10, 19], counts
     assert arcs >= 2_000 and mixed >= 40, (arcs, mixed)
+
+
+def test_benchmark_pools_match_the_two_search_extraction(monkeypatch):
+    """On the benchmark's shape, the 24 pinned ``lqt`` instances (20 parts
+    of 3, l = 2, threshold 5), every pair ``build_auxiliary`` extracts gets
+    the pool of ref_lqt's two-searches-per-pick loop, and its backed arc
+    carries that pool's full direction."""
+    _record, built = _recorded_auxiliaries(monkeypatch)
+    _reports("lqt")
+    pools = 0
+    for d, xs, ys, l, threshold, available in built:
+        sub = d.delete(xs + ys)
+        for u, v in combinations(sub.vertices(), 2):
+            if is_adjacent(sub, u, v):
+                continue
+            got = independent_short_paths(sub, u, v, l, threshold)
+            assert got == ref_independent_short_paths(sub, u, v, l, threshold), (u, v)
+            if len(got.forward) >= threshold:
+                assert available[(u, v)] == got.forward
+            else:
+                assert available[(v, u)] == got.backward
+            pools += 1
+    assert sum(len(available) for *_, available in built) == pools
+    assert (len(built), pools) == (24, 1_344), (len(built), pools)
 
 
 class TestRefCheckPool:
