@@ -101,16 +101,9 @@ def kappa(d: Digraph) -> int:
 
 def _validate_sets(d: Digraph, groups: list[tuple[str, Iterable[int]]]):
     """The groups' masks; no group repeats a vertex (``avoid`` may) or shares one."""
-    masks = []
-    for name, vs in groups:
-        m = 0
-        for v in vs:
-            if not d.has_vertex(v):
-                raise InputError(f"{name} vertex {v} not in digraph", vertices=(v,))
-            if m >> v & 1 and name != "avoid":
-                raise InputError(f"{name} repeats vertex {v}", vertices=(v,))
-            m |= 1 << v
-        masks.append(m)
+    masks = [d._check_vertices(vs, f"{name} vertex",
+                               None if name == "avoid" else f"{name} repeats vertex {{}}")
+             for name, vs in groups]
     for i, j in combinations(range(len(masks)), 2):
         if masks[i] & masks[j]:
             shared = next(iter_bits(masks[i] & masks[j]))
@@ -349,11 +342,11 @@ def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],
     separating set when no such system exists; its part outside ``avoid``
     is smaller than |X| (avoided vertices that block appear alongside).
     """
-    xs, ys, avoid = list(xs), list(ys), list(avoid)
+    xs, ys = list(xs), list(ys)
     if len(xs) != len(ys):
         raise InputError(f"|X|={len(xs)} but |Y|={len(ys)}")
-    _validate_sets(d, [("X", xs), ("Y", ys), ("avoid", avoid)])
-    return _solve_menger(d, sorted(xs), sorted(ys), mask_of(avoid))
+    *_, avoid_mask = _validate_sets(d, [("X", xs), ("Y", ys), ("avoid", avoid)])
+    return _solve_menger(d, sorted(xs), sorted(ys), avoid_mask)
 
 
 def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
@@ -364,11 +357,11 @@ def min_vertex_menger(d: Digraph, us: Iterable[int], ys: Iterable[int],
     flow network make the minimum exact; as a consequence no interior or
     terminal vertex of the result lies in U, which is checked.
     """
-    us, ys, avoid = list(us), list(ys), list(avoid)
+    us, ys = list(us), list(ys)
     if len(us) < len(ys):
         raise InputError(f"need |U| >= |Y|, got {len(us)} < {len(ys)}")
-    _validate_sets(d, [("U", us), ("Y", ys), ("avoid", avoid)])
-    result = _solve_menger(d, sorted(us), sorted(ys), mask_of(avoid))
+    *_, avoid_mask = _validate_sets(d, [("U", us), ("Y", ys), ("avoid", avoid)])
+    result = _solve_menger(d, sorted(us), sorted(ys), avoid_mask)
     if isinstance(result, PathSystem):
         bad = sorted(set(us).intersection(v for p in result.paths for v in p[1:]))
         if bad:

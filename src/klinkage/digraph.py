@@ -169,11 +169,19 @@ class Digraph:
 
     # -- derived digraphs -------------------------------------------------
 
-    def _check_vertices(self, vs: Iterable[int]) -> int:
+    def _check_vertices(self, vs: Iterable[int], what: str = "vertex",
+                        repeat: str | None = None) -> int:
+        """The mask of the ids ``vs``, checked in order: the first id that
+        is not a vertex raises ``{what} v not in digraph``, and with a
+        ``repeat`` message the first id met twice raises ``repeat.format(v)``
+        (``None`` allows repeats).  Every exported function that takes
+        vertex ids checks them here."""
         m = 0
         for v in vs:
             if not self.has_vertex(v):
-                raise InputError(f"vertex {v} not in digraph", vertices=(v,))
+                raise InputError(f"{what} {v} not in digraph", vertices=(v,))
+            if repeat is not None and m >> v & 1:
+                raise InputError(repeat.format(v), vertices=(v,))
             m |= 1 << v
         return m
 
@@ -426,13 +434,7 @@ def partition_masks(d: Digraph, parts: Iterable[Iterable[int]]) -> list[int]:
     masks = []
     union = 0
     for part in parts:
-        m = 0
-        for v in part:
-            if not d.has_vertex(v):
-                raise InputError(f"part vertex {v} not in digraph", vertices=(v,))
-            if m >> v & 1:
-                raise InputError(f"part repeats vertex {v}", vertices=(v,))
-            m |= 1 << v
+        m = d._check_vertices(part, "part vertex", "part repeats vertex {}")
         if m & union:
             raise InputError("part vertex sets overlap")
         union |= m

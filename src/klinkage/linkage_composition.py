@@ -95,7 +95,8 @@ def minimalize_path(d: Digraph, path) -> list[int]:
     as that path would be shorter.
     """
     path = list(path)
-    shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~mask_of(path))
+    keep = d._check_vertices(path)
+    shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~keep)
     if shorter is None:
         raise AssertionError("path vertices no longer connect their endpoints")
     return shorter

@@ -166,9 +166,10 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
     """
     if threshold < 1:
         raise InputError("threshold must be positive")
+    terminals = d._check_vertices([*xs, *ys])
     if not d.is_strong():
         raise PreconditionViolatedError("auxiliary construction needs a strong digraph")
-    sub = d.delete(iter_bits(mask_of(xs) | mask_of(ys)))
+    sub = d._restrict(d.alive_mask & ~terminals)
 
     new_arcs = {}
     alive, out, inc = sub._alive, sub._out, sub._in
@@ -264,9 +265,7 @@ def verify_short_anchor(t: Digraph, u1, u2, budget: Budget | None = None) -> boo
     Each candidate list spends one unit of ``budget``, if one is given.
     """
     u1, u2 = list(u1), list(u2)
-    for v in u1 + u2:
-        if not t.has_vertex(v):
-            raise InputError(f"anchor vertex {v} not in digraph", vertices=(v,))
+    t._check_vertices(u1 + u2, "anchor vertex")
     if len(u1) != len(u2):
         raise InputError("anchor sets must have equal size")
     if len(set(u1 + u2)) < len(u1) + len(u2):

@@ -40,6 +40,8 @@ def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, target
     after a clean audit is a bug and raises ConstructionFailedError.
     """
     xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
+    anchors, targets = list(anchors), list(targets)
+    d._check_vertices([*xs, *ys, *ws, *us, *anchors, *targets])
     _check_sets(xs, ys, ws, us)
     if not verify_nearly_in_dominating_set(d, xs, ys, us, d.order):
         raise PreconditionViolatedError("U is not a nearly in-dominating set outside X, Y")
@@ -170,9 +172,10 @@ def partition_terminals(d: Digraph, xs, ys, us, k: int):
     U's in-masks with a ripple carry that adds a plane rather than wrap;
     the helpers are the counts of at least 2k, compared from the top plane.
     """
-    xs, ys, us = list(xs), list(ys), list(us)
-    u_mask = mask_of(us)
-    outside = d.alive_mask & ~(mask_of(xs) | mask_of(ys) | u_mask)
+    xs = list(xs)
+    terminals = d._check_vertices([*xs, *ys])
+    u_mask = d._check_vertices(us)
+    outside = d.alive_mask & ~(terminals | u_mask)
     need = max(2 * k, 0)
     planes = [0] * need.bit_length()
     for u in iter_bits(u_mask):

@@ -50,14 +50,8 @@ class LinkageInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        seen = set()
-        for x, y in self.pairs:
-            for t in (x, y):
-                if not self.digraph.has_vertex(t):
-                    raise InputError(f"terminal {t} not in digraph", vertices=(t,))
-                if t in seen:
-                    raise InputError(f"terminal {t} used twice", vertices=(t,))
-                seen.add(t)
+        self.digraph._check_vertices([t for x, y in self.pairs for t in (x, y)],
+                                     "terminal", "terminal {} used twice")
         if not self.pairs:
             raise InputError("at least one terminal pair required")
 

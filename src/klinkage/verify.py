@@ -130,9 +130,7 @@ def brute_force_disjoint_paths(
     terminals = [t for p in pairs for t in p]
     if len(set(terminals)) != len(terminals):
         raise InputError("terminal pairs share a vertex")
-    for t in terminals:
-        if not d.has_vertex(t):
-            raise InputError(f"terminal {t} not in digraph", vertices=(t,))
+    d._check_vertices(terminals, "terminal")
     return _solve_pairs(d, pairs, Budget(budget))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -241,6 +243,17 @@ def _pair(d, rng, adjacent: bool):
 
 class TestKernelAgainstReference:
     """The bitset kernel against the edge-list reference flow in ref_flow."""
+
+    def test_augmenting_path_through_a_reversed_split_edge(self):
+        # after the first path 0-2-3-4-1, the second one runs 0-7-5 into
+        # I(4), back along the arcs 3->4 and 2->3 and, between them, back
+        # along 3's used split edge, then 2-6-8-1: the kernel's walk back
+        # takes its ``splits |= 1 << w`` branch at w = 3 and frees 3.
+        # Random sparse digraphs of 5 to 10 vertices were not seen to.
+        d = Digraph.from_arcs(9, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 7), (7, 5), (5, 4),
+                                  (2, 6), (6, 8), (8, 1)])
+        assert ref_flow.local_connectivity(ref_flow.prepare(d), 0, 1, 0) == 2
+        assert local_connectivity(d, 0, 1) == 2
 
     def test_random_digraphs_with_deletions(self):
         rng = SplitMix64(2_025)
@@ -611,6 +624,10 @@ class TestMengerSetPaths:
     @pytest.mark.parametrize("xs, ys, message", [
         ([1, 1], [2, 3], "X repeats vertex 1"),  # was Infeasible(separator=(1,))
         ([1, 2], [3, 3], "Y repeats vertex 3"),  # was Infeasible(separator=(3,))
+        ([9], [2], "X vertex 9 not in digraph"),
+        # each group is checked id by id: the first fault met is the one named
+        ([1, 1, 99], [2, 3, 4], "X repeats vertex 1"),
+        ([99, 1, 1], [2, 3, 4], "X vertex 99 not in digraph"),
     ])
     def test_repeated_vertex_rejected(self, xs, ys, message):
         with pytest.raises(InputError, match=f"^{message}$"):
@@ -677,9 +694,10 @@ class TestMinVertexMenger:
     @pytest.mark.parametrize("us, ys, message", [
         ([0, 1, 0], [3, 4], "U repeats vertex 0"),  # was three paths for two sinks
         ([0, 1, 2], [4, 4], "Y repeats vertex 4"),  # was Infeasible(separator=(4,))
+        ([0], [2, 3], "need |U| >= |Y|, got 1 < 2"),
     ])
     def test_repeated_vertex_rejected(self, us, ys, message):
-        with pytest.raises(InputError, match=f"^{message}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             min_vertex_menger(random_tournament(8, 1), us, ys)
 
     def test_repeated_avoid_vertex_allowed(self):

@@ -87,6 +87,10 @@ class TestPredicates:
     def test_path_not_quasi_transitive(self):
         assert not is_l_quasi_transitive(Digraph.from_arcs(3, [(0, 1), (1, 2)]), 2)
 
+    def test_length_below_one_rejected(self):
+        with pytest.raises(InputError, match="^path length must be at least 1$"):
+            is_l_quasi_transitive(cycle3(), 0)
+
     def test_four_cycle_exact_lengths(self):
         c4 = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert is_l_quasi_transitive(c4, 3)
@@ -323,7 +327,9 @@ class TestComposition:
         ([5, 6, 6], "part repeats vertex 6"),
         ([5, 6, -1], "part vertex -1 not in digraph"),
         ([5, 6, 7], "part vertex 7 not in digraph"),
-    ], ids=["repeat", "negative", "out-of-range"])
+        ([5, 6, 6, 99], "part repeats vertex 6"),  # ids are checked in order
+        ([5], "parts do not cover the digraph"),
+    ], ids=["repeat", "negative", "out-of-range", "repeat-first", "uncovered"])
     def test_part_lists_hold_vertices_once(self, last, message):
         # a repeat used to fold into its part's mask and the list passed; a
         # negative id raised ValueError, one past the end "do not cover"

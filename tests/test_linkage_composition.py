@@ -20,7 +20,13 @@ from klinkage.acceptance import brute_kappa
 from klinkage.digraph import composition_from_digraph
 from klinkage.errors import InputError
 from klinkage.jsonio import dumps_canonical, report_to_obj
-from klinkage.generators import SplitMix64, random_composition, random_digraph, random_semicomplete
+from klinkage.generators import (
+    SplitMix64,
+    random_composition,
+    random_digraph,
+    random_semicomplete,
+    random_tournament,
+)
 
 
 def complete(n):
@@ -123,6 +129,14 @@ class TestMinimalize:
     def test_shortcut_taken(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
         assert minimalize_path(d, [0, 1, 2]) == [0, 2]
+
+    @pytest.mark.parametrize("path, bad", [([0, 99], 99), ([0, -1, 2], -1)])
+    def test_ids_not_in_the_digraph(self, path, bad):
+        # were AssertionError ("path vertices no longer connect their
+        # endpoints") and ValueError (negative shift count)
+        with pytest.raises(InputError, match=f"^vertex {bad} not in digraph$") as info:
+            minimalize_path(random_tournament(30, 1), path)
+        assert info.value.vertices == (bad,)
 
     def test_never_longer_and_endpoints_kept(self):
         for seed in range(40):

@@ -195,6 +195,17 @@ class TestBuildAuxiliary:
         with pytest.raises(PreconditionViolatedError, match="needs a strong digraph"):
             build_auxiliary(Digraph.from_arcs(3, [(0, 1), (1, 2)]), [], [], 2, 3)
 
+    def test_threshold_checked_first(self):
+        # the range check comes before the strong check: this digraph is not strong
+        with pytest.raises(InputError, match="^threshold must be positive$"):
+            build_auxiliary(Digraph.from_arcs(3, [(0, 1), (1, 2)]), [], [], 2, 0)
+
+    @pytest.mark.parametrize("x", [99, -1])
+    def test_terminal_ids_not_in_the_digraph(self, x):
+        # -1 raised ValueError (negative shift count); 99 failed only after the strong check
+        with pytest.raises(InputError, match=f"^vertex {x} not in digraph$"):
+            build_auxiliary(random_tournament(30, 1), [x], [1], 2, 1)
+
     def test_threshold_unreachable_on_small_digraph(self):
         spec = random_extended_tournament(10, [3] * 10, 4)
         d = spec.digraph
@@ -416,6 +427,12 @@ class TestSolveLqt:
         rep = solve_lqt(d, ((0, 3),), 2)
         assert rep.outcome == "hypothesis_violated"
         assert rep.failure == "not strong"
+
+    def test_threshold_checked_before_the_audit(self):
+        transitive_8 = Digraph.from_arcs(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+        assert not transitive_8.is_strong()  # the audit would report "not strong"
+        with pytest.raises(InputError, match="^threshold must be positive$"):
+            solve_lqt(transitive_8, ((0, 7),), 2, threshold=0)
 
     def test_connectivity_bound_audited_by_default(self):
         spec = random_extended_tournament(20, [3] * 20, 0)

@@ -13,7 +13,7 @@ from klinkage import (
     verify_linkage,
 )
 from klinkage import reports
-from klinkage.errors import PreconditionViolatedError
+from klinkage.errors import InputError, PreconditionViolatedError
 from klinkage.generators import random_semicomplete, random_tournament
 from klinkage.paths import Infeasible
 from klinkage.verify import LinkageReport
@@ -80,6 +80,20 @@ class TestAnchor:
         assert str(exc) == (f"anchor needs {need} dominator-backed out-neighbours, has {have} "
                             f"(witness: {free[0]})")
 
+    @pytest.mark.parametrize("slot, bad", [
+        ("anchors", 120), ("anchors", -2), ("targets", 120), ("ws", -2), ("xs", -1),
+    ])
+    def test_ids_not_in_the_digraph(self, slot, bad):
+        # anchors and targets raised IndexError or ValueError (negative
+        # shift count), as did a negative id in W or X
+        d, xs, ys, us, q = _pipeline_context()
+        starts = sorted(q.initials())
+        args = {"xs": xs, "ys": ys, "ws": [], "us": us, "q": q,
+                "anchors": [starts[0]], "targets": [starts[1]]}
+        args[slot] = args[slot][:-1] + [bad]  # the last id of that argument goes bad
+        with pytest.raises(InputError, match=f"^vertex {bad} not in digraph$"):
+            anchor_connectors(d, **args)
+
     def test_target_outside_routed_starts_rejected(self):
         d, xs, ys, us, q = _pipeline_context()
         free = [v for v in d.vertices() if v not in set(xs) | set(ys) | set(us) | q.vertices()]
@@ -111,6 +125,12 @@ class TestPartitionTerminals:
         matched, matching, leftover = partition_terminals(d, [0, 1], [2, 3], us, k)
         assert matched == [] and leftover == [0, 1]
 
+    @pytest.mark.parametrize("xs, us, bad", [([0], [2, 3, 99], 99), ([-1], [2, 3, 4], -1)])
+    def test_ids_not_in_the_digraph(self, xs, us, bad):
+        # were IndexError and ValueError (negative shift count)
+        with pytest.raises(InputError, match=f"^vertex {bad} not in digraph$"):
+            partition_terminals(random_tournament(30, 1), xs, [1], us, 1)
+
     def test_matching_vertices_distinct_and_outside(self):
         k = 2
         d = random_tournament(200, 17)
@@ -120,6 +140,19 @@ class TestPartitionTerminals:
         helpers = list(matching.values())
         assert len(set(helpers)) == len(helpers)
         assert not set(helpers) & (set(xs) | set(ys) | set(us))
+
+
+class TestLinkageInstance:
+    @pytest.mark.parametrize("pairs, message, vertices", [
+        ((), "at least one terminal pair required", ()),
+        # terminals are checked one at a time in pair order
+        (((0, 99), (0, 1)), "terminal 99 not in digraph", (99,)),
+        (((0, 1), (0, 99)), "terminal 0 used twice", (0,)),
+    ])
+    def test_terminal_faults(self, pairs, message, vertices):
+        with pytest.raises(InputError, match=f"^{message}$") as info:
+            LinkageInstance(random_tournament(30, 1), pairs)
+        assert info.value.vertices == vertices
 
 
 class TestSolveSemicomplete:

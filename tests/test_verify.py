@@ -9,7 +9,7 @@ from klinkage import (
     kappa,
     verify_linkage,
 )
-from klinkage.errors import BudgetExceededError
+from klinkage.errors import BudgetExceededError, InputError
 from klinkage.generators import random_digraph
 
 from conftest import out_neighbors
@@ -75,6 +75,14 @@ class TestBruteForceDisjointPaths:
     def test_shared_terminal_rejected(self):
         with pytest.raises(ValueError):
             brute_force_disjoint_paths(complete(4), [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 99)], "terminal 99 not in digraph"),
+        ([(0, 1), (1, 99)], "terminal pairs share a vertex"),  # the share check comes first
+    ])
+    def test_terminal_faults(self, pairs, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            brute_force_disjoint_paths(random_digraph(8, 1, 4), pairs)
 
     def test_budget_exhaustion(self):
         d = complete(8)
