@@ -174,11 +174,12 @@ class Digraph:
         """The mask of the ids ``vs``, checked in order: the first id that
         is not a vertex raises ``{what} v not in digraph``, and with a
         ``repeat`` message the first id met twice raises ``repeat.format(v)``
-        (``None`` allows repeats).  Every exported function that takes
-        vertex ids checks them here."""
+        (``None`` allows repeats).  An id that is not an int (a bool is one)
+        is not a vertex.  Every exported function that takes vertex ids
+        checks them here."""
         m = 0
         for v in vs:
-            if not self.has_vertex(v):
+            if not (isinstance(v, int) and self.has_vertex(v)):
                 raise InputError(f"{what} {v} not in digraph", vertices=(v,))
             if repeat is not None and m >> v & 1:
                 raise InputError(repeat.format(v), vertices=(v,))

@@ -95,6 +95,8 @@ def minimalize_path(d: Digraph, path) -> list[int]:
     as that path would be shorter.
     """
     path = list(path)
+    if not path:
+        raise InputError("path must hold at least one vertex")
     keep = d._check_vertices(path)
     shorter = d.shortest_path(path[0], path[-1], forbidden=d.alive_mask & ~keep)
     if shorter is None:

@@ -5,10 +5,10 @@ the sources into matched ones (with enough strong out-dominators of U) and
 the rest, route a minimum-total-vertex disjoint path system from U onto the
 targets, then stitch short connectors from the sources to the initial
 vertices of that system.  The connector step (``_connect``, which
-``anchor_connectors`` wraps with the check on U) is the workhorse: it links
-a set A to chosen initial vertices by paths of length at most 3, and the
-minimality of the U-to-Y system guarantees the connectors stay clear of
-it; that guarantee is checked, not trusted.
+``anchor_connectors`` wraps with every check on its caller's arguments) is
+the workhorse: it links a set A to chosen initial vertices by paths of
+length at most 3, and the minimality of the U-to-Y system guarantees the
+connectors stay clear of it; that guarantee is checked, not trusted.
 """
 
 from __future__ import annotations
@@ -23,58 +23,32 @@ from .reports import SolveReport
 __all__ = ["anchor_connectors", "audit_hypotheses", "partition_terminals", "solve_semicomplete"]
 
 
-def _layer_masks(q: PathSystem) -> tuple[int, int]:
-    """Masks of the 2nd and 3rd vertices over all paths of the system."""
-    y2 = mask_of(p[1] for p in q.paths if len(p) > 1)
-    y3 = mask_of(p[2] for p in q.paths if len(p) > 2)
-    return y2, y3
-
-
 def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> PathSystem:
     """Short connectors from ``anchors`` onto ``targets`` in Ini(q).
 
     Builds one (a_i, s_i)-path of length at most 3 per anchor, of the form
     a->a+->s or a->a+->a++->s, inside the digraph with the q-system, W and
     X removed (targets and anchors added back).  Preconditions are audited
-    up front and a violation names the failing clause; a greedy exhaustion
-    after a clean audit is a bug and raises ConstructionFailedError.
+    up front, here and only here, and a violation names the failing
+    clause: the ids, the sets X, Y, W (a set: a repeated id is an
+    ``InputError``) and U, U nearly in-dominating, the q-system, the
+    anchors and the targets.  A greedy exhaustion after a clean audit is a
+    bug and raises ConstructionFailedError.
     """
     xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
     anchors, targets = list(anchors), list(targets)
     d._check_vertices([*xs, *ys, *ws, *us, *anchors, *targets])
-    _check_sets(xs, ys, ws, us)
-    if not verify_nearly_in_dominating_set(d, xs, ys, us, d.order):
-        raise PreconditionViolatedError("U is not a nearly in-dominating set outside X, Y")
-    return _connect(d, xs, ys, ws, us, q, anchors, targets)
-
-
-def _check_sets(xs, ys, ws, us) -> tuple[int, int, int, int]:
-    """The size and disjointness clauses on X, Y, W and U; returns their masks."""
+    w_mask = d._check_vertices(ws, repeat="W repeats vertex {}")
     k = len(xs)
-    x_mask, y_mask, w_mask, u_mask = map(mask_of, (xs, ys, ws, us))
+    x_mask, y_mask, u_mask = mask_of(xs), mask_of(ys), mask_of(us)
     if x_mask & y_mask or x_mask & w_mask or y_mask & w_mask:
         raise PreconditionViolatedError("X, Y, W must be pairwise disjoint")
     if len(ys) != k:
         raise PreconditionViolatedError("|X| and |Y| must agree")
     if len(us) != 3 * k:
         raise PreconditionViolatedError(f"U must have 3k={3 * k} vertices, has {len(us)}")
-    return x_mask, y_mask, w_mask, u_mask
-
-
-def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> PathSystem:
-    """``anchor_connectors`` without the check that U is nearly in-dominating.
-
-    The pipeline calls it for both connector stages: its U is the output of
-    ``nearly_in_dominating_set`` for the same d, X and Y, which is nearly
-    in-dominating by construction.  Every other clause is checked here, in
-    the same order.  c-goodness and the middles live in d minus the
-    terminals, and both are read from d's masks ANDed with that
-    subdigraph's alive mask; the first hop is ``_first_c_good``'s pick.
-    """
-    xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
-    anchors, targets = list(anchors), list(targets)
-    k = len(xs)
-    x_mask, y_mask, w_mask, u_mask = _check_sets(xs, ys, ws, us)
+    if not verify_nearly_in_dominating_set(d, xs, ys, us, d.order):
+        raise PreconditionViolatedError("U is not a nearly in-dominating set outside X, Y")
 
     ini_q = q.initials()
     ini_mask = mask_of(ini_q)
@@ -91,8 +65,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         raise PreconditionViolatedError(f"at most k={k} anchors allowed")
     if len(targets) != len(anchors):
         raise PreconditionViolatedError("one target per anchor required")
-    a_mask = mask_of(anchors)
-    if a_mask & (w_mask | ini_mask):
+    if mask_of(anchors) & (w_mask | ini_mask):
         raise PreconditionViolatedError("anchors must avoid W and Ini(q)")
     t_mask = mask_of(targets)
     if len(targets) != t_mask.bit_count():
@@ -101,11 +74,28 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
     if t_mask & ~ini_mask or t_mask & w_mask:
         raise PreconditionViolatedError(f"targets must lie in Ini(q) minus W (witness: {targets})",
                                         clause="targets must lie in Ini(q) minus W", vertices=targets)
+    return _connect(d, x_mask | y_mask, w_mask, u_mask, q, anchors, targets)
 
-    y2_mask, y3_mask = _layer_masks(q)
-    outside = d.alive_mask & ~(x_mask | y_mask | u_mask)
+
+def _connect(d: Digraph, xy_mask: int, w_mask: int, u_mask: int, q: PathSystem,
+             anchors, targets) -> PathSystem:
+    """``anchor_connectors`` on the masks of X and Y together, W and U.
+
+    The pipeline calls it for both connector stages with values it built
+    to meet every clause ``anchor_connectors`` checks, so none is checked
+    again; k is the number of q-paths.  It checks only what those values
+    can still fail, the anchors' degree, and, on its output, that no
+    connector enters the protected region.  c-goodness and the middles
+    live in d minus the terminals, and both are read from d's masks ANDed
+    with that subdigraph's alive mask; the first hop is
+    ``_first_c_good``'s pick.
+    """
+    k = len(q.paths)
+    w_count = w_mask.bit_count()
+    ini_mask = mask_of(q.initials())
+    outside = d.alive_mask & ~(xy_mask | u_mask)
     helper_pool = _union(d._out, u_mask & ~ini_mask)  # an in-neighbour in U minus Ini(q)
-    need = 7 * k + 3 * len(ws) + 7 * len(anchors)
+    need = 7 * k + 3 * w_count + 7 * len(anchors)
     for a in anchors:
         have = (d.out_mask(a) & outside & helper_pool).bit_count()
         if have < need:
@@ -118,9 +108,12 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
     if not anchors:
         return PathSystem((), ())
 
-    alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
+    # the 2nd and 3rd vertices over all q-paths
+    y2_mask = mask_of(p[1] for p in q.paths if len(p) > 1)
+    y3_mask = mask_of(p[2] for p in q.paths if len(p) > 2)
+    alive = d.alive_mask & ~xy_mask
     out, inc = d._out, d._in
-    c = 3 * k + len(ws) + 3 * len(anchors)
+    c = 3 * k + w_count + 3 * len(anchors)
 
     hops: list[int] = []
     taken = 0
@@ -133,6 +126,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         taken |= 1 << pick
     hop_mask = taken
 
+    a_mask = mask_of(anchors)
     paths: list[tuple[int, ...]] = []
     mid_taken = 0
     for a, hop, s in zip(anchors, hops, targets):
@@ -150,7 +144,7 @@ def _connect(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, targets) -> Pat
         mid_taken |= 1 << mid
         paths.append((a, hop, mid, s))
 
-    forbidden = (q_mask & ~t_mask) | w_mask | ((x_mask | y_mask) & ~a_mask)
+    forbidden = (mask_of(q.vertices()) & ~mask_of(targets)) | w_mask | (xy_mask & ~a_mask)
     for p in paths:
         overlap = mask_of(p) & forbidden
         if overlap:
@@ -272,8 +266,8 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         return SolveReport.of_stage("menger", witness_of(
             "a separator meets every U-to-Y path", result.separator, {"need": k}), audit)
     q = result
-    start_of = {p[-1]: p[0] for p in q.paths}
-    q_for = {x: start_of[y] for x, y in instance.pairs}
+    q_of = {p[-1]: p for p in q.paths}  # each target's q-path
+    q_for = {x: q_of[y][0] for x, y in instance.pairs}
 
     # matched sources ride their helper into U off the q-system starts; a
     # helper has at least 2k out-neighbours in U, and Ini(q) and the earlier
@@ -293,33 +287,23 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     # leftover sources connect straight to their q-start; the helper layer
     # (interiors plus landing vertices) is the protected region
-    w_p2 = sorted(set(helpers) | {p1[x][2] for x in matched})
+    xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(helpers)
     try:
-        p2 = _connect(d, xs, ys, w_p2, us, q, leftover, [q_for[x] for x in leftover])
+        p2 = _connect(d, xy_mask, helper_mask | used_lands, u_mask, q, leftover,
+                      [q_for[x] for x in leftover])
     except (PreconditionViolatedError, ConstructionFailedError) as exc:
         return SolveReport.of_stage("anchor-direct", exc.witness(), audit)
 
     # landed sources walk from their landing vertex to their q-start
-    w_r = sorted(set(helpers) | {v for p in p2.paths for v in p[1:-1]})
+    w_r = helper_mask | mask_of(v for p in p2.paths for v in p[1:-1])
     try:
-        r = _connect(
-            d, xs, ys, w_r, us, q, [p1[x][2] for x in matched], [q_for[x] for x in matched]
-        )
+        r = _connect(d, xy_mask, w_r, u_mask, q, [p1[x][2] for x in matched],
+                     [q_for[x] for x in matched])
     except (PreconditionViolatedError, ConstructionFailedError) as exc:
         return SolveReport.of_stage("anchor-landed", exc.witness(), audit)
 
-    q_path = {p[0]: p for p in q.paths}
-    p2_path = {p[0]: p for p in p2.paths}
-    r_path = {p[0]: p for p in r.paths}
-    final = []
-    for x, y in instance.pairs:
-        tail = q_path[q_for[x]]
-        if x in p1:
-            head = p1[x]
-            mid = r_path[head[-1]]
-            full = head + mid[1:] + tail[1:]
-        else:
-            full = p2_path[x] + tail[1:]
-        final.append(full)
-    system = PathSystem(tuple(final), tuple(instance.pairs))
+    head = dict(zip(leftover, p2.paths))
+    head.update((x, p1[x] + p[1:]) for x, p in zip(matched, r.paths))
+    system = PathSystem(tuple(head[x] + q_of[y][1:] for x, y in instance.pairs),
+                        tuple(instance.pairs))
     return SolveReport.certified(d, instance.pairs, system, audit)

@@ -10,6 +10,16 @@ from .errors import InputError
 __all__ = ["PathSystem", "LinkageInstance", "Infeasible"]
 
 
+def _pair_tuples(pairs) -> tuple[tuple[int, int], ...]:
+    """The terminal pairs as tuples; a pair without exactly two ids is an
+    ``InputError`` that names it."""
+    pairs = tuple(tuple(p) for p in pairs)
+    for p in pairs:
+        if len(p) != 2:
+            raise InputError(f"terminal pair {p} must hold two ids", vertices=p)
+    return pairs
+
+
 @dataclass(frozen=True)
 class PathSystem:
     """An ordered collection of vertex sequences with their (source, target) roles.
@@ -49,7 +59,7 @@ class LinkageInstance:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+        object.__setattr__(self, "pairs", _pair_tuples(self.pairs))
         self.digraph._check_vertices([t for x, y in self.pairs for t in (x, y)],
                                      "terminal", "terminal {} used twice")
         if not self.pairs:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .digraph import Digraph, iter_bits
 from .errors import Budget, InputError
-from .paths import Infeasible, PathSystem
+from .paths import Infeasible, PathSystem, _pair_tuples
 
 __all__ = [
     "LinkageReport",
@@ -39,7 +39,7 @@ class LinkageReport:
 
 def verify_linkage(d: Digraph, pairs, ps: PathSystem) -> LinkageReport:
     """Certify: path i runs x_i to y_i, uses only arcs of d, all disjoint."""
-    pairs = [tuple(p) for p in pairs]
+    pairs = _pair_tuples(pairs)
     if len(ps.paths) != len(pairs):
         return LinkageReport(False, "Count", f"{len(ps.paths)} paths for {len(pairs)} pairs")
     for i, ((x, y), path) in enumerate(zip(pairs, ps.paths)):
@@ -126,7 +126,7 @@ def brute_force_disjoint_paths(
     ``BudgetExceededError``, so every answer it returns is exact.  The
     budget counts node expansions, not wall clock, so runs are reproducible.
     """
-    pairs = [tuple(p) for p in pairs]
+    pairs = _pair_tuples(pairs)
     terminals = [t for p in pairs for t in p]
     if len(set(terminals)) != len(terminals):
         raise InputError("terminal pairs share a vertex")

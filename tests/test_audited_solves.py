@@ -58,14 +58,21 @@ def _tally(reports) -> Counter:
     return outcomes
 
 
-def test_audited_semicomplete_solves_never_fail_a_stage():
-    reports, piped = [], 0
+def semicomplete_instances():
+    """The 64 audited semicomplete instances, k = 1 and 2 in turn."""
     for i in range(64):
         n, k = 100 + (i * 37) % 101, 1 + i % 2
         d = random_tournament(n, 98_000 + i) if i % 3 else random_semicomplete(n, 0.2, 98_000 + i)
         pairs = _terminal_pairs(d, k, CHOICES[i // 2 % 4], SplitMix64(99_000 + i))
         assert len(pairs) == k
-        reports.append(solve_semicomplete(LinkageInstance(d, pairs)))
+        yield LinkageInstance(d, pairs)
+
+
+def test_audited_semicomplete_solves_never_fail_a_stage():
+    reports, piped = [], 0
+    for instance in semicomplete_instances():
+        d, pairs = instance.digraph, instance.pairs
+        reports.append(solve_semicomplete(instance))
         # past the direct-arcs shortcut: some pair is not an arc of the input
         piped += reports[-1].linked and not all(d.has_arc(x, y) for x, y in pairs)
     assert _tally(reports)["linked"] >= 56

@@ -279,6 +279,16 @@ class TestSubdigraphs:
         with pytest.raises(InputError, match="vertex 5 not in digraph"):
             cycle3().delete({5})
 
+    @pytest.mark.parametrize("bad", [2.0, 1.5, "1", None])
+    def test_non_integer_ids_are_not_vertices(self, bad):
+        # a float reached a shift and raised TypeError
+        with pytest.raises(InputError, match=f"^vertex {bad} not in digraph$") as info:
+            cycle3().delete([bad])
+        assert info.value.vertices == (bad,)
+
+    def test_bool_ids_stay_accepted(self):
+        assert cycle3().delete([True]) == cycle3().delete([1])
+
 
 class TestComposition:
     def test_two_cycle_of_singletons(self):

@@ -138,6 +138,11 @@ class TestMinimalize:
             minimalize_path(random_tournament(30, 1), path)
         assert info.value.vertices == (bad,)
 
+    def test_empty_path_rejected(self):
+        # was IndexError on path[0]
+        with pytest.raises(InputError, match="^path must hold at least one vertex$"):
+            minimalize_path(random_tournament(30, 1), [])
+
     def test_never_longer_and_endpoints_kept(self):
         for seed in range(40):
             d = random_digraph(10, 90_000 + seed, 4)

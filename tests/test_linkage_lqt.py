@@ -206,6 +206,26 @@ class TestBuildAuxiliary:
         with pytest.raises(InputError, match=f"^vertex {x} not in digraph$"):
             build_auxiliary(random_tournament(30, 1), [x], [1], 2, 1)
 
+    def test_backward_direction_backs_the_arc(self):
+        # 1 and 3 are non-adjacent; 3 reaches 1 through 4, 1 has no short path to 3
+        d = Digraph.from_arcs(5, [(1, 2), (2, 0), (0, 3), (3, 2), (4, 1), (2, 4), (0, 4), (3, 4)])
+        available = build_auxiliary(d, [], [], 2, 1)
+        assert available[(3, 1)] == ((3, 4, 1),)
+        assert (1, 3) not in available
+
+    def test_no_short_return_path(self):
+        # the circulant i -> i+1, i+2 on 20 vertices, terminals 1 and 11 off:
+        # 0 and 7 are non-adjacent, 4 arcs apart one way and 7 the other,
+        # both past l + 1 = 3
+        c = Digraph.from_arcs(20, [(i, (i + j) % 20) for i in range(20) for j in (1, 2)])
+        with pytest.raises(PreconditionViolatedError) as err:
+            build_auxiliary(c, [1], [11], 2, 1)
+        exc = err.value
+        assert exc.clause == "no short return path"
+        assert exc.vertices == (0, 7)
+        assert exc.counts == {"forward": 4, "backward": 7}
+        assert str(exc) == "pair (0, 7) has no short return path (d(0, 7)=4, reverse=7)"
+
     def test_threshold_unreachable_on_small_digraph(self):
         spec = random_extended_tournament(10, [3] * 10, 4)
         d = spec.digraph
@@ -357,6 +377,17 @@ class TestShortAnchors:
         assert got is not None
         assert verify_short_anchor(t, *got)
 
+    def test_exhaustive_search_after_the_heuristic_fails(self):
+        t = random_tournament(5, 3)
+        by_out = sorted(t.vertices(), key=lambda v: (-t.out_degree(v), v))
+        by_in = sorted(t.vertices(), key=lambda v: (-t.in_degree(v), v))
+        heuristic = by_out[:2], [v for v in by_in if v not in by_out[:2]][:2]
+        assert not verify_short_anchor(t, *heuristic)
+        assert find_short_anchor_pair(t, 2) == ([0, 4], [2, 3])
+
+    def test_exhaustive_search_finds_nothing(self):
+        assert find_short_anchor_pair(random_tournament(4, 0), 2) is None
+
     def test_anchor_id_past_the_digraph(self):
         with pytest.raises(InputError, match="anchor vertex 9 not in digraph") as info:
             verify_short_anchor(random_tournament(6, 0), [9], [0])
@@ -365,6 +396,12 @@ class TestShortAnchors:
     def test_negative_anchor_id(self):
         with pytest.raises(InputError, match="anchor vertex -1 not in digraph"):
             verify_short_anchor(random_tournament(6, 0), [0], [-1])
+
+    def test_non_integer_anchor_id(self):
+        # a float reached a shift and raised TypeError
+        with pytest.raises(InputError, match=r"^anchor vertex 1\.5 not in digraph$") as info:
+            verify_short_anchor(random_tournament(8, 1), [0], [1.5])
+        assert info.value.vertices == (1.5,)
 
     def test_deleted_anchor_id(self):
         t = random_tournament(6, 0).delete([3])

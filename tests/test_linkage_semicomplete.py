@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from klinkage import (
@@ -31,6 +33,22 @@ def _pipeline_context(n=120, seed=3, k=2):
     q = min_vertex_menger(d, us, ys, avoid=xs)
     assert isinstance(q, PathSystem)
     return d, xs, ys, us, q
+
+
+class _ConnectorCase:
+    """``anchor_connectors``' arguments on ``_pipeline_context()``: the free
+    vertices (off X, Y, U and q) anchored onto the q-starts, plus the least
+    in-degree free vertex and a vertex of U off Ini(q)."""
+
+    def __init__(self):
+        self.d, self.xs, self.ys, self.us, self.q = _pipeline_context()
+        self.starts = sorted(self.q.initials())
+        self.free = [v for v in self.d.vertices()
+                     if v not in {*self.xs, *self.ys, *self.us, *self.q.vertices()}]
+        self.low = min(self.free, key=self.d.in_degree)
+        self.spare_u = next(u for u in self.us if u not in self.q.initials())
+        self.args = {"xs": self.xs, "ys": self.ys, "ws": [], "us": self.us, "q": self.q,
+                     "anchors": self.free[:2], "targets": self.starts}
 
 
 class TestAnchor:
@@ -94,6 +112,65 @@ class TestAnchor:
         with pytest.raises(InputError, match=f"^vertex {bad} not in digraph$"):
             anchor_connectors(d, **args)
 
+    @pytest.mark.parametrize("changes, error, message", [
+        # the set clauses: W is a set, X, Y and W are disjoint, |Y| = |X| = k, |U| = 3k
+        (lambda c: {"ws": [c.free[4], c.free[5], c.free[4]]}, InputError,
+         lambda c: f"W repeats vertex {c.free[4]}"),
+        (lambda c: {"ws": [c.xs[0]]}, PreconditionViolatedError,
+         lambda c: "X, Y, W must be pairwise disjoint"),
+        (lambda c: {"ys": c.ys[:1]}, PreconditionViolatedError,
+         lambda c: "|X| and |Y| must agree"),
+        (lambda c: {"us": c.us[:-1]}, PreconditionViolatedError,
+         lambda c: "U must have 3k=6 vertices, has 5"),
+        # U nearly in-dominating: the least in-degree vertex outside is not
+        (lambda c: {"us": [c.low, *c.us[1:]]}, PreconditionViolatedError,
+         lambda c: "U is not a nearly in-dominating set outside X, Y"),
+        # the q-system: k paths onto Y, starting in U, meeting U only there
+        (lambda c: {"q": PathSystem(c.q.paths[:1], c.q.pairing[:1])}, PreconditionViolatedError,
+         lambda c: "q-system must hold k disjoint paths onto Y"),
+        (lambda c: {"q": PathSystem((c.q.paths[0], c.q.paths[1][:-1] + (c.free[4],)),
+                                    c.q.pairing)}, PreconditionViolatedError,
+         lambda c: "q-system must hold k disjoint paths onto Y"),
+        (lambda c: {"q": PathSystem(((c.free[4], *c.q.paths[0]), c.q.paths[1]), c.q.pairing)},
+         PreconditionViolatedError, lambda c: "q-system must start inside U"),
+        (lambda c: {"q": PathSystem(((c.spare_u, *c.q.paths[0]), c.q.paths[1]), c.q.pairing)},
+         PreconditionViolatedError,
+         lambda c: "q-system touches U off its initial vertices (not minimum)"),
+        # the anchors: at most k, one target each, off W and Ini(q)
+        (lambda c: {"anchors": c.free[:3], "targets": [*c.starts, c.free[3]]},
+         PreconditionViolatedError, lambda c: "at most k=2 anchors allowed"),
+        (lambda c: {"targets": c.starts[:1]}, PreconditionViolatedError,
+         lambda c: "one target per anchor required"),
+        (lambda c: {"anchors": [c.starts[0], c.free[1]]}, PreconditionViolatedError,
+         lambda c: "anchors must avoid W and Ini(q)"),
+        (lambda c: {"ws": [c.free[1]]}, PreconditionViolatedError,
+         lambda c: "anchors must avoid W and Ini(q)"),
+        # the targets: distinct, in Ini(q), off W
+        (lambda c: {"targets": [c.starts[0], c.starts[0]]}, PreconditionViolatedError,
+         lambda c: f"targets must be distinct (witness: {[c.starts[0]] * 2})"),
+        (lambda c: {"targets": [c.starts[0], c.free[3]]}, PreconditionViolatedError,
+         lambda c: f"targets must lie in Ini(q) minus W (witness: {[c.starts[0], c.free[3]]})"),
+        (lambda c: {"ws": [c.starts[1]]}, PreconditionViolatedError,
+         lambda c: f"targets must lie in Ini(q) minus W (witness: {c.starts})"),
+    ], ids=["w-repeat", "disjoint", "y-size", "u-size", "nearly-in-dominating", "q-count",
+            "q-onto-y", "q-start", "q-touches-u", "anchor-count", "target-count",
+            "anchor-in-ini", "anchor-in-w", "targets-repeat", "target-off-ini", "target-in-w"])
+    def test_clauses(self, changes, error, message):
+        # every clause on the caller's arguments lives in anchor_connectors only
+        c = _ConnectorCase()
+        args = {**c.args, **changes(c)}
+        with pytest.raises(error, match=f"^{re.escape(message(c))}$"):
+            anchor_connectors(c.d, **args)
+
+    def test_nearly_in_dominating_checked_before_the_q_system(self):
+        c = _ConnectorCase()
+        us = [c.low if u == c.starts[0] else u for u in c.us]
+        # the q-system now starts outside U too, a clause checked later
+        assert not c.q.initials() <= set(us)
+        with pytest.raises(PreconditionViolatedError,
+                           match="^U is not a nearly in-dominating set outside X, Y$"):
+            anchor_connectors(c.d, **{**c.args, "us": us})
+
     def test_target_outside_routed_starts_rejected(self):
         d, xs, ys, us, q = _pipeline_context()
         free = [v for v in d.vertices() if v not in set(xs) | set(ys) | set(us) | q.vertices()]
@@ -148,9 +225,12 @@ class TestLinkageInstance:
         # terminals are checked one at a time in pair order
         (((0, 99), (0, 1)), "terminal 99 not in digraph", (99,)),
         (((0, 1), (0, 99)), "terminal 0 used twice", (0,)),
+        # a pair of other than two ids was a ValueError from unpacking
+        (((0, 1, 2),), "terminal pair (0, 1, 2) must hold two ids", (0, 1, 2)),
+        (((0, 1), (2,)), "terminal pair (2,) must hold two ids", (2,)),
     ])
     def test_terminal_faults(self, pairs, message, vertices):
-        with pytest.raises(InputError, match=f"^{message}$") as info:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
             LinkageInstance(random_tournament(30, 1), pairs)
         assert info.value.vertices == vertices
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from klinkage import (
@@ -59,6 +61,12 @@ class TestVerifyLinkage:
         rep = verify_linkage(d, [(0, 1), (2, 3)], ps)
         assert rep.clause == "Count"
 
+    def test_pair_of_three_ids_rejected(self):
+        # was a ValueError from unpacking
+        ps = PathSystem(((0, 1),), ((0, 1),))
+        with pytest.raises(InputError, match=r"^terminal pair \(0, 1, 2\) must hold two ids$"):
+            verify_linkage(complete(4), [(0, 1, 2)], ps)
+
 
 class TestBruteForceDisjointPaths:
     def test_four_cycle_crossing_pairs_infeasible(self):
@@ -79,9 +87,11 @@ class TestBruteForceDisjointPaths:
     @pytest.mark.parametrize("pairs, message", [
         ([(0, 99)], "terminal 99 not in digraph"),
         ([(0, 1), (1, 99)], "terminal pairs share a vertex"),  # the share check comes first
+        ([(0, 1, 2)], "terminal pair (0, 1, 2) must hold two ids"),  # was a TypeError
+        ([(0, 1), (2, 1.5)], "terminal 1.5 not in digraph"),  # was a TypeError
     ])
     def test_terminal_faults(self, pairs, message):
-        with pytest.raises(InputError, match=f"^{message}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             brute_force_disjoint_paths(random_digraph(8, 1, 4), pairs)
 
     def test_budget_exhaustion(self):
