@@ -217,8 +217,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     d, _parts = _read_digraph(args.input)
     with open(args.paths, encoding="utf-8") as fh:
-        ps = pathsystem_from_obj(parse_json(fh.read(), args.paths), args.paths)
-    pairs = _parse_pairs(args.pairs) if args.pairs else [tuple(p) for p in ps.pairing]
+        ps, claimed = pathsystem_from_obj(parse_json(fh.read(), args.paths), args.paths)
+    pairs = _parse_pairs(args.pairs) if args.pairs else claimed
     report = verify_linkage(d, pairs, ps)
     obj = {"ok": report.ok}
     if not report.ok:

@@ -321,7 +321,7 @@ class _SplitFlow:
 def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
     want = len(sinks)
     if want == 0:
-        return PathSystem((), ())
+        return PathSystem(())
     net = _SplitFlow(d, sources, sinks, avoid_mask)
     flow = net.run(want)
     if flow < want:
@@ -330,8 +330,7 @@ def _solve_menger(d: Digraph, sources: list[int], sinks: list[int], avoid_mask: 
         if len(free_part) != flow:
             raise AssertionError("non-avoided separator part must match max flow")
         return Infeasible(separator=sep)
-    raw = net.paths()
-    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw))
+    return PathSystem(tuple(net.paths()))
 
 
 def menger_set_paths(d: Digraph, xs: Iterable[int], ys: Iterable[int],

@@ -144,6 +144,8 @@ class Digraph:
         return self._in[v].bit_count()
 
     def min_out_degree(self) -> int:
+        if not self._alive:
+            raise PreconditionViolatedError("empty digraph")
         return min(map(int.bit_count, compress(self._out, _flags(self._alive))))
 
     @property

@@ -133,11 +133,13 @@ def load_digraph(path: str) -> tuple[Digraph, list | None]:
 def pathsystem_to_obj(ps: PathSystem) -> dict:
     return {
         "paths": [list(p) for p in ps.paths],
-        "pairs": [list(p) for p in ps.pairing],
+        "pairs": [[p[0], p[-1]] for p in ps.paths],
     }
 
 
-def pathsystem_from_obj(obj: Any, source: str = "<input>") -> PathSystem:
+def pathsystem_from_obj(obj: Any, source: str = "<input>") -> tuple[PathSystem, list]:
+    """The document's path system and the (source, target) pairs it claims,
+    one per path."""
     if not isinstance(obj, dict):
         raise FormatError(f"{source}: expected a JSON object")
     paths = _field(obj, "paths", source)
@@ -146,10 +148,10 @@ def pathsystem_from_obj(obj: Any, source: str = "<input>") -> PathSystem:
         raise FormatError(f"{source}: field 'paths' must be a list of id lists")
     if not _id_lists(pairs, 2):
         raise FormatError(f"{source}: field 'pairs' must be a list of id pairs")
-    try:
-        return PathSystem(tuple(map(tuple, paths)), tuple(map(tuple, pairs)))
-    except InputError as exc:
-        raise FormatError(f"{source}: malformed path system: {exc}") from exc
+    if len(paths) != len(pairs):
+        raise FormatError(
+            f"{source}: malformed path system: one (source, target) role per path required")
+    return PathSystem(tuple(map(tuple, paths))), pairs
 
 
 def report_to_obj(report) -> dict:

@@ -136,9 +136,8 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
     against the spec's realized digraph, never the filled one.
     """
     d, part_masks = spec.digraph, spec.part_masks
-    pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)  # validates terminals
-    k = instance.k
+    pairs, k = instance.pairs, instance.k
 
     audit: dict = {"class": "composition", "k": k,
                    "outer_semicomplete": is_semicomplete(spec.outer),
@@ -204,5 +203,4 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
                         vertices=(u, v), counts={"depth": depth},
                     )
             paths[i] = minimal
-    system = PathSystem(tuple(tuple(p) for p in paths), pairs)
-    return SolveReport.certified(d, pairs, system, audit)
+    return SolveReport.certified(d, pairs, PathSystem(tuple(map(tuple, paths))), audit)

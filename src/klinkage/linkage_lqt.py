@@ -345,7 +345,6 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
     anchor-pair and anchor-link searches may each expand ``anchor_budget``
     candidate lists; past that the step fails with the budget witness.
     """
-    pairs = tuple(tuple(p) for p in pairs)
     instance = LinkageInstance(d, pairs)
     k = instance.k
     xs, ys = instance.sources(), instance.targets()
@@ -489,5 +488,4 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         mid = link_real[i]
         tail = tail_path[entry_for_target[ys[i]]]
         final.append(tuple(head + mid[1:] + list(tail[1:])))
-    system = PathSystem(tuple(final), pairs)
-    return SolveReport.certified(d, pairs, system, audit)
+    return SolveReport.certified(d, instance.pairs, PathSystem(tuple(final)), audit)

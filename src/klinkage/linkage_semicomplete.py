@@ -30,17 +30,19 @@ def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, target
     a->a+->s or a->a+->a++->s, inside the digraph with the q-system, W and
     X removed (targets and anchors added back).  Preconditions are audited
     up front, here and only here, and a violation names the failing
-    clause: the ids, the sets X, Y, W (a set: a repeated id is an
-    ``InputError``) and U, U nearly in-dominating, the q-system, the
-    anchors and the targets.  A greedy exhaustion after a clean audit is a
-    bug and raises ConstructionFailedError.
+    clause: the ids, the sets X, Y, W, U and the anchors A (each a set: a
+    repeated id is an ``InputError`` that names it), U nearly
+    in-dominating, the q-system, the anchors and the targets.  A greedy
+    exhaustion after a clean audit is a bug and raises
+    ConstructionFailedError.
     """
     xs, ys, ws, us = list(xs), list(ys), list(ws), list(us)
     anchors, targets = list(anchors), list(targets)
-    d._check_vertices([*xs, *ys, *ws, *us, *anchors, *targets])
-    w_mask = d._check_vertices(ws, repeat="W repeats vertex {}")
+    x_mask, y_mask, w_mask, u_mask, a_mask = (
+        d._check_vertices(vs, repeat=name + " repeats vertex {}")
+        for name, vs in (("X", xs), ("Y", ys), ("W", ws), ("U", us), ("A", anchors)))
+    t_mask = d._check_vertices(targets)
     k = len(xs)
-    x_mask, y_mask, u_mask = mask_of(xs), mask_of(ys), mask_of(us)
     if x_mask & y_mask or x_mask & w_mask or y_mask & w_mask:
         raise PreconditionViolatedError("X, Y, W must be pairwise disjoint")
     if len(ys) != k:
@@ -65,9 +67,8 @@ def anchor_connectors(d: Digraph, xs, ys, ws, us, q: PathSystem, anchors, target
         raise PreconditionViolatedError(f"at most k={k} anchors allowed")
     if len(targets) != len(anchors):
         raise PreconditionViolatedError("one target per anchor required")
-    if mask_of(anchors) & (w_mask | ini_mask):
+    if a_mask & (w_mask | ini_mask):
         raise PreconditionViolatedError("anchors must avoid W and Ini(q)")
-    t_mask = mask_of(targets)
     if len(targets) != t_mask.bit_count():
         raise PreconditionViolatedError(f"targets must be distinct (witness: {targets})",
                                         clause="targets must be distinct", vertices=targets)
@@ -106,7 +107,7 @@ def _connect(d: Digraph, xy_mask: int, w_mask: int, u_mask: int, q: PathSystem,
             )
 
     if not anchors:
-        return PathSystem((), ())
+        return PathSystem(())
 
     # the 2nd and 3rd vertices over all q-paths
     y2_mask = mask_of(p[1] for p in q.paths if len(p) > 1)
@@ -152,19 +153,20 @@ def _connect(d: Digraph, xy_mask: int, w_mask: int, u_mask: int, q: PathSystem,
                 f"connector touched the protected region at {list(iter_bits(overlap))}",
                 vertices=iter_bits(overlap),
             )
-    return PathSystem(tuple(paths), tuple(zip(anchors, targets)))
+    return PathSystem(tuple(paths))
 
 
-def partition_terminals(d: Digraph, xs, ys, us, k: int):
+def partition_terminals(d: Digraph, xs, ys, us, k: int) -> dict[int, int]:
     """Split sources by whether they see k distinct strong out-dominators of U.
 
-    Returns (matched sources, source -> helper matching, leftover sources).
-    Helpers are 2k-out-dominators of U outside the terminals and U, matched
-    greedily (smallest id first); the members with at least k candidates
-    always match.  The helpers are counted at once: ``planes[i]`` holds bit
-    i of each outside vertex's number of out-neighbours in U, summed over
-    U's in-masks with a ripple carry that adds a plane rather than wrap;
-    the helpers are the counts of at least 2k, compared from the top plane.
+    Returns the source -> helper matching, in source order; the sources it
+    leaves out are the leftovers.  Helpers are 2k-out-dominators of U
+    outside the terminals and U, matched greedily (smallest id first); the
+    members with at least k candidates always match.  The helpers are
+    counted at once: ``planes[i]`` holds bit i of each outside vertex's
+    number of out-neighbours in U, summed over U's in-masks with a ripple
+    carry that adds a plane rather than wrap; the helpers are the counts of
+    at least 2k, compared from the top plane.
     """
     xs = list(xs)
     terminals = d._check_vertices([*xs, *ys])
@@ -186,20 +188,14 @@ def partition_terminals(d: Digraph, xs, ys, us, k: int):
             above |= equal & plane
             equal &= ~plane
     dominator_mask = above | equal
-    matched: list[int] = []
     matching: dict[int, int] = {}
-    leftover: list[int] = []
     used = 0
     for x in xs:
         cands = d.out_mask(x) & dominator_mask
         if cands.bit_count() >= k:
-            pick = next(iter_bits(cands & ~used))
-            matched.append(x)
-            matching[x] = pick
+            matching[x] = pick = next(iter_bits(cands & ~used))
             used |= 1 << pick
-        else:
-            leftover.append(x)
-    return matched, matching, leftover
+    return matching
 
 
 def audit_hypotheses(audit: dict, d: Digraph, before, after,
@@ -250,7 +246,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         return violation
 
     if all(d.has_arc(x, y) for x, y in instance.pairs):
-        system = PathSystem(tuple(instance.pairs), tuple(instance.pairs))
+        system = PathSystem(instance.pairs)
         return SolveReport.certified(d, instance.pairs, system, audit)
 
     try:
@@ -258,10 +254,10 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     except PreconditionViolatedError as exc:
         return SolveReport.of_stage("dominating-set", exc.witness(), audit)
 
-    matched, matching, leftover = partition_terminals(d, xs, ys, us, k)
-    helpers = [matching[x] for x in matched]
+    matching = partition_terminals(d, xs, ys, us, k)  # matched source -> helper
+    leftover = [x for x in xs if x not in matching]
 
-    result = min_vertex_menger(d, us, ys, avoid=list(set(xs) | set(helpers)))
+    result = min_vertex_menger(d, us, ys, avoid=list(set(xs) | set(matching.values())))
     if isinstance(result, Infeasible):
         return SolveReport.of_stage("menger", witness_of(
             "a separator meets every U-to-Y path", result.separator, {"need": k}), audit)
@@ -276,8 +272,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     u_mask = mask_of(us)
     p1: dict[int, tuple[int, ...]] = {}
     used_lands = 0
-    for x in matched:
-        helper = matching[x]
+    for x, helper in matching.items():
         lands = d.out_mask(helper) & u_mask & ~ini_mask & ~used_lands
         if not lands:
             raise AssertionError(f"helper {helper} of source {x} has no landing vertex")
@@ -287,7 +282,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
     # leftover sources connect straight to their q-start; the helper layer
     # (interiors plus landing vertices) is the protected region
-    xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(helpers)
+    xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(matching.values())
     try:
         p2 = _connect(d, xy_mask, helper_mask | used_lands, u_mask, q, leftover,
                       [q_for[x] for x in leftover])
@@ -297,13 +292,12 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     # landed sources walk from their landing vertex to their q-start
     w_r = helper_mask | mask_of(v for p in p2.paths for v in p[1:-1])
     try:
-        r = _connect(d, xy_mask, w_r, u_mask, q, [p1[x][2] for x in matched],
-                     [q_for[x] for x in matched])
+        r = _connect(d, xy_mask, w_r, u_mask, q, [p1[x][2] for x in matching],
+                     [q_for[x] for x in matching])
     except (PreconditionViolatedError, ConstructionFailedError) as exc:
         return SolveReport.of_stage("anchor-landed", exc.witness(), audit)
 
     head = dict(zip(leftover, p2.paths))
-    head.update((x, p1[x] + p[1:]) for x, p in zip(matched, r.paths))
-    system = PathSystem(tuple(head[x] + q_of[y][1:] for x, y in instance.pairs),
-                        tuple(instance.pairs))
+    head.update((x, p1[x] + p[1:]) for x, p in zip(matching, r.paths))
+    system = PathSystem(tuple(head[x] + q_of[y][1:] for x, y in instance.pairs))
     return SolveReport.certified(d, instance.pairs, system, audit)

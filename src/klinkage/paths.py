@@ -1,4 +1,9 @@
-"""Path systems and linkage instances."""
+"""Path systems and linkage instances.
+
+A path system is its paths: a path names its (source, target) pair by its
+two ends, and the pairs a system must link come from its caller (a
+``LinkageInstance``, or the pairs handed to ``verify.verify_linkage``).
+"""
 
 from __future__ import annotations
 
@@ -22,18 +27,13 @@ def _pair_tuples(pairs) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PathSystem:
-    """An ordered collection of vertex sequences with their (source, target) roles.
+    """An ordered collection of vertex sequences, one per pair.
 
     The paths claim full pairwise vertex-disjointness.  Claims are
     certified by ``verify.verify_linkage``, never assumed.
     """
 
     paths: tuple[tuple[int, ...], ...]
-    pairing: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.paths) != len(self.pairing):
-            raise InputError("one (source, target) role per path required")
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -113,7 +113,7 @@ def _solve_pairs(d: Digraph, pairs, budget: Budget) -> PathSystem | Infeasible:
     if not _search(d, ordered, later_mask, 0, 0, acc, budget, set()):
         return Infeasible()
     by_pair = dict(zip(ordered, acc))
-    return PathSystem(tuple(by_pair[p] for p in pairs), tuple(pairs))
+    return PathSystem(tuple(by_pair[p] for p in pairs))
 
 
 def brute_force_disjoint_paths(

@@ -236,5 +236,5 @@ def ref_solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False
     paths = _solve_reduced(d, part_masks, list(pairs), 0)
     if isinstance(paths, tuple):
         return SolveReport.of_stage(*paths, audit)
-    system = PathSystem(tuple(tuple(p) for p in paths), pairs)
+    system = PathSystem(tuple(tuple(p) for p in paths))
     return SolveReport.certified(d, pairs, system, audit)

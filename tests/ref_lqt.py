@@ -441,5 +441,5 @@ def ref_solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         mid = link_real[i]
         tail = tail_path[entry_for_target[ys[i]]]
         final.append(tuple(head + mid[1:] + list(tail[1:])))
-    system = PathSystem(tuple(final), pairs)
+    system = PathSystem(tuple(final))
     return SolveReport.certified(d, pairs, system, audit)

@@ -3,8 +3,7 @@
 Builds the whole vertex-split network with paired residual edges and runs
 successive shortest paths with potentials on it.  ``klinkage.connectivity``
 runs the same algorithm on the Digraph's masks without building the
-network; the tests check that both give identical paths, pairings and
-separators.
+network; the tests check that both give identical paths and separators.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ def solve(d, sources, sinks, avoid=()) -> PathSystem | Infeasible:
     sources, sinks, avoid_mask = sorted(sources), sorted(sinks), mask_of(avoid)
     want = len(sinks)
     if want == 0:
-        return PathSystem((), ())
+        return PathSystem(())
     net, src, snk, split_eid, source_eid, sink_eid = _build_split_net(
         d, sources, sinks, avoid_mask
     )
@@ -170,4 +169,4 @@ def solve(d, sources, sinks, avoid=()) -> PathSystem | Infeasible:
     if flow < want:
         return Infeasible(separator=_separator(net, src, split_eid, source_eid, sink_eid))
     raw = _extract_paths(d, net, sources, source_eid, snk)
-    return PathSystem(tuple(raw), tuple((p[0], p[-1]) for p in raw))
+    return PathSystem(tuple(raw))

@@ -128,7 +128,7 @@ def ref_connect(d, xs, ys, ws, us, q, anchors, targets):
             )
 
     if not anchors:
-        return PathSystem((), ())
+        return PathSystem(())
 
     alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
     out, inc = d._out, d._in
@@ -167,4 +167,4 @@ def ref_connect(d, xs, ys, ws, us, q, anchors, targets):
                 f"connector touched the protected region at {list(iter_bits(overlap))}",
                 vertices=iter_bits(overlap),
             )
-    return PathSystem(tuple(paths), tuple(zip(anchors, targets)))
+    return PathSystem(tuple(paths))

@@ -397,6 +397,47 @@ class TestVerifyCommand:
         assert json.loads(out)["clause"] == "ArcMembership"
 
 
+    @staticmethod
+    def _documents(workdir, paths, pairs):
+        """A 4-vertex digraph with arcs 0->1 and 2->3, and a path-system
+        document; returns their file names."""
+        dpath = os.path.join(workdir, "d.json")
+        ppath = os.path.join(workdir, "ps.json")
+        with open(dpath, "w", encoding="utf-8") as fh:
+            json.dump({"n": 4, "arcs": [[0, 1], [2, 3]]}, fh)
+        with open(ppath, "w", encoding="utf-8") as fh:
+            json.dump({"paths": paths, "pairs": pairs}, fh)
+        return dpath, ppath
+
+    @pytest.mark.parametrize("pairs", [None, "0:1,2:3"])
+    def test_one_pair_per_path_required(self, workdir, pairs):
+        # checked on the document, before --pairs replaces its pairs
+        dpath, ppath = self._documents(workdir, [[0, 1], [2, 3]], [[0, 1]])
+        argv = ["verify", "--input", dpath, "--paths", ppath]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv + (["--pairs", pairs] if pairs else []))
+        assert (code, out) == (2, "")
+        assert err.getvalue() == (f"error: {ppath}: malformed path system: "
+                                  "one (source, target) role per path required\n")
+
+    def test_document_pairs_are_checked(self, workdir):
+        # without --pairs the document's pairs are the claim, not its paths' ends
+        dpath, ppath = self._documents(workdir, [[0, 1], [2, 3]], [[0, 1], [3, 2]])
+        code, out = run_cli(["verify", "--input", dpath, "--paths", ppath])
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "clause": "Pairing",
+                                   "detail": "path 1 does not run 3->2"}
+
+    def test_pairs_flag_overrides_the_document(self, workdir):
+        dpath, ppath = self._documents(workdir, [[0, 1], [2, 3]], [[0, 1], [3, 2]])
+        argv = ["verify", "--input", dpath, "--paths", ppath, "--pairs"]
+        code, out = run_cli(argv + ["0:1,2:3"])
+        assert (code, json.loads(out)) == (0, {"ok": True})
+        code, out = run_cli(argv + ["0:1,2:1"])
+        assert code == 1
+        assert json.loads(out)["detail"] == "path 1 does not run 2->1"
+
     def test_negative_id_on_a_path_is_a_missing_arc(self, workdir):
         dpath = os.path.join(workdir, "d.json")
         ppath = os.path.join(workdir, "ps.json")

@@ -338,7 +338,7 @@ def test_leftover_source_is_linked(monkeypatch):
 
     monkeypatch.setattr(linkage_semicomplete, "partition_terminals", record)
     report = _leftover_linked()
-    assert splits == [([], {}, [0])]
+    assert splits == [{}]
     assert report.system.paths == ((0, 5, 20, 2, 1),)
 
 

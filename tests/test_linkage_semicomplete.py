@@ -113,9 +113,19 @@ class TestAnchor:
             anchor_connectors(d, **args)
 
     @pytest.mark.parametrize("changes, error, message", [
-        # the set clauses: W is a set, X, Y and W are disjoint, |Y| = |X| = k, |U| = 3k
+        # the set clauses: X, Y, W, U and A are sets, X, Y and W are
+        # disjoint, |Y| = |X| = k, |U| = 3k; a repeated X, Y or U id passed
+        # the count clauses, and a repeated anchor got two connectors
+        (lambda c: {"xs": [c.xs[0], c.xs[0]]}, InputError,
+         lambda c: f"X repeats vertex {c.xs[0]}"),
+        (lambda c: {"ys": [c.ys[1], c.ys[1]]}, InputError,
+         lambda c: f"Y repeats vertex {c.ys[1]}"),
         (lambda c: {"ws": [c.free[4], c.free[5], c.free[4]]}, InputError,
          lambda c: f"W repeats vertex {c.free[4]}"),
+        (lambda c: {"us": [*c.us[:-1], c.us[0]]}, InputError,
+         lambda c: f"U repeats vertex {c.us[0]}"),
+        (lambda c: {"anchors": [c.free[0], c.free[0]]}, InputError,
+         lambda c: f"A repeats vertex {c.free[0]}"),
         (lambda c: {"ws": [c.xs[0]]}, PreconditionViolatedError,
          lambda c: "X, Y, W must be pairwise disjoint"),
         (lambda c: {"ys": c.ys[:1]}, PreconditionViolatedError,
@@ -126,14 +136,13 @@ class TestAnchor:
         (lambda c: {"us": [c.low, *c.us[1:]]}, PreconditionViolatedError,
          lambda c: "U is not a nearly in-dominating set outside X, Y"),
         # the q-system: k paths onto Y, starting in U, meeting U only there
-        (lambda c: {"q": PathSystem(c.q.paths[:1], c.q.pairing[:1])}, PreconditionViolatedError,
+        (lambda c: {"q": PathSystem(c.q.paths[:1])}, PreconditionViolatedError,
          lambda c: "q-system must hold k disjoint paths onto Y"),
-        (lambda c: {"q": PathSystem((c.q.paths[0], c.q.paths[1][:-1] + (c.free[4],)),
-                                    c.q.pairing)}, PreconditionViolatedError,
-         lambda c: "q-system must hold k disjoint paths onto Y"),
-        (lambda c: {"q": PathSystem(((c.free[4], *c.q.paths[0]), c.q.paths[1]), c.q.pairing)},
+        (lambda c: {"q": PathSystem((c.q.paths[0], c.q.paths[1][:-1] + (c.free[4],)))},
+         PreconditionViolatedError, lambda c: "q-system must hold k disjoint paths onto Y"),
+        (lambda c: {"q": PathSystem(((c.free[4], *c.q.paths[0]), c.q.paths[1]))},
          PreconditionViolatedError, lambda c: "q-system must start inside U"),
-        (lambda c: {"q": PathSystem(((c.spare_u, *c.q.paths[0]), c.q.paths[1]), c.q.pairing)},
+        (lambda c: {"q": PathSystem(((c.spare_u, *c.q.paths[0]), c.q.paths[1]))},
          PreconditionViolatedError,
          lambda c: "q-system touches U off its initial vertices (not minimum)"),
         # the anchors: at most k, one target each, off W and Ini(q)
@@ -152,7 +161,7 @@ class TestAnchor:
          lambda c: f"targets must lie in Ini(q) minus W (witness: {[c.starts[0], c.free[3]]})"),
         (lambda c: {"ws": [c.starts[1]]}, PreconditionViolatedError,
          lambda c: f"targets must lie in Ini(q) minus W (witness: {c.starts})"),
-    ], ids=["w-repeat", "disjoint", "y-size", "u-size", "nearly-in-dominating", "q-count",
+    ], ids=["x-repeat", "y-repeat", "w-repeat", "u-repeat", "a-repeat", "disjoint", "y-size", "u-size", "nearly-in-dominating", "q-count",
             "q-onto-y", "q-start", "q-touches-u", "anchor-count", "target-count",
             "anchor-in-ini", "anchor-in-w", "targets-repeat", "target-off-ini", "target-in-w"])
     def test_clauses(self, changes, error, message):
@@ -184,8 +193,8 @@ class TestPartitionTerminals:
         d = complete(6 * k + 4)
         xs, ys = [0, 1], [2, 3]
         us = list(range(4, 4 + 3 * k))
-        matched, matching, leftover = partition_terminals(d, xs, ys, us, k)
-        assert matched == xs and leftover == []
+        matching = partition_terminals(d, xs, ys, us, k)
+        assert list(matching) == xs
         assert len(set(matching.values())) == len(xs)
 
     def test_no_dominators_all_leftover(self):
@@ -199,8 +208,7 @@ class TestPartitionTerminals:
         for u in us:
             arcs.append((u, 0))
         d = Digraph.from_arcs(n, arcs)
-        matched, matching, leftover = partition_terminals(d, [0, 1], [2, 3], us, k)
-        assert matched == [] and leftover == [0, 1]
+        assert partition_terminals(d, [0, 1], [2, 3], us, k) == {}
 
     @pytest.mark.parametrize("xs, us, bad", [([0], [2, 3, 99], 99), ([-1], [2, 3, 4], -1)])
     def test_ids_not_in_the_digraph(self, xs, us, bad):
@@ -213,8 +221,7 @@ class TestPartitionTerminals:
         d = random_tournament(200, 17)
         xs, ys = [0, 1], [2, 3]
         us = nearly_in_dominating_set(d, xs, ys, 3 * k)
-        matched, matching, _ = partition_terminals(d, xs, ys, us, k)
-        helpers = list(matching.values())
+        helpers = list(partition_terminals(d, xs, ys, us, k).values())
         assert len(set(helpers)) == len(helpers)
         assert not set(helpers) & (set(xs) | set(ys) | set(us))
 

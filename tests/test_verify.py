@@ -25,13 +25,13 @@ class TestVerifyLinkage:
     def test_direct_arcs_pass(self):
         d = complete(6)
         pairs = [(0, 1), (2, 3), (4, 5)]
-        ps = PathSystem(tuple((x, y) for x, y in pairs), tuple(pairs))
+        ps = PathSystem(tuple((x, y) for x, y in pairs))
         assert verify_linkage(d, pairs, ps).ok
 
     def test_shared_interior_fails(self):
         d = complete(6)
         pairs = [(0, 1), (2, 3)]
-        ps = PathSystem(((0, 5, 1), (2, 5, 3)), tuple(pairs))
+        ps = PathSystem(((0, 5, 1), (2, 5, 3)))
         rep = verify_linkage(d, pairs, ps)
         assert not rep.ok
         assert rep.clause == "Disjointness"
@@ -39,31 +39,37 @@ class TestVerifyLinkage:
 
     def test_missing_arc_fails(self):
         d = Digraph.from_arcs(3, [(0, 1)])
-        ps = PathSystem(((0, 2),), ((0, 2),))
+        ps = PathSystem(((0, 2),))
         rep = verify_linkage(d, [(0, 2)], ps)
         assert rep.clause == "ArcMembership"
 
     def test_wrong_endpoints(self):
         d = complete(4)
-        ps = PathSystem(((0, 2),), ((0, 2),))
+        ps = PathSystem(((0, 2),))
         rep = verify_linkage(d, [(0, 1)], ps)
         assert rep.clause == "Pairing"
 
     def test_repeated_vertex(self):
         d = complete(4)
-        ps = PathSystem(((0, 2, 0, 1),), ((0, 1),))
+        ps = PathSystem(((0, 2, 0, 1),))
         rep = verify_linkage(d, [(0, 1)], ps)
         assert rep.clause == "Simple"
+        assert rep.detail == "path 0 repeats vertex 0"
+
+    def test_repeated_interior_vertex_named(self):
+        ps = PathSystem(((0, 1), (2, 4, 5, 4, 3)))
+        rep = verify_linkage(complete(6), [(0, 1), (2, 3)], ps)
+        assert (rep.clause, rep.detail) == ("Simple", "path 1 repeats vertex 4")
 
     def test_count_mismatch(self):
         d = complete(4)
-        ps = PathSystem(((0, 1),), ((0, 1),))
+        ps = PathSystem(((0, 1),))
         rep = verify_linkage(d, [(0, 1), (2, 3)], ps)
         assert rep.clause == "Count"
 
     def test_pair_of_three_ids_rejected(self):
         # was a ValueError from unpacking
-        ps = PathSystem(((0, 1),), ((0, 1),))
+        ps = PathSystem(((0, 1),))
         with pytest.raises(InputError, match=r"^terminal pair \(0, 1, 2\) must hold two ids$"):
             verify_linkage(complete(4), [(0, 1, 2)], ps)
 
@@ -110,6 +116,11 @@ class TestBruteForceDisjointPaths:
 class TestBruteForceKLinked:
     def test_complete_minimum_order(self):
         assert brute_force_k_linked(complete(4), 2) is True
+
+    def test_zero_pairs_always_linked(self):
+        # the one empty assignment links, on any digraph, the empty one included
+        assert brute_force_k_linked(Digraph.from_arcs(3, [(0, 1)]), 0) is True
+        assert brute_force_k_linked(Digraph.from_arcs(0, []), 0) is True
 
     def test_transitive_not_one_linked(self):
         d = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
