@@ -65,6 +65,30 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_FLAG)
 
 
+def _out_rows(n: int, arcs: list) -> list[int] | None:
+    """The out-rows of ``arcs`` on ids 0..n-1, or None when an arc is not a
+    pair of ids in range, is a self-loop or repeats an earlier one.
+
+    The loop checks only what indexing and shifting would get wrong: a
+    negative u would index a row from the end, and a large v would shift
+    out a huge int before any later check saw it.  A u past the rows, a
+    negative v or a non-pair raises, and that fails the check too.  Repeats
+    show as fewer set bits than arcs, self-loops as a diagonal bit."""
+    out = [0] * n
+    try:
+        for u, v in arcs:
+            if u < 0 or v >= n:
+                return None
+            out[u] |= 1 << v
+        if sum(map(int.bit_count, out)) != len(arcs):
+            return None
+    except (TypeError, ValueError, IndexError):
+        return None
+    if any(r >> v & 1 for v, r in enumerate(out)):
+        return None
+    return out
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -91,10 +115,39 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        """The digraph on ids 0..n-1 with exactly ``arcs``, checked one arc
-        at a time: the first arc out of range, a self-loop or a repeat raises."""
+        """The digraph on ids 0..n-1 with exactly ``arcs``.
+
+        Every input takes the bulk path first: ``_out_rows`` sets the
+        out-rows in one loop that checks only the id range, then checks
+        repeats and self-loops over the rows.  The in-rows of a dense input,
+        one with at least the n(n-1)/2 arcs of any semicomplete digraph on
+        n ids, are the out-rows transposed by string passes in C; their
+        n^2-character grid then costs at most about 2 bytes an arc.  A
+        sparser input sets its in-rows arc by arc, so a large sparse n never
+        allocates the grid.  When a bulk check fails, the per-arc loop runs
+        instead: the errors are its own, raised at the first arc out of
+        range, self-loop or repeat.
+        """
         if n < 0:
             raise InputError(f"negative vertex count {n}")
+        if not isinstance(arcs, list):
+            arcs = list(arcs)
+        out = _out_rows(n, arcs)
+        if out is None:
+            return cls._from_arcs_per_arc(n, arcs)
+        if 2 * len(arcs) >= n * (n - 1):
+            grid = "".join(bin(r)[:1:-1].ljust(n, "0") for r in out)
+            inc = [int(grid[v::n][::-1], 2) for v in range(n)]
+        else:
+            inc = [0] * n
+            for u, v in arcs:
+                inc[v] |= 1 << u
+        return cls(n, (1 << n) - 1, out, inc)
+
+    @classmethod
+    def _from_arcs_per_arc(cls, n: int, arcs: list) -> "Digraph":
+        """``from_arcs`` checked one arc at a time: the first arc out of
+        range, a self-loop or a repeat raises."""
         out = [0] * n
         inc = [0] * n
         for u, v in arcs:

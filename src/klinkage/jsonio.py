@@ -54,12 +54,19 @@ def parse_json(text: str, source: str = "<input>") -> Any:
 
 
 def digraph_to_obj(d: Digraph, parts=None, meta: dict | None = None) -> dict:
-    obj: dict[str, Any] = {"n": d.n, "arcs": sorted([u, v] for u, v in d.arcs())}
+    obj: dict[str, Any] = {"n": d.n, "arcs": [[u, v] for u, v in d.arcs()]}
     if parts is not None:
         obj["parts"] = [sorted(p) for p in parts]
     if meta:
         obj["meta"] = meta
     return obj
+
+
+# The largest ``n`` a digraph document may give, checked before any row is
+# allocated: without it the 29-byte document {"n": 1000000000, "arcs": []}
+# asks for two lists of 8 GB each.  A dense digraph of this order already
+# holds 10^8 arcs.
+MAX_ORDER = 10_000
 
 
 def _is_id(value) -> bool:
@@ -94,10 +101,12 @@ def _id_pairs(arcs: list) -> bool:
 def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list | None]:
     """The digraph (and the ``parts``, if given) a digraph document describes.
 
-    The arc types are checked in bulk (``_id_pairs``), and one arc at a
-    time only when that check fails, to name the first offending arc; the
-    range, self-loop and duplicate checks are ``Digraph.from_arcs``'s, at
-    its first offending arc.  Type faults come before the others.
+    ``n`` above ``MAX_ORDER`` is refused before anything is allocated.  The
+    arc types are checked in bulk (``_id_pairs``), and one arc at a time
+    only when that check fails, to name the first offending arc.  The
+    range, self-loop and duplicate checks are ``Digraph.from_arcs``'s: in
+    bulk, and one arc at a time only when a bulk check fails.  Type faults
+    come before the others.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{source}: expected a JSON object")
@@ -105,6 +114,8 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
     arcs = _field(obj, "arcs", source)
     if not _is_id(n) or n < 0:
         raise FormatError(f"{source}: field 'n' must be a non-negative integer")
+    if n > MAX_ORDER:
+        raise FormatError(f"{source}: field 'n' must be at most {MAX_ORDER}")
     if not isinstance(arcs, list):
         raise FormatError(f"{source}: field 'arcs' must be a list")
     if not _id_pairs(arcs):
@@ -190,7 +201,7 @@ def digraph_to_dot(d: Digraph, highlight: PathSystem | None = None) -> str:
     for v in d.vertices():
         shape = ' [shape=box]' if v in endpoints else ""
         lines.append(f"  {v}{shape};")
-    for u, v in sorted(d.arcs()):
+    for u, v in d.arcs():
         mark = ' [color=red, penwidth=2]' if (u, v) in on_path else ""
         lines.append(f"  {u} -> {v}{mark};")
     lines.append("}")

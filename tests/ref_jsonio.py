@@ -4,9 +4,10 @@
 and builds the masks with ``ref_from_arcs``, which range-checks, rejects
 self-loops and looks for a duplicate at each arc in turn.
 ``jsonio.digraph_from_obj`` checks the arc types column-wise instead, and
-``Digraph.from_arcs`` is the same per-arc loop with witness vertices on its
-errors; the tests require the identical digraph, or the identical exception
-class and message, from both.
+``Digraph.from_arcs`` builds the out-rows in one loop with bulk checks
+around it, falling back to the same per-arc loop (with witness vertices on
+its errors) only when a bulk check fails; the tests require the identical
+digraph, or the identical exception class and message, from both.
 """
 
 from __future__ import annotations

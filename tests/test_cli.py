@@ -217,6 +217,21 @@ class TestSolveExitCodes:
         code, _ = run_cli(["check", "--input", path, "--kappa"])
         assert code == 2
 
+    def test_order_above_the_ceiling_is_exit_two(self, workdir, monkeypatch):
+        """A 29-byte document asking for 10^9 vertices is refused before
+        ``Digraph.from_arcs`` allocates a row."""
+        def no_build(*args):
+            pytest.fail("from_arcs called above the ceiling")
+        monkeypatch.setattr(klinkage.digraph.Digraph, "from_arcs", no_build)
+        path = os.path.join(workdir, "huge.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"n": 1000000000, "arcs": []}')
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["check", "--input", path, "--kappa"])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == f"error: {path}: field 'n' must be at most 10000\n"
+
     @pytest.mark.parametrize("doc, paths", [
         ({**_K3, "parts": [["a"], [1, 2]]}, None),
         ({**_K3, "parts": [[-1], [0, 1, 2]]}, None),

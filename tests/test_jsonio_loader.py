@@ -7,6 +7,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from ref_jsonio import ref_digraph_from_obj, ref_from_arcs
 from klinkage.digraph import Digraph
 from klinkage.errors import FormatError
 from klinkage.generators import random_digraph, random_semicomplete
-from klinkage.jsonio import digraph_from_obj, digraph_to_obj, parse_json
+from klinkage.jsonio import MAX_ORDER, digraph_from_obj, digraph_to_obj, parse_json
 
 
 class Id(int):
@@ -158,6 +159,11 @@ class TestAgainstPerArcLoader:
         assert min(seen[kind] for kind in FAULTS) >= 30, seen
 
 
+# A semicomplete digraph on 5 ids with exactly n(n-1)/2 = 10 arcs (the
+# in-rows come from the transpose), and the same less one arc (arc by arc).
+DENSE = [(0, 1), (2, 0), (0, 3), (4, 0), (1, 2), (3, 1), (1, 4), (2, 3), (4, 2), (3, 4)]
+
+
 class TestFromArcs:
     """``Digraph.from_arcs`` on inputs no JSON document holds: tuples, sets,
     iterators, bools and junk values, with the identical outcome."""
@@ -179,6 +185,14 @@ class TestFromArcs:
         (3, [(2, 0), (2, 0), (1, 1)]),
         (0, []),
         (-1, []),
+        (3, [(-1, 2)]),
+        (3, [(0, 1), (-3, 2)]),
+        (5, [*DENSE[:6], (1, 5), *DENSE[6:]]),
+        (3, [(0, 1), (1, 10 ** 30)]),
+        (3, [(0, 1), (1, 2), (2, 0), (1, 2)]),
+        (5, [*DENSE[:4], (3, 1), *DENSE[4:]]),
+        (5, DENSE),
+        (5, DENSE[:-1]),
     ]
 
     @pytest.mark.parametrize("n, arcs", CASES)
@@ -189,6 +203,49 @@ class TestFromArcs:
         assert got == want
         if d is not None:
             assert_in_masks_transpose(d)
+
+
+    def test_sparse_input_allocates_no_grid(self):
+        """A grid of n^2 characters would take 16 MB at n = 4000; two arcs
+        are far below the density threshold and build their in-rows arc by
+        arc."""
+        tracemalloc.start()
+        try:
+            d = Digraph.from_arcs(4000, [(0, 1), (2, 3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert d.arcs() == [(0, 1), (2, 3)]
+        assert_in_masks_transpose(d)
+
+
+class TestOrderCeiling:
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 1_000_000_000])
+    def test_refused_before_any_allocation(self, n, monkeypatch):
+        def no_build(*args):
+            pytest.fail("from_arcs called above the ceiling")
+        monkeypatch.setattr(Digraph, "from_arcs", no_build)
+        with pytest.raises(FormatError) as info:
+            digraph_from_obj({"n": n, "arcs": []}, "doc.json")
+        assert str(info.value) == f"doc.json: field 'n' must be at most {MAX_ORDER}"
+
+    def test_ceiling_itself_loads(self):
+        d, _ = digraph_from_obj({"n": MAX_ORDER, "arcs": [[0, MAX_ORDER - 1]]})
+        assert (d.n, d.arcs()) == (MAX_ORDER, [(0, MAX_ORDER - 1)])
+
+
+class TestArcsOrder:
+    def test_arcs_come_out_sorted(self):
+        """``digraph_to_obj`` writes ``d.arcs()`` unsorted: the order must
+        already be lexicographic, deleted vertices or not."""
+        rng = random.Random(4_107)
+        for case in range(200):
+            n = rng.randrange(1, 16)
+            d = random_digraph(n, 440_000 + case, rng.randrange(11))
+            d = d.delete(rng.sample(range(n), rng.randrange(n)))
+            assert d.arcs() == sorted(d.arcs())
+            assert digraph_to_obj(d)["arcs"] == sorted(digraph_to_obj(d)["arcs"])
 
 
 class TestParseJson:
