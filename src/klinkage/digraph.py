@@ -117,31 +117,22 @@ class Digraph:
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         """The digraph on ids 0..n-1 with exactly ``arcs``.
 
-        Every input takes the bulk path first: ``_out_rows`` sets the
-        out-rows in one loop that checks only the id range, then checks
-        repeats and self-loops over the rows.  The in-rows of a dense input,
-        one with at least the n(n-1)/2 arcs of any semicomplete digraph on
-        n ids, are the out-rows transposed by string passes in C; their
-        n^2-character grid then costs at most about 2 bytes an arc.  A
-        sparser input sets its in-rows arc by arc, so a large sparse n never
-        allocates the grid.  When a bulk check fails, the per-arc loop runs
-        instead: the errors are its own, raised at the first arc out of
-        range, self-loop or repeat.
+        A dense input, one with at least the n(n-1)/2 arcs of any
+        semicomplete digraph on n ids, is checked in bulk by ``_out_rows``
+        and gets its in-rows by transposing the out-rows in string passes;
+        the n^2-character grid then costs at most about 2 bytes an arc.
+        Every other input, and a dense one that fails a bulk check, takes
+        the per-arc loop, whose errors are the ones raised.
         """
         if n < 0:
             raise InputError(f"negative vertex count {n}")
         if not isinstance(arcs, list):
             arcs = list(arcs)
-        out = _out_rows(n, arcs)
+        out = _out_rows(n, arcs) if 2 * len(arcs) >= n * (n - 1) else None
         if out is None:
             return cls._from_arcs_per_arc(n, arcs)
-        if 2 * len(arcs) >= n * (n - 1):
-            grid = "".join(bin(r)[:1:-1].ljust(n, "0") for r in out)
-            inc = [int(grid[v::n][::-1], 2) for v in range(n)]
-        else:
-            inc = [0] * n
-            for u, v in arcs:
-                inc[v] |= 1 << u
+        grid = "".join(bin(r)[:1:-1].ljust(n, "0") for r in out)
+        inc = [int(grid[v::n][::-1], 2) for v in range(n)]
         return cls(n, (1 << n) - 1, out, inc)
 
     @classmethod

@@ -105,7 +105,8 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
     arc types are checked in bulk (``_id_pairs``), and one arc at a time
     only when that check fails, to name the first offending arc.  The
     range, self-loop and duplicate checks are ``Digraph.from_arcs``'s: in
-    bulk, and one arc at a time only when a bulk check fails.  Type faults
+    bulk on a dense document, and one arc at a time on a sparse one or when
+    a bulk check fails.  Type faults
     come before the others.
     """
     if not isinstance(obj, dict):

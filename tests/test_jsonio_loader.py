@@ -159,8 +159,8 @@ class TestAgainstPerArcLoader:
         assert min(seen[kind] for kind in FAULTS) >= 30, seen
 
 
-# A semicomplete digraph on 5 ids with exactly n(n-1)/2 = 10 arcs (the
-# in-rows come from the transpose), and the same less one arc (arc by arc).
+# A semicomplete digraph on 5 ids with exactly n(n-1)/2 = 10 arcs (the bulk
+# path and its transpose), and the same less one arc (the per-arc loop).
 DENSE = [(0, 1), (2, 0), (0, 3), (4, 0), (1, 2), (3, 1), (1, 4), (2, 3), (4, 2), (3, 4)]
 
 
@@ -193,6 +193,7 @@ class TestFromArcs:
         (5, [*DENSE[:4], (3, 1), *DENSE[4:]]),
         (5, DENSE),
         (5, DENSE[:-1]),
+        (3, [(0, 1), (1, 2), (-1, 0)]),
     ]
 
     @pytest.mark.parametrize("n, arcs", CASES)
@@ -207,8 +208,8 @@ class TestFromArcs:
 
     def test_sparse_input_allocates_no_grid(self):
         """A grid of n^2 characters would take 16 MB at n = 4000; two arcs
-        are far below the density threshold and build their in-rows arc by
-        arc."""
+        are far below the density threshold and take the per-arc loop,
+        which builds no grid."""
         tracemalloc.start()
         try:
             d = Digraph.from_arcs(4000, [(0, 1), (2, 3)])
