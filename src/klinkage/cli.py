@@ -33,6 +33,7 @@ from .generators import (
     random_tournament,
 )
 from .jsonio import (
+    MAX_ORDER,
     digraph_from_obj,
     digraph_to_dot,
     digraph_to_obj,
@@ -95,6 +96,9 @@ def _dot_sibling(out: str) -> str:
 def _cmd_gen(args) -> int:
     meta = {"family": args.family, "seed": args.seed}
     parts = None
+    # refused before anything is generated: no digraph document may hold it
+    if args.family in ("tournament", "circulant", "semicomplete") and args.n > MAX_ORDER:
+        raise InputError(f"--n must be at most {MAX_ORDER}")
     if args.family == "tournament":
         d = random_tournament(args.n, args.seed)
     elif args.family == "circulant":
@@ -108,6 +112,8 @@ def _cmd_gen(args) -> int:
             sizes = [int(s) for s in args.part_sizes.split(",")]
         except ValueError:
             raise FormatError("--part-sizes must be a comma-separated list, e.g. 2,3,2") from None
+        if sum(sizes) > MAX_ORDER:
+            raise InputError(f"--part-sizes must sum to at most {MAX_ORDER}")
         if args.family == "composition":
             spec = random_composition(len(sizes), sizes, args.p_double, args.seed, args.part_arcs)
             meta["p_double"] = args.p_double

@@ -67,17 +67,19 @@ def _flags(mask: int) -> bytes:
 
 def _out_rows(n: int, arcs: list) -> list[int] | None:
     """The out-rows of ``arcs`` on ids 0..n-1, or None when an arc is not a
-    pair of ids in range, is a self-loop or repeats an earlier one.
+    pair of exact ``int`` ids in range, is a self-loop or repeats an earlier
+    one: the one bulk check of ``Digraph.from_arcs`` and ``digraph_from_obj``.
 
-    The loop checks only what indexing and shifting would get wrong: a
+    The loop tests the id types, since a ``bool``, an ``int`` subclass or a
+    float must fail, and what indexing and shifting would get wrong: a
     negative u would index a row from the end, and a large v would shift
-    out a huge int before any later check saw it.  A u past the rows, a
-    negative v or a non-pair raises, and that fails the check too.  Repeats
-    show as fewer set bits than arcs, self-loops as a diagonal bit."""
+    out a huge int.  A u past the rows, a negative v, a non-pair or an id
+    that cannot be compared with 0 raises, and that fails the check too.
+    Repeats show as fewer set bits than arcs, self-loops as a diagonal bit."""
     out = [0] * n
     try:
         for u, v in arcs:
-            if u < 0 or v >= n:
+            if u < 0 or v >= n or type(u) is not int or type(v) is not int:
                 return None
             out[u] |= 1 << v
         if sum(map(int.bit_count, out)) != len(arcs):
@@ -87,6 +89,21 @@ def _out_rows(n: int, arcs: list) -> list[int] | None:
     if any(r >> v & 1 for v, r in enumerate(out)):
         return None
     return out
+
+
+def _in_rows(n: int, out: list[int], arcs: list) -> list[int]:
+    """The in-rows of ``arcs``, whose out-rows ``_out_rows`` returned as
+    ``out``.  A dense input, one with at least the n(n-1)/2 arcs of any
+    semicomplete digraph on n ids, transposes the out-rows in string
+    passes, whose n^2-character grid then costs at most about 2 bytes an
+    arc; a sparser one takes a second, unchecked pass over its arcs."""
+    if 2 * len(arcs) >= n * (n - 1):
+        grid = "".join(bin(r)[:1:-1].ljust(n, "0") for r in out)
+        return [int(grid[v::n][::-1], 2) for v in range(n)]
+    inc = [0] * n
+    for u, v in arcs:
+        inc[v] |= 1 << u
+    return inc
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -117,23 +134,20 @@ class Digraph:
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         """The digraph on ids 0..n-1 with exactly ``arcs``.
 
-        A dense input, one with at least the n(n-1)/2 arcs of any
-        semicomplete digraph on n ids, is checked in bulk by ``_out_rows``
-        and gets its in-rows by transposing the out-rows in string passes;
-        the n^2-character grid then costs at most about 2 bytes an arc.
-        Every other input, and a dense one that fails a bulk check, takes
-        the per-arc loop, whose errors are the ones raised.
+        Arcs that are all tuples or lists are checked in bulk by
+        ``_out_rows`` and get their in-rows from ``_in_rows``.  Any other
+        arcs (an iterator would be spent by the bulk loop), and arcs that
+        fail a bulk check, take the per-arc loop, whose errors are the ones
+        raised.
         """
         if n < 0:
             raise InputError(f"negative vertex count {n}")
         if not isinstance(arcs, list):
             arcs = list(arcs)
-        out = _out_rows(n, arcs) if 2 * len(arcs) >= n * (n - 1) else None
+        out = _out_rows(n, arcs) if set(map(type, arcs)) <= {tuple, list} else None
         if out is None:
             return cls._from_arcs_per_arc(n, arcs)
-        grid = "".join(bin(r)[:1:-1].ljust(n, "0") for r in out)
-        inc = [int(grid[v::n][::-1], 2) for v in range(n)]
-        return cls(n, (1 << n) - 1, out, inc)
+        return cls(n, (1 << n) - 1, out, _in_rows(n, out, arcs))
 
     @classmethod
     def _from_arcs_per_arc(cls, n: int, arcs: list) -> "Digraph":

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import chain
 from typing import Any
 
-from .digraph import Digraph
+from .digraph import Digraph, _in_rows, _out_rows
 from .errors import FormatError, InputError
 from .paths import PathSystem
 
@@ -88,26 +87,24 @@ def _field(obj: dict, name: str, source: str):
     return obj[name]
 
 
-def _id_pairs(arcs: list) -> bool:
-    """Every arc is a list of two ids, checked column-wise in C-level passes.
-
-    The element types are read before any set of ids is built, because a
-    set would merge ``true`` into 1.  Only exact ``list`` and ``int`` pass;
-    anything else goes through the per-arc check."""
-    return (set(map(type, arcs)) <= {list} and set(map(len, arcs)) <= {2}
-            and set(map(type, chain.from_iterable(arcs))) <= {int})
+def _check_arc_types(arcs: list, source: str) -> None:
+    """Raise for the first arc that is not a list of two ids."""
+    for i, arc in enumerate(arcs):
+        if not (isinstance(arc, list) and len(arc) == 2 and all(map(_is_id, arc))):
+            raise FormatError(f"{source}: field 'arcs[{i}]' must be a pair of integers")
 
 
 def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list | None]:
     """The digraph (and the ``parts``, if given) a digraph document describes.
 
-    ``n`` above ``MAX_ORDER`` is refused before anything is allocated.  The
-    arc types are checked in bulk (``_id_pairs``), and one arc at a time
-    only when that check fails, to name the first offending arc.  The
-    range, self-loop and duplicate checks are ``Digraph.from_arcs``'s: in
-    bulk on a dense document, and one arc at a time on a sparse one or when
-    a bulk check fails.  Type faults
-    come before the others.
+    ``n`` above ``MAX_ORDER`` is refused before anything is allocated.
+    Arcs that are all lists take one typed pass, ``_out_rows``, which checks
+    the ids' types and range, self-loops and repeats while it sets the
+    out-rows; ``_in_rows`` adds the in-rows.  When that check fails,
+    ``_check_arc_types`` names the first arc that is not a pair of integers,
+    and then ``Digraph.from_arcs`` the first arc out of range, self-loop or
+    repeat, so type faults come before the others.  An ``int``-subclass id
+    fails the typed pass and loads on this slower path.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{source}: expected a JSON object")
@@ -119,14 +116,15 @@ def digraph_from_obj(obj: Any, source: str = "<input>") -> tuple[Digraph, list |
         raise FormatError(f"{source}: field 'n' must be at most {MAX_ORDER}")
     if not isinstance(arcs, list):
         raise FormatError(f"{source}: field 'arcs' must be a list")
-    if not _id_pairs(arcs):
-        for i, arc in enumerate(arcs):
-            if not (isinstance(arc, list) and len(arc) == 2 and all(map(_is_id, arc))):
-                raise FormatError(f"{source}: field 'arcs[{i}]' must be a pair of integers")
-    try:
-        d = Digraph.from_arcs(n, arcs)
-    except InputError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    out = _out_rows(n, arcs) if set(map(type, arcs)) <= {list} else None
+    if out is not None:
+        d = Digraph(n, (1 << n) - 1, out, _in_rows(n, out, arcs))
+    else:
+        _check_arc_types(arcs, source)
+        try:
+            d = Digraph.from_arcs(n, arcs)
+        except InputError as exc:
+            raise FormatError(f"{source}: {exc}") from exc
     parts = obj.get("parts")
     if parts is not None:
         if not _id_lists(parts):

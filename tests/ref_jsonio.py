@@ -3,11 +3,13 @@
 ``ref_digraph_from_obj`` checks every arc with ``isinstance`` and ``len``
 and builds the masks with ``ref_from_arcs``, which range-checks, rejects
 self-loops and looks for a duplicate at each arc in turn.
-``jsonio.digraph_from_obj`` checks the arc types column-wise instead, and
-``Digraph.from_arcs`` builds the out-rows in one loop with bulk checks
-around it, falling back to the same per-arc loop (with witness vertices on
-its errors) only when a bulk check fails; the tests require the identical
-digraph, or the identical exception class and message, from both.
+``jsonio.digraph_from_obj`` and ``Digraph.from_arcs`` instead build the
+out-rows in one loop that also checks each id's type and range, with bulk
+repeat and self-loop checks after it, and fall back to per-arc loops (the
+type check, then the range, self-loop and repeat checks with witness
+vertices on their errors) only when a bulk check fails; the tests require
+the identical digraph, or the identical exception class and message, from
+both.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import klinkage
 import klinkage.digraph
 from klinkage.cli import main
 from klinkage.jsonio import (
+    MAX_ORDER,
     digraph_from_obj,
     digraph_to_obj,
     dumps_canonical,
@@ -121,6 +122,43 @@ class TestGen:
                  "--p-double", "0.5", "--seed", "3", "-o", path])
         _, parts = load_digraph(path)
         assert parts == [[0, 1], [2, 3, 4], [5, 6]]
+
+
+    @pytest.mark.parametrize("family, size, error", [
+        (family, ["--n", str(n)], "--n must be at most")
+        for family in ("tournament", "circulant", "semicomplete")
+        for n in (MAX_ORDER + 1, 10 ** 9)
+    ] + [
+        (family, ["--part-sizes", sizes], "--part-sizes must sum to at most")
+        for family in ("composition", "extended-tournament")
+        for sizes in (f"{MAX_ORDER},1", f"2,{10 ** 9}")
+    ])
+    def test_order_above_the_ceiling_generates_nothing(self, family, size, error, monkeypatch):
+        for name in ("random_tournament", "circulant_tournament", "random_semicomplete",
+                     "random_composition", "random_extended_tournament"):
+            monkeypatch.setattr(f"klinkage.cli.{name}", _no_generator)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["gen", "--family", family, *size])
+        assert (code, out, err.getvalue()) == (2, "", f"error: InputError: {error} {MAX_ORDER}\n")
+
+    @pytest.mark.parametrize("family, size", [
+        ("tournament", ["--n", str(MAX_ORDER)]),
+        ("composition", ["--part-sizes", f"{MAX_ORDER - 1},1"]),
+    ])
+    def test_order_at_the_ceiling_is_generated(self, family, size, monkeypatch):
+        for name in ("random_tournament", "random_composition"):
+            monkeypatch.setattr(f"klinkage.cli.{name}", _no_generator)
+        with pytest.raises(_Generated):
+            run_cli(["gen", "--family", family, *size])
+
+
+class _Generated(Exception):
+    """Raised by ``_no_generator`` in place of building a large digraph."""
+
+
+def _no_generator(*args):
+    raise _Generated
 
 
 class TestCheckFlags:

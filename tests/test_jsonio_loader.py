@@ -14,9 +14,10 @@ import pytest
 from conftest import assert_in_masks_transpose
 from ref_jsonio import ref_digraph_from_obj, ref_from_arcs
 
+from klinkage import jsonio
 from klinkage.digraph import Digraph
-from klinkage.errors import FormatError
-from klinkage.generators import random_digraph, random_semicomplete
+from klinkage.errors import FormatError, InputError
+from klinkage.generators import random_digraph, random_extended_tournament, random_semicomplete
 from klinkage.jsonio import MAX_ORDER, digraph_from_obj, digraph_to_obj, parse_json
 
 
@@ -46,6 +47,14 @@ def _doc(rng: random.Random, case: int) -> dict:
     """A valid document from a random digraph, its arcs shuffled."""
     n = rng.randrange(16)
     obj = digraph_to_obj(random_digraph(n, 410_000 + case, rng.randrange(11)))
+    rng.shuffle(obj["arcs"])
+    return obj
+
+
+def _dense_doc(rng: random.Random, case: int) -> dict:
+    """A valid semicomplete document on 2 to 24 ids, its arcs shuffled: at
+    least n(n-1)/2 arcs, so the in-rows come from the transpose."""
+    obj = digraph_to_obj(random_semicomplete(rng.randrange(2, 25), rng.random() / 2, 450_000 + case))
     rng.shuffle(obj["arcs"])
     return obj
 
@@ -92,11 +101,13 @@ ARC_FAULTS = {
 FAULTS = {**TYPE_FAULTS, **ARC_FAULTS}
 
 
-def _faulty_doc(rng: random.Random, case: int, kinds: list[str]) -> tuple[dict, list[int]]:
-    """A document with one fault of each kind in ``kinds``, at increasing
-    arc indices (faults that insert an arc shift the later ones right)."""
+def _faulty_doc(rng: random.Random, case: int, kinds: list[str],
+                make=_doc) -> tuple[dict, list[int]]:
+    """A document from ``make`` with one fault of each kind in ``kinds``, at
+    increasing arc indices (faults that insert an arc shift the later ones
+    right)."""
     while True:
-        obj = _doc(rng, case)
+        obj = make(rng, case)
         if len(obj["arcs"]) >= len(kinds) + 1:
             break
         case += 1_000_000
@@ -133,34 +144,63 @@ class TestAgainstPerArcLoader:
             assert _check(faulty)[0] == "error"
 
     def test_one_fault(self):
-        rng = random.Random(4_105)
-        seen = Counter()
-        for case in range(1_300):
-            kind = rng.choice(sorted(FAULTS))
-            obj, (i,) = _faulty_doc(rng, 420_000 + case, [kind])
-            got = _check(obj)
-            assert got[:2] == ("error", FormatError), (kind, obj)
-            if kind in TYPE_FAULTS:
-                assert f"'arcs[{i}]'" in got[2], (kind, got)
-            seen[kind] += 1
-        assert min(seen[kind] for kind in FAULTS) >= 70, seen
+        _one_fault(random.Random(4_105), 420_000, 1_300, _doc, floor=70)
 
     def test_two_faults_report_the_first(self):
-        rng = random.Random(4_106)
-        seen = Counter()
-        for case in range(700):
-            kinds = [rng.choice(sorted(FAULTS)) for _ in range(2)]
-            obj, (i, j) = _faulty_doc(rng, 430_000 + case, kinds)
-            got = _check(obj)
-            assert got[:2] == ("error", FormatError), (kinds, obj)
-            if kinds[0] in TYPE_FAULTS:
-                assert f"'arcs[{i}]'" in got[2], (kinds, got)
-            seen[kinds[0]] += 1
-        assert min(seen[kind] for kind in FAULTS) >= 30, seen
+        _two_faults(random.Random(4_106), 430_000, 700, _doc, floor=30)
+
+    def test_one_fault_dense(self):
+        _one_fault(random.Random(4_108), 460_000, 1_300, _dense_doc, floor=70)
+
+    def test_two_faults_report_the_first_dense(self):
+        _two_faults(random.Random(4_109), 470_000, 700, _dense_doc, floor=30)
+
+    def test_arc_fault_before_a_bool_id(self):
+        """A self-loop comes first, but the bool id after it, a type fault,
+        is the one reported."""
+        obj = _dense_doc(random.Random(4_110), 0)
+        arcs = obj["arcs"]
+        arcs[3] = [arcs[3][0], arcs[3][0]]
+        arcs[-2] = [True, arcs[-2][1]]
+        got = _check(obj)
+        assert got == ("error", FormatError,
+                       f"doc.json: field 'arcs[{len(arcs) - 2}]' must be a pair of integers")
+
+    def test_dense_document_with_int_subclass_ids(self):
+        obj = _dense_doc(random.Random(4_111), 1)
+        obj["arcs"] = [[Id(u), Id(v)] for u, v in obj["arcs"]]
+        assert _check(obj)[0] == "built"
 
 
-# A semicomplete digraph on 5 ids with exactly n(n-1)/2 = 10 arcs (the bulk
-# path and its transpose), and the same less one arc (the per-arc loop).
+def _one_fault(rng: random.Random, case0: int, cases: int, make, floor: int):
+    seen = Counter()
+    for case in range(cases):
+        kind = rng.choice(sorted(FAULTS))
+        obj, (i,) = _faulty_doc(rng, case0 + case, [kind], make)
+        got = _check(obj)
+        assert got[:2] == ("error", FormatError), (kind, obj)
+        if kind in TYPE_FAULTS:
+            assert f"'arcs[{i}]'" in got[2], (kind, got)
+        seen[kind] += 1
+    assert min(seen[kind] for kind in FAULTS) >= floor, seen
+
+
+def _two_faults(rng: random.Random, case0: int, cases: int, make, floor: int):
+    """With two faults, the reported one is the earlier type fault if any."""
+    seen = Counter()
+    for case in range(cases):
+        kinds = [rng.choice(sorted(FAULTS)) for _ in range(2)]
+        obj, (i, j) = _faulty_doc(rng, case0 + case, kinds, make)
+        got = _check(obj)
+        assert got[:2] == ("error", FormatError), (kinds, obj)
+        if kinds[0] in TYPE_FAULTS:
+            assert f"'arcs[{i}]'" in got[2], (kinds, got)
+        seen[kinds[0]] += 1
+    assert min(seen[kind] for kind in FAULTS) >= floor, seen
+
+
+# A semicomplete digraph on 5 ids with exactly n(n-1)/2 = 10 arcs (the
+# in-rows by transpose), and the same less one arc (by a second arc pass).
 DENSE = [(0, 1), (2, 0), (0, 3), (4, 0), (1, 2), (3, 1), (1, 4), (2, 3), (4, 2), (3, 4)]
 
 
@@ -208,8 +248,8 @@ class TestFromArcs:
 
     def test_sparse_input_allocates_no_grid(self):
         """A grid of n^2 characters would take 16 MB at n = 4000; two arcs
-        are far below the density threshold and take the per-arc loop,
-        which builds no grid."""
+        are far below the density threshold and get their in-rows from a
+        second arc pass, which builds no grid."""
         tracemalloc.start()
         try:
             d = Digraph.from_arcs(4000, [(0, 1), (2, 3)])
@@ -219,6 +259,43 @@ class TestFromArcs:
         assert peak < 1_000_000, peak
         assert d.arcs() == [(0, 1), (2, 3)]
         assert_in_masks_transpose(d)
+
+    @pytest.mark.parametrize("n, pairs, want", [
+        (2, [(0, 1), (0, 1)], ("error", InputError, "arc (0,1) listed twice")),
+        (2, [(0, 1), (1, 0)], ("built", 2, 3, [2, 1], [2, 1], None)),
+    ])
+    def test_one_shot_arcs(self, n, pairs, want):
+        """Arcs that are iterators would be spent by the bulk loop, so they
+        take the per-arc loop; loader and oracle each get fresh ones."""
+        got, _ = _outcome(lambda: (Digraph.from_arcs(n, [iter(a) for a in pairs]), None))
+        ref, _ = _outcome(lambda: (ref_from_arcs(n, [iter(a) for a in pairs]), None))
+        assert got == ref == want
+
+
+class TestBulkPath:
+    """Valid documents never reach the per-arc loops: a change that sends
+    them back to the slow path fails here, whatever the time it takes."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_arc_loop(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("a valid document took a per-arc loop")
+        monkeypatch.setattr(Digraph, "_from_arcs_per_arc", fail)
+        monkeypatch.setattr(jsonio, "_check_arc_types", fail)
+
+    @pytest.mark.parametrize("spec", ["dense", "sparse"])
+    def test_valid_document_loads_in_bulk(self, spec):
+        if spec == "dense":  # shaped like the sc-large pool
+            obj = digraph_to_obj(random_semicomplete(500, 0.2, 4_112))
+        else:  # shaped like the lqt pool: 20 parts of 3, below n(n-1)/2 arcs
+            ext = random_extended_tournament(20, [3] * 20, 4_113)
+            obj = digraph_to_obj(ext.digraph, ext.part_vertex_ids())
+        random.Random(4_114).shuffle(obj["arcs"])
+        assert (2 * len(obj["arcs"]) >= obj["n"] * (obj["n"] - 1)) == (spec == "dense")
+        d, parts = digraph_from_obj(obj)
+        want, want_parts = ref_digraph_from_obj(obj)
+        assert (d._alive, d._out, d._in, parts) == (want._alive, want._out, want._in, want_parts)
+        assert Digraph.from_arcs(d.n, d.arcs()) == d
 
 
 class TestOrderCeiling:
