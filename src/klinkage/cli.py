@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success / linked / pass, 1 verified negative (infeasible,
-not linked, failed check), 2 usage or format error, 3 hypothesis violated,
-4 search budget exceeded.
+Exit codes: 0 success / linked / pass, 1 negative (a failed check, a
+path system ``verify`` rejects, an ``oracle`` answer of not linked, or a
+``solve`` stage that failed), 2 usage or format error, 3 hypothesis
+violated, 4 search budget exceeded.  Exit 1 from ``solve`` is no verified
+negative: below the bounds a failed stage proves nothing about
+linkability; ``oracle`` decides that on small digraphs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .dominators import (
 )
 from .errors import Budget, BudgetExceededError, FormatError, InputError, KLinkageError
 from .generators import (
+    _default_core,
     circulant_tournament,
     non_linked_family,
     random_composition,
@@ -122,9 +126,9 @@ def _cmd_gen(args) -> int:
         meta["part_sizes"] = sizes
         d, parts = spec.digraph, spec.part_vertex_ids()
     elif args.family == "non-linked":
-        core = None
-        if args.core:
-            core, _ = _read_digraph(args.core)
+        core = _read_digraph(args.core)[0] if args.core else _default_core()
+        if 2 * args.k - 4 + core.n > MAX_ORDER:
+            raise InputError(f"--k must give an order 2k-4+|core| of at most {MAX_ORDER}")
         spec, bad_pairs = non_linked_family(args.k, core)
         d, parts = spec.digraph, spec.part_vertex_ids()
         meta.pop("seed")

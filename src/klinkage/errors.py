@@ -17,6 +17,11 @@ is the clause unless the raise site words it otherwise.
 
 Every exponential search (the l-QT predicate, the anchor search, the
 brute-force oracle) charges a ``Budget``, which raises the budget error.
+
+``StageFailed`` is no library error but a solver's internal control flow:
+``reports.stage`` turns a precondition, construction or budget error into
+one, and the ``solve_*`` function that ran the stage catches it and
+returns the failed-stage report, so it never reaches a caller.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ class BudgetExceededError(KLinkageError):
         )
         self.expanded = expanded
         self.budget = budget
+
+
+class StageFailed(Exception):
+    """A solver stage failed; ``args`` are ``(stage, witness)``."""
 
 
 class Budget:

@@ -20,11 +20,11 @@ from .digraph import (
     mask_of,
     partition_masks,
 )
-from .errors import ConstructionFailedError, InputError, witness_of
+from .errors import ConstructionFailedError, InputError, StageFailed, witness_of
 from .jsonio import report_to_obj
 from .linkage_semicomplete import audit_hypotheses, solve_semicomplete
 from .paths import LinkageInstance, PathSystem
-from .reports import SolveReport
+from .reports import SolveReport, stage
 
 __all__ = [
     "strip_intra_part_arcs",
@@ -154,53 +154,57 @@ def solve_composition(spec: CompositionSpec, pairs, skip_audit: bool = False) ->
         return violation
 
     rest, open_ids, paths = d, list(range(k)), [None] * k
-    while open_ids:
-        live = [m & rest.alive_mask for m in part_masks if m & rest.alive_mask]
-        i = next((i for i in open_ids if rest.has_arc(*pairs[i])), None)
-        terminals = [t for j in open_ids for t in pairs[j]]
-        if i is not None:
-            path = list(pairs[i])
-        elif len(open_ids) == 1:
-            i, = open_ids
-            path = rest.shortest_path(*pairs[i])
-            if path is None:
-                return SolveReport.of_stage("path", witness_of(
-                    "target unreachable from its source", pairs[i]), audit)
-        elif len(live) < 2:
-            return SolveReport.of_stage("degenerate", witness_of(
-                "all remaining vertices share one part", terminals,
-                {"pairs": len(open_ids)}), audit)
-        elif len(live) > 2:
-            break
-        else:
-            routed = _two_part_route(rest, live, [pairs[j] for j in open_ids])
-            if routed is None:
-                return SolveReport.of_stage("two-part", witness_of(
-                    "no free vertex of the opposite part is a middle", terminals,
-                    {"pairs": len(open_ids)}), audit)
-            j, path = routed
-            i = open_ids[j]
-        paths[i] = path
-        open_ids.remove(i)
-        rest = rest.delete(set(path))
+    try:
+        while open_ids:
+            live = [m & rest.alive_mask for m in part_masks if m & rest.alive_mask]
+            i = next((i for i in open_ids if rest.has_arc(*pairs[i])), None)
+            terminals = [t for j in open_ids for t in pairs[j]]
+            if i is not None:
+                path = list(pairs[i])
+            elif len(open_ids) == 1:
+                i, = open_ids
+                with stage("path"):
+                    path = rest.shortest_path(*pairs[i])
+                    if path is None:
+                        raise ConstructionFailedError("target unreachable from its source",
+                                                      vertices=pairs[i])
+            elif len(live) < 2:
+                raise StageFailed("degenerate", witness_of(
+                    "all remaining vertices share one part", terminals, {"pairs": len(open_ids)}))
+            elif len(live) > 2:
+                break
+            else:
+                with stage("two-part"):
+                    routed = _two_part_route(rest, live, [pairs[j] for j in open_ids])
+                    if routed is None:
+                        raise ConstructionFailedError(
+                            "no free vertex of the opposite part is a middle",
+                            vertices=terminals, counts={"pairs": len(open_ids)})
+                j, path = routed
+                i = open_ids[j]
+            paths[i] = path
+            open_ids.remove(i)
+            rest = rest.delete(set(path))
 
-    if open_ids:
-        filled = _fill_interiors(rest, live, mask_of(pairs[i][1] for i in open_ids))
-        # the filled digraph inherits the composition's strongness and degree
-        # slack, so the inner audit would only repeat the outer one
-        inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs[i] for i in open_ids)),
-                                   skip_audit=True)
-        if not inner.linked:
-            return SolveReport.of_stage("filled-subsolve", report_to_obj(inner), audit)
-        part_of = {v: j for j, m in enumerate(live) for v in iter_bits(m)}
-        depth = k - len(open_ids)
-        for i, path in zip(open_ids, inner.system.paths):
-            minimal = minimalize_path(filled, path)
-            for u, v in zip(minimal, minimal[1:]):
-                if part_of[u] == part_of[v]:
-                    raise ConstructionFailedError(
-                        f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
-                        vertices=(u, v), counts={"depth": depth},
-                    )
-            paths[i] = minimal
+        if open_ids:
+            filled = _fill_interiors(rest, live, mask_of(pairs[i][1] for i in open_ids))
+            # the filled digraph inherits the composition's strongness and degree
+            # slack, so the inner audit would only repeat the outer one
+            inner = solve_semicomplete(LinkageInstance(filled, tuple(pairs[i] for i in open_ids)),
+                                       skip_audit=True)
+            if not inner.linked:
+                raise StageFailed("filled-subsolve", report_to_obj(inner))
+            part_of = {v: j for j, m in enumerate(live) for v in iter_bits(m)}
+            depth = k - len(open_ids)
+            for i, path in zip(open_ids, inner.system.paths):
+                minimal = minimalize_path(filled, path)
+                for u, v in zip(minimal, minimal[1:]):
+                    if part_of[u] == part_of[v]:
+                        raise ConstructionFailedError(
+                            f"minimal path kept intra-part step ({u},{v}) at depth {depth}",
+                            vertices=(u, v), counts={"depth": depth},
+                        )
+                paths[i] = minimal
+    except StageFailed as exc:
+        return SolveReport.of_stage(*exc.args, audit)
     return SolveReport.certified(d, pairs, PathSystem(tuple(map(tuple, paths))), audit)

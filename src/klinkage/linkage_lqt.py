@@ -21,10 +21,10 @@ from typing import Iterator
 from .connectivity import menger_set_paths
 from .digraph import Digraph, _union, is_l_quasi_transitive, iter_bits, mask_of, spanning_tournament
 from .dominators import _first_c_good, nearly_in_dominating_set
-from .errors import Budget, BudgetExceededError, ConstructionFailedError, InputError, PreconditionViolatedError, witness_of
+from .errors import Budget, ConstructionFailedError, InputError, PreconditionViolatedError, StageFailed
 from .linkage_semicomplete import audit_hypotheses
 from .paths import Infeasible, LinkageInstance, PathSystem
-from .reports import SolveReport
+from .reports import SolveReport, stage
 
 __all__ = [
     "pool_threshold",
@@ -370,114 +370,110 @@ def solve_lqt(d: Digraph, pairs, l: int, threshold: int | None = None,
         raise AssertionError(f"kappa bound {bound} leaves no slack for the pool extraction")
 
     try:
-        available = build_auxiliary(d, xs, ys, l, pool_goal)
-    except PreconditionViolatedError as exc:  # no short return path: d is strong here
-        return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
-    except ConstructionFailedError as exc:
-        return SolveReport.of_stage("auxiliary", exc.witness(), audit)
-    augmented = d.add_arcs(available)
-    audit["new_arcs"] = len(available)
-    # the same arc labels recur in every report on one digraph: interned,
-    # reports kept together hold one copy of each
-    audit["auxiliary"] = {
-        sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(available.items())
-    }
-
-    m = 9 * k - 6
-    try:
-        us = nearly_in_dominating_set(augmented, xs, ys, m)
-    except PreconditionViolatedError as exc:
-        return SolveReport.of_stage("dominating-set", exc.witness(), audit)
-    u_mask = mask_of(us)
-    d_u = augmented.induced(us)
-    try:
-        anchor = find_short_anchor_pair(spanning_tournament(d_u), k, anchor_budget)
-    except BudgetExceededError as exc:
-        return SolveReport.of_stage("anchor-pair", exc.witness(), audit)
-    if anchor is None:
-        return SolveReport.of_stage("anchor-pair", witness_of(
-            "no short anchor pair in the dominator set", us, {"k": k}), audit)
-    u1, u2 = anchor
-
-    terminals = mask_of(xs) | mask_of(ys)
-    free = augmented.alive_mask & ~terminals
-    # every vertex in use: no later helper, middle or replacement interior
-    # may touch it, and none of them lies in Y
-    claimed = terminals | u_mask
-
-    # sources ride a real arc to a helper that is strongly good for its anchor
-    base_paths: list[list[int]] = []
-    for i, x in enumerate(xs):
-        target = u1[i]
-        cands = d.out_mask(x) & d.alive_mask & ~claimed
-        helper = _first_c_good(augmented, cands, target, free, 11 * k)
-        if helper is None:
-            return SolveReport.of_stage("source-helper", witness_of(
-                "no out-neighbour of the source is c-good for its anchor", (x, target),
-                {"c": 11 * k}), audit)
-        claimed |= 1 << helper
-        if augmented.has_arc(helper, target):
-            base_paths.append([x, helper, target])
-        else:
-            # out[helper] & in[target] & free has at least 11k bits; U (X and Y
-            # lie outside free) takes at most 9k-6 of them, earlier helpers and
-            # middles at most 2k-2: at least 8 are left
-            mids = augmented.out_mask(helper) & augmented.in_mask(target) & free & ~claimed
-            if not mids:
-                raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
-            mid = next(iter_bits(mids))
-            claimed |= 1 << mid
-            base_paths.append([x, helper, mid, target])
-
-    # each synthetic arc of a source path gets a fresh replacement, in path order
-    replacement: dict[tuple[int, int], tuple[int, ...]] = {}
-    try:
-        for arc in (arc for p in base_paths for arc in zip(p, p[1:]) if arc in available):
-            replacement[arc] = path = _fresh(available[arc], claimed, arc)
-            claimed |= mask_of(path[1:-1])
-    except ConstructionFailedError as exc:
-        return SolveReport.of_stage("source-replacement", exc.witness(), audit)
-    x_paths = [_splice(p, d, replacement) for p in base_paths]
-    if any(len(p) > 2 * l + 5 for p in x_paths):
-        raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
-
-    # reserve replacements for every synthetic arc inside the dominator set,
-    # so the target-side routing can avoid them before they are chosen
-    reserved: dict[tuple[int, int], tuple[int, ...]] = {}
-    for arc in sorted(available):
-        if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
+        with stage("auxiliary"):
             try:
-                reserved[arc] = path = _fresh(available[arc], claimed, arc)
-            except ConstructionFailedError:
-                continue  # no link may use it: the link digraph holds reserved arcs only
-            claimed |= mask_of(path[1:-1])
-    if sum(len(p) - 2 for p in reserved.values()) + len(us) > comb(m, 2) * (l + 2):
-        raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
+                available = build_auxiliary(d, xs, ys, l, pool_goal)
+            except PreconditionViolatedError as exc:  # no short return path: d is strong here
+                return SolveReport.of_hypothesis(exc.clause, audit, exc.witness())
+        augmented = d.add_arcs(available)
+        audit["new_arcs"] = len(available)
+        # the same arc labels recur in every report on one digraph: interned,
+        # reports kept together hold one copy of each
+        audit["auxiliary"] = {
+            sys.intern(f"{a}:{b}"): len(pool) for (a, b), pool in sorted(available.items())
+        }
 
-    # the source paths, U and the reservations: every claimed vertex outside Y
-    routed = menger_set_paths(d, u2, ys, avoid=iter_bits(claimed & ~mask_of(ys) & ~mask_of(u2)))
-    if isinstance(routed, Infeasible):
-        return SolveReport.of_stage("targets", witness_of(
-            "a separator meets every U2-to-Y path", routed.separator, {"need": k}), audit)
-    entry_for_target = {p[-1]: p[0] for p in routed.paths}
-    tail_path = {p[0]: p for p in routed.paths}
+        m = 9 * k - 6
+        with stage("dominating-set"):
+            us = nearly_in_dominating_set(augmented, xs, ys, m)
+        u_mask = mask_of(us)
+        d_u = augmented.induced(us)
+        with stage("anchor-pair"):
+            anchor = find_short_anchor_pair(spanning_tournament(d_u), k, anchor_budget)
+            if anchor is None:
+                raise ConstructionFailedError("no short anchor pair in the dominator set",
+                                              vertices=us, counts={"k": k})
+        u1, u2 = anchor
 
-    def prefer(path):
-        synthetic = sum(0 if d.has_arc(a, b) else 1 for a, b in zip(path, path[1:]))
-        return (synthetic, len(path), path)
+        terminals = mask_of(xs) | mask_of(ys)
+        free = augmented.alive_mask & ~terminals
+        # every vertex in use: no later helper, middle or replacement interior
+        # may touch it, and none of them lies in Y
+        claimed = terminals | u_mask
 
-    # a link lies inside U and uses d's arcs there and the reserved synthetic
-    # ones: no synthetic arc without a disjoint replacement
-    links_in = d.induced(us).add_arcs(reserved)
-    link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
-    try:
-        links = _disjoint_short_linkage(links_in, link_pairs, Budget(anchor_budget), prefer)
-    except BudgetExceededError as exc:
-        return SolveReport.of_stage("anchor-link", exc.witness(), audit)
-    if links is None:
-        return SolveReport.of_stage("anchor-link", witness_of(
-            "no disjoint short links inside the dominator set",
-            [v for pair in link_pairs for v in pair], {"k": k}), audit)
+        # sources ride a real arc to a helper that is strongly good for its anchor
+        base_paths: list[list[int]] = []
+        for i, x in enumerate(xs):
+            target = u1[i]
+            cands = d.out_mask(x) & d.alive_mask & ~claimed
+            with stage("source-helper"):
+                helper = _first_c_good(augmented, cands, target, free, 11 * k)
+                if helper is None:
+                    raise ConstructionFailedError(
+                        "no out-neighbour of the source is c-good for its anchor",
+                        vertices=(x, target), counts={"c": 11 * k})
+            claimed |= 1 << helper
+            if augmented.has_arc(helper, target):
+                base_paths.append([x, helper, target])
+            else:
+                # out[helper] & in[target] & free has at least 11k bits; U (X and Y
+                # lie outside free) takes at most 9k-6 of them, earlier helpers and
+                # middles at most 2k-2: at least 8 are left
+                mids = augmented.out_mask(helper) & augmented.in_mask(target) & free & ~claimed
+                if not mids:
+                    raise AssertionError(f"c-good helper {helper} has no middle towards {target}")
+                mid = next(iter_bits(mids))
+                claimed |= 1 << mid
+                base_paths.append([x, helper, mid, target])
+
+        # each synthetic arc of a source path gets a fresh replacement, in path order
+        replacement: dict[tuple[int, int], tuple[int, ...]] = {}
+        with stage("source-replacement"):
+            for arc in (arc for p in base_paths for arc in zip(p, p[1:]) if arc in available):
+                replacement[arc] = path = _fresh(available[arc], claimed, arc)
+                claimed |= mask_of(path[1:-1])
+        x_paths = [_splice(p, d, replacement) for p in base_paths]
+        if any(len(p) > 2 * l + 5 for p in x_paths):
+            raise AssertionError(f"a spliced source path has more than {2 * l + 5} vertices")
+
+        # reserve replacements for every synthetic arc inside the dominator set,
+        # so the target-side routing can avoid them before they are chosen
+        reserved: dict[tuple[int, int], tuple[int, ...]] = {}
+        for arc in sorted(available):
+            if u_mask >> arc[0] & 1 and u_mask >> arc[1] & 1:
+                try:
+                    reserved[arc] = path = _fresh(available[arc], claimed, arc)
+                except ConstructionFailedError:
+                    continue  # no link may use it: the link digraph holds reserved arcs only
+                claimed |= mask_of(path[1:-1])
+        if sum(len(p) - 2 for p in reserved.values()) + len(us) > comb(m, 2) * (l + 2):
+            raise AssertionError(f"reserved interiors and U exceed {comb(m, 2) * (l + 2)} vertices")
+
+        # the source paths, U and the reservations: every claimed vertex outside Y
+        with stage("targets"):
+            routed = menger_set_paths(d, u2, ys, avoid=iter_bits(claimed & ~mask_of([*ys, *u2])))
+            if isinstance(routed, Infeasible):
+                raise ConstructionFailedError("a separator meets every U2-to-Y path",
+                                              vertices=routed.separator, counts={"need": k})
+        entry_for_target = {p[-1]: p[0] for p in routed.paths}
+        tail_path = {p[0]: p for p in routed.paths}
+
+        def prefer(path):
+            synthetic = sum(0 if d.has_arc(a, b) else 1 for a, b in zip(path, path[1:]))
+            return (synthetic, len(path), path)
+
+        # a link lies inside U and uses d's arcs there and the reserved synthetic
+        # ones: no synthetic arc without a disjoint replacement
+        links_in = d.induced(us).add_arcs(reserved)
+        link_pairs = [(u1[i], entry_for_target[ys[i]]) for i in range(k)]
+        with stage("anchor-link"):
+            links = _disjoint_short_linkage(links_in, link_pairs, Budget(anchor_budget), prefer)
+            if links is None:
+                raise ConstructionFailedError("no disjoint short links inside the dominator set",
+                                              vertices=[v for pair in link_pairs for v in pair],
+                                              counts={"k": k})
+    except StageFailed as exc:
+        return SolveReport.of_stage(*exc.args, audit)
 
     # the link digraph holds a synthetic arc only if it is reserved
     link_real = [_splice(p, d, reserved) for p in links]

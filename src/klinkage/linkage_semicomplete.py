@@ -16,9 +16,9 @@ from __future__ import annotations
 from .connectivity import is_k_strong, min_vertex_menger
 from .digraph import Digraph, _union, is_semicomplete, iter_bits, mask_of
 from .dominators import _first_c_good, nearly_in_dominating_set, verify_nearly_in_dominating_set
-from .errors import ConstructionFailedError, PreconditionViolatedError, witness_of
+from .errors import ConstructionFailedError, PreconditionViolatedError, StageFailed
 from .paths import Infeasible, LinkageInstance, PathSystem
-from .reports import SolveReport
+from .reports import SolveReport, stage
 
 __all__ = ["anchor_connectors", "audit_hypotheses", "partition_terminals", "solve_semicomplete"]
 
@@ -228,9 +228,10 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     """Linkage pipeline for semicomplete digraphs.
 
     Hypotheses (semicompleteness, 3k-strong, min out-degree 22k) are
-    audited up front unless ``skip_audit``; the pipeline frequently succeeds
-    below the guaranteed bounds, and either way the outcome is certified by
-    ``verify_linkage`` before being reported as linked.
+    audited up front unless ``skip_audit``.  Below the guaranteed bounds a
+    failed stage proves nothing about linkability (``klinkage oracle``
+    decides that on small digraphs); either way a linked outcome is
+    certified by ``verify_linkage`` before it is reported.
     """
     d = instance.digraph
     k = instance.k
@@ -250,52 +251,48 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         return SolveReport.certified(d, instance.pairs, system, audit)
 
     try:
-        us = nearly_in_dominating_set(d, xs, ys, 3 * k)
-    except PreconditionViolatedError as exc:
-        return SolveReport.of_stage("dominating-set", exc.witness(), audit)
+        with stage("dominating-set"):
+            us = nearly_in_dominating_set(d, xs, ys, 3 * k)
+        matching = partition_terminals(d, xs, ys, us, k)  # matched source -> helper
+        leftover = [x for x in xs if x not in matching]
 
-    matching = partition_terminals(d, xs, ys, us, k)  # matched source -> helper
-    leftover = [x for x in xs if x not in matching]
+        with stage("menger"):
+            q = min_vertex_menger(d, us, ys, avoid=list(set(xs) | set(matching.values())))
+            if isinstance(q, Infeasible):
+                raise ConstructionFailedError("a separator meets every U-to-Y path",
+                                              vertices=q.separator, counts={"need": k})
+        q_of = {p[-1]: p for p in q.paths}  # each target's q-path
+        q_for = {x: q_of[y][0] for x, y in instance.pairs}
 
-    result = min_vertex_menger(d, us, ys, avoid=list(set(xs) | set(matching.values())))
-    if isinstance(result, Infeasible):
-        return SolveReport.of_stage("menger", witness_of(
-            "a separator meets every U-to-Y path", result.separator, {"need": k}), audit)
-    q = result
-    q_of = {p[-1]: p for p in q.paths}  # each target's q-path
-    q_for = {x: q_of[y][0] for x, y in instance.pairs}
+        # matched sources ride their helper into U off the q-system starts; a
+        # helper has at least 2k out-neighbours in U, and Ini(q) and the earlier
+        # landings take at most k + (k-1) of them
+        ini_mask = mask_of(q.initials())
+        u_mask = mask_of(us)
+        p1: dict[int, tuple[int, ...]] = {}
+        used_lands = 0
+        for x, helper in matching.items():
+            lands = d.out_mask(helper) & u_mask & ~ini_mask & ~used_lands
+            if not lands:
+                raise AssertionError(f"helper {helper} of source {x} has no landing vertex")
+            land = next(iter_bits(lands))
+            used_lands |= 1 << land
+            p1[x] = (x, helper, land)
 
-    # matched sources ride their helper into U off the q-system starts; a
-    # helper has at least 2k out-neighbours in U, and Ini(q) and the earlier
-    # landings take at most k + (k-1) of them
-    ini_mask = mask_of(q.initials())
-    u_mask = mask_of(us)
-    p1: dict[int, tuple[int, ...]] = {}
-    used_lands = 0
-    for x, helper in matching.items():
-        lands = d.out_mask(helper) & u_mask & ~ini_mask & ~used_lands
-        if not lands:
-            raise AssertionError(f"helper {helper} of source {x} has no landing vertex")
-        land = next(iter_bits(lands))
-        used_lands |= 1 << land
-        p1[x] = (x, helper, land)
+        # leftover sources connect straight to their q-start; the helper layer
+        # (interiors plus landing vertices) is the protected region
+        xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(matching.values())
+        with stage("anchor-direct"):
+            p2 = _connect(d, xy_mask, helper_mask | used_lands, u_mask, q, leftover,
+                          [q_for[x] for x in leftover])
 
-    # leftover sources connect straight to their q-start; the helper layer
-    # (interiors plus landing vertices) is the protected region
-    xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(matching.values())
-    try:
-        p2 = _connect(d, xy_mask, helper_mask | used_lands, u_mask, q, leftover,
-                      [q_for[x] for x in leftover])
-    except (PreconditionViolatedError, ConstructionFailedError) as exc:
-        return SolveReport.of_stage("anchor-direct", exc.witness(), audit)
-
-    # landed sources walk from their landing vertex to their q-start
-    w_r = helper_mask | mask_of(v for p in p2.paths for v in p[1:-1])
-    try:
-        r = _connect(d, xy_mask, w_r, u_mask, q, [p1[x][2] for x in matching],
-                     [q_for[x] for x in matching])
-    except (PreconditionViolatedError, ConstructionFailedError) as exc:
-        return SolveReport.of_stage("anchor-landed", exc.witness(), audit)
+        # landed sources walk from their landing vertex to their q-start
+        w_r = helper_mask | mask_of(v for p in p2.paths for v in p[1:-1])
+        with stage("anchor-landed"):
+            r = _connect(d, xy_mask, w_r, u_mask, q, [p1[x][2] for x in matching],
+                         [q_for[x] for x in matching])
+    except StageFailed as exc:
+        return SolveReport.of_stage(*exc.args, audit)
 
     head = dict(zip(leftover, p2.paths))
     head.update((x, p1[x] + p[1:]) for x, p in zip(matching, r.paths))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .digraph import Digraph
-from .errors import witness_of
+from .errors import (BudgetExceededError, ConstructionFailedError, PreconditionViolatedError,
+                     StageFailed, witness_of)
 from .paths import PathSystem
 from .verify import verify_linkage
 
@@ -58,3 +60,13 @@ class SolveReport:
     def of_stage(stage: str, witness, audit: dict) -> "SolveReport":
         return SolveReport(STAGE_FAILED, audit=audit, stage=stage, witness=witness)
 
+
+@contextmanager
+def stage(name: str):
+    """One solver stage: a precondition, construction or budget error raised
+    in the block fails it as ``StageFailed(name, exc.witness())``; any other
+    exception propagates unchanged."""
+    try:
+        yield
+    except (PreconditionViolatedError, ConstructionFailedError, BudgetExceededError) as exc:
+        raise StageFailed(name, exc.witness()) from exc

@@ -132,22 +132,40 @@ class TestGen:
         (family, ["--part-sizes", sizes], "--part-sizes must sum to at most")
         for family in ("composition", "extended-tournament")
         for sizes in (f"{MAX_ORDER},1", f"2,{10 ** 9}")
+    ] + [
+        # the family's order is 2k - 4 + |core|, and the default core has 4 vertices
+        ("non-linked", ["--k", str(k)], "--k must give an order 2k-4+|core| of at most")
+        for k in (MAX_ORDER // 2 + 1, 10 ** 9)
     ])
     def test_order_above_the_ceiling_generates_nothing(self, family, size, error, monkeypatch):
         for name in ("random_tournament", "circulant_tournament", "random_semicomplete",
-                     "random_composition", "random_extended_tournament"):
+                     "random_composition", "random_extended_tournament", "non_linked_family"):
             monkeypatch.setattr(f"klinkage.cli.{name}", _no_generator)
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run_cli(["gen", "--family", family, *size])
         assert (code, out, err.getvalue()) == (2, "", f"error: InputError: {error} {MAX_ORDER}\n")
 
+    def test_non_linked_order_counts_the_core(self, workdir, monkeypatch):
+        # a 5-vertex core puts k = MAX_ORDER / 2 one vertex above the ceiling
+        monkeypatch.setattr("klinkage.cli.non_linked_family", _no_generator)
+        path = os.path.join(workdir, "core.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 5, "arcs": [[i, (i + 1) % 5] for i in range(5)]}, fh)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["gen", "--family", "non-linked", "--k", str(MAX_ORDER // 2),
+                                 "--core", path])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("error: InputError: --k must give an order")
+
     @pytest.mark.parametrize("family, size", [
         ("tournament", ["--n", str(MAX_ORDER)]),
         ("composition", ["--part-sizes", f"{MAX_ORDER - 1},1"]),
+        ("non-linked", ["--k", str(MAX_ORDER // 2)]),
     ])
     def test_order_at_the_ceiling_is_generated(self, family, size, monkeypatch):
-        for name in ("random_tournament", "random_composition"):
+        for name in ("random_tournament", "random_composition", "non_linked_family"):
             monkeypatch.setattr(f"klinkage.cli.{name}", _no_generator)
         with pytest.raises(_Generated):
             run_cli(["gen", "--family", family, *size])

@@ -4,9 +4,12 @@
 stage failure of the golden grid carries a structured witness: the
 ``clause`` / ``vertices`` / ``counts`` of the error behind it, or the nested
 report of an inner solve.  No report may fall back to a Python repr.
-Every ``SolveReport.of_stage`` call names its stage with a string literal
-inside a ``solve_*`` function (or ``SolveReport.certified`` for ``verify``),
-and the stages so named are the golden grid's.
+Every stage is named by a string literal inside a ``solve_*`` function, in
+a ``stage(...)`` block or a ``raise StageFailed(...)`` (or by
+``SolveReport.certified`` for ``verify``), and the stages so named are the
+golden grid's.  Each solver turns a failed stage into its report in one
+``except StageFailed`` handler, the only ``SolveReport.of_stage`` call in
+its module.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 
 from klinkage import errors
 from klinkage.jsonio import _jsonable, dumps_canonical, report_to_obj
+from klinkage.reports import stage
 from test_golden_reports import CASES, PINNED
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "klinkage"
@@ -107,6 +111,29 @@ def test_budget_rejects_a_negative_limit():
         errors.Budget(0).spend()
 
 
+@pytest.mark.parametrize("error", [
+    errors.PreconditionViolatedError("need 6, have 1", clause="too few", vertices=(4, 2),
+                                     counts={"need": 6, "have": 1}),
+    errors.ConstructionFailedError("no pick for 7", clause="no pick", vertices=(7,)),
+    errors.BudgetExceededError(12, 10),
+], ids=lambda error: type(error).__name__)
+def test_stage_fails_on_precondition_construction_and_budget_errors(error):
+    with pytest.raises(errors.StageFailed) as info:
+        with stage("menger"):
+            raise error
+    assert info.value.args == ("menger", error.witness())
+
+
+@pytest.mark.parametrize("error", [errors.InputError("vertex 9 not in digraph"),
+                                   AssertionError("bug"), KeyError(3)],
+                         ids=lambda error: type(error).__name__)
+def test_stage_lets_every_other_exception_through_unchanged(error):
+    with pytest.raises(type(error)) as info:
+        with stage("menger"):
+            raise error
+    assert info.value is error
+
+
 def _check_witness(witness, where):
     """A stage witness is an error's fields or a nested report, all the way down."""
     assert isinstance(witness, dict), where
@@ -128,31 +155,62 @@ def test_golden_stage_failures_report_data(name):
     assert "SolveReport(" not in dumps_canonical(obj)
 
 
-def _stage_calls():
-    """(module, enclosing class and function names, call) of every
-    ``SolveReport.of_stage`` call in the package."""
-    def walk(node, scope):
+def _nodes():
+    """(module, enclosing class and function names, class an enclosing
+    ``except`` catches, node) for every node of the package."""
+    def walk(node, scope, caught):
         for child in ast.iter_child_nodes(node):
-            inner = scope
+            inner, inner_caught = scope, caught
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = (*scope, child.name)
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "of_stage"
-                  and getattr(child.func.value, "id", None) == "SolveReport"):
-                yield scope, child
-            yield from walk(child, inner)
+            elif isinstance(child, ast.ExceptHandler):
+                inner_caught = getattr(child.type, "id", None)
+            yield scope, caught, child
+            yield from walk(child, inner, inner_caught)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for scope, call in walk(tree, ()):
-            yield path.stem, scope, call
+        for scope, caught, node in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+                                        (), None):
+            yield path.stem, scope, caught, node
+
+
+def _is_of_stage(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "of_stage"
+            and getattr(node.func.value, "id", None) == "SolveReport")
+
+
+def _called(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+# the one handler per solver: a failed stage becomes its report here and only here
+HANDLER = "SolveReport.of_stage(*exc.args, audit)"
+
+
+def _stage_names():
+    """(module, scope, first argument, line) of every place the package
+    names a stage: a ``stage(...)`` with-item, a ``raise StageFailed(...)``
+    and a ``SolveReport.of_stage`` call other than a solver's handler.
+    ``reports.stage`` itself, which raises the name it is given, is the
+    mechanism, not a stage."""
+    for module, scope, caught, node in _nodes():
+        if isinstance(node, ast.withitem) and _called(node.context_expr, "stage"):
+            call = node.context_expr
+        elif (isinstance(node, ast.Raise) and _called(node.exc, "StageFailed")
+              and (module, scope) != ("reports", ("stage",))):
+            call = node.exc
+        elif _is_of_stage(node) and not (caught == "StageFailed" and ast.unparse(node) == HANDLER):
+            call = node
+        else:
+            continue
+        yield module, scope, call.args[0] if call.args else None, call.lineno
 
 
 def test_every_stage_is_a_literal_named_in_a_solver():
     found, misplaced = set(), []
-    for module, scope, call in _stage_calls():
-        where = f"{module}.py:{call.lineno}"
-        stage = call.args[0] if call.args else None
+    for module, scope, stage, line in _stage_names():
+        where = f"{module}.py:{line}"
         if not (isinstance(stage, ast.Constant) and isinstance(stage.value, str)):
             misplaced.append(f"{where} names no literal stage")
             continue
@@ -164,6 +222,20 @@ def test_every_stage_is_a_literal_named_in_a_solver():
     # the golden grid fails every stage but ``verify``, so the two lists agree
     assert found == {(name.split("-")[0], what) for name, (outcome, what, _) in PINNED.items()
                      if outcome == "stage_failed"} | {("reports", "verify")}
+
+
+def test_each_solver_reports_its_failed_stages_in_one_handler():
+    # no ``except`` maps an error class to a stage: ``reports.stage`` does,
+    # and ``StageFailed`` is caught in the solver that raised it, nowhere else
+    solvers = [(f"linkage_{c}", (f"solve_{c}",)) for c in ("composition", "lqt", "semicomplete")]
+    reports = [(module, scope, caught, ast.unparse(node))
+               for module, scope, caught, node in _nodes()
+               if module.startswith("linkage_") and _is_of_stage(node)]
+    assert reports == [(*solver, "StageFailed", HANDLER) for solver in solvers]
+    catching = [(module, scope) for module, scope, _, node in _nodes()
+                if isinstance(node, ast.ExceptHandler)
+                and getattr(node.type, "id", None) == "StageFailed"]
+    assert catching == solvers
 
 
 def test_jsonable_rejects_types_without_a_json_form():

@@ -14,8 +14,9 @@ from klinkage import (
     solve_semicomplete,
     verify_linkage,
 )
-from klinkage import reports
-from klinkage.errors import InputError, PreconditionViolatedError
+from klinkage import linkage_semicomplete, reports
+from klinkage.errors import (BudgetExceededError, ConstructionFailedError, InputError,
+                             PreconditionViolatedError)
 from klinkage.generators import random_semicomplete, random_tournament
 from klinkage.paths import Infeasible
 from klinkage.verify import LinkageReport
@@ -284,6 +285,34 @@ class TestSolveSemicomplete:
         assert not rep.linked
         assert rep.stage == "verify"
         assert rep.witness == {"clause": "Count: rejected", "vertices": [], "counts": {}}
+
+    @pytest.mark.parametrize("error", [
+        PreconditionViolatedError("need 6, have 1", clause="too few", vertices=(4, 2),
+                                  counts={"need": 6, "have": 1}),
+        ConstructionFailedError("no pick for 7", clause="no pick", vertices=(7,)),
+        BudgetExceededError(12, 10),
+    ], ids=lambda error: type(error).__name__)
+    def test_stage_error_is_the_stage_report(self, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(linkage_semicomplete, "nearly_in_dominating_set", fail)
+        rep = solve_semicomplete(LinkageInstance(random_tournament(200, 11), ((0, 100), (50, 150))),
+                                 skip_audit=True)
+        assert (rep.outcome, rep.stage, rep.witness) == (
+            "stage_failed", "dominating-set", error.witness())
+
+    @pytest.mark.parametrize("error", [InputError("vertex 9 not in digraph"), AssertionError("bug")],
+                             ids=lambda error: type(error).__name__)
+    def test_other_error_in_a_stage_propagates(self, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(linkage_semicomplete, "nearly_in_dominating_set", fail)
+        with pytest.raises(type(error)) as info:
+            solve_semicomplete(LinkageInstance(random_tournament(200, 11), ((0, 100), (50, 150))),
+                               skip_audit=True)
+        assert info.value is error
 
     def test_random_tournament_end_to_end(self):
         d = random_tournament(200, 11)
