@@ -133,13 +133,14 @@ def random_composition(
         raise InputError(f"h={h} but {len(part_sizes)} part sizes given")
     if h < 2:
         raise InputError("a composition needs at least 2 parts")
+    # before anything is drawn: a negative size may follow a huge one
+    if min(part_sizes) < 1:
+        raise InputError("part sizes must be positive")
     rng = SplitMix64(seed)
     outer = Digraph.from_arcs(h, _semicomplete_arcs(rng, h, p_double))
 
     local_parts = []
     for size in part_sizes:
-        if size < 1:
-            raise InputError("part sizes must be positive")
         arcs = []
         if part_arcs:
             for a in range(size):

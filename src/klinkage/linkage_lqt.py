@@ -158,11 +158,13 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
     the direction first reaching ``threshold`` independent short paths gets
     the arc, backed by those paths (at most l+1 arcs, sharing only
     endpoints), so d plus the arcs, minus the terminals, is semicomplete.
-    Nothing is re-checked: the solve certifies its paths against d.  A
-    stall with a strong residual violates the short-return-distance law of
-    l-quasi-transitive digraphs and raises PreconditionViolatedError with
-    the witness pair; a stall below threshold otherwise raises
-    ConstructionFailedError.
+    A pair whose ends have the out- and in-rows of an extracted pair's ends
+    gets that pair's direction and interiors without an extraction of its
+    own (the comment below gives the argument).  Nothing is re-checked: the
+    solve certifies its paths against d.  A stall with a strong residual
+    violates the short-return-distance law of l-quasi-transitive digraphs
+    and raises PreconditionViolatedError with the witness pair; a stall
+    below threshold otherwise raises ConstructionFailedError.
     """
     if threshold < 1:
         raise InputError("threshold must be positive")
@@ -172,10 +174,26 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
     sub = d._restrict(d.alive_mask & ~terminals)
 
     new_arcs = {}
+    # (forward?, pool) per key (out[u], in[u], out[v], in[v]): a pair whose
+    # key was extracted before takes that direction and pool, ends renamed.
+    # This is exact.  The extraction reaches length L only when no shorter
+    # a->b path is left in free, and a, b are non-adjacent, so a vertex with
+    # a's out-row or b's in-row is never picked or tried: it would shorten
+    # the path.  The ends of a pair with the same key are such vertices, and
+    # swapping vertices with equal rows is an automorphism, so it fixes
+    # every candidate set and each lowest-id pick.  A key whose extraction
+    # stalled has raised, so only backed pairs are reused.
+    extracted = {}
     alive, out, inc = sub._alive, sub._out, sub._in
     for u in iter_bits(alive):
         # the non-neighbours of u above it, ascending
         for v in iter_bits(alive & ~(out[u] | inc[u]) & ~((2 << u) - 1)):
+            key = (out[u], inc[u], out[v], inc[v])
+            if key in extracted:
+                forward, chosen = extracted[key]
+                a, b = (u, v) if forward else (v, u)
+                new_arcs[a, b] = tuple((a, *p[1:-1], b) for p in chosen)
+                continue
             pool = independent_short_paths(sub, u, v, l, threshold)
             nf, nb = len(pool.forward), len(pool.backward)
             if max(nf, nb) < threshold:
@@ -191,16 +209,15 @@ def build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
                     clause="pool extraction stalled below threshold", vertices=(u, v),
                     counts={"forward": nf, "backward": nb, "threshold": threshold},
                 )
-            if nf >= threshold:
-                arc, chosen = (u, v), pool.forward
-            else:
-                arc, chosen = (v, u), pool.backward
+            forward = nf >= threshold
+            arc, chosen = ((u, v), pool.forward) if forward else ((v, u), pool.backward)
             # the pool holds by construction: independent_short_paths takes
             # each hop from out rows ANDed with free or with a walk level
             # inside it, so every path is one of sub, with the loop's length,
             # at most l+1 arcs; and it clears each picked interior from free,
             # so the interiors are disjoint
             new_arcs[arc] = chosen
+            extracted[key] = forward, chosen
 
     # semicomplete away from the terminals by construction: every
     # non-adjacent pair there got exactly one new arc

@@ -19,6 +19,12 @@ their interiors, and each call gets the free vertices as an argument.
 clearing each picked vertex from it, and reads lengths 1 and 2 off the
 masks; the tests require all three to return equal pools.
 
+``ref_build_auxiliary`` is ``build_auxiliary`` with one extraction per
+non-adjacent pair.  ``klinkage.linkage_lqt`` extracts once per key of the
+pair's out- and in-rows and gives each later pair with that key the same
+direction and interiors, its own ends swapped in; the tests require both
+to return equal dicts in the same order, or the same error.
+
 ``ref_check_pool`` is the record-time check ``build_auxiliary`` ran on
 every pool it kept: endpoints and at most l+1 arcs, arcs of the
 terminal-free subdigraph, disjoint interiors.  All three hold by
@@ -73,6 +79,7 @@ from klinkage.linkage_lqt import (
     _disjoint_short_linkage,
     build_auxiliary,
     find_short_anchor_pair,
+    independent_short_paths,
     pool_threshold,
 )
 from klinkage.linkage_semicomplete import audit_hypotheses
@@ -222,6 +229,44 @@ def ref_levelled_short_paths(d: Digraph, u: int, v: int, l: int, limit: int) -> 
         u, v, tuple(pools[0]), tuple(pools[1]), stalled_strong,
         tuple(None if p is None else len(p) - 1 for p in paths),
     )
+
+
+def ref_build_auxiliary(d: Digraph, xs, ys, l: int, threshold: int
+                        ) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Map each backed arc between non-adjacent non-terminal pairs to its
+    pool, one ``independent_short_paths`` extraction per pair."""
+    if threshold < 1:
+        raise InputError("threshold must be positive")
+    terminals = d._check_vertices([*xs, *ys])
+    if not d.is_strong():
+        raise PreconditionViolatedError("auxiliary construction needs a strong digraph")
+    sub = d._restrict(d.alive_mask & ~terminals)
+
+    new_arcs = {}
+    alive, out, inc = sub._alive, sub._out, sub._in
+    for u in iter_bits(alive):
+        # the non-neighbours of u above it, ascending
+        for v in iter_bits(alive & ~(out[u] | inc[u]) & ~((2 << u) - 1)):
+            pool = independent_short_paths(sub, u, v, l, threshold)
+            nf, nb = len(pool.forward), len(pool.backward)
+            if max(nf, nb) < threshold:
+                if pool.stalled_strong:  # a strong residual gives both distances
+                    df, db = pool.stall_distances
+                    raise PreconditionViolatedError(
+                        f"pair {(u, v)} has no short return path (d{(u, v)}={df}, reverse={db})",
+                        clause="no short return path", vertices=(u, v),
+                        counts={"forward": df, "backward": db},
+                    )
+                raise ConstructionFailedError(
+                    f"pair {(u, v)}: best per-direction counts {(nf, nb)}",
+                    clause="pool extraction stalled below threshold", vertices=(u, v),
+                    counts={"forward": nf, "backward": nb, "threshold": threshold},
+                )
+            if nf >= threshold:
+                new_arcs[(u, v)] = pool.forward
+            else:
+                new_arcs[(v, u)] = pool.backward
+    return new_arcs
 
 
 def ref_check_pool(sub: Digraph, arc, pool, l: int) -> None:

@@ -170,6 +170,26 @@ class TestGen:
         with pytest.raises(_Generated):
             run_cli(["gen", "--family", family, *size])
 
+    @pytest.mark.parametrize("family, sizes", [
+        ("composition", "2000,-1990"),
+        ("composition", "3,0"),
+        ("extended-tournament", "2000,-1990"),
+        ("extended-tournament", "-1,3,2"),
+    ])
+    @pytest.mark.parametrize("part_arcs", [[], ["--part-arcs"]])
+    def test_size_below_one_draws_nothing(self, family, sizes, part_arcs, monkeypatch):
+        # a negative size lowers the sum below the ceiling check, so the
+        # size check must come before the first draw: checked per part, a
+        # first part of 2000 with --part-arcs draws 4M arcs before the error
+        monkeypatch.setattr("klinkage.generators.SplitMix64", _no_generator)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["gen", "--family", family, f"--part-sizes={sizes}", *part_arcs])
+        assert (code, out, err.getvalue()) == (
+            2, "", "error: InputError: part sizes must be positive\n")
+        with pytest.raises(_Generated):  # valid sizes reach the patched draw
+            run_cli(["gen", "--family", family, "--part-sizes", "2,3", *part_arcs])
+
 
 class _Generated(Exception):
     """Raised by ``_no_generator`` in place of building a large digraph."""

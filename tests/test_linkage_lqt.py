@@ -38,6 +38,7 @@ from klinkage.jsonio import dumps_canonical, report_to_obj
 
 from conftest import is_adjacent
 from ref_lqt import (
+    ref_build_auxiliary,
     ref_check_pool,
     ref_independent_short_paths,
     ref_levelled_short_paths,
@@ -327,6 +328,61 @@ def test_benchmark_pools_match_the_two_search_extraction(monkeypatch):
             pools += 1
     assert sum(len(available) for *_, available in built) == pools
     assert (len(built), pools) == (24, 1_344), (len(built), pools)
+
+
+def _auxiliary_outcome(build, d, xs, ys, l, threshold):
+    """The backed arcs with their order, or the error's class, clause,
+    witness and message."""
+    try:
+        return list(build(d, xs, ys, l, threshold).items())
+    except KLinkageError as exc:
+        return type(exc), exc.clause, exc.witness(), str(exc)
+
+
+def test_reused_pools_match_the_per_pair_extraction():
+    """``build_auxiliary`` extracts once per key of the pair's out- and
+    in-rows; ``ref_build_auxiliary`` extracts every pair.  Both give the
+    same backed arcs and pools in the same order, or the same error, on
+    extended tournaments, compositions with 2-cycles and compositions over
+    a cycle with sparse chords, whose non-adjacent pairs cross parts."""
+    rng = SplitMix64(37_000)
+    seen = {"linked": 0, "same-row": 0, "cross-row": 0, "paths of 4+ arcs": 0}
+    for case in range(3_000):
+        kind = case % 3
+        h = 3 + rng.randrange(8)
+        sizes = [1 + rng.randrange(3) for _ in range(h)]
+        if kind == 0:
+            d = random_extended_tournament(h, sizes, 70_000 + case).digraph
+        elif kind == 1:
+            d = random_composition(h, sizes, 0.1 + rng.randrange(5) / 10, 71_000 + case).digraph
+        else:
+            chords = random_digraph(h, 72_000 + case, rng.randrange(4)).arcs()
+            outer = Digraph.from_arcs(h, sorted({(i, (i + 1) % h) for i in range(h)} | set(chords)))
+            parts = [Digraph.from_arcs(s, []) for s in sizes]
+            d = CompositionSpec.from_local_parts(outer, parts).digraph
+        l = (2, 3, 4, 6)[case // 3 % 4]
+        threshold = 1 + rng.randrange(5)
+        ends = rng.sample(list(d.vertices()), 2 * min(rng.randrange(3), d.order // 2))
+        xs, ys = ends[0::2], ends[1::2]
+        got = _auxiliary_outcome(build_auxiliary, d, xs, ys, l, threshold)
+        assert got == _auxiliary_outcome(ref_build_auxiliary, d, xs, ys, l, threshold), case
+        if not isinstance(got, list):
+            seen[got[1]] = seen.get(got[1], 0) + 1
+            continue
+        seen["linked"] += 1
+        sub = d.delete(xs + ys)
+        keys = set()
+        for (a, b), pool in got:
+            u, v = sorted((a, b))
+            key = (sub.out_mask(u), sub.in_mask(u), sub.out_mask(v), sub.in_mask(v))
+            if key in keys:
+                seen["same-row" if key[:2] == key[2:] else "cross-row"] += 1
+                seen["paths of 4+ arcs"] += any(len(p) >= 5 for p in pool)
+            keys.add(key)
+    assert seen["linked"] >= 800 and seen["paths of 4+ arcs"] >= 60, seen
+    assert seen["same-row"] >= 2_500 and seen["cross-row"] >= 2_000, seen
+    assert min(seen["pool extraction stalled below threshold"], seen["no short return path"],
+               seen["auxiliary construction needs a strong digraph"]) >= 100, seen
 
 
 class TestRefCheckPool:
