@@ -6,8 +6,10 @@ successive-shortest-path min-cost flow with unit vertex costs and Dijkstra
 potentials (Suurballe & Tarjan, Networks 1984) on that network, which is
 never built: each search reads its edges off the Digraph's masks and
 settles node masks, bucket by bucket (Dial, CACM 1969), in the order of a
-per-node heap (see ``_SplitFlow``).  So the minimum-total-vertex variant
-the linkage pipelines need is exact and the plain variant deterministic.
+per-node heap (see ``_SplitFlow``).  The first search of every flow has zero
+potentials and no flow to undo, so its buckets are the levels of a BFS on
+the masks, and it runs as one.  So the minimum-total-vertex variant the
+linkage pipelines need is exact and the plain variant deterministic.
 """
 
 from __future__ import annotations
@@ -126,8 +128,12 @@ def _relax(buckets: list[int], log: list, cur: int, nd: int, mask: int, improver
         log.append((improver, mask))
 
 
-def _pot_of(pot: list[tuple[int, int]], node: int) -> int:
-    return next(p for p, m in pot if m >> node & 1)
+def _pot_of(classes, node: int) -> int:
+    """The potential of the class in ``classes`` whose mask holds ``node``."""
+    for p, m in classes:
+        if m >> node & 1:
+            return p
+    raise AssertionError(f"node {node} has no potential class")
 
 
 class _SplitFlow:
@@ -158,15 +164,67 @@ class _SplitFlow:
     - A node's predecessor is its last improver, which improved it after
       its own last improvement: the search logs (improver, improved mask),
       and one backward scan of the log reads the sink's path.
+
+    The first search runs as a level BFS instead (``_bfs``).  With zero
+    potentials a split edge costs 1 and every other edge 0, and with no flow
+    no edge is reversed.  So bucket d holds the exits of the open entries of
+    bucket d - 1 and the entries that those exits reach first, no node is
+    improved after it is queued, and a bucket's exits pop in ascending id:
+    an entry's predecessor is the lowest exit of its bucket with an arc into
+    it, and the sink's the lowest exit of its bucket in Y.  The BFS reaches
+    the same nodes at the same distances and finds the same sink's path as
+    the Dial search.
     """
 
     def __init__(self, d: Digraph, sources: list[int], sinks: list[int], avoid_mask: int):
         n = self.n = d.n
-        self.out, self.alive, self.avoid = d._out, d._alive, avoid_mask
+        self.out, self.inc, self.alive, self.avoid = d._out, d._in, d._alive, avoid_mask
         self.source_mask, self.sink_mask = mask_of(sources), mask_of(sinks)
         self.pot = {0: (1 << (2 * n + 2)) - 1}
         self.succ, self.pred = [-1] * n, [-1] * n
         self.used = self.src_used = self.sink_used = self.seen_in = self.seen_out = 0
+
+    def _bfs(self):
+        """The first search, with zero potentials and no flow, as a level BFS.
+
+        Level d has the exits X_d = E_{d-1} & open (E_0 = X) and the entries
+        E_d that no earlier level has and X_d has arcs into; the sink
+        settles at the first level whose exits meet Y.  Returns what
+        ``_shortest`` returns, with a log of the sink's path only.
+        """
+        n, out, alive, sinks = self.n, self.out, self.alive, self.sink_mask
+        src, snk = 2 * n, 2 * n + 1
+        open_ = ~self.avoid & (1 << n) - 1
+        ent = reached = self.source_mask
+        settled, levels, top = 1 << src | ent, [(0, 1 << src), (0, ent)], None
+        exit_levels = [0]  # X_d at index d
+        while exits := ent & open_:
+            dist = len(exit_levels)
+            exit_levels.append(exits)
+            level = exits << n
+            if top is None and exits & sinks:
+                top, level = dist, level | 1 << snk
+            grow = reached
+            while exits and grow != alive:  # a _union that stops once all is reached
+                low = exits & -exits
+                grow |= out[low.bit_length() - 1]
+                exits ^= low
+            ent, reached = grow & ~reached, grow
+            levels.append((dist, level | ent))
+            settled |= level | ent
+        if top is None:
+            return None, levels, [], settled
+        hit = exit_levels[top] & sinks
+        v = (hit & -hit).bit_length() - 1
+        log = [(v + n, 1 << snk)]  # built from the sink back, then reversed
+        for dist in range(top - 1, 0, -1):  # entry(v) in E_dist, its exit in X_dist+1
+            hit = exit_levels[dist] & self.inc[v]
+            u = (hit & -hit).bit_length() - 1
+            log += [(-1, 1 << (v + n)), (u + n, 1 << v)]
+            v = u
+        log += [(-1, 1 << (v + n)), (src, 1 << v)]
+        log.reverse()
+        return top, levels, log, settled
 
     def _shortest(self):
         """Dijkstra from the source under reduced costs, run to exhaustion.
@@ -177,14 +235,18 @@ class _SplitFlow:
         n, pred, used = self.n, self.pred, self.used
         full = (1 << n) - 1
         src, snk = 2 * n, 2 * n + 1
-        pot = list(self.pot.items())
+        pot = self.pot.items()
+        # the classes' entry and exit parts, as vertex masks
+        ents = [(p, m & full) for p, m in pot if m & full]
+        exts = [(p, m >> n & full) for p, m in pot if m >> n & full]
+        p_src, p_snk = _pot_of(pot, src), _pot_of(pot, snk)
+        classes = ents, exts, p_snk
         open_ = full & ~(self.avoid | used)
         single = used | self.sink_mask & ~self.sink_used
         buckets: list[int] = []
         log = []  # (improver, improved mask); improver -1: entry(v) for exit(v)
-        for q, m in pot:
-            _relax(buckets, log, 0, _pot_of(pot, src) - q,
-                   self.source_mask & ~self.src_used & m, src)
+        for q, m in ents:
+            _relax(buckets, log, 0, p_src - q, self.source_mask & ~self.src_used & m, src)
         settled, levels, top, cur = 1 << src, [(0, 1 << src)], None, -1
         while cur + 1 < len(buckets):
             cur += 1
@@ -192,21 +254,22 @@ class _SplitFlow:
             while live := buckets[cur] & ~settled:
                 if ent := live & full:
                     settled |= ent
-                    for p, m in pot:
-                        split = ent & open_ & m
-                        for q, mq in pot:
-                            if hit := split & mq >> n:
-                                _relax(buckets, log, cur, cur + p + 1 - q, hit << n, -1)
+                    if split := ent & open_:
+                        for p, m in ents:
+                            if part := split & m:
+                                for q, mq in exts:
+                                    if hit := part & mq:
+                                        _relax(buckets, log, cur, cur + p + 1 - q, hit << n, -1)
                     for u in iter_bits(ent & used):
                         if pred[u] >= 0:  # reverse flow arc entry(u) -> exit(pred[u])
-                            x = pred[u] + n
-                            nd = cur + _pot_of(pot, u) - _pot_of(pot, x)
-                            _relax(buckets, log, cur, nd, 1 << x, u)
+                            x = pred[u]
+                            nd = cur + _pot_of(ents, u) - _pot_of(exts, x)
+                            _relax(buckets, log, cur, nd, 1 << (x + n), u)
                 elif exits := live >> n & full:
                     # exits of a class p >= bar are idle: each waiting entry
                     # of class q is queued at or below cur + bar - q
                     waiting, bar = self.alive & ~settled, -1 << n
-                    for q, mq in pot:
+                    for q, mq in ents:
                         rest, k = waiting & mq, cur
                         while rest and k < len(buckets):
                             rest &= ~buckets[k]
@@ -216,33 +279,35 @@ class _SplitFlow:
                         if k > cur:
                             bar = max(bar, q + k - 1 - cur)
                     else:
-                        idle = exits & ~single & sum(m for p, m in pot if p >= bar) >> n
+                        idle = exits & ~single & sum(m for p, m in exts if p >= bar)
                         exits ^= idle
                         settled |= idle << n
                     if exits:
                         x = (exits & -exits).bit_length() - 1
                         settled |= 1 << (x + n)
-                        self._relax_exit(x, cur, settled, buckets, pot, log)
+                        self._relax_exit(x, cur, settled, buckets, classes, log)
                 else:  # the sink (the source was settled first)
                     settled |= 1 << snk
                     top = cur
-                    for q, m in pot:  # reverse sink edges
-                        nd = cur + _pot_of(pot, snk) - q
-                        _relax(buckets, log, cur, nd, self.sink_used << n & m, snk)
+                    for q, m in exts:  # reverse sink edges
+                        _relax(buckets, log, cur, cur + p_snk - q, (self.sink_used & m) << n, snk)
             if settled != before:
                 levels.append((cur, settled & ~before))
         return top, levels, log, settled
 
-    def _relax_exit(self, x: int, cur: int, settled: int, buckets: list[int], pot, log) -> None:
-        """Relax the edges out of exit(x), popped alone at distance ``cur``."""
+    def _relax_exit(self, x: int, cur: int, settled: int, buckets: list[int], classes, log) -> None:
+        """Relax the edges out of exit(x), popped alone at distance ``cur``;
+        ``classes`` holds the entry and exit class lists and the sink's
+        potential."""
+        ents, exts, p_snk = classes
         u, snk = x + self.n, 2 * self.n + 1
-        base = cur + _pot_of(pot, u)
+        base = cur + _pot_of(exts, x)
         if self.used >> x & 1:  # reverse split edge
-            _relax(buckets, log, cur, base - 1 - _pot_of(pot, x), 1 << x & ~settled, u)
+            _relax(buckets, log, cur, base - 1 - _pot_of(ents, x), 1 << x & ~settled, u)
         if (self.sink_mask & ~self.sink_used) >> x & 1:
-            _relax(buckets, log, cur, base - _pot_of(pot, snk), 1 << snk & ~settled, u)
+            _relax(buckets, log, cur, base - p_snk, 1 << snk & ~settled, u)
         rest = self.out[x] & ~settled
-        for q, m in pot:
+        for q, m in ents:
             if rest & m:
                 _relax(buckets, log, cur, base - q, rest & m, u)
 
@@ -281,7 +346,8 @@ class _SplitFlow:
         """Push up to ``want`` units; returns the flow."""
         full = (1 << self.n) - 1
         for flow in range(want):
-            top, levels, log, settled = self._shortest()
+            # no flow yet: zero potentials, so the search is a level BFS
+            top, levels, log, settled = self._shortest() if self.src_used else self._bfs()
             self.seen_in, self.seen_out = settled & full, settled >> self.n & full
             if top is None:
                 return flow

@@ -22,6 +22,7 @@ from klinkage.generators import (
     SplitMix64,
     circulant_tournament,
     random_digraph,
+    random_extended_tournament,
     random_semicomplete,
     random_tournament,
 )
@@ -418,9 +419,11 @@ def _run_by_search(cls, d, sources, sinks, avoid_mask):
 
 
 class _SearchProbe:
-    """Watches ``_SplitFlow`` searches through ``_shortest`` and ``_relax_exit``.
+    """Watches ``_SplitFlow`` searches through ``_bfs``, ``_shortest`` and
+    ``_relax_exit``.
 
-    ``singles`` holds the number of exits each search handled one at a time.
+    ``bfs`` counts the first searches, run as level BFSs.  ``singles`` holds
+    the number of exits each Dial search handled one at a time.
     ``mixed`` counts the searches in which an idle batch settled while an exit
     that carries flow or ends at an open sink was still queued in the bucket.
     An exit is queued exactly once, so a batch shows at the next single pop
@@ -430,10 +433,14 @@ class _SearchProbe:
     """
 
     def __init__(self, monkeypatch):
-        self.singles, self.mixed = [], 0
+        self.singles, self.mixed, self.bfs = [], 0, 0
         flow_cls = connectivity._SplitFlow
-        shortest, relax_exit = flow_cls._shortest, flow_cls._relax_exit
+        bfs, shortest, relax_exit = flow_cls._bfs, flow_cls._shortest, flow_cls._relax_exit
         probe = self
+
+        def traced_bfs(net):
+            probe.bfs += 1
+            return bfs(net)
 
         def traced_shortest(net):
             probe.singles.append(0)
@@ -443,7 +450,7 @@ class _SearchProbe:
             probe.mixed += probe.mixed_here
             return result
 
-        def traced_relax_exit(net, x, cur, settled, buckets, pot, log):
+        def traced_relax_exit(net, x, cur, settled, buckets, classes, log):
             n = net.n
             probe.singles[-1] += 1
             probe.popped |= 1 << x
@@ -454,8 +461,9 @@ class _SearchProbe:
             special = net.used | net.sink_mask & ~net.sink_used
             probe.mixed_here |= bool(batch and still & special)
             probe.cur, probe.before = cur, queued & ~(settled >> n)
-            return relax_exit(net, x, cur, settled, buckets, pot, log)
+            return relax_exit(net, x, cur, settled, buckets, classes, log)
 
+        monkeypatch.setattr(flow_cls, "_bfs", traced_bfs)
         monkeypatch.setattr(flow_cls, "_shortest", traced_shortest)
         monkeypatch.setattr(flow_cls, "_relax_exit", traced_relax_exit)
 
@@ -491,7 +499,8 @@ class TestSplitFlowAgainstPerNodeSearch:
             for sources in (sorted(xs), sorted(xs + us)):
                 flow, *_ = self._check(d, sources, sorted(ys), mask_of(avoid))
                 infeasible += flow < len(ys)
-        # measured 893 infeasible runs and 824 mixed searches of 4,967
+        # measured 893 infeasible runs and 730 mixed searches of the 2,567 Dial
+        # searches (the 2,400 first searches run as level BFSs)
         assert infeasible >= 700 and probe.mixed >= 600, (infeasible, probe.mixed)
 
     def test_sparse_with_many_potential_classes(self):
@@ -514,16 +523,85 @@ class TestSplitFlowAgainstPerNodeSearch:
         probe = _SearchProbe(monkeypatch)
         for seed in range(31, 35):
             self._check(*_sc_large_shape(seed))
-        # measured 8 mixed searches of 12
+        # measured 8 mixed searches of the 8 Dial searches (and 4 level BFSs)
         assert probe.mixed >= 6, probe.mixed
 
 
 def test_sc_large_search_settles_most_exits_in_batches(monkeypatch):
-    # measured 13, 19 and 16; the per-node search pops all 494 reached exits
+    # the first search is a level BFS, which pops no exit; the two Dial
+    # searches after it measured 19 and 16 single pops, and the per-node
+    # search pops all 494 reached exits
     probe = _SearchProbe(monkeypatch)
     d, us, ys, avoid_mask = _sc_large_shape(29)
     assert isinstance(min_vertex_menger(d, us, ys, iter_bits(avoid_mask)), PathSystem)
-    assert len(probe.singles) == 3 and max(probe.singles) < 60, probe.singles
+    assert probe.bfs == 1, probe.bfs
+    assert len(probe.singles) == 2 and max(probe.singles) < 60, probe.singles
+
+
+def _distances(levels):
+    """node -> distance, read off a search's (distance, settled mask) levels."""
+    dist = {}
+    for at, mask in levels:
+        for node in iter_bits(mask):
+            assert node not in dist, f"node {node} settled twice"
+            dist[node] = at
+    return dist
+
+
+class TestLevelSearchAgainstDial:
+    """The first search, run as a level BFS, against the Dial search
+    ``_shortest`` on the same fresh network: the sink's distance, the settled
+    mask, every node's distance and the flow that the sink's path pushes."""
+
+    @staticmethod
+    def _check(d, sources, sinks, avoid_mask):
+        """Compare the two searches; return the sink's distance."""
+        net = connectivity._SplitFlow(d, sources, sinks, avoid_mask)
+        got, want = net._bfs(), net._shortest()
+        key = (sources, sinks, avoid_mask)
+        assert (got[0], got[3]) == (want[0], want[3]), key
+        assert _distances(got[1]) == _distances(want[1]), key
+        if want[0] is not None:
+            flows = []
+            for log in (got[2], want[2]):
+                net = connectivity._SplitFlow(d, sources, sinks, avoid_mask)
+                net._augment(log)
+                flows.append((net.used, net.src_used, net.sink_used, net.succ, net.pred))
+            assert flows[0] == flows[1], key
+        return want[0]
+
+    def test_random_digraphs_with_deletions(self):
+        rng = SplitMix64(2_038)
+        seen = {"unreached": 0, "deep": 0}
+        for trial in range(1_000):
+            n = 2 + rng.randrange(40)
+            # every other digraph sparse, for sinks many levels deep
+            d = random_digraph(n, 110_000 + trial, 1 + rng.randrange(2 if trial % 2 else 9))
+            d = d.delete([v for v in range(n) if rng.randrange(5) == 0][: n - 2])
+            xs, ys, us, avoid = _menger_sets(list(d.vertices()), rng)
+            for sources in (sorted(xs), sorted(xs + us)):
+                top = self._check(d, sources, sorted(ys), mask_of(avoid))
+                seen["unreached"] += top is None
+                seen["deep"] += top is not None and top >= 3
+        # measured 280 runs with the sink unreached and 77 with it 3+ levels deep, of 2,000
+        assert seen["unreached"] >= 200 and seen["deep"] >= 50, seen
+
+    def test_sc_large_shape(self):
+        for seed in range(36, 39):
+            assert self._check(*_sc_large_shape(seed)) is not None
+
+    def test_lqt_shape(self):
+        # the l-QT pipeline's target routing: one source, one sink and many
+        # claimed vertices avoided, on extended tournaments of 20 parts of 3
+        rng = SplitMix64(2_039)
+        deep = 0
+        for seed in range(200):
+            d = random_extended_tournament(20, [3] * 20, 120_000 + seed).digraph
+            vs = rng.sample(list(d.vertices()), 2 + 5 + rng.randrange(36))
+            top = self._check(d, [vs[0]], [vs[1]], mask_of(vs[2:]))
+            deep += top is not None and top >= 3
+        # measured 111 of 200 runs with the sink 3+ levels deep, none unreached
+        assert deep >= 80, deep
 
 
 @pytest.fixture()
