@@ -388,23 +388,26 @@ def is_l_quasi_transitive(d: Digraph, l: int) -> bool:
     return True
 
 
-def _spanning_in_masks(d: Digraph, alive: int) -> tuple[list[int], list[int]] | None:
-    """The ids of the mask ``alive`` and their in-masks in the spanning
-    tournament of d on ``alive``, or None when d is not semicomplete there.
+def _spanning_in_masks(d: Digraph, alive: int) -> tuple[list[int], list[int], list[int]] | None:
+    """The ids of the mask ``alive``, their in-masks in the spanning
+    tournament of d on ``alive`` and those in-masks' popcounts (the
+    in-degrees), or None when d is not semicomplete there.
 
     v loses the in-arcs from the larger ids it also points to, so a pair
     leaves exactly one bit when it is adjacent and none when it is not: the
-    in-masks hold |alive| * (|alive| - 1) / 2 bits exactly when every pair
-    is adjacent.
+    in-degrees sum to |alive| * (|alive| - 1) / 2 exactly when every pair
+    is adjacent.  The rows are ANDed with ``alive``, because a digraph's
+    rows may hold vertices outside its alive mask.
     """
     flags = _flags(alive)
     ids = list(compress(range(d.n), flags))
     tins = [in_v & ~(out_v >> v << v) & alive
             for v, out_v, in_v in zip(ids, compress(d._out, flags), compress(d._in, flags))]
+    degrees = list(map(int.bit_count, tins))
     count = len(ids)
-    if sum(map(int.bit_count, tins)) < count * (count - 1) // 2:
+    if sum(degrees) < count * (count - 1) // 2:
         return None
-    return ids, tins
+    return ids, tins, degrees
 
 
 def spanning_tournament(d: Digraph) -> Digraph:
@@ -420,7 +423,7 @@ def spanning_tournament(d: Digraph) -> Digraph:
         raise PreconditionViolatedError("spanning tournament needs a semicomplete digraph")
     out = [0] * d.n
     inc = [0] * d.n
-    for v, tin in zip(*rows):
+    for v, tin in zip(*rows[:2]):
         out[v] = d._out[v] & ~(d._in[v] & ((1 << v) - 1))
         inc[v] = tin
     return Digraph(d.n, d.alive_mask, out, inc)

@@ -18,19 +18,24 @@ failure the excess "widths below c, minus 2c" peaks at c = 1 or at
 c = w + 1 for a width w, so the worst c is one scan of the same list.
 ``_first_c_good`` is the one scan for a c-good vertex.
 
-The selection ranks the vertices by their in-mask ``tin(v)`` in the
-spanning tournament on ``alive`` (``digraph._spanning_in_masks``, which
-also decides semicompleteness from the same masks).  Removing a set T
-lowers v's in-degree by exactly ``popcount(tin(v) & T)``, so the degrees
-are counted once, and each pick scans the ranking until a first count
-falls below the best degree found.
+The selection ranks the vertices by their in-degree in the spanning
+tournament on ``alive``: ``digraph._spanning_in_masks`` gives the in-masks
+``tin(v)`` and their popcounts, and decides semicompleteness from the same
+pass.  Removing a set T lowers v's in-degree by exactly
+``popcount(tin(v) & T)``, so the degrees are counted once, and each pick
+scans the ranking until a first count falls below the best degree found.
+The spanning tournament keeps or drops each arc by the ids of its two ends
+alone, so deleting T from it gives the spanning tournament of d minus T.
+The selection in d minus the terminals can therefore start from the
+in-masks of all of d, with the terminals already taken.  The semicomplete
+solver does so (``_dominating_picks``): one pass decides its audit's
+semicompleteness and ranks its picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 
 from .digraph import Digraph, _flags, _spanning_in_masks, _union, is_tournament, iter_bits
 from .errors import InputError, PreconditionViolatedError
@@ -91,27 +96,53 @@ def goodness_profile(d: Digraph, u: int) -> GoodnessProfile:
     return GoodnessProfile(u, widths, frozenset(iter_bits(d.in_mask(u))))
 
 
-def _ranked_picks(ids: list[int], tins: list[int], m: int) -> list[int]:
+def _ranked_picks(ids: list[int], tins: list[int], degrees: list[int], m: int,
+                  taken: int = 0) -> list[int]:
     """m maximum-in-degree picks, ties to the smallest id, from the spanning
-    tournament with vertices ``ids`` and in-masks ``tins`` minus the earlier
-    picks.  Each scan of the ranking stops below the best degree: no later
-    degree can reach it."""
-    ranked = sorted(zip(map(int.bit_count, tins), ids, tins), key=itemgetter(0), reverse=True)
-    taken = 0
+    tournament with vertices ``ids``, in-masks ``tins`` and in-degrees
+    ``degrees``, minus the vertices of the mask ``taken`` and the earlier
+    picks.  Removing vertices never raises a degree, so each scan of the
+    ranking stops below the best degree: no later degree can reach it."""
+    ranked = sorted(range(len(ids)), key=degrees.__getitem__, reverse=True)
     chosen: list[int] = []
     for _ in range(m):
         best, pick = -1, -1
-        for first, v, tin in ranked:
+        for i in ranked:
+            first = degrees[i]
             if first < best:
                 break
+            v = ids[i]
             if taken >> v & 1:
                 continue
-            degree = first - (tin & taken).bit_count()
+            degree = first - (tins[i] & taken).bit_count()
             if degree > best or (degree == best and v < pick):
                 best, pick = degree, v
         chosen.append(pick)
         taken |= 1 << pick
     return chosen
+
+
+def _check_room(m: int, have: int) -> None:
+    """The selection's error when fewer than m vertices, ``have``, lie
+    outside the terminals."""
+    if have < m:
+        raise PreconditionViolatedError(f"need {m} vertices outside the terminals, have {have}",
+                                        clause="too few vertices outside the terminals",
+                                        counts={"need": m, "have": have})
+
+
+def _dominating_picks(rows: tuple[list[int], list[int], list[int]], terminals: int,
+                      m: int) -> list[int]:
+    """``nearly_in_dominating_set`` of a semicomplete digraph d, from
+    ``rows`` = ``_spanning_in_masks`` on all of d and the mask ``terminals``
+    of X and Y, a set of alive vertices.
+
+    Deleting X and Y from d's spanning tournament gives the spanning
+    tournament of d minus X and Y, so the picks start with the terminals
+    taken.
+    """
+    _check_room(m, len(rows[0]) - terminals.bit_count())
+    return _ranked_picks(*rows, m, terminals)
 
 
 def nearly_in_dominating_vertex(d: Digraph) -> int:
@@ -199,11 +230,7 @@ def nearly_in_dominating_set(d: Digraph, xs, ys, m: int) -> list[int]:
     if m < 0:
         raise InputError(f"set size must be non-negative, got {m}")
     alive = d.alive_mask & ~d._check_vertices(set(xs) | set(ys))
-    have = alive.bit_count()
-    if have < m:
-        raise PreconditionViolatedError(f"need {m} vertices outside the terminals, have {have}",
-                                        clause="too few vertices outside the terminals",
-                                        counts={"need": m, "have": have})
+    _check_room(m, alive.bit_count())
     rows = _spanning_in_masks(d, alive)
     if rows is None:
         raise PreconditionViolatedError("terminal-free subdigraph is not semicomplete")

@@ -14,8 +14,8 @@ connectors stay clear of it; that guarantee is checked, not trusted.
 from __future__ import annotations
 
 from .connectivity import is_k_strong, min_vertex_menger
-from .digraph import Digraph, _union, is_semicomplete, iter_bits, mask_of
-from .dominators import _first_c_good, nearly_in_dominating_set, verify_nearly_in_dominating_set
+from .digraph import Digraph, _spanning_in_masks, _union, iter_bits, mask_of
+from .dominators import _dominating_picks, _first_c_good, verify_nearly_in_dominating_set
 from .errors import ConstructionFailedError, PreconditionViolatedError, StageFailed
 from .paths import Infeasible, LinkageInstance, PathSystem
 from .reports import SolveReport, stage
@@ -232,11 +232,18 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
     failed stage proves nothing about linkability (``klinkage oracle``
     decides that on small digraphs); either way a linked outcome is
     certified by ``verify_linkage`` before it is reported.
+
+    One pass builds the spanning-tournament in-masks of all of d: it
+    decides the audit's semicompleteness, and the dominating set U is
+    picked from it with the terminals already taken, which gives the
+    picks of the spanning tournament of d minus the terminals (see
+    ``dominators``).
     """
     d = instance.digraph
     k = instance.k
     xs, ys = instance.sources(), instance.targets()
-    audit: dict = {"class": "semicomplete", "k": k, "semicomplete": is_semicomplete(d),
+    rows = _spanning_in_masks(d, d._alive)
+    audit: dict = {"class": "semicomplete", "k": k, "semicomplete": rows is not None,
                    "min_out_degree": d.min_out_degree(), "kappa_threshold": 3 * k,
                    "out_degree_threshold": 22 * k}
     violation = audit_hypotheses(
@@ -250,9 +257,10 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
         system = PathSystem(instance.pairs)
         return SolveReport.certified(d, instance.pairs, system, audit)
 
+    xy_mask = mask_of([*xs, *ys])
     try:
         with stage("dominating-set"):
-            us = nearly_in_dominating_set(d, xs, ys, 3 * k)
+            us = _dominating_picks(rows, xy_mask, 3 * k)
         matching = partition_terminals(d, xs, ys, us, k)  # matched source -> helper
         leftover = [x for x in xs if x not in matching]
 
@@ -281,7 +289,7 @@ def solve_semicomplete(instance: LinkageInstance, skip_audit: bool = False) -> S
 
         # leftover sources connect straight to their q-start; the helper layer
         # (interiors plus landing vertices) is the protected region
-        xy_mask, helper_mask = mask_of([*xs, *ys]), mask_of(matching.values())
+        helper_mask = mask_of(matching.values())
         with stage("anchor-direct"):
             p2 = _connect(d, xy_mask, helper_mask | used_lands, u_mask, q, leftover,
                           [q_for[x] for x in leftover])

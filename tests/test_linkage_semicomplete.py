@@ -296,7 +296,7 @@ class TestSolveSemicomplete:
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(linkage_semicomplete, "nearly_in_dominating_set", fail)
+        monkeypatch.setattr(linkage_semicomplete, "_dominating_picks", fail)
         rep = solve_semicomplete(LinkageInstance(random_tournament(200, 11), ((0, 100), (50, 150))),
                                  skip_audit=True)
         assert (rep.outcome, rep.stage, rep.witness) == (
@@ -308,7 +308,7 @@ class TestSolveSemicomplete:
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(linkage_semicomplete, "nearly_in_dominating_set", fail)
+        monkeypatch.setattr(linkage_semicomplete, "_dominating_picks", fail)
         with pytest.raises(type(error)) as info:
             solve_semicomplete(LinkageInstance(random_tournament(200, 11), ((0, 100), (50, 150))),
                                skip_audit=True)

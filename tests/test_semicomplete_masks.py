@@ -2,7 +2,8 @@
 code they replaced (``tests/ref_semicomplete.py``): ``is_semicomplete`` and
 ``Digraph.min_out_degree`` decide in one pass over the alive rows, the
 spanning tournament and the dominator selection decide semicompleteness
-from the tournament in-masks they build, ``partition_terminals`` counts
+from the tournament in-masks they build (``solve_semicomplete`` builds them
+once, for its audit and its dominating set), ``partition_terminals`` counts
 the out-neighbours in U of every outside vertex at once with a bit-sliced
 counter, and the connector clauses are checked once, in
 ``anchor_connectors``, while the pipeline hands ``_connect`` its masks."""
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+import ref_dominators
 import ref_semicomplete
 from test_audited_solves import semicomplete_instances
 from test_golden_reports import CASES
@@ -21,9 +23,11 @@ from klinkage import (Digraph, PathSystem, anchor_connectors, is_semicomplete, i
                       linkage_semicomplete, min_vertex_menger, nearly_in_dominating_set,
                       nearly_in_dominating_vertex, partition_terminals, solve_semicomplete,
                       spanning_tournament)
-from klinkage.digraph import iter_bits, mask_of
+from klinkage.digraph import _spanning_in_masks, iter_bits, mask_of
+from klinkage.dominators import _dominating_picks
 from klinkage.errors import KLinkageError, PreconditionViolatedError
-from klinkage.generators import SplitMix64, random_digraph, random_semicomplete, random_tournament
+from klinkage.generators import (SplitMix64, circulant_tournament, random_digraph,
+                                 random_semicomplete, random_tournament)
 
 
 def _result(fn, *args):
@@ -146,6 +150,108 @@ class TestPartitionAgainstReference:
                       for v in d.vertices() if v not in vs]
             wrapped += any(c >= 2 * k and c % width < 2 * k for c in counts)
         assert wrapped >= 150, wrapped  # measured 190 of 600
+
+
+def _shared_pass_case(rng: SplitMix64, trial: int):
+    """A tournament, a semicomplete digraph at ``p_double`` 0, 0.2 or 0.9, a
+    transitive or circulant tournament, or a semicomplete digraph with one
+    pair made non-adjacent, on 1-24 ids, some deleted."""
+    n = 1 + rng.randrange(24)
+    seed = 23_000 + trial
+    kind = trial % 6
+    if kind == 0:
+        d = random_tournament(n, seed)
+    elif kind <= 3:
+        d = random_semicomplete(n, (0.0, 0.2, 0.9)[kind - 1], seed)
+    elif kind == 4:
+        d = (Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+             if trial % 12 == 4 else circulant_tournament(max(3, n | 1)))
+    else:
+        d = random_semicomplete(n + 1, rng.randrange(10) / 10, seed)
+        u, v = rng.sample(list(range(n + 1)), 2)
+        d = _without_pair(d, u, v)
+    if rng.randrange(3) == 0:
+        d = d.delete([v for v in range(d.n) if rng.randrange(5) == 0][:d.order - 1])
+    return d
+
+
+def _tied_picks(d, removed, picks) -> int:
+    """How many of ``picks`` tie on in-degree with another vertex of the
+    spanning tournament they were picked from: d minus ``removed`` and the
+    earlier picks."""
+    ties = 0
+    for i, u in enumerate(picks):
+        t = spanning_tournament(d.delete({*removed, *picks[:i]}))
+        best = t.in_degree(u)
+        ties += sum(t.in_degree(v) == best for v in t.vertices()) > 1
+    return ties
+
+
+class TestSharedSpanningPass:
+    """``solve_semicomplete`` builds the spanning in-masks of all of d once:
+    they decide the audit's semicompleteness, and ``_dominating_picks``
+    takes U from them with the terminals already taken.  Both must agree
+    with the references on d minus the terminals."""
+
+    def test_masks_decide_semicompleteness(self):
+        rng = SplitMix64(71_005)
+        verdicts = Counter()
+        for trial in range(600):
+            d = _shared_pass_case(rng, trial)
+            removed = [v for v in d.vertices() if rng.randrange(4) == 0] if rng.randrange(2) else []
+            sub = d.delete(removed)
+            rows = _spanning_in_masks(d, sub.alive_mask)
+            semicomplete = ref_semicomplete.is_semicomplete(sub)
+            assert (rows is None) == (not semicomplete), trial
+            verdicts[semicomplete, bool(removed)] += 1
+            if rows is not None:
+                ids, tins, degrees = rows
+                assert ids == list(sub.vertices())
+                assert degrees == [tin.bit_count() for tin in tins]
+                assert tins == [spanning_tournament(sub).in_mask(v) for v in ids]
+        # measured 281 and 253 semicomplete, 49 and 17 not (without and with removed vertices)
+        assert verdicts[True, False] >= 200 and verdicts[True, True] >= 200, verdicts
+        assert verdicts[False, False] >= 35 and verdicts[False, True] >= 10, verdicts
+
+    def test_picks_with_terminals_taken(self):
+        rng = SplitMix64(71_006)
+        ties = picks = too_few = 0
+        for trial in range(600):
+            d = _shared_pass_case(rng, trial)
+            rows = _spanning_in_masks(d, d.alive_mask)
+            if rows is None:
+                continue
+            terminals = rng.sample(list(d.vertices()), rng.randrange(min(d.order, 6) + 1))
+            xs, ys = terminals[::2], terminals[1::2]
+            t_mask = mask_of(terminals)
+            room = d.order - len(terminals)
+            want = ref_dominators.nearly_in_dominating_set(d, xs, ys, room)
+            for m in range(room + 1):
+                # the reference picks one vertex per step, so its first m
+                # picks are its picks for m
+                assert _dominating_picks(rows, t_mask, m) == want[:m], trial
+            ties += _tied_picks(d, terminals, want)
+            picks += room
+            for m in (room + 1, room + 1 + rng.randrange(4)):
+                got = _result(_dominating_picks, rows, t_mask, m)
+                assert isinstance(got, PreconditionViolatedError), trial
+                assert got.clause == "too few vertices outside the terminals"
+                assert _key(got) == _key(_result(nearly_in_dominating_set, d, xs, ys, m)), trial
+                too_few += 1
+        # measured 4,532 picks, 1,854 of them among tied best degrees, 1,032 too few
+        assert picks >= 3_500 and ties >= 1_200 and too_few >= 800, (picks, ties, too_few)
+
+    def test_sc_large_shape(self):
+        # n = 500, 2-cycles at rate 0.2, k = 3: the sc-large workload's digraphs
+        rng = SplitMix64(71_007)
+        for seed in range(2):
+            d = random_semicomplete(500, 0.2, 24_000 + seed)
+            rows = _spanning_in_masks(d, d.alive_mask)
+            assert rows is not None
+            terminals = rng.sample(list(d.vertices()), 6)
+            xs, ys = terminals[:3], terminals[3:]
+            got = _dominating_picks(rows, mask_of(terminals), 9)
+            assert got == ref_dominators.nearly_in_dominating_set(d, xs, ys, 9)
 
 
 @pytest.fixture

@@ -5,14 +5,18 @@ The family has three blocks and every arc A -> B, B -> S and S -> A, with
 circulant tournament on 38k + 1 + 2 (seed mod 4) vertices and S a random
 tournament on 3k vertices, under a seeded shuffle of the ids.  S is a cut,
 so kappa is exactly 3k, the least the semicomplete pipeline admits, and
-every path from B to A passes through S.
+every path from B to A passes through S.  When seed = 0 (mod 4), every B
+vertex has out-degree 19k + 3k = 22k, the least the pipeline admits, so
+both hypotheses are tight: audited solves there must link, and one arc
+reversed or one S vertex deleted must fail the audit on that bound.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from klinkage import Digraph, Infeasible, PathSystem, connectivity, kappa, min_vertex_menger
+from klinkage import (Digraph, Infeasible, LinkageInstance, PathSystem, connectivity, kappa,
+                      min_vertex_menger, solve_semicomplete)
 from klinkage.digraph import mask_of
 from klinkage.generators import SplitMix64, circulant_tournament, random_tournament
 
@@ -88,3 +92,32 @@ def test_avoiding_a_cut_vertex_leaves_3k_minus_1():
         assert isinstance(got, Infeasible), (k, seed, us, ys, avoid)
         assert set(got.separator) <= set(s) | set(avoid), (got.separator, s, avoid)
         assert sum(v not in avoid for v in got.separator) == 3 * k - 1, got.separator
+
+
+def _audited_solve(d, rng, k):
+    """An audited solve of k random pairs of distinct alive vertices."""
+    vs = rng.sample(list(d.vertices()), 2 * k)
+    return solve_semicomplete(LinkageInstance(d, tuple(zip(vs[:k], vs[k:]))))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_solves_at_both_bounds(k):
+    rng = SplitMix64(3_803)
+    for seed in (4, 8, 5):
+        d, (_a, b, s) = tight_cut(k, seed)
+        degree = 22 * k + seed % 4  # B's: 19k + seed % 4 inside B, 3k into S
+        assert d.min_out_degree() == degree
+        for _ in range(6):
+            rep = _audited_solve(d, rng, k)
+            assert rep.linked, (k, seed, rep.outcome, rep.failure, rep.stage, rep.witness)
+            assert rep.audit["kappa_at_least"] and rep.audit["min_out_degree"] == degree
+        if degree == 22 * k:
+            # one B-internal out-arc of a vertex at 22k reversed: 22k - 1
+            u = next(v for v in b if d.out_degree(v) == 22 * k)
+            w = next(v for v in b if d.has_arc(u, v))
+            flipped = Digraph.from_arcs(d.n, [(w, u) if a == (u, w) else a for a in d.arcs()])
+            rep = _audited_solve(flipped, rng, k)
+            assert rep.failure == f"min out-degree < {22 * k}", (k, seed, rep.failure)
+            assert rep.audit["min_out_degree"] == 22 * k - 1
+        rep = _audited_solve(d.delete(s[:1]), rng, k)
+        assert rep.failure == f"kappa < {3 * k}", (k, seed, rep.failure)
